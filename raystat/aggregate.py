@@ -9,12 +9,12 @@ e.g. WeightedStdDevUdaf.java:94-163) but vectorized and Ray-Data-first:
    aggregation.  Each input batch collapses to at most
    |distinct groups in batch| rows, so the shuffle moves partial
    aggregates, not rows (SURVEY.md §4.2).
-2. **merge** — ``groupby(keys).aggregate(Sum(...))`` over the tiny
-   partials (the only all-to-all exchange; field-wise addition ==
-   the reference's ``merge``).
-3. **finalize** — a final ``map_batches`` evaluates every requested
-   statistic for all groups in one vectorized NumPy expression
-   (== the reference's ``map``, non-destructive).
+2. **merge** — :func:`keyed_merge`: one sort exchange on the group
+   keys, then one Arrow ``group_by().aggregate(sum)`` per block; no
+   per-group Python call (field-wise addition == the reference's ``merge``).
+3. **finalize** — a ``map_batches`` fused with the merge evaluates every
+   requested statistic for all groups in one vectorized NumPy
+   expression (== the reference's ``map``, non-destructive).
 
 Scales to arbitrary input size: stages 1 and 3 stream; stage 2's
 input is O(batches × groups) rows of ≤10 float64 columns.
@@ -30,9 +30,9 @@ import pyarrow.compute as pc
 
 from raystat.accumulators import AggregatorSpec, canonical_sums_for, get_spec
 from raystat.scratch import buf, tune_allocator
-from raystat.windows import Hopping, Session, Tumbling, assign_windows, ts_to_epoch_us
+from raystat.windows import Hopping, Tumbling, assign_windows, ts_to_epoch_us
 
-__all__ = ["grouped_moments", "session_moments", "partial_sums"]
+__all__ = ["grouped_moments", "session_moments", "partial_sums", "keyed_merge"]
 
 _GLOBAL_KEY = "_all"  # constant group key for global aggregates
 # (mirrors the reference's GROUP BY 'singleton', AllUdafIT.java:596-598)
@@ -104,6 +104,47 @@ def partial_sums(
     return agg.rename_columns(group_cols + list(arrays))
 
 
+def keyed_merge(ds, keys: list[str], kernel):
+    """Run ``kernel`` (pa.Table -> pa.Table) on blocks that each hold
+    every row of their keys: a range-partitioning sort on ``keys`` and
+    then whole blocks (``batch_size=None``) — the pair Ray Data's own
+    grouped map is built on.  ``kernel`` sees many keys per call."""
+    return ds.sort(keys).map_batches(kernel, batch_format="pyarrow", batch_size=None)
+
+
+def sum_kernel(group_cols: list[str], cols: list[str]):
+    """Kernel adding ``cols`` per distinct ``group_cols`` (Arrow hash
+    aggregation); output columns ``group_cols + cols``."""
+
+    def merge(t: pa.Table) -> pa.Table:
+        agg = t.group_by(group_cols).aggregate([(c, "sum") for c in cols])
+        return agg.rename_columns(group_cols + cols)
+
+    return merge
+
+
+def finalize_kernel(resolved: Mapping, needed, pass_cols: list[str]):
+    """Kernel evaluating every spec's ``finalize_arrays`` over merged
+    sums for all groups of a batch; ``pass_cols`` are carried through."""
+
+    def finalize(batch: pa.Table) -> pa.Table:
+        cols = {c: batch[c].to_numpy(zero_copy_only=False) for c in needed}
+        out: dict[str, object] = {k: batch[k] for k in pass_cols}
+        for name, spec in resolved.items():
+            out[name] = pa.array(np.atleast_1d(spec.finalize_arrays(cols)), type=pa.float64())
+        return pa.table(out)
+
+    return finalize
+
+
+def check_keys(batch: pa.Table, keys: list[str]) -> None:
+    """Fail loudly on null group keys before the exchange: Ray's sort
+    cannot order nulls (a TypeError in the shuffle, or a split group)."""
+    for k in keys:
+        if batch[k].null_count:
+            raise ValueError(f"group key column {k!r} contains nulls")
+
+
 def _clean_xw(batch: pa.Table, value: str, weight: str | None):
     """Extract float64 value/weight arrays, dropping null rows
     (SQL-aggregate null semantics; ksqlDB likewise skips null events)."""
@@ -145,8 +186,6 @@ def grouped_moments(
     ``window_start`` group column.  Returns a lazy Dataset with columns
     ``keys + [window_start?] + list(specs)``.
     """
-    from ray.data.aggregate import Sum
-
     resolved = _resolve(specs)
     needed, u_order, w_order = canonical_sums_for(resolved.values())
     if not needed:
@@ -165,7 +204,7 @@ def grouped_moments(
     out_group_cols = group_cols or [_GLOBAL_KEY]
 
     def partial(batch: pa.Table) -> pa.Table:
-        ws = None
+        check_keys(batch, keys)
         if window is not None:
             batch, ws = assign_windows(batch, ts, window)
             batch = batch.append_column(
@@ -182,22 +221,36 @@ def grouped_moments(
     if batch_size is not None:
         kwargs["batch_size"] = batch_size
     partials = ds.map_batches(partial, **kwargs)
-    agg = partials.groupby(out_group_cols).aggregate(
-        *[Sum(c, alias_name=c) for c in needed]
-    )
+    agg = keyed_merge(partials, out_group_cols, sum_kernel(out_group_cols, list(needed)))
+    # global aggregates drop the constant _all key
+    return agg.map_batches(finalize_kernel(resolved, needed, group_cols), batch_format="pyarrow")
 
-    def finalize(batch: pa.Table) -> pa.Table:
-        cols = {
-            c: batch[c].to_numpy(zero_copy_only=False) for c in needed
-        }
-        out: dict[str, object] = {k: batch[k] for k in group_cols}
-        for name, spec in resolved.items():
-            out[name] = pa.array(
-                np.atleast_1d(spec.finalize_arrays(cols)), type=pa.float64()
-            )
-        return pa.table(out)  # global aggregates drop the constant _all key
 
-    return agg.map_batches(finalize, batch_format="pyarrow")
+def _merge_runs(t: pa.Table, keys: list[str], sum_cols: list[str], gap_us: int) -> pa.Table:
+    """Merge sessions (rows of ``keys``, sums, ``session_start_us``,
+    ``session_end_us``) for all keys of ``t`` at once: sort by keys and
+    start, keep a per-key running max of the end, and start a new
+    session where the key changes or ``start - prev_run_end > gap``.
+    A raw event is the session ``[ts, ts]``."""
+    import pandas as pd
+
+    if t.num_rows == 0:
+        return t.select(keys + sum_cols + ["session_start_us", "session_end_us"])
+    t = t.sort_by([(c, "ascending") for c in keys + ["session_start_us"]])
+    brk = np.arange(t.num_rows) == 0  # first row of each key, then of each session
+    for k in keys:
+        brk[1:] |= pc.not_equal(t[k][1:], t[k][:-1]).to_numpy()
+    starts = t["session_start_us"].to_numpy()
+    ends = t["session_end_us"].to_numpy()
+    run_end = pd.Series(ends).groupby(np.cumsum(brk)).cummax().to_numpy()
+    brk[1:] |= (starts[1:] - run_end[:-1]) > gap_us
+    idx = np.flatnonzero(brk)
+    out = {k: t[k].take(idx) for k in keys}
+    for c in sum_cols:
+        out[c] = np.add.reduceat(t[c].to_numpy(), idx)
+    out["session_start_us"] = starts[idx]
+    out["session_end_us"] = np.maximum.reduceat(ends, idx)
+    return pa.table(out)
 
 
 def session_moments(
@@ -213,18 +266,17 @@ def session_moments(
     """Session-window statistics (ksqlDB SESSION semantics: per-key
     events whose successive gaps are <= gap share a window).
 
-    Partial sessions are built per batch (vectorized pandas), then
-    merged per key with an interval cummax sweep — the step where the
-    reference's ``merge()`` on overlapping partials is load-bearing.
+    Partial sessions are built per batch, then merged with an interval
+    cummax sweep — the step where the reference's ``merge()`` on
+    overlapping partials is load-bearing.  Both steps are
+    :func:`_merge_runs`, vectorized over all keys of a batch.
     Output: keys + session_start_us + session_end_us (int64 epoch
     microseconds) + one column per spec.
 
-    Partitioning assumption: all partial sessions of one key meet in
-    one ``map_groups`` group (hash shuffle on ``keys``); partials are
-    O(batches × keys), not O(rows).
+    Partitioning assumption: :func:`keyed_merge` sorts the partials on
+    ``keys``, so all partial sessions of one key meet in one block;
+    partials are O(batches × keys), not O(rows).
     """
-    import pandas as pd
-
     resolved = _resolve(specs)
     needed, u_order, w_order = canonical_sums_for(resolved.values())
     if w_order and weight is None:
@@ -232,71 +284,17 @@ def session_moments(
     gap_us = int(gap_s) * 1_000_000
     sum_cols = list(needed)
 
+    def merge(t: pa.Table) -> pa.Table:
+        return _merge_runs(t, keys, sum_cols, gap_us)
+
     def partial(batch: pa.Table) -> pa.Table:
+        check_keys(batch, keys)
         batch, x, w = _clean_xw(batch, value, weight)
-        ts_us = ts_to_epoch_us(batch[ts])
-        df = pd.DataFrame({k: batch[k].to_numpy(zero_copy_only=False) for k in keys})
-        df["_ts"] = ts_us
-        if u_order:
-            df["u_n"] = np.ones(x.size, dtype=np.int64)
-            df["u_s1"] = x
-            p = x
-            for i in range(2, u_order + 1):
-                p = p * x
-                df[f"u_s{i}"] = p
-        if w_order:
-            df["w_sw"] = w
-            df["w_sv"] = w * x
-            p = x
-            for i in range(2, w_order + 1):
-                p = p * x
-                df[f"w_s{i}"] = w * p
-        df = df.sort_values(keys + ["_ts"], kind="stable", ignore_index=True)
-        key_change = np.zeros(len(df), dtype=bool)
-        for k in keys:
-            kv = df[k].to_numpy()
-            key_change[1:] |= kv[1:] != kv[:-1]
-        tsv = df["_ts"].to_numpy()
-        brk = key_change.copy()
-        brk[1:] |= (tsv[1:] - tsv[:-1]) > gap_us
-        brk[0] = True
-        df["_sess"] = np.cumsum(brk)
-        g = df.groupby(keys + ["_sess"], sort=False, as_index=False).agg(
-            **{c: (c, "sum") for c in sum_cols},
-            session_start_us=("_ts", "min"),
-            session_end_us=("_ts", "max"),
-        )
-        return pa.Table.from_pandas(g.drop(columns=["_sess"]), preserve_index=False)
+        groups = {k: batch[k] for k in keys}
+        groups["session_start_us"] = ts_to_epoch_us(batch[ts])
+        t = partial_sums(groups, x, w, u_order, w_order)
+        return merge(t.append_column("session_end_us", t["session_start_us"]))
 
-    def merge_sessions(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("session_start_us", kind="stable", ignore_index=True)
-        ends = g["session_end_us"].to_numpy()
-        starts = g["session_start_us"].to_numpy()
-        run_end = np.maximum.accumulate(ends)
-        brk = np.ones(len(g), dtype=bool)
-        if len(g) > 1:
-            brk[1:] = (starts[1:] - run_end[:-1]) > gap_us
-        g["_m"] = np.cumsum(brk)
-        out = g.groupby(keys + ["_m"], sort=False, as_index=False).agg(
-            **{c: (c, "sum") for c in sum_cols},
-            session_start_us=("session_start_us", "min"),
-            session_end_us=("session_end_us", "max"),
-        )
-        return out.drop(columns=["_m"])
-
-    merged = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(keys)
-        .map_groups(merge_sessions, batch_format="pandas")
-    )
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        cols = {c: batch[c].to_numpy(zero_copy_only=False) for c in needed}
-        out = {k: batch[k] for k in keys + ["session_start_us", "session_end_us"]}
-        for name, spec in resolved.items():
-            out[name] = pa.array(
-                np.atleast_1d(spec.finalize_arrays(cols)), type=pa.float64()
-            )
-        return pa.table(out)
-
+    merged = keyed_merge(ds.map_batches(partial, batch_format="pyarrow"), keys, merge)
+    finalize = finalize_kernel(resolved, needed, keys + ["session_start_us", "session_end_us"])
     return merged.map_batches(finalize, batch_format="pyarrow")

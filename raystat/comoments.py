@@ -17,9 +17,10 @@ State fields:
   (canonical ``cw_sw cw_sx cw_sy cw_sxx cw_syy cw_sxy``)
 
 ``grouped_comoments`` is the batch engine: per-batch Arrow hash-agg
-partials (shuffle moves O(groups) rows of 6 float64 sums, never raw
-rows) -> ``groupby().aggregate(Sum)`` -> vectorized finalize — the
-exact shape of :func:`raystat.aggregate.grouped_moments`.
+partials (the exchange moves O(groups) rows of 6 float64 sums, never
+raw rows) -> :func:`raystat.aggregate.keyed_merge` (sort exchange,
+then Arrow sums per block) -> vectorized finalize — the exact shape
+of :func:`raystat.aggregate.grouped_moments`.
 """
 
 from __future__ import annotations
@@ -259,8 +260,7 @@ def grouped_comoments(
     """Grouped (optionally tumbling/hopping-windowed) bivariate
     statistics over a Dataset; same three-stage shape as
     :func:`raystat.aggregate.grouped_moments`."""
-    from ray.data.aggregate import Sum
-
+    from raystat.aggregate import check_keys, finalize_kernel, keyed_merge, sum_kernel
     from raystat.scratch import tune_allocator
     from raystat.windows import Hopping, Tumbling, assign_windows
 
@@ -285,6 +285,7 @@ def grouped_comoments(
 
     def partial(batch: pa.Table) -> pa.Table:
         tune_allocator()
+        check_keys(batch, keys)
         if window is not None:
             batch, ws = assign_windows(batch, ts, window)
             batch = batch.append_column(
@@ -321,22 +322,8 @@ def grouped_comoments(
         else:
             data = {"_all": np.zeros(xv.size, dtype=np.int8)}
         data.update(arrays)
-        t = pa.table(data)
-        agg = t.group_by(out_group_cols).aggregate([(c, "sum") for c in arrays])
-        return agg.rename_columns(out_group_cols + list(arrays))
+        return sum_kernel(out_group_cols, list(arrays))(pa.table(data))
 
     partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    agg = partials.groupby(out_group_cols).aggregate(
-        *[Sum(c, alias_name=c) for c in needed]
-    )
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        cols = {c: batch[c].to_numpy(zero_copy_only=False) for c in needed}
-        out: dict[str, object] = {k: batch[k] for k in group_cols}
-        for name, spec in resolved.items():
-            out[name] = pa.array(
-                np.atleast_1d(spec.finalize_arrays(cols)), type=pa.float64()
-            )
-        return pa.table(out)
-
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    agg = keyed_merge(partials, out_group_cols, sum_kernel(out_group_cols, needed))
+    return agg.map_batches(finalize_kernel(resolved, needed, group_cols), batch_format="pyarrow")

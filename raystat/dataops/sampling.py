@@ -200,9 +200,12 @@ def mixture_sample(ds, key_col: str = "source", mass_col: str = "n_chars",
         # threshold == 2**64 (rate 1.0, or floor(r*2**64) rounding up
         # to 2**64 for r within 1 ulp of 1) keeps EVERY row — matching
         # the oracle, where hv < 2**64 is vacuously true in uhugeint
-        full = keys.map(
-            {k: t >= 2**64 for k, (r, t) in rates.items()}
-        ).to_numpy(dtype=bool)
+        full = keys.map({k: t >= 2**64 for k, (r, t) in rates.items()})
+        if full.isna().any():  # NaN would cast to True and keep the stratum
+            raise ValueError(
+                f"stratum {keys[full.isna()].iloc[0]!r} has no mixture rate"
+            )
+        full = full.to_numpy(dtype=bool)
         thr = keys.map(
             {k: min(t, np.iinfo(np.uint64).max) for k, (r, t) in rates.items()}
         ).to_numpy(dtype=np.uint64)
@@ -228,8 +231,8 @@ def global_shuffle_rank(ds, id_col: str = "doc_id", n_buckets: int = 256):
     holds O(n_buckets) integers.  Returns (id, shuffle_pos)."""
     import pandas as pd
 
-    if n_buckets & (n_buckets - 1):
-        raise ValueError("n_buckets must be a power of two")
+    if n_buckets < 2 or n_buckets & (n_buckets - 1):
+        raise ValueError("n_buckets must be a power of two >= 2")
     shift = np.uint64(64 - n_buckets.bit_length() + 1)
 
     def with_bucket(batch: pa.Table) -> pa.Table:

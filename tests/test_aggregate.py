@@ -5,9 +5,13 @@ formulas."""
 
 from __future__ import annotations
 
+import numpy as np
+import pyarrow as pa
 import pytest
 
-from raystat.aggregate import grouped_moments, session_moments
+from raystat.aggregate import _merge_runs, grouped_moments, keyed_merge, session_moments, sum_kernel
+from raystat.comoments import grouped_comoments
+from raystat.pipelines.queries import sql_corr, sql_cov, sql_wavg, sql_wcov, sql_wstd
 from raystat.windows import Hopping, Tumbling
 from tests.util import assert_frames_close, duck
 
@@ -184,3 +188,187 @@ def test_partial_batch_invariance(lineitem, con, ray_session):
         value="l_extendedprice", weight="l_quantity", batch_size=1024,
     ).to_pandas()
     assert_frames_close(a, b, ["l_returnflag"], rel=1e-9)
+
+
+# -- the keyed exchange: sort on the group keys, Arrow kernel per block --
+
+
+def _two_key_table() -> pa.Table:
+    """500 (a, b) groups over four days of microsecond timestamps, about
+    ten rows per group and day: a one-row group's naive power-sum
+    variance is rounding noise in both engines, not a merge error."""
+    n = 20000
+    rng = np.random.default_rng(5)
+    v = rng.uniform(0.0, 10.0, n)
+    return pa.table({
+        "a": rng.integers(0, 20, n),
+        "b": pa.array([f"b{i}" for i in rng.integers(0, 25, n)]),
+        "ts": pa.array(rng.integers(0, 4 * 86_400_000_000, n), pa.timestamp("us")),
+        "v": v,
+        "y": 0.5 * v + rng.normal(0.0, 1.0, n),
+        "w": rng.uniform(1.0, 3.0, n),
+    })
+
+
+def _duck_table(t: pa.Table, sql: str):
+    """Run ``sql`` in DuckDB over ``t`` registered as table ``t``."""
+    import duckdb
+
+    with duckdb.connect() as con:
+        con.register("t", t)
+        return con.sql(sql).df()
+
+
+def test_keyed_merge_keeps_each_group_in_one_block(ray_session):
+    import ray.data as rd
+
+    t = _two_key_table()
+    merged = keyed_merge(
+        rd.from_arrow(t).repartition(8), ["a", "b"], sum_kernel(["a", "b"], ["v"])
+    ).materialize()
+    assert merged.num_blocks() >= 4
+    got = merged.to_pandas()
+    assert len(got) == 500 and not got.duplicated(["a", "b"]).any()
+    expected = t.to_pandas().groupby(["a", "b"], as_index=False)["v"].sum()
+    assert_frames_close(got, expected, ["a", "b"], rel=1e-9)
+
+
+HOP = Hopping(2 * 86400, 86400)
+HOP_SQL = """
+    (cast(floor(epoch(ts)/86400) as bigint) - k.i) * 86400 AS window_start
+    FROM t CROSS JOIN (VALUES (0),(1)) k(i)
+    WHERE (cast(floor(epoch(ts)/86400) as bigint) - k.i) * 86400 > epoch(ts) - 2*86400
+"""
+
+
+@pytest.mark.parametrize("windowed", [True, False], ids=["hopping", "global"])
+def test_grouped_moments_across_exchange_blocks(ray_session, windowed):
+    import ray.data as rd
+
+    t = _two_key_table()
+    keys = ["a", "b"] if windowed else None
+    got = grouped_moments(
+        rd.from_arrow(t).repartition(8),
+        {"wavg": "weighted_average", "wstd": "stddev_weighted"},
+        keys, value="v", weight="w", window=HOP if windowed else None, batch_size=97,
+    )
+    stats = f"{sql_wavg('v', 'w')} AS wavg, {sql_wstd('v', 'w')} AS wstd"
+    if windowed:
+        sql = f"SELECT a, b, {stats}, {HOP_SQL} GROUP BY a, b, window_start"
+        on = ["a", "b", "window_start"]
+    else:
+        sql, on = f"SELECT {stats} FROM t", ["wavg"]
+    expected = _duck_table(t, sql)
+    assert len(expected) > (1000 if windowed else 0)
+    assert_frames_close(got, expected, on, rel=1e-9)
+
+
+@pytest.mark.parametrize("windowed", [True, False], ids=["hopping", "global"])
+def test_grouped_comoments_across_exchange_blocks(ray_session, windowed):
+    import ray.data as rd
+
+    t = _two_key_table()
+    keys = ["a", "b"] if windowed else None
+    got = grouped_comoments(
+        rd.from_arrow(t).repartition(8),
+        {"cov": "covariance", "corr": "correlation", "wcov": "covariance_weighted"},
+        keys, x="v", y="y", weight="w", window=HOP if windowed else None,
+    )
+    stats = (f"{sql_cov('v', 'y')} AS cov, {sql_corr('v', 'y')} AS corr, "
+             f"{sql_wcov('v', 'y', 'w')} AS wcov")
+    if windowed:
+        sql = f"SELECT a, b, {stats}, {HOP_SQL} GROUP BY a, b, window_start"
+        on = ["a", "b", "window_start"]
+    else:
+        sql, on = f"SELECT {stats} FROM t", ["cov"]
+    expected = _duck_table(t, sql)
+    assert_frames_close(got, expected, on, rel=1e-9)
+
+
+def _session_events() -> pa.Table:
+    """Key A: one long session (every 50 s over 0..5000 s).  Key B:
+    sessions {1000, 1030}, {1200, 1210}, {3000} that lie inside A's
+    span, so A's running end passes B's next start.  Key C: random."""
+    rng = np.random.default_rng(9)
+    a = np.arange(0, 5001, 50)
+    b = np.array([1000, 1030, 1200, 1210, 3000])
+    c = np.sort(rng.integers(0, 6000, 120))
+    sec = np.concatenate([a, b, c])
+    key = np.array(["A"] * a.size + ["B"] * b.size + ["C"] * c.size)
+    order = rng.permutation(sec.size)  # interleave keys within every batch
+    return pa.table({
+        "k": key[order],
+        "ts": pa.array(sec[order] * 1_000_000, pa.timestamp("us")),
+        "v": rng.uniform(1.0, 5.0, sec.size),
+    })
+
+
+def test_session_merge_interleaved_keys(ray_session):
+    import ray.data as rd
+
+    gap = 60
+    t = _session_events()
+    # 13-row input blocks: every session straddles several partial batches
+    ds = rd.from_arrow([t.slice(i, 13) for i in range(0, t.num_rows, 13)])
+    got = session_moments(
+        ds, {"wavg": "weighted_average"}, ["k"], value="v", weight="v", ts="ts", gap_s=gap
+    ).to_pandas()
+    expected = _duck_table(t, f"""
+        WITH r AS (
+          SELECT k, v, epoch_us(ts) AS tu,
+                 lag(epoch_us(ts)) OVER (PARTITION BY k ORDER BY epoch_us(ts)) AS prev
+          FROM t
+        ), s AS (
+          SELECT *, sum(CASE WHEN prev IS NULL OR tu - prev > {gap}*1000000 THEN 1 ELSE 0 END)
+                 OVER (PARTITION BY k ORDER BY tu ROWS UNBOUNDED PRECEDING) AS sess
+          FROM r
+        )
+        SELECT k, min(tu) AS session_start_us, max(tu) AS session_end_us,
+               {sql_wavg('v', 'v')} AS wavg
+        FROM s GROUP BY k, sess
+    """)
+    assert_frames_close(got, expected, ["k", "session_start_us"], rel=1e-9)
+    assert (got["k"] == "A").sum() == 1 and (got["k"] == "B").sum() == 3
+
+
+def test_merge_runs_never_bridges_keys():
+    """A's running end (5000 s) passes B's next start: B's sessions
+    must still split on B's own gaps."""
+    s = 1_000_000
+    t = pa.table({
+        "k": ["B", "A", "B", "A", "B"],
+        "u_n": [1, 1, 1, 1, 1],
+        "session_start_us": [1200 * s, 0, 1000 * s, 4000 * s, 3000 * s],
+        "session_end_us": [1210 * s, 5000 * s, 1030 * s, 4100 * s, 3000 * s],
+    })
+    out = _merge_runs(t, ["k"], ["u_n"], 60 * s).to_pydict()
+    assert out["k"] == ["A", "B", "B", "B"]
+    assert out["session_start_us"] == [0, 1000 * s, 1200 * s, 3000 * s]
+    assert out["session_end_us"] == [5000 * s, 1030 * s, 1210 * s, 3000 * s]
+    assert out["u_n"] == [2, 1, 1, 1]
+
+
+@pytest.mark.parametrize("op", ["grouped_moments", "session_moments", "grouped_comoments"])
+def test_null_group_key_fails_loudly(ray_session, op):
+    import ray.data as rd
+
+    n = 800
+    k = np.arange(n) % 5
+    t = pa.table({
+        "k": pa.array(k, mask=(np.arange(n) % 97 == 3)),
+        "ts": pa.array(np.arange(n) * 1_000_000, pa.timestamp("us")),
+        "v": np.linspace(1.0, 2.0, n),
+    })
+    ds = rd.from_arrow(t).repartition(8)
+    run = {
+        "grouped_moments": lambda: grouped_moments(
+            ds, {"wavg": "weighted_average"}, ["k"], value="v", weight="v", batch_size=97),
+        "session_moments": lambda: session_moments(
+            ds, {"wavg": "weighted_average"}, ["k"], value="v", weight="v"),
+        "grouped_comoments": lambda: grouped_comoments(
+            ds, {"cov": "covariance"}, ["k"], x="v", y="v"),
+    }[op]
+    # raised in the partial kernel, before the exchange; Ray Data wraps
+    # the worker's ValueError and keeps its message
+    with pytest.raises(Exception, match="ValueError: group key column 'k' contains nulls"):
+        run().to_pandas()

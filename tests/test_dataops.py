@@ -1806,6 +1806,37 @@ def test_global_shuffle_rank_is_hash_permutation(ray_session):
         global_shuffle_rank(rd.from_arrow(t), n_buckets=100)
 
 
+@pytest.mark.parametrize("n_buckets", [0, 1])
+def test_global_shuffle_rank_needs_two_buckets(n_buckets):
+    """0 and 1 pass the power-of-two bit test but leave no bucket bits
+    (shift 64 or 65), so they are rejected up front."""
+    from raystat.dataops.sampling import global_shuffle_rank
+
+    with pytest.raises(ValueError, match=">= 2"):
+        global_shuffle_rank(None, n_buckets=n_buckets)
+
+
+def test_mixture_sample_unmapped_stratum_fails(ray_session, monkeypatch):
+    """A stratum missing from the rate map must fail, not map to NaN
+    and cast to True (keeping every row of that stratum)."""
+    import ray.data as rd
+
+    from raystat.dataops import sampling
+
+    rates = sampling.mixture_sample_rates
+    monkeypatch.setattr(
+        sampling, "mixture_sample_rates",
+        lambda masses, **kw: {k: v for k, v in rates(masses, **kw).items() if k != "rare"},
+    )
+    t = pa.table({
+        "doc_id": pa.array(np.arange(300, dtype=np.int64)),
+        "source": pa.array(["big"] * 200 + ["rare"] * 100),
+        "n_chars": pa.array(np.full(300, 100, dtype=np.int64)),
+    })
+    with pytest.raises(Exception, match="ValueError: stratum 'rare' has no mixture rate"):
+        to_pandas(sampling.mixture_sample(rd.from_arrow(t)))
+
+
 def test_cms_join_size_never_undercounts():
     """CMS inner-product join-size estimate: >= the true equi-join
     cardinality always, within the (e/W)*Na*Nb bound on controlled
