@@ -49,7 +49,7 @@ def bench_rows(sf: float) -> int:
 
 
 def _warm_engine_path(fix: str, ncpu: int) -> None:
-    """Untimed setup: run the REAL partial+router code path over a
+    """Untimed setup: run the REAL partial stage and routing over a
     small slice of the fixture against THROWAWAY state actors, so every
     worker pays its one-time costs (scratch-buffer page faults, actor
     RPC connection setup, code-path warm) before the measured run —
@@ -61,7 +61,7 @@ def _warm_engine_path(fix: str, ncpu: int) -> None:
 
     from raystat.accumulators import canonical_sums_for, get_spec
     from raystat.streaming.driver import StreamConfig, _partial_stage
-    from raystat.streaming.state import Router, StatePartition
+    from raystat.streaming.state import Router, StatePartition, route_partials
 
     cfg = StreamConfig(window_size_s=3600, n_salts=8, token_stats=True, comoment_stats=True)
     resolved = {k: get_spec(v) for k, v in cfg.specs.items()}
@@ -78,19 +78,10 @@ def _warm_engine_path(fix: str, ncpu: int) -> None:
     files = files[: min(len(files), 4 * ncpu)]
     fn = _partial_stage(cfg, needed, u, w, -(2**62))
     router = Router(actors, N_PARTITIONS, fn)
-    rd.read_parquet(files, override_num_blocks=len(files)).map_batches(
+    book = rd.read_parquet(files, override_num_blocks=len(files)).map_batches(
         router, batch_format="pyarrow", batch_size=32768
-    ).count()
-    # drain in-flight fire-and-forget ingests before killing the actors
-    import time as _t
-
-    prev, deadline = -1, _t.monotonic() + 60
-    while _t.monotonic() < deadline:
-        cur = sum(ray.get([a.ingest_count.remote() for a in actors]))
-        if cur == prev:
-            break
-        prev = cur
-        _t.sleep(0.1)
+    ).to_pandas()
+    ray.get(route_partials(book, actors))
     for a in actors:
         ray.kill(a)
 

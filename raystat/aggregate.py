@@ -145,6 +145,18 @@ def check_keys(batch: pa.Table, keys: list[str]) -> None:
             raise ValueError(f"group key column {k!r} contains nulls")
 
 
+def encode_key(col, name: str) -> tuple[np.ndarray, pa.Array]:
+    """Dictionary-encode key column ``name``: (int64 codes, dictionary).
+    A null key raises: its null index would cast to an arbitrary int64
+    code and mis-group (or crash) every grouping downstream."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    if col.null_count:
+        raise ValueError(f"key column {name!r} contains nulls")
+    d = pc.dictionary_encode(col)
+    return d.indices.to_numpy(zero_copy_only=False).astype(np.int64), d.dictionary
+
+
 def _clean_xw(batch: pa.Table, value: str, weight: str | None):
     """Extract float64 value/weight arrays, dropping null rows
     (SQL-aggregate null semantics; ksqlDB likewise skips null events)."""

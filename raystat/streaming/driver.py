@@ -10,14 +10,18 @@ input alone.
 
 Per epoch ``e``:
 
-1. build a lazy Dataset over epoch ``e``'s files
-2. ``map_batches`` partial stage (stateless, zero-copy Arrow): derive
-   event time, assign tumbling/hopping windows, drop+count rows whose
-   window already closed (late beyond watermark), pre-aggregate power
-   sums per ``(source, salt, window_start)``
-3. ``map_batches`` Router stage: push partials to their owning
-   StatePartition actor (the explicit salted hash shuffle); bookkeeping
-   rows (max event ts, late counts) flow back through the Dataset
+1. build a lazy Dataset over epoch ``e``'s files, with at most one
+   read task per CPU slot
+2. one side-effect-free ``map_batches`` stage (the ``Router``, fused by
+   Ray with the read): derive event time, assign tumbling/hopping
+   windows, drop+count rows whose window already closed (late beyond
+   watermark), pre-aggregate power sums per ``(source, salt,
+   window_start)``; each batch returns one row — bookkeeping (max event
+   ts, late counts), its partial table as Arrow IPC and a batch key
+3. the driver concatenates the epoch's partials in batch-key order and
+   routes them to their owning StatePartition actors with one
+   ``ingest`` per partition (the explicit salted hash shuffle), then
+   waits for those calls (the barrier)
 4. advance watermark to ``max_event_ts - allowed_lateness``; actors pop
    state of windows with ``window_end <= watermark``; cross-salt merge
    (field-wise add) + vectorized finalize
@@ -43,16 +47,16 @@ import pyarrow as pa
 import ray
 
 from raystat.accumulators import canonical_sums_for, get_spec
-from raystat.aggregate import partial_sums
+from raystat.aggregate import encode_key, partial_sums
 from raystat.extract import event_time_us_from_numeric, numeric_doc_id
 from raystat.scratch import astype_f8, buf, tune_allocator
 from raystat.streaming.join import MetadataJoin
 from raystat.streaming.sink import ExactlyOnceParquetSink
 from raystat.streaming.state import (
     Router,
-    SessionRouter,
     SessionStatePartition,
     StatePartition,
+    route_partials,
 )
 
 __all__ = ["StreamConfig", "StreamDriver"]
@@ -203,18 +207,15 @@ def _row_token_sums(batch: pa.Table, tokens_col: str, rows_in: int) -> dict[str,
     return tr
 
 
-def _src_max_json(src_dict, ts_us: np.ndarray, src_code: np.ndarray) -> str:
+def _src_max_json(src_vocab: pa.Array, ts_us: np.ndarray, src_code: np.ndarray) -> str:
     """Per-source max event ts of one batch as a JSON string (bounded
     by distinct sources per batch) — the per-source watermark's
     bookkeeping analogue of the scalar max_ts_us."""
-    import json as _json
-
     if ts_us.size == 0:
         return "{}"
-    m = np.full(len(src_dict.dictionary), -1, dtype=np.int64)
+    m = np.full(len(src_vocab), -1, dtype=np.int64)
     np.maximum.at(m, src_code, ts_us)
-    vocab = src_dict.dictionary.to_pylist()
-    return _json.dumps({s: int(v) for s, v in zip(vocab, m) if v >= 0})
+    return json.dumps({s: int(v) for s, v in zip(src_vocab.to_pylist(), m) if v >= 0})
 
 
 def _partial_stage(
@@ -229,8 +230,6 @@ def _partial_stage(
     1-D ``np.unique`` fallback covers high-cardinality domains.  A row
     is counted late iff ALL its covering windows are closed (same unit
     as ``rows_in`` and the passthrough predicate)."""
-    import pyarrow.compute as pc
-
     size_s = cfg.window_size_s
     hop_s = cfg.hop_s
     step = hop_s if hop_s is not None else size_s
@@ -265,11 +264,12 @@ def _partial_stage(
         ids = numeric_doc_id(batch["doc_id"])
         ts_us = event_time_us_from_numeric(ids)
         max_ts = int(ts_us.max()) if rows_in else -1
-        info = {"max_ts_us": max_ts, "rows_in": rows_in}
+        info = {
+            "max_ts_us": max_ts, "rows_in": rows_in,
+            "batch_key": int(ids.min()) if rows_in else -1,
+        }
         ts_s = ts_us // 1_000_000
-        src_dict = pc.dictionary_encode(batch["source"].combine_chunks())
-        src_code = src_dict.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        src_vocab = src_dict.dictionary
+        src_code, src_vocab = encode_key(batch["source"], "source")
         # late iff the row's LATEST covering window is closed (tumbling:
         # its only window; hopping: window starting at (ts//hop)*hop)
         k_last = ts_s // step
@@ -281,7 +281,7 @@ def _partial_stage(
                 dtype=np.int64,
             )
             row_keep = (k_last * step + size_s) > wm_arr[src_code]
-            info["src_max_json"] = _src_max_json(src_dict, ts_us, src_code)
+            info["src_max_json"] = _src_max_json(src_vocab, ts_us, src_code)
         else:
             row_keep = (k_last * step + size_s) > watermark_s
         late_n = rows_in - int(row_keep.sum())
@@ -427,8 +427,6 @@ def _session_partial_stage(
     split runs at gap, aggregate power sums + min/max ts.  Late rows
     (ts <= watermark) are dropped: any such event could only extend an
     already-closed session (close rule: end + gap <= watermark)."""
-    import pyarrow.compute as pc
-
     gap_us = int(cfg.session_gap_s) * 1_000_000
     value_col, weight_col = cfg.value_col, cfg.weight_col
     token_stats = cfg.token_stats
@@ -450,16 +448,14 @@ def _session_partial_stage(
         ids = numeric_doc_id(batch["doc_id"])
         ts_us = event_time_us_from_numeric(ids)
         max_ts = int(ts_us.max()) if rows_in else -1
-        sd = pc.dictionary_encode(batch["source"].combine_chunks())
-        src_code = sd.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        src_vocab = sd.dictionary
+        src_code, src_vocab = encode_key(batch["source"], "source")
         if src_wm is not None:
             wm_arr = np.array(
                 [src_wm.get(s, -(2**62)) for s in src_vocab.to_pylist()],
                 dtype=np.int64,
             )
             keep = (ts_us // 1_000_000) > wm_arr[src_code]
-            extra_info = {"src_max_json": _src_max_json(sd, ts_us, src_code)}
+            extra_info = {"src_max_json": _src_max_json(src_vocab, ts_us, src_code)}
         else:
             keep = (ts_us // 1_000_000) > watermark_s
             extra_info = {}
@@ -479,7 +475,7 @@ def _session_partial_stage(
                 tr = {c: v[kept] for c, v in tr.items()}
         info = {
             "max_ts_us": max_ts, "late_dropped": late_n, "rows_in": rows_in,
-            **extra_info,
+            "batch_key": int(ids.min()) if rows_in else -1, **extra_info,
         }
         n = x.size
         if n == 0:
@@ -597,7 +593,6 @@ class StreamDriver:
         self.join = MetadataJoin(self.cfg.join_grace_epochs)
         self.metrics: dict[str, dict] = {}
         self.actors: list | None = None
-        self._ingest_expected = 0  # total ingest calls submitted so far
 
     # -- epochs ------------------------------------------------------------
 
@@ -624,22 +619,14 @@ class StreamDriver:
                     for p in range(self.cfg.n_partitions)
                 ]
 
-    def _ingest_barrier(self, timeout_s: float = 600.0):
-        """Wait until every submitted (fire-and-forget) ingest has been
-        applied: actors' ingest counters must reach the submitted-call
-        total.  Required before closing windows for this epoch."""
-        import time as _time
-
-        deadline = _time.monotonic() + timeout_s
-        while True:
-            done = sum(ray.get([a.ingest_count.remote() for a in self.actors]))
-            if done >= self._ingest_expected:
-                return
-            if _time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"ingest barrier: {done}/{self._ingest_expected} applied"
-                )
-            _time.sleep(0.02)
+    def _ingest_barrier(self, book: pd.DataFrame) -> int:
+        """Route this epoch's partials (the Router rows in ``book``) with
+        one ingest per partition and wait until every actor applied
+        them; an ingest error raises here.  Required before closing
+        windows for this epoch.  Returns the number of ingest calls."""
+        refs = route_partials(book, self.actors)
+        ray.get(refs)
+        return len(refs)
 
     def prepare(self):
         """Provision the state-actor pool and wait until every actor is
@@ -733,6 +720,19 @@ class StreamDriver:
         )
         if not files:
             return None
+        # Read tasks per epoch = min(files, bytes / block bytes, CPU
+        # slots).  Each Ray Data task costs ~35 ms, so more tasks than
+        # slots only queue (a fused read+count of 11 epochs at Ray
+        # num_cpus=1 on a 1-vCPU host: 7.5 s at 16 tasks per epoch,
+        # 3.0 s at 1); the default planner would split tiny epochs into
+        # ctx.read_op_min_num_blocks (200) slivers.  More blocks than
+        # files would insert a SplitBlocks op that breaks the
+        # read->Router fusion.  That fusion holds only while the
+        # Router's map_batches carries no task-level remote arg
+        # (max_retries, num_cpus, ...) and no batch_size: otherwise
+        # decoded token blocks round-trip through the object store.
+        total_bytes = sum(os.path.getsize(f) for f in files)
+        slots = int(ray.cluster_resources().get("CPU", 1))
         if self.cfg.file_format == "json":
             # JSONL ingest (the reference's value_format='json'): read,
             # then cast to the canonical Arrow schema so every
@@ -740,22 +740,11 @@ class StreamDriver:
             # passthrough — sees bit-identical types to the parquet
             # path (JSON integers arrive as int64).  The cast fuses
             # with the read and the router.
-            total_bytes = sum(os.path.getsize(f) for f in files)
-            nblocks = min(max(1, total_bytes // (8 * 1024 * 1024)), len(files))
+            nblocks = min(max(1, total_bytes // (8 * 1024 * 1024)), len(files), slots)
             return rd.read_json(files, override_num_blocks=int(nblocks)).map_batches(
                 _canonicalize_json_batch, batch_format="pyarrow", zero_copy_batch=True
             )
-        # Bytes-aware block count, CAPPED AT len(files): the default
-        # planner splits tiny epochs into ctx.read_op_min_num_blocks
-        # (200) slivers (per-task overhead dominates), while requesting
-        # MORE blocks than files inserts a SplitBlocks op that breaks
-        # read->map fusion — decoded token blocks then round-trip
-        # through the object store, whose first-touch page faults cost
-        # ~100x in this VM (measured: 123s vs 36s for one epoch at 32
-        # CPUs).  Parallelism beyond len(files) must come from the
-        # fixture layout (many smaller files), not from splitting.
-        total_bytes = sum(os.path.getsize(f) for f in files)
-        nblocks = min(max(1, total_bytes // (2 * 1024 * 1024)), len(files))
+        nblocks = min(max(1, total_bytes // (2 * 1024 * 1024)), len(files), slots)
         return rd.read_parquet(files, override_num_blocks=int(nblocks))
 
     def _run_epoch(self, epoch: int):
@@ -769,38 +758,28 @@ class StreamDriver:
             dict(self.src_watermark) if self.per_source_wm else self.watermark_s
         )
         src_wm = wm_at_ingest if self.per_source_wm else None
-        em = {"rows_in": 0, "late_dropped": 0, "partial_rows": 0, "max_ts_us": -1}
+        em = {
+            "rows_in": 0, "late_dropped": 0, "partial_rows": 0, "max_ts_us": -1,
+            "ingest_calls": 0,
+        }
         t_pipe = t_barrier = 0.0
         stats_src_max: list[str] = []
         if ds is not None:
-            if self.session_mode:
-                fn = _session_partial_stage(
-                    self.cfg, self.needed, self.u_order, self.w_order,
-                    self.watermark_s, src_wm=src_wm,
-                )
-                router = SessionRouter(self.actors, self.cfg.n_partitions, fn)
-            else:
-                fn = _partial_stage(
-                    self.cfg, self.needed, self.u_order, self.w_order,
-                    self.watermark_s, src_wm=src_wm,
-                )
-                router = Router(self.actors, self.cfg.n_partitions, fn)
-            # max_retries=0: the router's actor pushes are non-idempotent
-            # side effects — a task-level retry would double-count its
-            # partials.  On any task failure the whole epoch fails and is
-            # replayed from the last checkpoint (restore() resets actor
-            # state), preserving exactly-once.
+            stage = _session_partial_stage if self.session_mode else _partial_stage
+            fn = stage(
+                self.cfg, self.needed, self.u_order, self.w_order,
+                self.watermark_s, src_wm=src_wm,
+            )
+            router = Router(self.actors, self.cfg.n_partitions, fn)
             # zero_copy_batch: the router never mutates its input batch,
-            # so Ray must not copy 10MB of token buffers per batch
-            kwargs = {
-                "batch_format": "pyarrow",
-                "max_retries": 0,
-                "zero_copy_batch": True,
-            }
+            # so Ray must not copy 10MB of token buffers per batch.  The
+            # stage has no side effects, so Ray's default task retries
+            # are safe.
+            kwargs = {"batch_format": "pyarrow", "zero_copy_batch": True}
             if self.cfg.batch_size:
                 kwargs["batch_size"] = self.cfg.batch_size
-            book = ds.map_batches(router, **kwargs)
-            stats = book.to_pandas()  # tiny: one row per partial batch
+            # one row per batch: bookkeeping plus the partial payload
+            stats = ds.map_batches(router, **kwargs).to_pandas()
             t_pipe = _time.monotonic() - t0
             if len(stats):
                 em["rows_in"] = int(stats["rows_in"].sum())
@@ -810,10 +789,9 @@ class StreamDriver:
                 em["sec_fn_sum"] = round(float(stats["sec_fn"].sum()), 3)
                 em["sec_route_sum"] = round(float(stats["sec_route"].sum()), 3)
                 em["n_batches"] = int(len(stats))
-                self._ingest_expected += int(stats["ingest_calls"].sum())
-                if self.per_source_wm and "src_max_json" in stats:
+                if self.per_source_wm:
                     stats_src_max = stats["src_max_json"].tolist()
-            self._ingest_barrier()
+            em["ingest_calls"] = self._ingest_barrier(stats)
             t_barrier = _time.monotonic() - t0 - t_pipe
         if em["max_ts_us"] >= 0:
             self.watermark_s = max(
@@ -981,7 +959,6 @@ class StreamDriver:
                 except Exception:
                     pass
             self.actors = None
-        self._ingest_expected = 0
         shutil.rmtree(self.ckpt_root, ignore_errors=True)
         if delete_output:
             shutil.rmtree(self.out_dir, ignore_errors=True)

@@ -36,6 +36,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
+from raystat.aggregate import encode_key
 from raystat.dataops.asof import _key_u64
 from raystat.dataops.kll import KLL
 from raystat.dataops.pairs import splitmix64
@@ -240,11 +241,8 @@ class HllRouter:
             # group id = key-dict code x window code, all in C (Arrow
             # dictionary_encode + np.unique — the pandas MultiIndex
             # factorize this replaces costs ~1.8 s/M rows)
-            kd = pc.dictionary_encode(
-                batch[self.key].combine_chunks().take(pa.array(row_of))
-            )
-            kcode = kd.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-            kdict = kd.dictionary.to_numpy(zero_copy_only=False)
+            kcode, kvocab = encode_key(batch[self.key].take(pa.array(row_of)), self.key)
+            kdict = kvocab.to_numpy(zero_copy_only=False)
             vals = batch[self.value].to_numpy(zero_copy_only=False)[row_of]
             wu, wcode = np.unique(win, return_inverse=True)
             ucomp, codes = np.unique(kcode * len(wu) + wcode, return_inverse=True)
@@ -864,11 +862,8 @@ class KllRouter:
             # pandas MultiIndex factorize costs ~1.8 s/M rows).  Group
             # RENUMBERING only — each group still sees the same values
             # in the same stable order, so blobs are bit-identical.
-            kd = pc.dictionary_encode(
-                batch[self.key].combine_chunks().take(pa.array(row_of))
-            )
-            kcode = kd.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-            kdict = kd.dictionary.to_numpy(zero_copy_only=False)
+            kcode, kvocab = encode_key(batch[self.key].take(pa.array(row_of)), self.key)
+            kdict = kvocab.to_numpy(zero_copy_only=False)
             vals = (
                 batch[self.value]
                 .to_numpy(zero_copy_only=False)
@@ -1505,11 +1500,8 @@ class MgRouter:
             # (C-vectorized) crossed with the item's unique-inverse
             # code — overflow-safe since kw < keys*windows and
             # icode < batch rows
-            kd = pc.dictionary_encode(
-                batch[self.key].combine_chunks().take(pa.array(row_of))
-            )
-            kcode = kd.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-            kdict = kd.dictionary.to_numpy(zero_copy_only=False)
+            kcode, kvocab = encode_key(batch[self.key].take(pa.array(row_of)), self.key)
+            kdict = kvocab.to_numpy(zero_copy_only=False)
             items = batch[self.item].to_numpy(zero_copy_only=False)[row_of]
             wu, wcode = np.unique(win, return_inverse=True)
             uit, icode = np.unique(items, return_inverse=True)
@@ -2215,11 +2207,8 @@ class CmsRouter:
             # dictionary_encode for the string key (no pandas
             # MultiIndex factorize — 1.8 s/M rows there vs ~30 ms
             # here), np.unique for the int windows
-            kd = pc.dictionary_encode(
-                batch[self.key].combine_chunks().take(pa.array(row_of))
-            )
-            kcode = kd.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-            kdict = kd.dictionary.to_numpy(zero_copy_only=False)
+            kcode, kvocab = encode_key(batch[self.key].take(pa.array(row_of)), self.key)
+            kdict = kvocab.to_numpy(zero_copy_only=False)
             wu, wcode = np.unique(win, return_inverse=True)
             comp = kcode * len(wu) + wcode
             ucomp, codes = np.unique(comp, return_inverse=True)
@@ -2567,11 +2556,8 @@ class BottomKRouter:
         row_of, win, late = _covering_windows(ts_s, self.size_s, self.hop_s, self.wm)
         calls = 0
         if row_of.size:
-            kd = pc.dictionary_encode(
-                batch[self.key].combine_chunks().take(pa.array(row_of))
-            )
-            kcode = kd.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-            kdict = kd.dictionary.to_numpy(zero_copy_only=False)
+            kcode, kvocab = encode_key(batch[self.key].take(pa.array(row_of)), self.key)
+            kdict = kvocab.to_numpy(zero_copy_only=False)
             items = batch[self.item].to_numpy(zero_copy_only=False)[row_of]
             wu, wcode = np.unique(win, return_inverse=True)
             uit, icode = np.unique(items, return_inverse=True)
@@ -2951,11 +2937,8 @@ class BottomKSessionRouter:
         calls = 0
         idx = np.flatnonzero(live)
         if idx.size:
-            kd = pc.dictionary_encode(
-                batch[self.key].combine_chunks().take(pa.array(idx))
-            )
-            codes = kd.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-            kdict = kd.dictionary.to_numpy(zero_copy_only=False)
+            codes, kvocab = encode_key(batch[self.key].take(pa.array(idx)), self.key)
+            kdict = kvocab.to_numpy(zero_copy_only=False)
             items = (
                 batch[self.item].to_numpy(zero_copy_only=False)[idx]
                 .astype(np.int64)

@@ -1,12 +1,16 @@
-"""Keyed state-store actors + the salted hash-routing stage.
+"""Keyed state-store actors + the side-effect-free partial stage.
 
 The reference's state lives in ksqlDB's RocksDB stores partitioned by
 the GROUP BY key, with ``merge()`` combining partials across partitions
 (SURVEY.md §4.1).  Here: ``P`` ``StatePartition`` actors each own a
-hash range of ``(source, salt)``; the routing stage inside the epoch's
-``map_batches`` pipeline pushes *partial moment structs* (never raw
-rows) to their owner — the explicit, tiny shuffle mandated by
-BASELINE.json:north_star.
+hash range of ``(source, salt)``.  The epoch's ``map_batches`` stage
+(:class:`Router`) only computes *partial moment structs* (never raw
+rows) and returns them as data; the driver then routes the whole
+epoch's partials with :func:`route_partials` — one ``ingest`` per
+partition — the explicit, tiny shuffle mandated by
+BASELINE.json:north_star.  With no actor calls inside Ray Data tasks
+the stage is replayable, so Ray's task retries are safe and the read
+fuses with it.
 
 Skew: partials are pre-aggregated per ``(source, salt, window)`` with
 ``salt = numeric_doc_id % S``, so a hot source's state spreads over up
@@ -30,14 +34,49 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
-__all__ = ["StatePartition", "route_partition", "Router"]
+from raystat.aggregate import encode_key
+
+__all__ = [
+    "StatePartition", "SessionStatePartition", "Router", "route_partition",
+    "route_partials",
+]
 
 
-def route_partition(source: np.ndarray, salt: np.ndarray, n_partitions: int) -> np.ndarray:
-    """Stable partition assignment for (source, salt) pairs."""
-    uniq, inv = np.unique(source, return_inverse=True)
-    h = np.array([zlib.crc32(s.encode()) for s in uniq], dtype=np.int64)[inv]
-    return ((h * 31 + salt.astype(np.int64)) % n_partitions).astype(np.int64)
+def route_partition(source, salt, n_partitions: int) -> np.ndarray:
+    """Owning partition of each row: ``crc32(source) * 31 + salt mod P``
+    (``source`` an Arrow string column; ``salt`` an int array or 0)."""
+    codes, vocab = encode_key(source, "source")
+    h = np.array([zlib.crc32(v.encode()) for v in vocab.to_pylist()], dtype=np.int64)
+    return (h[codes] * 31 + salt) % n_partitions
+
+
+def route_partials(book: pd.DataFrame, actors: list) -> list:
+    """Submit one epoch's partials to their owning actors and return the
+    ``ingest`` refs, at most one per actor.  ``book`` holds the Router's
+    rows; the non-empty payloads are concatenated in batch-key order
+    (payload bytes break ties from doc ids repeated across batches), so
+    every actor sees the same rows in the same order on every run
+    (float sums depend on it).  Sessions carry no salt: they hash on
+    source alone."""
+    live = book[book["partial_rows"] > 0].sort_values(["batch_key", "partial"])
+    if not len(live):
+        return []
+    tbl = pa.concat_tables([pa.ipc.open_stream(b).read_all() for b in live["partial"]])
+    salt = tbl["salt"].to_numpy() if "salt" in tbl.column_names else 0
+    part = route_partition(tbl["source"], salt, len(actors))
+    order = np.argsort(part, kind="stable")
+    tbl, part = tbl.take(order), part[order]
+    cuts = [0, *(np.flatnonzero(np.diff(part)) + 1), len(part)]
+    return [
+        actors[int(part[lo])].ingest.remote(tbl.slice(lo, hi - lo))
+        for lo, hi in zip(cuts[:-1], cuts[1:])
+    ]
+
+
+def _require_columns(owner: str, table: pa.Table, cols: list[str]) -> None:
+    missing = [c for c in cols if c not in table.column_names]
+    if missing:
+        raise ValueError(f"{owner}: partial table lacks columns {missing}")
 
 
 _KEY = ["source", "salt", "window_start"]
@@ -50,11 +89,10 @@ class StatePartition:
     """Owns per-(source, salt, window_start) accumulator sums.
 
     Merge strategy: ``ingest`` only APPENDS the incoming partial table
-    (O(1) in the hot path — it runs once per upstream batch); the
-    field-wise merge happens lazily at epoch boundaries
-    (close/peek/snapshot) as ONE vectorized pandas concat + groupby-sum
-    over everything pending, so per-key cost is C-loop, not Python-loop,
-    at any key cardinality."""
+    (the driver sends one per epoch); the field-wise merge happens
+    lazily at epoch boundaries (close/peek/snapshot) as ONE vectorized
+    pandas concat + groupby-sum over everything pending, so per-key
+    cost is C-loop, not Python-loop, at any key cardinality."""
 
     def __init__(self, partition_id: int, sum_cols: list[str], window_size_s: int):
         self.pid = partition_id
@@ -68,29 +106,18 @@ class StatePartition:
             dtype=np.float64,
         )
         self.pending: list[pa.Table] = []
-        self.error: str | None = None
         self.metrics = {"partial_rows_in": 0, "ingests": 0, "windows_closed": 0}
-
-    def ingest_count(self) -> int:
-        """Barrier probe; raises if any prior (fire-and-forget) ingest
-        failed so errors surface at the next barrier poll instead of as
-        a timeout 600s later."""
-        if self.error is not None:
-            raise RuntimeError(f"state partition {self.pid} ingest failed: {self.error}")
-        return self.metrics["ingests"]
 
     def ingest(self, table: pa.Table) -> int:
         """Buffer a partial-sums table (cols: source, salt,
-        window_start, *sum_cols).  Field-wise addition == the
-        reference's merge(); deferred to _consolidate()."""
-        try:
-            n = table.num_rows
-            if n:
-                self.pending.append(table)
-            self.metrics["partial_rows_in"] += n
-        except Exception as e:  # surface via ingest_count, not a timeout
-            self.error = repr(e)
-            n = 0
+        window_start, *sum_cols); a missing column raises to the
+        driver's barrier.  Field-wise addition == the reference's
+        merge(); deferred to _consolidate()."""
+        _require_columns(f"state partition {self.pid}", table, _KEY + self.sum_cols)
+        n = table.num_rows
+        if n:
+            self.pending.append(table)
+        self.metrics["partial_rows_in"] += n
         self.metrics["ingests"] += 1
         return n
 
@@ -192,8 +219,8 @@ class StatePartition:
         return path
 
     def restore(self, ckpt_dir: str) -> int:
-        """Rebuild state directly (no metrics side effects — see
-        SessionStatePartition.restore)."""
+        """Rebuild state directly from the snapshot (no metrics side
+        effects)."""
         path = os.path.join(ckpt_dir, f"state-p{self.pid:04d}.parquet")
         self.pending = []
         self.state = self.state.iloc[0:0]
@@ -209,32 +236,19 @@ class StatePartition:
 
 
 class Router:
-    """Fused partial+route map_batches stage: computes the per-batch
-    partial sums (via ``partial_fn``), pushes them to their owning
-    StatePartition actor, and emits one bookkeeping row per batch
-    (max event ts seen, late-drop count, raw row count) for the
-    driver's watermark/metrics.  Fused into ONE stage so bookkeeping
-    never crosses a rebatching boundary.  Ingests are fire-and-forget
-    (blocking in ray.get inside tasks makes the raylet oversubscribe
-    with fresh worker processes); the driver barriers at epoch end by
-    polling the actors' ingest counters against the submitted-call
-    count summed from the bookkeeping rows."""
+    """The epoch's ``map_batches`` stage: computes one batch's partial
+    table (via ``partial_fn``) and returns it as data, in one row per
+    batch with the bookkeeping (max event ts, late-drop count, raw row
+    count, timings), the partial as an Arrow IPC payload and the batch
+    key (smallest numeric doc id) that orders payloads for
+    :func:`route_partials`.  It makes no actor calls, so Ray may retry
+    it and fuse it with the read.  ``actors`` and ``n_partitions`` go
+    unused (the driver routes); they keep the constructor signature
+    that every streaming router shares and that router wrappers rely
+    on."""
 
     def __init__(self, actors: list, n_partitions: int, partial_fn):
-        self.actors = actors
-        self.P = n_partitions
         self.partial_fn = partial_fn
-        self._crc: dict[str, int] = {}  # per-worker source-hash cache
-
-    def _hash_sources(self, srcs: list) -> np.ndarray:
-        cache = self._crc
-        h = np.empty(len(srcs), dtype=np.int64)
-        for i, s in enumerate(srcs):
-            v = cache.get(s)
-            if v is None:
-                v = cache[s] = zlib.crc32(s.encode())
-            h[i] = v
-        return h
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import time as _time
@@ -242,33 +256,19 @@ class Router:
         t0 = _time.monotonic()
         partial, info = self.partial_fn(batch)
         sec_fn = _time.monotonic() - t0
-        max_ts = info["max_ts_us"]
-        late = info["late_dropped"]
-        rows_in = info["rows_in"]
-        calls = 0
+        payload = b""
         if partial.num_rows:
-            h = self._hash_sources(partial["source"].to_pylist())
-            salt = partial["salt"].to_numpy(zero_copy_only=False)
-            part = (h * 31 + salt.astype(np.int64)) % self.P
-            # ONE take into partition order, then zero-copy slices per
-            # partition (vs one filter pass per partition)
-            order = np.argsort(part, kind="stable")
-            tbl = partial.take(pa.array(order))
-            sp = part[order]
-            bounds = np.flatnonzero(np.diff(sp)) + 1
-            starts = np.concatenate(([0], bounds))
-            ends = np.concatenate((bounds, [sp.size]))
-            for s, e in zip(starts, ends):
-                self.actors[int(sp[s])].ingest.remote(tbl.slice(int(s), int(e - s)))
-                calls += 1
+            sink = pa.BufferOutputStream()
+            with pa.ipc.new_stream(sink, partial.schema) as w:
+                w.write_table(partial)
+            payload = sink.getvalue().to_pybytes()
         sec_route = _time.monotonic() - t0 - sec_fn
         return pa.table(
             {
-                "max_ts_us": pa.array([max_ts], pa.int64()),
-                "late_dropped": pa.array([late], pa.int64()),
-                "rows_in": pa.array([rows_in], pa.int64()),
+                "max_ts_us": pa.array([info["max_ts_us"]], pa.int64()),
+                "late_dropped": pa.array([info["late_dropped"]], pa.int64()),
+                "rows_in": pa.array([info["rows_in"]], pa.int64()),
                 "partial_rows": pa.array([partial.num_rows], pa.int64()),
-                "ingest_calls": pa.array([calls], pa.int64()),
                 "sec_fn": pa.array([sec_fn], pa.float64()),
                 "sec_route": pa.array([sec_route], pa.float64()),
                 # per-source max event ts (JSON; "" when the stage runs
@@ -276,6 +276,8 @@ class Router:
                 "src_max_json": pa.array(
                     [info.get("src_max_json", "")], pa.string()
                 ),
+                "batch_key": pa.array([info["batch_key"]], pa.int64()),
+                "partial": pa.array([payload], pa.binary()),
             }
         )
 
@@ -292,7 +294,7 @@ class SessionStatePartition:
     merge partial aggregates, SURVEY.md §2.2).
 
     Merge strategy mirrors StatePartition: ``ingest`` only APPENDS the
-    incoming partial table (O(1) in the hot path); the gap-rule merge
+    incoming partial table; the gap-rule merge
     happens lazily at epoch boundaries as ONE vectorized sweep over
     everything pending — factorize sources, lexsort by (source, start),
     grouped end-cummax, cluster breaks where ``start - cummax(end) >
@@ -311,7 +313,6 @@ class SessionStatePartition:
         self._cols = ["session_start_us", "session_end_us"] + self.sum_cols
         self.state: pd.DataFrame = self._empty_state()
         self.pending: list[pa.Table] = []
-        self.error: str | None = None
         self.metrics = {"partial_rows_in": 0, "ingests": 0, "sessions_closed": 0}
 
     def _empty_state(self) -> pd.DataFrame:
@@ -323,23 +324,17 @@ class SessionStatePartition:
         d.update({c: pd.Series(dtype=np.float64) for c in self.sum_cols})
         return pd.DataFrame(d)
 
-    def ingest_count(self) -> int:
-        if self.error is not None:
-            raise RuntimeError(f"session partition {self.pid} ingest failed: {self.error}")
-        return self.metrics["ingests"]
-
     def ingest(self, table: pa.Table) -> int:
         """Buffer a partial-sessions table (cols: source,
-        session_start_us, session_end_us, *sum_cols); gap-rule merge
-        deferred to _consolidate()."""
-        try:
-            n = table.num_rows
-            if n:
-                self.pending.append(table.select(["source"] + self._cols))
-            self.metrics["partial_rows_in"] += n
-        except Exception as e:  # surface via ingest_count, not a timeout
-            self.error = repr(e)
-            n = 0
+        session_start_us, session_end_us, *sum_cols); a missing column
+        raises to the driver's barrier.  Gap-rule merge deferred to
+        _consolidate()."""
+        cols = ["source"] + self._cols
+        _require_columns(f"session partition {self.pid}", table, cols)
+        n = table.num_rows
+        if n:
+            self.pending.append(table.select(cols))
+        self.metrics["partial_rows_in"] += n
         self.metrics["ingests"] += 1
         return n
 
@@ -447,12 +442,8 @@ class SessionStatePartition:
         return path
 
     def restore(self, ckpt_dir: str) -> int:
-        """Rebuild ``self.state`` directly from the snapshot WITHOUT
-        touching metrics: the driver's ingest barrier compares the
-        actors' cumulative ingest counters against the calls submitted
-        since (re)start, so a restore routed through ``ingest()`` would
-        give the counters a head start and let the barrier pass while
-        the current epoch's ingests are still queued."""
+        """Rebuild ``self.state`` directly from the snapshot, without
+        routing it through ``ingest()`` or touching the ingest metrics."""
         path = os.path.join(ckpt_dir, f"sess-p{self.pid:04d}.parquet")
         self.pending = []
         self.state = self._empty_state()
@@ -468,43 +459,3 @@ class SessionStatePartition:
             self.state = df
         return t.num_rows
 
-
-class SessionRouter:
-    """Fused partial-session + route stage: builds within-batch partial
-    sessions per source and pushes them to the owning session actor
-    (hash on source alone)."""
-
-    def __init__(self, actors: list, n_partitions: int, partial_fn):
-        self.actors = actors
-        self.P = n_partitions
-        self.partial_fn = partial_fn
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import time as _time
-
-        t0 = _time.monotonic()
-        partial, info = self.partial_fn(batch)
-        sec_fn = _time.monotonic() - t0
-        calls = 0
-        if partial.num_rows:
-            src = np.asarray(partial["source"].to_pylist())
-            part = route_partition(src, np.zeros(len(src), dtype=np.int64), self.P)
-            for p in np.unique(part):
-                sub = partial.filter(pa.array(part == p))
-                self.actors[int(p)].ingest.remote(sub)
-                calls += 1
-        sec_route = _time.monotonic() - t0 - sec_fn
-        return pa.table(
-            {
-                "max_ts_us": pa.array([info["max_ts_us"]], pa.int64()),
-                "late_dropped": pa.array([info["late_dropped"]], pa.int64()),
-                "rows_in": pa.array([info["rows_in"]], pa.int64()),
-                "partial_rows": pa.array([partial.num_rows], pa.int64()),
-                "ingest_calls": pa.array([calls], pa.int64()),
-                "sec_fn": pa.array([sec_fn], pa.float64()),
-                "sec_route": pa.array([sec_route], pa.float64()),
-                "src_max_json": pa.array(
-                    [info.get("src_max_json", "")], pa.string()
-                ),
-            }
-        )

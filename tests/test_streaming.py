@@ -771,39 +771,160 @@ def test_cli_end_to_end(ray_session, fixture_dir, tmp_path, capsys):
 
 
 def test_ingest_error_surfaces_at_barrier(ray_session):
-    """A failed fire-and-forget ingest must raise from the barrier
-    probe (ingest_count), not surface as a 600s timeout."""
-    import ray
+    """A malformed partial raises from the driver's barrier within
+    seconds: the state actor's ingest validates its columns and the
+    barrier waits on the ingest refs, so no error is swallowed."""
+    import time as _t
 
-    from raystat.streaming.state import StatePartition
+    from raystat.streaming.state import Router
 
-    a = StatePartition.remote(0, ["u_n", "u_s1"], 3600)
-    bad = pa.table({"wrong": pa.array([1])})  # missing key/sum columns
-    a.ingest.remote(bad)
-    ok = pa.table(
+    drv = StreamDriver(FIXTURE, "/tmp/rs_pytest_bad_ingest", make_cfg(n_partitions=2))
+    drv.prepare()
+    bad = pa.table(
         {
             "source": pa.array(["s"]),
             "salt": pa.array([0], pa.int64()),
-            "window_start": pa.array([0], pa.int64()),
-            "u_n": pa.array([1.0]),
-            "u_s1": pa.array([2.0]),
+            "window_start": pa.array([0], pa.int64()),  # no sum columns
         }
     )
-    a.ingest.remote(ok)
-    import time as _t
+    info = {"max_ts_us": 0, "late_dropped": 0, "rows_in": 1, "batch_key": 0}
+    book = Router(drv.actors, 2, lambda batch: (bad, info))(bad).to_pandas()
+    t0 = _t.monotonic()
+    try:
+        with pytest.raises(Exception, match="lacks columns"):
+            drv._ingest_barrier(book)
+        assert _t.monotonic() - t0 < 30
+    finally:
+        drv.cleanup(delete_output=True)
 
-    deadline = _t.monotonic() + 30
-    raised = False
-    while _t.monotonic() < deadline:
-        try:
-            # consolidation happens here; the bad table fails the merge
-            ray.get(a.get_state_size.remote())
-            ray.get(a.ingest_count.remote())
-        except Exception:
-            raised = True
-            break
-        _t.sleep(0.1)
-    assert raised, "ingest error never surfaced via the barrier probe"
+
+@pytest.mark.parametrize("batch_size", [None, 500])
+def test_output_deterministic_across_runs(ray_session, batch_size):
+    """Two runs over one input commit byte-identical aggregates (same
+    manifest sha256 per epoch), with several tasks per epoch racing on
+    the session's CPUs (small batches: dozens per epoch): each actor
+    receives the epoch's partials in batch-key order, whatever order
+    the tasks finish in.  Token-value power sums exceed 2**53, so the
+    float summation order shows in the output."""
+    fix = "/tmp/raystat_fixtures/stream_pytest_det"
+    write_stream_fixture(fix, n_rows=40_000, rows_per_block=2_500, n_epochs=2)
+    digests = []
+    for i in range(2):
+        out = f"/tmp/rs_pytest_det{i}"
+        shutil.rmtree(out, ignore_errors=True)
+        cfg = make_cfg(
+            passthrough=False, allowed_lateness_s=epoch_len_us(2) // 1_000_000,
+            n_partitions=4, token_stats=True, comoment_stats=True,
+            batch_size=batch_size,
+        )
+        StreamDriver(fix, out, cfg).run()
+        manifests = sorted(glob.glob(os.path.join(out, "agg", "_manifest", "*.json")))
+        digests.append([json.load(open(f))["sha256"] for f in manifests])
+        shutil.rmtree(out, ignore_errors=True)
+    assert digests[0], "nothing committed"
+    assert digests[0] == digests[1]
+
+
+def test_route_partials_ignores_arrival_order():
+    """Each actor receives the same rows in the same order whatever
+    order the Router rows arrive in, at most one ingest per actor."""
+    from raystat.streaming.state import Router, route_partials
+
+    class Actor:
+        def __init__(self):
+            self.got = []
+            self.ingest = self
+
+        def remote(self, table):
+            self.got.append(table)
+
+    rng = np.random.default_rng(5)
+    rows = []
+    for key in range(12):
+        n = 40
+        part = pa.table(
+            {
+                "source": pa.array([f"s{i}" for i in rng.integers(0, 9, n)]),
+                "salt": pa.array(np.full(n, key % 3), pa.int64()),
+                "u_s1": pa.array(rng.random(n)),
+            }
+        )
+        info = {"max_ts_us": 0, "late_dropped": 0, "rows_in": n, "batch_key": 1000 - key}
+        rows.append(Router(None, 3, lambda b, p=part, i=info: (p, i))(part).to_pandas())
+    book = pd.concat(rows, ignore_index=True)
+    runs = []
+    for seed in range(3):
+        actors = [Actor() for _ in range(3)]
+        shuffled = book.sample(frac=1, random_state=seed).reset_index(drop=True)
+        assert len(route_partials(shuffled, actors)) == 3
+        assert all(len(a.got) == 1 for a in actors)
+        runs.append([a.got[0] for a in actors])
+    for other in runs[1:]:
+        assert all(x.equals(y) for x, y in zip(runs[0], other))
+    assert sum(t.num_rows for t in runs[0]) == 12 * 40
+
+
+def test_epoch_reads_fused_with_partial_stage(ray_session, fixture_dir):
+    """Each epoch runs as ONE Ray Data operator (the read fused with the
+    Router), with at most one read task per Ray CPU and at most one
+    ingest call per state partition."""
+    import re
+
+    import ray
+
+    out = "/tmp/rs_pytest_fusion"
+    shutil.rmtree(out, ignore_errors=True)
+    drv = StreamDriver(fixture_dir, out, make_cfg(passthrough=False, n_partitions=3))
+    executed = []
+    epoch_dataset = drv._epoch_dataset
+
+    class Capture:
+        def __init__(self, ds):
+            self.ds = ds
+
+        def map_batches(self, *args, **kwargs):
+            executed.append(self.ds.map_batches(*args, **kwargs))
+            return executed[-1]
+
+    drv._epoch_dataset = lambda e: Capture(epoch_dataset(e))
+    metrics = drv.run()
+    assert len(executed) == len(drv.arrival_epochs())
+    cpus = ray.cluster_resources()["CPU"]
+    for ds in executed:
+        ops = ds._get_stats_summary().operators_stats
+        assert [o.operator_name for o in ops] == ["ReadParquet->MapBatches(Router)"]
+        tasks = int(re.search(r"(\d+) tasks executed", ops[0].block_execution_summary_str)[1])
+        assert 1 <= tasks <= cpus
+    calls = [em["ingest_calls"] for em in metrics["epochs"].values()]
+    assert max(calls) <= 3 and sum(calls) > 0
+    shutil.rmtree(out, ignore_errors=True)
+
+
+def test_null_source_fails_loudly(ray_session, tmp_path):
+    """A null ``source`` raises a ValueError naming the column from the
+    partial stage (it used to become an int64-min dictionary code)."""
+    n = 50
+    ids = np.arange(n, dtype=np.int64)
+    src = pa.array(["a" if i % 7 else None for i in range(n)], pa.string())
+    t = pa.table(
+        {
+            "doc_id": pa.array(np.char.add("doc-", np.char.zfill(ids.astype(str), 12))),
+            "tokens": pa.array([[1, 2]] * n, pa.list_(pa.int32())),
+            "n_tok": pa.array(np.full(n, 2), pa.int32()),
+            "source": src,
+        }
+    )
+    fix = tmp_path / "null_fix"
+    os.makedirs(fix / "arrival=0")
+    pq.write_table(t, fix / "arrival=0" / "part-0.parquet")
+    for session_gap_s in (None, 1800):
+        drv = StreamDriver(
+            str(fix), str(tmp_path / f"out{session_gap_s}"),
+            make_cfg(passthrough=False, session_gap_s=session_gap_s),
+        )
+        with pytest.raises(Exception, match="key column 'source' contains nulls"):
+            drv.run()
+        drv.cleanup()
 
 
 def test_streaming_comoments_match_replay(ray_session, fixture_dir, replay):

@@ -885,3 +885,38 @@ def test_bottomk_session_crash_resume_and_determinism(ray_session):
     finally:
         for o in outs:
             shutil.rmtree(o, ignore_errors=True)
+
+
+@pytest.mark.parametrize(
+    "router",
+    [
+        "HllRouter", "KllRouter", "MgRouter", "CmsRouter", "BottomKRouter",
+        "BottomKSessionRouter",
+    ],
+)
+def test_null_key_fails_loudly(router):
+    """Every sketch router dictionary-encodes its key through one
+    helper that rejects nulls by name (a null used to become a garbage
+    int64 code and silently mis-group rows)."""
+    from raystat.streaming import sketch
+
+    batch = pa.table(
+        {
+            "k": pa.array(["a", None, "b", "a"], pa.string()),
+            "v": pa.array([1, 2, 3, 4], pa.int64()),
+            "ts_us": pa.array([10**12 + i for i in range(4)], pa.int64()),
+        }
+    )
+    window = dict(window_size_s=3600, hop_s=3600, watermark_s=-(2**40))
+    extra = {
+        "HllRouter": {}, "KllRouter": {"k": 8}, "MgRouter": {},
+        "CmsRouter": {"probe_mod": 1}, "BottomKRouter": {"k": 4},
+    }
+    if router == "BottomKSessionRouter":
+        r = sketch.BottomKSessionRouter(
+            [], 1, "k", "v", "ts_us", gap_s=60, watermark_s=-(2**40), k=4
+        )
+    else:
+        r = getattr(sketch, router)([], 1, "k", "v", "ts_us", **window, **extra[router])
+    with pytest.raises(ValueError, match="key column 'k' contains nulls"):
+        r(batch)
