@@ -3,13 +3,18 @@ hash-partitioned stateful actor state stores, a stateful join against a
 late-arriving metadata stream, exactly-once Parquet commits, and
 per-partition checkpointing (SURVEY.md §3.2, §4.2).
 
-Eight state kinds share the epoch/watermark/checkpoint conventions:
-sum-mergeable moment state (`StreamDriver`), stream-stream interval-join
-row buffers (`IntervalStreamDriver`), idempotent max-merge HLL register
-state (`HllStreamDriver`), bounded Misra-Gries heavy-hitter summaries
+Ten drivers run one epoch loop (``epochs.EpochDriverBase``): each
+epoch's side-effect-free router stage returns its partials as data and
+the driver routes them to the state actors with one ``ingest`` per
+actor.  Their state kinds: sum-mergeable moment state
+(`StreamDriver`), stream-stream interval-join row buffers
+(`IntervalStreamDriver`), idempotent max-merge HLL register state
+(`HllStreamDriver`), bounded Misra-Gries heavy-hitter summaries
 (`MgStreamDriver`), CEP funnel match state with tombstones
 (`CepStreamDriver`), per-window KLL quantile sketches
-(`KllStreamDriver`), first-occurrence seen-hash dedup state with
+(`KllStreamDriver`), Count-Min counter arrays with exact probe counts
+(`CmsStreamDriver`), bottom-k min-union samples
+(`BottomKStreamDriver`), first-occurrence seen-hash dedup state with
 optional retention-bounded eviction (`DedupStreamDriver`), and
 temporal-join state with dominated-right pruning (`AsofStreamDriver`).
 """

@@ -19,8 +19,9 @@ the allowed-lateness horizon.  State is therefore O(keys + in-flight
 rows), independent of stream length — the Flink temporal-table-state
 bound, not a full history.
 
-The router (shared with the interval join) late-drops and key-hash
-routes both sides in their one shuffle; the per-partition emit is a
+The router (shared with the interval join) late-drops both sides and
+the driver key-hash routes them in their one shuffle; the
+per-partition emit is a
 single vectorized ``asof_join_frames`` sweep over (ready lefts x
 buffered rights).
 """
@@ -38,13 +39,10 @@ import pyarrow.parquet as pq
 import ray
 
 from raystat.dataops.asof import asof_join_frames
-from raystat.streaming.epochs import EpochDriverBase
-from raystat.streaming.interval import IntervalRouter
-from raystat.streaming.sink import ExactlyOnceParquetSink
+from raystat.streaming.interval import TaggedJoinDriver
+from raystat.streaming.state import PendingIngest, write_parquet_atomic
 
 __all__ = ["AsofJoinConfig", "AsofStreamDriver", "events_asof_fixture"]
-
-_NEG = -(2**62)
 
 
 @dataclass
@@ -58,11 +56,13 @@ class AsofJoinConfig:
 
 
 @ray.remote(num_cpus=0)
-class AsofJoinPartition:
+class AsofJoinPartition(PendingIngest):
     """Temporal-join state for one key-hash partition on the unified
     tagged schema (_side 1 = left, 0 = right).  ``ingest`` appends;
     ``emit_matches`` resolves every watermark-ready left in one
     vectorized as-of sweep and prunes dominated rights."""
+
+    rows_metric = "rows_in"
 
     def __init__(self, pid: int, by: str, on: str, right_cols: list[str]):
         self.pid = pid
@@ -71,28 +71,10 @@ class AsofJoinPartition:
         self.right_cols = list(right_cols)
         self.pending: list[pa.Table] = []
         self.state: pd.DataFrame | None = None
-        self.error: str | None = None
         self.metrics = {
             "rows_in": 0, "ingests": 0, "matches_emitted": 0,
             "left_buffered": 0, "right_buffered": 0, "right_retired": 0,
         }
-
-    def ingest_count(self) -> int:
-        if self.error is not None:
-            raise RuntimeError(f"asof partition {self.pid} ingest failed: {self.error}")
-        return self.metrics["ingests"]
-
-    def ingest(self, table: pa.Table) -> int:
-        try:
-            n = table.num_rows
-            if n:
-                self.pending.append(table)
-            self.metrics["rows_in"] += n
-        except Exception as e:  # pragma: no cover - defensive
-            self.error = repr(e)
-            n = 0
-        self.metrics["ingests"] += 1
-        return n
 
     def _consolidate(self) -> None:
         if self.pending:
@@ -169,10 +151,8 @@ class AsofJoinPartition:
         os.makedirs(ckpt_dir, exist_ok=True)
         self._consolidate()
         path = os.path.join(ckpt_dir, f"asof-p{self.pid:04d}.parquet")
-        tmp = path + ".tmp"
         df = self.state if self.state is not None else pd.DataFrame()
-        pq.write_table(pa.Table.from_pandas(df, preserve_index=False), tmp)
-        os.replace(tmp, path)
+        write_parquet_atomic(pa.Table.from_pandas(df, preserve_index=False), path)
         return path
 
     def restore(self, ckpt_dir: str) -> int:
@@ -189,18 +169,13 @@ class AsofJoinPartition:
         return t.num_rows
 
 
-class AsofStreamDriver(EpochDriverBase):
-    """Epoch loop for the streaming temporal join: read arrival=N →
-    late-drop/route (the interval join's router, shared) → barrier →
-    advance watermark → emit watermark-final matches → exactly-once
-    commit → checkpoint."""
+class AsofStreamDriver(TaggedJoinDriver):
+    """The streaming temporal join: emits each left row's
+    watermark-final match once the watermark passes its event time."""
 
     def __init__(self, input_dir: str, out_dir: str,
                  cfg: AsofJoinConfig | None = None):
-        super().__init__(input_dir, out_dir)
-        self.cfg = cfg or AsofJoinConfig()
-        self.sink = ExactlyOnceParquetSink(out_dir, "matches")
-        self.watermark_us = _NEG
+        super().__init__(input_dir, out_dir, cfg or AsofJoinConfig(), "matches")
 
     def _ensure_actors(self):
         if self.actors is None:
@@ -210,63 +185,10 @@ class AsofStreamDriver(EpochDriverBase):
                 for p in range(c.n_partitions)
             ]
 
-    def _driver_state(self) -> dict:
-        return {"watermark_us": self.watermark_us,
-                "committed": self.sink.committed_epochs()}
-
-    def _load_driver_state(self, state: dict) -> None:
-        self.watermark_us = int(state["watermark_us"])
-
-    def _run_epoch(self, epoch: int):
-        c = self.cfg
-        ds = self._epoch_dataset(epoch)
-        em = {"rows_in": 0, "late_dropped": 0, "max_ts_us": -1}
-        if ds is not None:
-            router = IntervalRouter(
-                self.actors, c.n_partitions, c.by, c.on, self.watermark_us
-            )
-            kwargs = {"batch_format": "pyarrow", "max_retries": 0,
-                      "zero_copy_batch": True}
-            if c.batch_size:
-                kwargs["batch_size"] = c.batch_size
-            stats = ds.map_batches(router, **kwargs).to_pandas()
-            if len(stats):
-                em["rows_in"] = int(stats["rows_in"].sum())
-                em["late_dropped"] = int(stats["late_dropped"].sum())
-                em["max_ts_us"] = int(stats["max_ts_us"].max())
-                self._ingest_expected += int(stats["ingest_calls"].sum())
-            self._ingest_barrier()
-        if em["max_ts_us"] >= 0:
-            self.watermark_us = max(
-                self.watermark_us,
-                em["max_ts_us"] - int(c.allowed_lateness_s) * 1_000_000,
-            )
-        self._emit(epoch, self.watermark_us)
-        em["watermark_us"] = self.watermark_us
-        self.metrics[str(epoch)] = em
-
     def _emit(self, epoch: int, watermark_us: int):
-        tables = [
-            t for t in ray.get(
-                [a.emit_matches.remote(watermark_us) for a in self.actors]
-            )
-            if t.num_rows
-        ]
-        if tables:
-            out = pa.concat_tables(tables, promote_options="default")
-            self.sink.commit(epoch, out, sort_by=[self.cfg.by, self.cfg.on])
-        else:
-            self.sink.commit(epoch, pa.table({}))
-
-    def _finalize_stream(self, final_epoch: int):
-        self._emit(final_epoch, 2**62)
-        self.metrics["final"] = {
-            "epoch": final_epoch,
-            "state_metrics": ray.get([a.get_metrics.remote() for a in self.actors]),
-        }
-
-    def result_table(self) -> pa.Table:
-        return self.sink.read_all()
+        self._commit_closed(
+            epoch, "emit_matches", watermark_us, sort_by=[self.cfg.by, self.cfg.on]
+        )
 
 
 # -- fixture ------------------------------------------------------------------

@@ -28,13 +28,14 @@ tombstone set grows O(emitted keys) — the same cardinality as the
 batch output itself.
 
 Dataflow per epoch: one map_batches stage filters stage events, drops
-late rows, and key-hash-routes ``(key, ts_us, stage)`` rows to the
-owning state actor (wire = stage-matching rows only — CEP is
-irreducibly row-wise, there is no sum-mergeable partial for "earliest
-chain"); actors evaluate ripe keys at epoch end with the SAME
-vectorized ``funnel_frame`` kernel the batch path uses (one factorize
-+ segmented minimum per stage across all ripe keys at once — no
-per-key Python), and completed funnels commit exactly-once.
+late rows and returns the ``(key, ts_us, stage)`` rows, which the
+driver key-hash-routes to the owning state actor (wire =
+stage-matching rows only — CEP is irreducibly row-wise, there is no
+sum-mergeable partial for "earliest chain"); actors evaluate ripe
+keys at epoch end with the SAME vectorized ``funnel_frame`` kernel the
+batch path uses (one factorize + segmented minimum per stage across
+all ripe keys at once — no per-key Python), and completed funnels
+commit exactly-once.
 """
 
 from __future__ import annotations
@@ -48,19 +49,23 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
-from raystat.dataops.asof import _key_u64
 from raystat.dataops.cep import funnel_frame
-from raystat.streaming.epochs import EpochDriverBase
+from raystat.streaming.epochs import END, NEG, EpochDriverBase
 from raystat.streaming.sink import ExactlyOnceParquetSink
+from raystat.streaming.state import (
+    PendingIngest,
+    key_partition,
+    partial_row,
+    write_parquet_atomic,
+)
 
 __all__ = ["CepStreamDriver"]
 
-_NEG = -(2**62)
 _NO = np.int64(np.iinfo(np.int64).max)
 
 
 @ray.remote(num_cpus=0)
-class CepStatePartition:
+class CepStatePartition(PendingIngest):
     """Funnel state for one key-hash partition: a buffer of
     ``(key, ts_us, stage)`` events awaiting a verdict, plus the
     tombstone set of keys whose funnel already emitted.  All imports
@@ -73,28 +78,10 @@ class CepStatePartition:
         self.pending: list[pa.Table] = []
         self.buf: pd.DataFrame | None = None  # key, ts_us, stage
         self.done: set = set()
-        self.error: str | None = None
         self.metrics = {
             "partial_rows_in": 0, "ingests": 0, "funnels_emitted": 0,
             "rows_pruned": 0,
         }
-
-    def ingest_count(self) -> int:
-        if self.error is not None:
-            raise RuntimeError(f"cep partition {self.pid} ingest failed: {self.error}")
-        return self.metrics["ingests"]
-
-    def ingest(self, table: pa.Table) -> int:
-        try:
-            n = table.num_rows
-            if n:
-                self.pending.append(table)
-            self.metrics["partial_rows_in"] += n
-        except Exception as e:  # surfaced at the barrier
-            self.error = repr(e)
-            n = 0
-        self.metrics["ingests"] += 1
-        return n
 
     def _consolidate(self) -> None:
         if not self.pending:
@@ -182,9 +169,7 @@ class CepStatePartition:
             pa.table({"key": pa.array([], t.schema.field("key").type)})
         )
         for p, tbl in ((path, t), (path.replace(".parquet", ".done.parquet"), dt)):
-            tmp = p + ".tmp"
-            pq.write_table(tbl, tmp)
-            os.replace(tmp, p)
+            write_parquet_atomic(tbl, p)
         return path
 
     def restore(self, ckpt_dir: str) -> int:
@@ -204,13 +189,14 @@ class CepStatePartition:
 
 
 class CepRouter:
-    """Filter + route stage: stage-event extraction (``index_in`` on
-    the stage list), late-row drop against the epoch-start watermark,
-    key-hash routing, and a bookkeeping row."""
+    """Filter stage: stage-event extraction (``index_in`` on the stage
+    list) and late-row drop against the epoch-start watermark; returns
+    the surviving ``(key, ts_us, stage)`` rows as data
+    (:func:`partial_row`), owned by their key's hash partition, with
+    the smallest event ts as batch key."""
 
     def __init__(self, actors: list, n_partitions: int, key: str, type_col: str,
                  ts_col: str, stages: list, watermark_us: int):
-        self.actors = actors
         self.P = n_partitions
         self.key = key
         self.type_col = type_col
@@ -225,7 +211,6 @@ class CepRouter:
     def __call__(self, batch: pa.Table) -> pa.Table:
         rows_in = batch.num_rows
         ts_us = batch[self.ts_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        max_ts = int(ts_us.max()) if rows_in else -1
         # index_in yields null for non-stage events; fold to -1
         stage = pc.fill_null(
             pc.index_in(batch[self.type_col], value_set=pa.array(self.stages)),
@@ -233,37 +218,22 @@ class CepRouter:
         ).to_numpy(zero_copy_only=False).astype(np.int64)
         is_stage = stage >= 0
         keep = is_stage & (ts_us > self.wm)
-        late = int((is_stage & ~keep).sum())
-        calls = 0
         idx = np.flatnonzero(keep)
+        tbl = part = None
         if idx.size:
             keys = batch[self.key].take(pa.array(idx))
-            kn = keys.to_numpy(zero_copy_only=False)
-            part = (_key_u64(kn) % np.uint64(self.P)).astype(np.int64)
-            order = np.argsort(part, kind="stable")
+            part = key_partition(keys, self.P, self.key)
             tbl = pa.table(
                 {
-                    "key": keys.take(pa.array(order)),
-                    "ts_us": pa.array(ts_us[idx][order], pa.int64()),
-                    "stage": pa.array(
-                        stage[idx][order].astype(np.int64), pa.int64()
-                    ),
+                    "key": keys,
+                    "ts_us": pa.array(ts_us[idx], pa.int64()),
+                    "stage": pa.array(stage[idx], pa.int64()),
                 }
             )
-            sp = part[order]
-            bounds = np.flatnonzero(np.diff(sp)) + 1
-            starts = np.concatenate(([0], bounds))
-            ends = np.concatenate((bounds, [sp.size]))
-            for s, e in zip(starts, ends):
-                self.actors[int(sp[s])].ingest.remote(tbl.slice(int(s), int(e - s)))
-                calls += 1
-        return pa.table(
-            {
-                "max_ts_us": pa.array([max_ts], pa.int64()),
-                "late_dropped": pa.array([late], pa.int64()),
-                "rows_in": pa.array([rows_in], pa.int64()),
-                "ingest_calls": pa.array([calls], pa.int64()),
-            }
+        return partial_row(
+            tbl, part, int(ts_us.min()) if rows_in else -1,
+            max_ts_us=int(ts_us.max()) if rows_in else -1,
+            late_dropped=int((is_stage & ~keep).sum()), rows_in=rows_in,
         )
 
 
@@ -278,7 +248,7 @@ class CepStreamDriver(EpochDriverBase):
                  type_col: str, stages: list, within_us: int,
                  ts_col: str = "ts_us", allowed_lateness_s: int = 3600,
                  n_partitions: int = 8, batch_size: int | None = None):
-        super().__init__(input_dir, out_dir)
+        super().__init__(input_dir, out_dir, n_partitions, batch_size)
         if len(stages) < 2:
             raise ValueError("a funnel needs at least 2 stages")
         self.key = key
@@ -287,10 +257,8 @@ class CepStreamDriver(EpochDriverBase):
         self.stages = list(stages)
         self.within_us = int(within_us)
         self.lateness_s = int(allowed_lateness_s)
-        self.n_partitions = n_partitions
-        self.batch_size = batch_size
         self.sink = ExactlyOnceParquetSink(out_dir, "funnel")
-        self.watermark_s = _NEG
+        self.watermark_s = NEG
 
     def _ensure_actors(self):
         if self.actors is None:
@@ -307,24 +275,11 @@ class CepStreamDriver(EpochDriverBase):
         self.watermark_s = int(state["watermark_s"])
 
     def _run_epoch(self, epoch: int):
-        ds = self._epoch_dataset(epoch)
-        em = {"rows_in": 0, "late_dropped": 0, "max_ts_us": -1}
-        if ds is not None:
-            router = CepRouter(
-                self.actors, self.n_partitions, self.key, self.type_col,
-                self.ts_col, self.stages, self._wm_us(self.watermark_s),
-            )
-            kwargs = {"batch_format": "pyarrow", "max_retries": 0,
-                      "zero_copy_batch": True}
-            if self.batch_size:
-                kwargs["batch_size"] = self.batch_size
-            stats = ds.map_batches(router, **kwargs).to_pandas()
-            if len(stats):
-                em["rows_in"] = int(stats["rows_in"].sum())
-                em["late_dropped"] = int(stats["late_dropped"].sum())
-                em["max_ts_us"] = int(stats["max_ts_us"].max())
-                self._ingest_expected += int(stats["ingest_calls"].sum())
-            self._ingest_barrier()
+        router = CepRouter(
+            self.actors, self.n_partitions, self.key, self.type_col,
+            self.ts_col, self.stages, self._wm_us(self.watermark_s),
+        )
+        em, _ = self._route_epoch(epoch, router)
         if em["max_ts_us"] >= 0:
             self.watermark_s = max(
                 self.watermark_s, em["max_ts_us"] // 1_000_000 - self.lateness_s
@@ -336,29 +291,9 @@ class CepStreamDriver(EpochDriverBase):
     @staticmethod
     def _wm_us(watermark_s: int) -> int:
         # clamp before scaling so int64 actor-side compares never overflow
-        return int(max(min(watermark_s * 1_000_000, 2**62), -(2**62)))
+        return int(max(min(watermark_s * 1_000_000, END), NEG))
 
     def _emit(self, epoch: int, watermark_s: int):
-        wm_us = self._wm_us(watermark_s)
-        tables = [
-            t for t in ray.get(
-                [a.close_funnels.remote(wm_us) for a in self.actors]
-            )
-            if t is not None and t.num_rows
-        ]
-        if tables:
-            out = pa.concat_tables(tables)
-            self.sink.commit(epoch, out, sort_by=["key"])
-        else:
-            self.sink.commit(epoch, pa.table({}))
-
-    def _finalize_stream(self, final_epoch: int):
-        # end-of-stream: every remaining verdict is final
-        self._emit(final_epoch, 2**62)
-        self.metrics["final"] = {
-            "epoch": final_epoch,
-            "state_metrics": ray.get([a.get_metrics.remote() for a in self.actors]),
-        }
-
-    def result_table(self) -> pa.Table:
-        return self.sink.read_all()
+        self._commit_closed(
+            epoch, "close_funnels", self._wm_us(watermark_s), sort_by=["key"]
+        )

@@ -18,8 +18,8 @@ contract as the capped LSH pair generators (dedup_overflow_metrics).
 
 Scale shape: rows never shuffle — the router computes md5-64 content
 hashes per batch, pre-groups to (hash, min doc_id) (a local combiner:
-per-batch duplicate copies collapse before any network hop), and
-routes ONLY (hash, doc_id) pairs to the owning state partition by
+per-batch duplicate copies collapse before any network hop), and the
+driver routes ONLY (hash, doc_id) pairs to the owning state partition by
 hash.  Actor state is O(distinct hashes / partitions) int64s (16 B per
 distinct doc; bounded further by retention), merged per epoch with one
 lexsort — no Python loops, no text in state or transit.
@@ -38,6 +38,7 @@ import ray
 from raystat.dataops.dedup import _md5_64_col
 from raystat.streaming.epochs import EpochDriverBase
 from raystat.streaming.sink import ExactlyOnceParquetSink
+from raystat.streaming.state import PendingIngest, partial_row, write_parquet_atomic
 
 __all__ = ["DedupStreamDriver", "docs_stream_fixture"]
 
@@ -50,11 +51,13 @@ def _empty_pending() -> pa.Table:
 
 
 @ray.remote(num_cpus=0)
-class DedupStatePartition:
+class DedupStatePartition(PendingIngest):
     """Seen-hash state for one hash partition: sorted int64 hash array
     + last-seen epoch per hash.  ``ingest`` appends (hash, doc_id)
     partials; ``close_epoch`` resolves the epoch's winners in one
     lexsort + searchsorted against the seen set."""
+
+    rows_metric = "rows_in"
 
     def __init__(self, pid: int, retention_epochs: int | None):
         self.pid = pid
@@ -62,28 +65,10 @@ class DedupStatePartition:
         self.pending: list[pa.Table] = []
         self.seen = np.zeros(0, dtype=np.int64)  # sorted
         self.last_seen = np.zeros(0, dtype=np.int64)  # aligned epochs
-        self.error: str | None = None
         self.metrics = {
             "rows_in": 0, "ingests": 0, "winners": 0,
             "dup_dropped": 0, "evicted": 0,
         }
-
-    def ingest_count(self) -> int:
-        if self.error is not None:
-            raise RuntimeError(f"dedup partition {self.pid} ingest failed: {self.error}")
-        return self.metrics["ingests"]
-
-    def ingest(self, table: pa.Table) -> int:
-        try:
-            n = table.num_rows
-            if n:
-                self.pending.append(table)
-            self.metrics["rows_in"] += n
-        except Exception as e:  # pragma: no cover - defensive
-            self.error = repr(e)
-            n = 0
-        self.metrics["ingests"] += 1
-        return n
 
     def close_epoch(self, epoch: int) -> pa.Table:
         """Resolve this epoch: winners = min-doc_id row of each hash
@@ -145,13 +130,11 @@ class DedupStatePartition:
     def snapshot(self, ckpt_dir: str, epoch: int) -> str:
         os.makedirs(ckpt_dir, exist_ok=True)
         path = os.path.join(ckpt_dir, f"dedup-p{self.pid:04d}.parquet")
-        tmp = path + ".tmp"
         t = pa.table(
             {"seen": pa.array(self.seen), "last_seen": pa.array(self.last_seen)}
         )
         t = t.replace_schema_metadata({b"metrics": json.dumps(self.metrics).encode()})
-        pq.write_table(t, tmp)
-        os.replace(tmp, path)
+        write_parquet_atomic(t, path)
         return path
 
     def restore(self, ckpt_dir: str) -> int:
@@ -168,37 +151,29 @@ class DedupStatePartition:
         )
         md = t.schema.metadata or {}
         if b"metrics" in md:
-            saved = json.loads(md[b"metrics"].decode())
-            # 'ingests' is the ingest-barrier counter: it must count calls
-            # since THIS restart only (the new driver resets its expected
-            # count to 0), or close_epoch could race ahead of in-flight
-            # routed batches after a crash/resume — matching
-            # IntervalJoinPartition.restore's contract.
-            self.metrics.update(
-                {k: v for k, v in saved.items() if k != "ingests"}
-            )
+            self.metrics.update(json.loads(md[b"metrics"].decode()))
         return int(self.seen.size)
 
 
 class DedupRouter:
-    """Fused hash+combine+route stage: md5-64 content hash per batch,
-    local min-doc_id combiner per hash, then hash routing — only
-    (hash, doc_id) pairs leave the read stage."""
+    """Hash + combine stage: md5-64 content hash per batch and a local
+    min-doc_id combiner per hash; only the (hash, doc_id) pairs leave
+    the read stage, as data (:func:`partial_row`) owned by partition
+    ``hash mod P``, with the smallest doc id as batch key."""
 
     def __init__(self, actors: list, n_partitions: int, text_col: str,
                  id_col: str):
-        self.actors = actors
         self.P = n_partitions
         self.text_col = text_col
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         rows_in = batch.num_rows
-        calls = 0
+        tbl = part = None
         local_dropped = 0
+        d = batch[self.id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         if rows_in:
             h = _md5_64_col(batch[self.text_col])
-            d = batch[self.id_col].to_numpy(zero_copy_only=False).astype(np.int64)
             # local combiner: min doc_id per hash inside the batch
             order = np.lexsort((d, h))
             hs, ds = h[order], d[order]
@@ -207,40 +182,29 @@ class DedupRouter:
             hs, ds = hs[first], ds[first]
             local_dropped = int(rows_in - hs.size)
             part = (hs.astype(np.uint64) % np.uint64(self.P)).astype(np.int64)
-            po = np.argsort(part, kind="stable")
-            hs, ds, sp = hs[po], ds[po], part[po]
-            tbl = pa.table(
-                {"content_hash": pa.array(hs), "doc_id": pa.array(ds)}
-            )
-            bounds = np.flatnonzero(np.diff(sp)) + 1
-            starts = np.concatenate(([0], bounds))
-            ends = np.concatenate((bounds, [sp.size]))
-            for s, e in zip(starts, ends):
-                self.actors[int(sp[s])].ingest.remote(tbl.slice(int(s), int(e - s)))
-                calls += 1
-        return pa.table(
-            {"rows_in": pa.array([rows_in], pa.int64()),
-             "local_dropped": pa.array([local_dropped], pa.int64()),
-             "ingest_calls": pa.array([calls], pa.int64())}
+            tbl = pa.table({"content_hash": pa.array(hs), "doc_id": pa.array(ds)})
+        return partial_row(
+            tbl, part, int(d.min()) if rows_in else -1,
+            rows_in=rows_in, local_dropped=local_dropped,
         )
 
 
 class DedupStreamDriver(EpochDriverBase):
     """Epoch loop for streaming exact dedup: read arrival=N → hash +
-    local combine + route → barrier → resolve winners per partition →
+    local combine → route + barrier → resolve winners per partition →
     exactly-once commit → checkpoint.  ``retention_epochs=None`` keeps
     the survivor set exact; a finite retention bounds state."""
+
+    book_sums = ("rows_in", "local_dropped", "partial_rows")
 
     def __init__(self, input_dir: str, out_dir: str, *,
                  text_col: str = "text", id_col: str = "doc_id",
                  retention_epochs: int | None = None,
                  n_partitions: int = 8, batch_size: int | None = None):
-        super().__init__(input_dir, out_dir)
+        super().__init__(input_dir, out_dir, n_partitions, batch_size)
         self.text_col = text_col
         self.id_col = id_col
         self.retention = retention_epochs
-        self.n_partitions = n_partitions
-        self.batch_size = batch_size
         self.sink = ExactlyOnceParquetSink(out_dir, "winners")
 
     def _ensure_actors(self):
@@ -253,48 +217,20 @@ class DedupStreamDriver(EpochDriverBase):
     def _driver_state(self) -> dict:
         return {"committed": self.sink.committed_epochs()}
 
-    def _load_driver_state(self, state: dict) -> None:
-        pass
-
     def _run_epoch(self, epoch: int):
-        ds = self._epoch_dataset(epoch)
-        em = {"rows_in": 0, "local_dropped": 0, "ingest_calls": 0}
-        if ds is not None:
-            router = DedupRouter(
-                self.actors, self.n_partitions, self.text_col, self.id_col
-            )
-            kwargs = {"batch_format": "pyarrow", "max_retries": 0,
-                      "zero_copy_batch": True}
-            if self.batch_size:
-                kwargs["batch_size"] = self.batch_size
-            stats = ds.map_batches(router, **kwargs).to_pandas()
-            if len(stats):
-                em["rows_in"] = int(stats["rows_in"].sum())
-                em["local_dropped"] = int(stats["local_dropped"].sum())
-                em["ingest_calls"] = int(stats["ingest_calls"].sum())
-                self._ingest_expected += em["ingest_calls"]
-            self._ingest_barrier()
-        tables = [
-            t for t in ray.get(
-                [a.close_epoch.remote(epoch) for a in self.actors]
-            )
-            if t.num_rows
-        ]
-        if tables:
-            out = pa.concat_tables(tables)
-            self.sink.commit(epoch, out, sort_by=["doc_id"])
-        else:
-            self.sink.commit(epoch, pa.table({}))
+        router = DedupRouter(
+            self.actors, self.n_partitions, self.text_col, self.id_col
+        )
+        em, _ = self._route_epoch(epoch, router)
+        self._emit(epoch)
         self.metrics[str(epoch)] = em
 
-    def _finalize_stream(self, final_epoch: int):
-        self.metrics["final"] = {
-            "epoch": final_epoch,
-            "state_metrics": ray.get([a.get_metrics.remote() for a in self.actors]),
-        }
+    def _emit(self, epoch: int):
+        self._commit_closed(epoch, "close_epoch", epoch, sort_by=["doc_id"])
 
-    def result_table(self) -> pa.Table:
-        return self.sink.read_all()
+    def _finalize_stream(self, final_epoch: int):
+        # every epoch resolved its winners when it ran: nothing to close
+        self._record_final(final_epoch)
 
 
 # -- fixture ------------------------------------------------------------------

@@ -8,7 +8,8 @@ delivers).  Event time is derived from ``doc_id``
 (:mod:`raystat.extract`), so the watermark is reproducible from the
 input alone.
 
-Per epoch ``e``:
+Per epoch ``e`` (the :class:`~raystat.streaming.epochs.EpochDriverBase`
+loop, with this driver's stages):
 
 1. build a lazy Dataset over epoch ``e``'s files, with at most one
    read task per CPU slot
@@ -16,8 +17,9 @@ Per epoch ``e``:
    Ray with the read): derive event time, assign tumbling/hopping
    windows, drop+count rows whose window already closed (late beyond
    watermark), pre-aggregate power sums per ``(source, salt,
-   window_start)``; each batch returns one row — bookkeeping (max event
-   ts, late counts), its partial table as Arrow IPC and a batch key
+   window_start)`` and tag each partial row with its owning partition;
+   each batch returns one row — bookkeeping (max event ts, late
+   counts), its partial table as Arrow IPC and a batch key
 3. the driver concatenates the epoch's partials in batch-key order and
    routes them to their owning StatePartition actors with one
    ``ingest`` per partition (the explicit salted hash shuffle), then
@@ -29,16 +31,14 @@ Per epoch ``e``:
 6. commit via the exactly-once sink; optional exact per-row passthrough
    (same late-drop predicate, token arrays untouched)
 7. checkpoint actor snapshots + driver state (watermark, join buffer,
-   metrics, lineage) — resume replays from the next epoch; re-commits
-   of already-manifested epochs are no-ops.
+   metrics) — resume replays from the next epoch; re-commits of
+   already-manifested epochs are no-ops.
 """
 
 from __future__ import annotations
 
-import glob
 import json
-import os
-import re
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,14 +50,10 @@ from raystat.accumulators import canonical_sums_for, get_spec
 from raystat.aggregate import encode_key, partial_sums
 from raystat.extract import event_time_us_from_numeric, numeric_doc_id
 from raystat.scratch import astype_f8, buf, tune_allocator
+from raystat.streaming.epochs import END, NEG, EpochDriverBase
 from raystat.streaming.join import MetadataJoin
 from raystat.streaming.sink import ExactlyOnceParquetSink
-from raystat.streaming.state import (
-    Router,
-    SessionStatePartition,
-    StatePartition,
-    route_partials,
-)
+from raystat.streaming.state import Router, SessionStatePartition, StatePartition
 
 __all__ = ["StreamConfig", "StreamDriver"]
 
@@ -528,7 +524,7 @@ def _session_partial_stage(
     return fn
 
 
-class StreamDriver:
+class StreamDriver(EpochDriverBase):
     def __init__(
         self,
         input_dir: str,
@@ -538,9 +534,8 @@ class StreamDriver:
     ):
         """``metadata``: optional (source, quality, arrival_epoch) table —
         the late-arriving side stream."""
-        self.input_dir = input_dir
-        self.out_dir = out_dir
         self.cfg = cfg or StreamConfig()
+        super().__init__(input_dir, out_dir, self.cfg.n_partitions, self.cfg.batch_size)
         self.metadata = metadata
         self.resolved = {k: get_spec(v) for k, v in self.cfg.specs.items()}
         self.session_mode = self.cfg.session_gap_s is not None
@@ -585,24 +580,10 @@ class StreamDriver:
             if self.cfg.emit_changes
             else None
         )
-        self.ckpt_root = os.path.join(out_dir, "_checkpoints")
-        os.makedirs(self.ckpt_root, exist_ok=True)
-        self.watermark_s = -(2**62)
+        self.watermark_s = NEG
         self.per_source_wm = self.cfg.watermark_scope == "per_source"
         self.src_watermark: dict[str, int] = {}
         self.join = MetadataJoin(self.cfg.join_grace_epochs)
-        self.metrics: dict[str, dict] = {}
-        self.actors: list | None = None
-
-    # -- epochs ------------------------------------------------------------
-
-    def arrival_epochs(self) -> list[int]:
-        out = []
-        for d in glob.glob(os.path.join(self.input_dir, "arrival=*")):
-            m = re.search(r"arrival=(\d+)$", d)
-            if m:
-                out.append(int(m.group(1)))
-        return sorted(out)
 
     def _ensure_actors(self):
         if self.actors is None:
@@ -619,206 +600,74 @@ class StreamDriver:
                     for p in range(self.cfg.n_partitions)
                 ]
 
-    def _ingest_barrier(self, book: pd.DataFrame) -> int:
-        """Route this epoch's partials (the Router rows in ``book``) with
-        one ingest per partition and wait until every actor applied
-        them; an ingest error raises here.  Required before closing
-        windows for this epoch.  Returns the number of ingest calls."""
-        refs = route_partials(book, self.actors)
-        ray.get(refs)
-        return len(refs)
-
-    def prepare(self):
-        """Provision the state-actor pool and wait until every actor is
-        live (setup; excluded from throughput timing in bench)."""
-        self._ensure_actors()
-        ray.get([a.get_metrics.remote() for a in self.actors])
-        return self
-
-    # -- checkpoint / resume ----------------------------------------------
-
-    def _ckpt_dir(self, epoch: int) -> str:
-        return os.path.join(self.ckpt_root, f"epoch-{epoch:06d}")
-
-    def _checkpoint(self, epoch: int):
-        d = self._ckpt_dir(epoch)
-        os.makedirs(d, exist_ok=True)
-        ray.get([a.snapshot.remote(d, epoch) for a in self.actors])
-        state = {
-            "epoch": epoch,
+    def _driver_state(self) -> dict:
+        return {
             "watermark_s": self.watermark_s,
             "src_watermark": self.src_watermark,
             "join": self.join.to_state(),
-            "metrics": self.metrics,
         }
-        tmp = os.path.join(d, "driver.json.tmp")
-        with open(tmp, "w") as f:
-            json.dump(state, f)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, os.path.join(d, "driver.json"))
 
-    def latest_checkpoint(self) -> int | None:
-        done = [
-            int(m.group(1))
-            for d in glob.glob(os.path.join(self.ckpt_root, "epoch-*"))
-            if (m := re.search(r"epoch-(\d+)$", d))
-            and os.path.exists(os.path.join(d, "driver.json"))
-        ]
-        return max(done) if done else None
-
-    def _restore(self, epoch: int):
-        d = self._ckpt_dir(epoch)
-        with open(os.path.join(d, "driver.json")) as f:
-            st = json.load(f)
-        self.watermark_s = st["watermark_s"]
+    def _load_driver_state(self, state: dict) -> None:
+        self.watermark_s = state["watermark_s"]
         self.src_watermark = {
-            k: int(v) for k, v in st.get("src_watermark", {}).items()
+            k: int(v) for k, v in state.get("src_watermark", {}).items()
         }
-        self.join = MetadataJoin.from_state(st["join"])
-        self.metrics = {str(k): v for k, v in st["metrics"].items()}
-        self._ensure_actors()
-        ray.get([a.restore.remote(d) for a in self.actors])
-
-    # -- main loop ---------------------------------------------------------
-
-    def run(self, stop_after_epoch: int | None = None, resume: bool = False) -> dict:
-        """Process all arrival epochs (optionally stopping early to
-        simulate a crash); returns the final metrics dict."""
-        epochs = self.arrival_epochs()
-        if not epochs:
-            raise FileNotFoundError(f"no arrival=* dirs under {self.input_dir}")
-        start = 0
-        if resume:
-            ck = self.latest_checkpoint()
-            if ck is not None:
-                self._restore(ck)
-                start = ck + 1
-        self._ensure_actors()
-        last = epochs[-1]
-        import time as _time
-
-        for e in [x for x in epochs if x >= start]:
-            t0 = _time.monotonic()
-            self._run_epoch(e)
-            self._checkpoint(e)
-            self.metrics[str(e)]["sec_total"] = round(_time.monotonic() - t0, 3)
-            if stop_after_epoch is not None and e >= stop_after_epoch:
-                return self._final_metrics()
-        # end of stream: close everything (watermark -> +inf), flush joins
-        t0 = _time.monotonic()
-        self._finalize_stream(last + 1)
-        self.tail_sec = round(_time.monotonic() - t0, 3)
-        return self._final_metrics()
+        self.join = MetadataJoin.from_state(state["join"])
 
     def _epoch_dataset(self, epoch: int):
+        if self.cfg.file_format == "parquet":
+            return super()._epoch_dataset(epoch)
         import ray.data as rd
 
-        ext = "parquet" if self.cfg.file_format == "parquet" else "jsonl"
-        files = sorted(
-            glob.glob(os.path.join(self.input_dir, f"arrival={epoch}", f"*.{ext}"))
-        )
+        files = self._epoch_files(epoch, "jsonl")
         if not files:
             return None
-        # Read tasks per epoch = min(files, bytes / block bytes, CPU
-        # slots).  Each Ray Data task costs ~35 ms, so more tasks than
-        # slots only queue (a fused read+count of 11 epochs at Ray
-        # num_cpus=1 on a 1-vCPU host: 7.5 s at 16 tasks per epoch,
-        # 3.0 s at 1); the default planner would split tiny epochs into
-        # ctx.read_op_min_num_blocks (200) slivers.  More blocks than
-        # files would insert a SplitBlocks op that breaks the
-        # read->Router fusion.  That fusion holds only while the
-        # Router's map_batches carries no task-level remote arg
-        # (max_retries, num_cpus, ...) and no batch_size: otherwise
-        # decoded token blocks round-trip through the object store.
-        total_bytes = sum(os.path.getsize(f) for f in files)
-        slots = int(ray.cluster_resources().get("CPU", 1))
-        if self.cfg.file_format == "json":
-            # JSONL ingest (the reference's value_format='json'): read,
-            # then cast to the canonical Arrow schema so every
-            # downstream stage — including exact token-array
-            # passthrough — sees bit-identical types to the parquet
-            # path (JSON integers arrive as int64).  The cast fuses
-            # with the read and the router.
-            nblocks = min(max(1, total_bytes // (8 * 1024 * 1024)), len(files), slots)
-            return rd.read_json(files, override_num_blocks=int(nblocks)).map_batches(
-                _canonicalize_json_batch, batch_format="pyarrow", zero_copy_batch=True
-            )
-        nblocks = min(max(1, total_bytes // (2 * 1024 * 1024)), len(files), slots)
-        return rd.read_parquet(files, override_num_blocks=int(nblocks))
+        # JSONL ingest (the reference's value_format='json'): read, then
+        # cast to the canonical Arrow schema so every downstream stage —
+        # including exact token-array passthrough — sees bit-identical
+        # types to the parquet path (JSON integers arrive as int64).
+        # The cast fuses with the read and the router.
+        nblocks = self._read_tasks(files, 8 * 1024 * 1024)
+        return rd.read_json(files, override_num_blocks=nblocks).map_batches(
+            _canonicalize_json_batch, batch_format="pyarrow", zero_copy_batch=True
+        )
 
     def _run_epoch(self, epoch: int):
-        import time as _time
-
-        t0 = _time.monotonic()
-        ds = self._epoch_dataset(epoch)
         # late-drop predicate for BOTH sinks at ingest time: the global
         # scalar, or a frozen copy of the per-source frontier map
         wm_at_ingest = (
             dict(self.src_watermark) if self.per_source_wm else self.watermark_s
         )
-        src_wm = wm_at_ingest if self.per_source_wm else None
-        em = {
-            "rows_in": 0, "late_dropped": 0, "partial_rows": 0, "max_ts_us": -1,
-            "ingest_calls": 0,
-        }
-        t_pipe = t_barrier = 0.0
-        stats_src_max: list[str] = []
-        if ds is not None:
-            stage = _session_partial_stage if self.session_mode else _partial_stage
-            fn = stage(
-                self.cfg, self.needed, self.u_order, self.w_order,
-                self.watermark_s, src_wm=src_wm,
-            )
-            router = Router(self.actors, self.cfg.n_partitions, fn)
-            # zero_copy_batch: the router never mutates its input batch,
-            # so Ray must not copy 10MB of token buffers per batch.  The
-            # stage has no side effects, so Ray's default task retries
-            # are safe.
-            kwargs = {"batch_format": "pyarrow", "zero_copy_batch": True}
-            if self.cfg.batch_size:
-                kwargs["batch_size"] = self.cfg.batch_size
-            # one row per batch: bookkeeping plus the partial payload
-            stats = ds.map_batches(router, **kwargs).to_pandas()
-            t_pipe = _time.monotonic() - t0
-            if len(stats):
-                em["rows_in"] = int(stats["rows_in"].sum())
-                em["late_dropped"] = int(stats["late_dropped"].sum())
-                em["partial_rows"] = int(stats["partial_rows"].sum())
-                em["max_ts_us"] = int(stats["max_ts_us"].max())
-                em["sec_fn_sum"] = round(float(stats["sec_fn"].sum()), 3)
-                em["sec_route_sum"] = round(float(stats["sec_route"].sum()), 3)
-                em["n_batches"] = int(len(stats))
-                if self.per_source_wm:
-                    stats_src_max = stats["src_max_json"].tolist()
-            em["ingest_calls"] = self._ingest_barrier(stats)
-            t_barrier = _time.monotonic() - t0 - t_pipe
+        stage = _session_partial_stage if self.session_mode else _partial_stage
+        fn = stage(
+            self.cfg, self.needed, self.u_order, self.w_order, self.watermark_s,
+            src_wm=wm_at_ingest if self.per_source_wm else None,
+        )
+        em, book = self._route_epoch(
+            epoch, Router(self.actors, self.cfg.n_partitions, fn)
+        )
+        t0 = time.monotonic()
         if em["max_ts_us"] >= 0:
             self.watermark_s = max(
                 self.watermark_s,
                 em["max_ts_us"] // 1_000_000 - self.cfg.allowed_lateness_s,
             )
-        if self.per_source_wm and len(stats_src_max):
-            for js in stats_src_max:
-                if not js:
-                    continue
-                for src, m in json.loads(js).items():
+        if self.per_source_wm and book is not None:
+            for js in book["src_max_json"]:
+                for src, m in json.loads(js or "{}").items():
                     wm = int(m) // 1_000_000 - self.cfg.allowed_lateness_s
-                    if wm > self.src_watermark.get(src, -(2**62)):
+                    if wm > self.src_watermark.get(src, NEG):
                         self.src_watermark[src] = wm
         self._emit(
             epoch,
             dict(self.src_watermark) if self.per_source_wm else self.watermark_s,
         )
-        t_emit = _time.monotonic() - t0 - t_pipe - t_barrier
-        if self.pass_sink is not None and ds is not None:
+        em["sec_emit"] = round(time.monotonic() - t0, 3)
+        if self.pass_sink is not None and book is not None:
             self.pass_sink.commit_dataset(
-                epoch, self._passthrough_ds(ds, wm_at_ingest)
+                epoch, self._passthrough_ds(self._epoch_dataset(epoch), wm_at_ingest)
             )
         em["watermark_s"] = self.watermark_s
-        em["sec_pipeline"] = round(t_pipe, 3)
-        em["sec_barrier"] = round(t_barrier, 3)
-        em["sec_emit"] = round(t_emit, 3)
         self.metrics[str(epoch)] = em
 
     def _passthrough_ds(self, ds, wm):
@@ -932,7 +781,7 @@ class StreamDriver:
             )
 
     def _finalize_stream(self, final_epoch: int):
-        out = self._close_and_finalize(2**62)
+        out = self._close_and_finalize(END)
         emitted = self.join.process(out, final_epoch)
         tail = self.join.flush_all()
         if len(tail):
@@ -970,6 +819,3 @@ class StreamDriver:
             "watermark_s": self.watermark_s,
             "committed": self.sink.committed_epochs(),
         }
-
-    def result_table(self) -> pa.Table:
-        return self.sink.read_all()

@@ -1,16 +1,29 @@
-"""Shared epoch-loop skeleton for the specialised streaming drivers
-(the interval-join driver and the sketch driver): arrival-epoch
-discovery, the fire-and-forget ingest barrier, checkpoint directory
-layout with crash/resume, and the run loop.  The aggregate
-``StreamDriver`` predates this base and keeps its own copy of the
-plumbing (salted routing, per-source watermarks, multiple sinks — a
-strictly larger surface); the specialised drivers share it here
-instead of re-pasting it.
+"""The one epoch loop every streaming driver runs on: ``StreamDriver``
+(moment state) and the sketch, CEP, dedup, interval-join and as-of
+drivers all subclass :class:`EpochDriverBase`.
 
-Subclasses provide: ``_ensure_actors``, ``_run_epoch(epoch)``,
-``_finalize_stream(final_epoch)``, ``_driver_state()`` /
-``_load_driver_state(state)`` for the checkpoint payload, and the
-actors must expose ``ingest_count / snapshot / restore / get_metrics``.
+Per arrival epoch ``e`` (``input_dir/arrival=e/*.parquet``):
+
+1. ``_epoch_dataset(e)``: a lazy Dataset over the epoch's files, with
+   at most one read task per Ray CPU slot;
+2. ``_route_epoch``: one side-effect-free ``map_batches(router)``
+   stage, which Ray fuses with the read.  Each batch returns one row
+   (``state.partial_row``): its bookkeeping plus its partial table as
+   Arrow IPC.  The driver sums the bookkeeping, and ``_ingest_barrier``
+   routes the epoch's partials with at most one ``ingest`` per state
+   actor (``state.route_partials``) and waits on those calls: an actor
+   error raises there;
+3. the subclass's ``_run_epoch`` advances its watermark and ``_emit``
+   commits what closed through its exactly-once sink;
+4. ``_checkpoint(e)``: actor snapshots plus ``_driver_state()``.
+
+``run(resume=True)`` restores the latest checkpoint and replays from
+the next epoch; sinks skip epochs they already committed.
+
+Subclasses provide ``_ensure_actors``, ``_run_epoch(epoch)``,
+``_emit`` and the ``_driver_state()`` / ``_load_driver_state(state)``
+checkpoint payload, and set ``sink``; the actors expose
+``ingest / snapshot / restore / get_metrics``.
 """
 
 from __future__ import annotations
@@ -19,19 +32,32 @@ import glob
 import json
 import os
 import re
+import time
 
+import pandas as pd
+import pyarrow as pa
 import ray
+
+from raystat.streaming.state import route_partials
+
+NEG = -(2**62)  # watermark before any event
+END = 2**62  # end-of-stream watermark: every window closes
 
 
 class EpochDriverBase:
-    def __init__(self, input_dir: str, out_dir: str):
+    # bookkeeping columns summed into each epoch's metrics
+    book_sums = ("rows_in", "late_dropped", "partial_rows")
+
+    def __init__(self, input_dir: str, out_dir: str, n_partitions: int = 8,
+                 batch_size: int | None = None):
         self.input_dir = input_dir
         self.out_dir = out_dir
+        self.n_partitions = n_partitions
+        self.batch_size = batch_size
         self.ckpt_root = os.path.join(out_dir, "_checkpoints")
         os.makedirs(self.ckpt_root, exist_ok=True)
         self.metrics: dict[str, dict] = {}
         self.actors: list | None = None
-        self._ingest_expected = 0
 
     # -- epochs -------------------------------------------------------------
 
@@ -43,35 +69,100 @@ class EpochDriverBase:
                 out.append(int(m.group(1)))
         return sorted(out)
 
+    def _epoch_files(self, epoch: int, ext: str) -> list[str]:
+        return sorted(
+            glob.glob(os.path.join(self.input_dir, f"arrival={epoch}", f"*.{ext}"))
+        )
+
+    @staticmethod
+    def _read_tasks(files: list[str], block_bytes: int) -> int:
+        """Read tasks per epoch = min(files, bytes / block bytes, CPU
+        slots).  Each Ray Data task costs ~35 ms, so more tasks than
+        slots only queue (a fused read+count of 11 epochs at Ray
+        num_cpus=1 on a 1-vCPU host: 7.5 s at 16 tasks per epoch, 3.0 s
+        at 1); the default planner would split tiny epochs into
+        ctx.read_op_min_num_blocks (200) slivers.  More blocks than
+        files would insert a SplitBlocks op that breaks the
+        read->router fusion.  That fusion holds only while the router's
+        map_batches carries no task-level remote arg (retry or CPU
+        settings, ...) and no batch_size: otherwise decoded blocks
+        round-trip through the object store."""
+        total_bytes = sum(os.path.getsize(f) for f in files)
+        slots = int(ray.cluster_resources().get("CPU", 1))
+        return int(min(max(1, total_bytes // block_bytes), len(files), slots))
+
     def _epoch_dataset(self, epoch: int):
         import ray.data as rd
 
-        files = sorted(
-            glob.glob(os.path.join(self.input_dir, f"arrival={epoch}", "*.parquet"))
-        )
+        files = self._epoch_files(epoch, "parquet")
         if not files:
             return None
-        total_bytes = sum(os.path.getsize(f) for f in files)
-        # cap at len(files): never split past file count (fusion; BASELINE.md)
-        nblocks = min(max(1, total_bytes // (2 * 1024 * 1024)), len(files))
-        return rd.read_parquet(files, override_num_blocks=int(nblocks))
+        return rd.read_parquet(
+            files, override_num_blocks=self._read_tasks(files, 2 * 1024 * 1024)
+        )
 
     def prepare(self):
+        """Provision the state-actor pool and wait until every actor is
+        live (setup; excluded from throughput timing in bench)."""
         self._ensure_actors()
         ray.get([a.get_metrics.remote() for a in self.actors])
         return self
 
-    def _ingest_barrier(self, timeout_s: float = 600.0):
-        import time as _time
+    def _route_epoch(self, epoch: int, router) -> tuple[dict, pd.DataFrame | None]:
+        """Run ``router`` over epoch ``epoch`` (one row per batch), sum
+        its bookkeeping and route its partials to the actors; returns
+        the epoch's metrics and the router rows (None for an epoch
+        without files)."""
+        t0 = time.monotonic()
+        em = {c: 0 for c in self.book_sums}
+        em.update(max_ts_us=-1, ingest_calls=0, sec_pipeline=0.0, sec_barrier=0.0)
+        ds = self._epoch_dataset(epoch)
+        if ds is None:
+            return em, None
+        # zero_copy_batch: routers never mutate their input batch, so Ray
+        # must not copy its buffers.  No task-level remote args: the
+        # stage has no side effects, so Ray's default retries are safe.
+        kwargs = {"batch_format": "pyarrow", "zero_copy_batch": True}
+        if self.batch_size:
+            kwargs["batch_size"] = self.batch_size
+        book = ds.map_batches(router, **kwargs).to_pandas()
+        t_pipe = time.monotonic() - t0
+        if len(book):
+            for c in self.book_sums:
+                em[c] = int(book[c].sum())
+            if "max_ts_us" in book:
+                em["max_ts_us"] = int(book["max_ts_us"].max())
+            em["n_batches"] = int(len(book))
+            em["sec_route_sum"] = round(float(book["sec_route"].sum()), 3)
+            if "sec_fn" in book:
+                em["sec_fn_sum"] = round(float(book["sec_fn"].sum()), 3)
+        em["ingest_calls"] = self._ingest_barrier(book)
+        em["sec_pipeline"] = round(t_pipe, 3)
+        em["sec_barrier"] = round(time.monotonic() - t0 - t_pipe, 3)
+        return em, book
 
-        deadline = _time.monotonic() + timeout_s
-        while True:
-            done = sum(ray.get([a.ingest_count.remote() for a in self.actors]))
-            if done >= self._ingest_expected:
-                return
-            if _time.monotonic() > deadline:
-                raise TimeoutError(f"ingest barrier: {done}/{self._ingest_expected}")
-            _time.sleep(0.02)
+    def _ingest_barrier(self, book: pd.DataFrame) -> int:
+        """Route this epoch's partials (the router rows in ``book``) with
+        one ingest per partition and wait until every actor applied
+        them; an ingest error raises here.  Required before closing
+        windows for this epoch.  Returns the number of ingest calls."""
+        refs = route_partials(book, self.actors)
+        ray.get(refs)
+        return len(refs)
+
+    def _commit_closed(self, epoch: int, close: str, *args, sort_by=None) -> None:
+        """Call actor method ``close(*args)`` on every actor and commit
+        the non-empty results as epoch ``epoch`` (an empty table when
+        nothing closed).  ``sort_by`` may be a function of the table."""
+        tables = [
+            t for t in ray.get([getattr(a, close).remote(*args) for a in self.actors])
+            if t is not None and t.num_rows
+        ]
+        if not tables:
+            self.sink.commit(epoch, pa.table({}))
+            return
+        out = pa.concat_tables(tables, promote_options="default")
+        self.sink.commit(epoch, out, sort_by=sort_by(out) if callable(sort_by) else sort_by)
 
     # -- checkpoint / resume -------------------------------------------------
 
@@ -111,6 +202,8 @@ class EpochDriverBase:
     # -- main loop ------------------------------------------------------------
 
     def run(self, stop_after_epoch: int | None = None, resume: bool = False) -> dict:
+        """Process all arrival epochs (optionally stopping early to
+        simulate a crash); returns the final metrics dict."""
         epochs = self.arrival_epochs()
         if not epochs:
             raise FileNotFoundError(f"no arrival=* dirs under {self.input_dir}")
@@ -122,15 +215,34 @@ class EpochDriverBase:
                 start = ck + 1
         self._ensure_actors()
         for e in [x for x in epochs if x >= start]:
+            t0 = time.monotonic()
             self._run_epoch(e)
             self._checkpoint(e)
+            self.metrics[str(e)]["sec_total"] = round(time.monotonic() - t0, 3)
             if stop_after_epoch is not None and e >= stop_after_epoch:
                 return self._final_metrics()
+        t0 = time.monotonic()
         self._finalize_stream(epochs[-1] + 1)
+        self.tail_sec = round(time.monotonic() - t0, 3)
         return self._final_metrics()
+
+    def _finalize_stream(self, final_epoch: int):
+        """End of stream: close everything, then record the actors'
+        metrics."""
+        self._emit(final_epoch, END)
+        self._record_final(final_epoch)
+
+    def _record_final(self, final_epoch: int):
+        self.metrics["final"] = {
+            "epoch": final_epoch,
+            "state_metrics": ray.get([a.get_metrics.remote() for a in self.actors]),
+        }
 
     def _final_metrics(self) -> dict:
         return {"epochs": self.metrics, **self._driver_state()}
+
+    def result_table(self) -> pa.Table:
+        return self.sink.read_all()
 
     # -- subclass hooks --------------------------------------------------------
 
@@ -140,7 +252,7 @@ class EpochDriverBase:
     def _run_epoch(self, epoch: int):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def _finalize_stream(self, final_epoch: int):  # pragma: no cover - abstract
+    def _emit(self, epoch: int, watermark: int):  # pragma: no cover - abstract
         raise NotImplementedError
 
     def _driver_state(self) -> dict:

@@ -38,18 +38,21 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
-from raystat.dataops.asof import _key_u64
 from raystat.dataops.interval_join import interval_join_frames
-from raystat.streaming.epochs import EpochDriverBase
+from raystat.streaming.epochs import NEG, EpochDriverBase
 from raystat.streaming.sink import ExactlyOnceParquetSink
+from raystat.streaming.state import (
+    PendingIngest,
+    key_partition,
+    partial_row,
+    write_parquet_atomic,
+)
 
 __all__ = [
     "IntervalJoinConfig",
     "IntervalStreamDriver",
     "events_interval_fixture",
 ]
-
-_NEG = -(2**62)
 
 
 @dataclass
@@ -73,12 +76,14 @@ class IntervalJoinConfig:
 
 
 @ray.remote(num_cpus=0)
-class IntervalJoinPartition:
+class IntervalJoinPartition(PendingIngest):
     """Join state for one key-hash partition: buffered rows of BOTH
     sides on the unified tagged schema.  ``ingest`` only appends (O(1)
     hot path); the pair sweep happens once per epoch in
     ``emit_pairs`` as a single vectorized ``interval_join_frames``
     call over (newly-emittable lefts x all buffered rights)."""
+
+    rows_metric = "rows_in"
 
     def __init__(self, pid: int, by: str, on: str, right_cols: list[str],
                  before_us: int, after_us: int):
@@ -90,28 +95,10 @@ class IntervalJoinPartition:
         self.after_us = int(after_us)
         self.pending: list[pa.Table] = []
         self.state: pd.DataFrame | None = None  # unified schema + _side
-        self.error: str | None = None
         self.metrics = {
             "rows_in": 0, "ingests": 0, "pairs_emitted": 0,
             "left_buffered": 0, "right_buffered": 0, "right_retired": 0,
         }
-
-    def ingest_count(self) -> int:
-        if self.error is not None:
-            raise RuntimeError(f"interval partition {self.pid} ingest failed: {self.error}")
-        return self.metrics["ingests"]
-
-    def ingest(self, table: pa.Table) -> int:
-        try:
-            n = table.num_rows
-            if n:
-                self.pending.append(table)
-            self.metrics["rows_in"] += n
-        except Exception as e:
-            self.error = repr(e)
-            n = 0
-        self.metrics["ingests"] += 1
-        return n
 
     def _consolidate(self) -> None:
         if self.pending:
@@ -167,15 +154,12 @@ class IntervalJoinPartition:
         os.makedirs(ckpt_dir, exist_ok=True)
         self._consolidate()
         path = os.path.join(ckpt_dir, f"ivj-p{self.pid:04d}.parquet")
-        tmp = path + ".tmp"
         df = self.state if self.state is not None else pd.DataFrame()
-        pq.write_table(pa.Table.from_pandas(df, preserve_index=False), tmp)
-        os.replace(tmp, path)
+        write_parquet_atomic(pa.Table.from_pandas(df, preserve_index=False), path)
         return path
 
     def restore(self, ckpt_dir: str) -> int:
-        """Rebuild buffers from the snapshot WITHOUT touching metrics
-        (the ingest barrier counts calls since restart)."""
+        """Rebuild buffers from the snapshot (metrics start fresh)."""
         path = os.path.join(ckpt_dir, f"ivj-p{self.pid:04d}.parquet")
         self.pending = []
         self.state = None
@@ -190,15 +174,14 @@ class IntervalJoinPartition:
 
 
 class IntervalRouter:
-    """Fused late-drop + route stage: drops rows older than the
-    watermark in force at ingest, key-hash-routes the rest to their
-    owning partition actor (fire-and-forget; the driver barriers on
-    the actors' ingest counters), and emits one bookkeeping row per
-    batch for the driver's watermark and metrics."""
+    """Late-drop stage shared by the interval and as-of joins: drops
+    rows older than the watermark in force at ingest and returns the
+    rest as data (:func:`partial_row`), each row owned by its ``by``
+    key's hash partition, with the smallest event ts as batch key; the
+    driver routes them to the partition actors."""
 
     def __init__(self, actors: list, n_partitions: int, by: str, on: str,
                  watermark_us: int):
-        self.actors = actors
         self.P = n_partitions
         self.by = by
         self.on = on
@@ -207,46 +190,60 @@ class IntervalRouter:
     def __call__(self, batch: pa.Table) -> pa.Table:
         rows_in = batch.num_rows
         ts = batch[self.on].to_numpy(zero_copy_only=False).astype(np.int64)
-        max_ts = int(ts.max()) if rows_in else -1
         live = ts >= self.wm
         late = int(rows_in - live.sum())
-        calls = 0
+        tbl = part = None
         if live.any():
             tbl = batch.filter(pa.array(live)) if late else batch
-            k = tbl[self.by].to_numpy(zero_copy_only=False)
-            part = (_key_u64(k) % np.uint64(self.P)).astype(np.int64)
-            order = np.argsort(part, kind="stable")
-            tbl = tbl.take(pa.array(order))
-            sp = part[order]
-            bounds = np.flatnonzero(np.diff(sp)) + 1
-            starts = np.concatenate(([0], bounds))
-            ends = np.concatenate((bounds, [sp.size]))
-            for s, e in zip(starts, ends):
-                self.actors[int(sp[s])].ingest.remote(tbl.slice(int(s), int(e - s)))
-                calls += 1
-        return pa.table(
-            {
-                "max_ts_us": pa.array([max_ts], pa.int64()),
-                "late_dropped": pa.array([late], pa.int64()),
-                "rows_in": pa.array([rows_in], pa.int64()),
-                "ingest_calls": pa.array([calls], pa.int64()),
-            }
+            part = key_partition(tbl[self.by], self.P, self.by)
+        return partial_row(
+            tbl, part, int(ts.min()) if rows_in else -1,
+            max_ts_us=int(ts.max()) if rows_in else -1, late_dropped=late,
+            rows_in=rows_in,
         )
 
 
-class IntervalStreamDriver(EpochDriverBase):
-    """Epoch loop for the streaming interval join: read arrival=N →
-    route/ingest → barrier → advance watermark → emit complete pairs →
-    exactly-once commit → checkpoint.  Crash/resume replays the failed
-    epoch from the last checkpoint; committed epochs re-commit as
-    no-ops (same protocol as the aggregate driver).  Epoch/barrier/
-    checkpoint plumbing comes from EpochDriverBase."""
+class TaggedJoinDriver(EpochDriverBase):
+    """Epoch loop shared by the stream-stream joins over the unified
+    tagged schema: read arrival=N → late-drop (``IntervalRouter``) →
+    route + barrier → advance the microsecond watermark → ``_emit``
+    what became final → exactly-once commit → checkpoint.  Crash/resume
+    replays the failed epoch from the last checkpoint; committed epochs
+    re-commit as no-ops."""
+
+    def __init__(self, input_dir: str, out_dir: str, cfg, sink_name: str):
+        super().__init__(input_dir, out_dir, cfg.n_partitions, cfg.batch_size)
+        self.cfg = cfg
+        self.sink = ExactlyOnceParquetSink(out_dir, sink_name)
+        self.watermark_us = NEG
+
+    def _driver_state(self) -> dict:
+        return {"watermark_us": self.watermark_us,
+                "committed": self.sink.committed_epochs()}
+
+    def _load_driver_state(self, state: dict) -> None:
+        self.watermark_us = int(state["watermark_us"])
+
+    def _run_epoch(self, epoch: int):
+        c = self.cfg
+        router = IntervalRouter(self.actors, c.n_partitions, c.by, c.on, self.watermark_us)
+        em, _ = self._route_epoch(epoch, router)
+        if em["max_ts_us"] >= 0:
+            self.watermark_us = max(
+                self.watermark_us,
+                em["max_ts_us"] - int(c.allowed_lateness_s) * 1_000_000,
+            )
+        self._emit(epoch, self.watermark_us)
+        em["watermark_us"] = self.watermark_us
+        self.metrics[str(epoch)] = em
+
+
+class IntervalStreamDriver(TaggedJoinDriver):
+    """The streaming interval join: emits every (left, right) pair once
+    the watermark passes ``left.on + after``."""
 
     def __init__(self, input_dir: str, out_dir: str, cfg: IntervalJoinConfig | None = None):
-        super().__init__(input_dir, out_dir)
-        self.cfg = cfg or IntervalJoinConfig()
-        self.sink = ExactlyOnceParquetSink(out_dir, "pairs")
-        self.watermark_us = _NEG
+        super().__init__(input_dir, out_dir, cfg or IntervalJoinConfig(), "pairs")
 
     def _ensure_actors(self):
         if self.actors is None:
@@ -258,64 +255,11 @@ class IntervalStreamDriver(EpochDriverBase):
                 for p in range(c.n_partitions)
             ]
 
-    def _driver_state(self) -> dict:
-        return {"watermark_us": self.watermark_us,
-                "committed": self.sink.committed_epochs()}
-
-    def _load_driver_state(self, state: dict) -> None:
-        self.watermark_us = int(state["watermark_us"])
-
-    def _run_epoch(self, epoch: int):
-        ds = self._epoch_dataset(epoch)
-        em = {"rows_in": 0, "late_dropped": 0, "max_ts_us": -1}
-        if ds is not None:
-            router = IntervalRouter(
-                self.actors, self.cfg.n_partitions, self.cfg.by, self.cfg.on,
-                self.watermark_us,
-            )
-            kwargs = {"batch_format": "pyarrow", "max_retries": 0,
-                      "zero_copy_batch": True}
-            if self.cfg.batch_size:
-                kwargs["batch_size"] = self.cfg.batch_size
-            stats = ds.map_batches(router, **kwargs).to_pandas()
-            if len(stats):
-                em["rows_in"] = int(stats["rows_in"].sum())
-                em["late_dropped"] = int(stats["late_dropped"].sum())
-                em["max_ts_us"] = int(stats["max_ts_us"].max())
-                self._ingest_expected += int(stats["ingest_calls"].sum())
-            self._ingest_barrier()
-        if em["max_ts_us"] >= 0:
-            self.watermark_us = max(
-                self.watermark_us,
-                em["max_ts_us"] - self.cfg.allowed_lateness_s * 1_000_000,
-            )
-        self._emit(epoch, self.watermark_us)
-        em["watermark_us"] = self.watermark_us
-        self.metrics[str(epoch)] = em
-
     def _emit(self, epoch: int, watermark_us: int):
-        tables = [
-            t for t in ray.get(
-                [a.emit_pairs.remote(watermark_us) for a in self.actors]
-            )
-            if t.num_rows
-        ]
-        if tables:
-            out = pa.concat_tables(tables, promote_options="default")
-            sort_cols = [c for c in out.column_names if not c.startswith("_")]
-            self.sink.commit(epoch, out, sort_by=sort_cols)
-        else:
-            self.sink.commit(epoch, pa.table({}))
-
-    def _finalize_stream(self, final_epoch: int):
-        self._emit(final_epoch, 2**62)  # end of stream: everything closes
-        self.metrics["final"] = {
-            "epoch": final_epoch,
-            "state_metrics": ray.get([a.get_metrics.remote() for a in self.actors]),
-        }
-
-    def result_table(self) -> pa.Table:
-        return self.sink.read_all()
+        self._commit_closed(
+            epoch, "emit_pairs", watermark_us,
+            sort_by=lambda t: [c for c in t.column_names if not c.startswith("_")],
+        )
 
 
 # -- fixture ------------------------------------------------------------------

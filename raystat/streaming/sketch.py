@@ -8,20 +8,27 @@ reordered partials can never over-count, and the streamed estimate
 for a window is exactly the batch estimate over the same rows
 (identical registers), regardless of arrival order.
 
-Dataflow per epoch: one fused map_batches stage computes per-batch
-(key, window, registers) partials — a single flat ``np.maximum.at``
-scatter across all groups in the batch — and routes them to the
-owning state actor by key hash (4 KiB per (key, window, batch): the
-only cross-machine traffic; rows never shuffle).  Actors max-merge
-lazily at epoch end with one lexsort + ``np.maximum.reduceat`` over
-the stacked register matrix; windows close when the watermark passes
-``window_start + size`` and their estimates commit exactly-once.
+Dataflow per epoch: one map_batches stage, fused with the read,
+computes per-batch (key, window, registers) partials — a single flat
+``np.maximum.at`` scatter across all groups in the batch — and returns
+them as data; the driver then routes the epoch's partials to their
+owning state actors by key hash, one ingest per actor (4 KiB per
+(key, window, batch): the only cross-machine traffic; rows never
+shuffle).  Actors max-merge lazily at epoch end with one lexsort +
+``np.maximum.reduceat`` over the stacked register matrix; windows
+close when the watermark passes ``window_start + size`` and their
+estimates commit exactly-once.
 
 State per partition is O(open windows x keys) fixed-size registers —
 row-count independent, the property that makes this the scale path
 for distinct counts over unbounded streams where the exact
 local-dedup combiner (dataops/sketches.grouped_exact_distinct) would
 hold the whole distinct set.
+
+The KLL quantile, Misra-Gries heavy-hitter, Count-Min and bottom-k
+sample kinds below run the same way: every router is a
+``_WindowRouter`` or ``_SessionRouter`` and every driver a
+``_SketchDriver`` on the shared ``EpochDriverBase`` loop.
 """
 
 from __future__ import annotations
@@ -37,7 +44,6 @@ import pyarrow.parquet as pq
 import ray
 
 from raystat.aggregate import encode_key
-from raystat.dataops.asof import _key_u64
 from raystat.dataops.kll import KLL
 from raystat.dataops.pairs import splitmix64
 from raystat.dataops.sketches import (
@@ -50,19 +56,23 @@ from raystat.dataops.sketches import (
     hll_estimate,
     mg_merge,
 )
-from raystat.streaming.epochs import EpochDriverBase
+from raystat.streaming.epochs import END, NEG, EpochDriverBase
 from raystat.streaming.sink import ExactlyOnceParquetSink
+from raystat.streaming.state import (
+    PendingIngest,
+    key_partition,
+    partial_row,
+    write_parquet_atomic,
+)
 
 __all__ = [
     "HllStreamDriver", "MgStreamDriver", "KllStreamDriver",
     "CmsStreamDriver", "BottomKStreamDriver", "events_stream_fixture",
 ]
 
-_NEG = -(2**62)
-
 
 @ray.remote(num_cpus=0)
-class HllStatePartition:
+class HllStatePartition(PendingIngest):
     """Register state for one key-hash partition: (key, window_start_s)
     -> one M-byte register row.  ``ingest`` appends; the max-merge
     happens lazily at epoch end as ONE lexsort + reduceat over the
@@ -74,25 +84,7 @@ class HllStatePartition:
         self.pending: list[pa.Table] = []
         self.keys: pd.DataFrame | None = None  # (key, window_start_s)
         self.regs: np.ndarray | None = None  # (n_groups, M) uint8
-        self.error: str | None = None
         self.metrics = {"partial_rows_in": 0, "ingests": 0, "windows_closed": 0}
-
-    def ingest_count(self) -> int:
-        if self.error is not None:
-            raise RuntimeError(f"hll partition {self.pid} ingest failed: {self.error}")
-        return self.metrics["ingests"]
-
-    def ingest(self, table: pa.Table) -> int:
-        try:
-            n = table.num_rows
-            if n:
-                self.pending.append(table)
-            self.metrics["partial_rows_in"] += n
-        except Exception as e:
-            self.error = repr(e)
-            n = 0
-        self.metrics["ingests"] += 1
-        return n
 
     def _consolidate(self) -> None:
         if not self.pending:
@@ -152,7 +144,6 @@ class HllStatePartition:
         os.makedirs(ckpt_dir, exist_ok=True)
         self._consolidate()
         path = os.path.join(ckpt_dir, f"hll-p{self.pid:04d}.parquet")
-        tmp = path + ".tmp"
         if self.keys is None or not len(self.keys):
             t = pa.table(
                 {"key": pa.array([], pa.string()),
@@ -171,8 +162,7 @@ class HllStatePartition:
                     ),
                 }
             )
-        pq.write_table(t, tmp)
-        os.replace(tmp, path)
+        write_parquet_atomic(t, path)
         return path
 
     def restore(self, ckpt_dir: str) -> int:
@@ -212,92 +202,140 @@ def _covering_windows(ts_s: np.ndarray, size_s: int, hop_s: int, wm: int):
     return row_of[live], win[live], late
 
 
-class HllRouter:
-    """Fused partial+route stage: per-batch per-(key, window) HLL
-    register partials via ONE flat scatter-max across all groups, then
-    key-hash routing (fire-and-forget) and a bookkeeping row."""
+class _KeyedRouter:
+    """Frame shared by the sketch routers: reads event time from
+    ``ts_col``, builds the subclass's per-batch partial
+    (``_partial(batch, ts_us) -> (table keyed by "key" or None, late
+    rows)``) and returns it as data (:func:`partial_row`), each row
+    owned by its key's hash partition, with the smallest event ts as
+    batch key.  Routers make no actor calls: the driver routes the
+    epoch's partials after the stage, so Ray may retry the stage and
+    fuse it with the read.  ``actors`` stays the first constructor
+    argument that every streaming router shares."""
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        ts_us = batch[self.ts_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        tbl, late = self._partial(batch, ts_us)
+        part = None if tbl is None else key_partition(tbl["key"], self.P)
+        n = batch.num_rows
+        return partial_row(
+            tbl, part, int(ts_us.min()) if n else -1,
+            max_ts_us=int(ts_us.max()) if n else -1, late_dropped=late, rows_in=n,
+        )
+
+
+class _WindowRouter(_KeyedRouter):
+    """Tumbling/hopping frame: expands each row to its covering windows
+    minus the closed ones (late drop) and hands the subclass's
+    ``_groups`` one group id per (row, window) — key-dictionary code x
+    window code, all in C (Arrow dictionary_encode + np.unique; the
+    pandas MultiIndex factorize this replaces costs ~1.8 s/M rows) —
+    the rows' values, and ``key_win`` mapping group ids back to
+    (key, window_start_s)."""
 
     def __init__(self, actors: list, n_partitions: int, key: str, value: str,
                  ts_col: str, window_size_s: int, hop_s: int, watermark_s: int):
-        self.actors = actors
         self.P = n_partitions
-        self.key = key
-        self.value = value
-        self.ts_col = ts_col
-        self.size_s = int(window_size_s)
-        self.hop_s = int(hop_s)
+        self.key, self.value, self.ts_col = key, value, ts_col
+        self.size_s, self.hop_s = int(window_size_s), int(hop_s)
         self.wm = int(watermark_s)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows_in = batch.num_rows
-        ts_s = (
-            batch[self.ts_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            // 1_000_000
+    def _partial(self, batch: pa.Table, ts_us: np.ndarray):
+        row_of, win, late = _covering_windows(
+            ts_us // 1_000_000, self.size_s, self.hop_s, self.wm
         )
-        max_ts = int(ts_s.max()) * 1_000_000 if rows_in else -1
-        row_of, win, late = _covering_windows(ts_s, self.size_s, self.hop_s, self.wm)
-        calls = 0
-        if row_of.size:
-            # group id = key-dict code x window code, all in C (Arrow
-            # dictionary_encode + np.unique — the pandas MultiIndex
-            # factorize this replaces costs ~1.8 s/M rows)
-            kcode, kvocab = encode_key(batch[self.key].take(pa.array(row_of)), self.key)
-            kdict = kvocab.to_numpy(zero_copy_only=False)
-            vals = batch[self.value].to_numpy(zero_copy_only=False)[row_of]
-            wu, wcode = np.unique(win, return_inverse=True)
-            ucomp, codes = np.unique(kcode * len(wu) + wcode, return_inverse=True)
-            regs = np.zeros(len(ucomp) * _M, dtype=np.uint8)
-            idx, rho = _rho_and_idx(vals)
-            np.maximum.at(regs, codes.astype(np.int64) * _M + idx, rho)
-            gk = kdict[ucomp // len(wu)]
-            gw = wu[ucomp % len(wu)].astype(np.int64)
-            part = (_key_u64(gk) % np.uint64(self.P)).astype(np.int64)
-            order = np.argsort(part, kind="stable")
-            tbl = pa.table(
-                {
-                    "key": pa.array(gk[order].tolist(), pa.string()),
-                    "window_start_s": pa.array(gw[order], pa.int64()),
-                    "regs": pa.array(
-                        [
-                            regs[i * _M : (i + 1) * _M].tobytes()
-                            for i in order
-                        ],
-                        pa.binary(),
-                    ),
-                }
-            )
-            sp = part[order]
-            bounds = np.flatnonzero(np.diff(sp)) + 1
-            starts = np.concatenate(([0], bounds))
-            ends = np.concatenate((bounds, [sp.size]))
-            for s, e in zip(starts, ends):
-                self.actors[int(sp[s])].ingest.remote(tbl.slice(int(s), int(e - s)))
-                calls += 1
-        return pa.table(
-            {
-                "max_ts_us": pa.array([max_ts], pa.int64()),
-                "late_dropped": pa.array([late], pa.int64()),
-                "rows_in": pa.array([rows_in], pa.int64()),
-                "ingest_calls": pa.array([calls], pa.int64()),
-            }
-        )
+        if not row_of.size:
+            return None, late
+        kcode, kvocab = encode_key(batch[self.key].take(pa.array(row_of)), self.key)
+        kdict = kvocab.to_numpy(zero_copy_only=False)
+        wu, wcode = np.unique(win, return_inverse=True)
+        vals = batch[self.value].to_numpy(zero_copy_only=False)[row_of]
+
+        def key_win(g: np.ndarray):
+            return kdict[g // len(wu)], wu[g % len(wu)].astype(np.int64)
+
+        return self._groups(kcode * len(wu) + wcode, vals, key_win), late
 
 
-class HllStreamDriver(EpochDriverBase):
-    """Epoch loop for streaming windowed approximate distinct counts:
-    read arrival=N → partial registers + route → barrier → advance
-    watermark → close ripe windows → exactly-once commit → checkpoint."""
+class _SessionRouter(_KeyedRouter):
+    """Session frame: drops late rows (microsecond-granular, ts_us >
+    wm_us: an admissible event could only extend a session that is
+    still open), sorts by (key, ts) and splits each key's run where the
+    gap exceeds ``gap_s`` into session FRAGMENTS.  The subclass's
+    ``_fragments`` gets each sorted row's fragment id, the fragment
+    starts, the sorted values and the fragments' key/start/end
+    columns."""
 
-    def __init__(self, input_dir: str, out_dir: str, *, key: str = "event_type",
-                 value: str = "user_id", ts_col: str = "ts_us",
+    def __init__(self, actors: list, n_partitions: int, key: str, value: str,
+                 ts_col: str, gap_s: int, watermark_s: int):
+        self.P = n_partitions
+        self.key, self.value, self.ts_col = key, value, ts_col
+        self.gap_us = int(gap_s) * 1_000_000
+        self.wm_us = int(max(min(watermark_s * 1_000_000, END), NEG))
+
+    def _partial(self, batch: pa.Table, ts_us: np.ndarray):
+        idx = np.flatnonzero(ts_us > self.wm_us)
+        late = int(batch.num_rows - idx.size)
+        if not idx.size:
+            return None, late
+        codes, kvocab = encode_key(batch[self.key].take(pa.array(idx)), self.key)
+        tv = ts_us[idx]
+        order = np.lexsort((tv, codes))
+        c_s, t_s = codes[order], tv[order]
+        brk = np.ones(c_s.size, dtype=bool)
+        brk[1:] = (c_s[1:] != c_s[:-1]) | ((t_s[1:] - t_s[:-1]) > self.gap_us)
+        starts = np.flatnonzero(brk)
+        ends = np.append(starts[1:], c_s.size) - 1
+        frags = {
+            "key": kvocab.to_numpy(zero_copy_only=False)[c_s[starts]],
+            "session_start_us": t_s[starts],
+            "session_end_us": t_s[ends],
+        }
+        vals = batch[self.value].to_numpy(zero_copy_only=False)[idx][order]
+        return self._fragments(np.cumsum(brk) - 1, starts, vals, frags), late
+
+
+def _frag_columns(frags: dict, sel=slice(None)) -> dict:
+    """The fragments' (key, session_start_us, session_end_us) columns,
+    gathered by ``sel``."""
+    return {
+        "key": pa.array(frags["key"][sel].tolist(), pa.string()),
+        "session_start_us": pa.array(frags["session_start_us"][sel], pa.int64()),
+        "session_end_us": pa.array(frags["session_end_us"][sel], pa.int64()),
+    }
+
+
+class _SketchDriver(EpochDriverBase):
+    """Constructor and epoch shared by the keyed sketch drivers: read
+    arrival=N → per-batch partials (the kind's router) → route +
+    barrier → advance the watermark → close ripe windows →
+    exactly-once commit → checkpoint.  Common keyword arguments:
+    ``key="event_type"``, ``ts_col="ts_us"``, ``window_size_s=86400``,
+    ``hop_s`` (None: tumbling), ``session_gap_s`` (SESSION windows;
+    exclusive with ``hop_s``), ``allowed_lateness_s=3600``,
+    ``n_partitions=8``, ``batch_size``.
+
+    A kind names its (window, session) routers — looked up in this
+    module when each epoch runs, so callers may swap them — and actor
+    classes, plus the extra arguments its actors, routers and
+    ``close_windows`` take."""
+
+    routers: tuple = ()  # (window router name, session router name)
+    partitions: tuple = ()  # (window actor class, session actor class)
+    sort_extra: tuple = ()  # output sort columns after key and start
+    # extra trailing arguments of the actors, routers and close_windows
+    state_args: tuple = ()
+    router_args: tuple = ()
+    close_args: tuple = ()
+
+    def __init__(self, input_dir: str, out_dir: str, sink_name: str, *,
+                 value: str, key: str = "event_type", ts_col: str = "ts_us",
                  window_size_s: int = 86400, hop_s: int | None = None,
                  session_gap_s: int | None = None,
-                 allowed_lateness_s: int = 3600,
-                 n_partitions: int = 8, batch_size: int | None = None):
-        super().__init__(input_dir, out_dir)
-        self.key = key
-        self.value = value
-        self.ts_col = ts_col
+                 allowed_lateness_s: int = 3600, n_partitions: int = 8,
+                 batch_size: int | None = None):
+        super().__init__(input_dir, out_dir, n_partitions, batch_size)
+        self.key, self.value, self.ts_col = key, value, ts_col
         self.session_gap_s = (
             int(session_gap_s) if session_gap_s is not None else None
         )
@@ -308,23 +346,22 @@ class HllStreamDriver(EpochDriverBase):
         if self.size_s % self.hop_s:
             raise ValueError("window_size_s must be a multiple of hop_s")
         self.lateness_s = int(allowed_lateness_s)
-        self.n_partitions = n_partitions
-        self.batch_size = batch_size
-        self.sink = ExactlyOnceParquetSink(out_dir, "distinct")
-        self.watermark_s = _NEG
+        self.sink = ExactlyOnceParquetSink(out_dir, sink_name)
+        self.watermark_s = NEG
+
+    def _span(self) -> tuple:
+        """The window arguments of this driver's actors and routers."""
+        if self.session_gap_s is not None:
+            return (self.session_gap_s,)
+        return (self.size_s, self.hop_s)
 
     def _ensure_actors(self):
         if self.actors is None:
-            if self.session_gap_s is not None:
-                self.actors = [
-                    HllSessionStatePartition.remote(p, self.session_gap_s)
-                    for p in range(self.n_partitions)
-                ]
-            else:
-                self.actors = [
-                    HllStatePartition.remote(p, self.size_s)
-                    for p in range(self.n_partitions)
-                ]
+            cls = self.partitions[self.session_gap_s is not None]
+            self.actors = [
+                cls.remote(p, self._span()[0], *self.state_args)
+                for p in range(self.n_partitions)
+            ]
 
     def _driver_state(self) -> dict:
         return {"watermark_s": self.watermark_s,
@@ -334,30 +371,11 @@ class HllStreamDriver(EpochDriverBase):
         self.watermark_s = int(state["watermark_s"])
 
     def _run_epoch(self, epoch: int):
-        ds = self._epoch_dataset(epoch)
-        em = {"rows_in": 0, "late_dropped": 0, "max_ts_us": -1}
-        if ds is not None:
-            if self.session_gap_s is not None:
-                router = HllSessionRouter(
-                    self.actors, self.n_partitions, self.key, self.value,
-                    self.ts_col, self.session_gap_s, self.watermark_s,
-                )
-            else:
-                router = HllRouter(
-                    self.actors, self.n_partitions, self.key, self.value,
-                    self.ts_col, self.size_s, self.hop_s, self.watermark_s,
-                )
-            kwargs = {"batch_format": "pyarrow", "max_retries": 0,
-                      "zero_copy_batch": True}
-            if self.batch_size:
-                kwargs["batch_size"] = self.batch_size
-            stats = ds.map_batches(router, **kwargs).to_pandas()
-            if len(stats):
-                em["rows_in"] = int(stats["rows_in"].sum())
-                em["late_dropped"] = int(stats["late_dropped"].sum())
-                em["max_ts_us"] = int(stats["max_ts_us"].max())
-                self._ingest_expected += int(stats["ingest_calls"].sum())
-            self._ingest_barrier()
+        router = globals()[self.routers[self.session_gap_s is not None]](
+            self.actors, self.n_partitions, self.key, self.value, self.ts_col,
+            *self._span(), self.watermark_s, *self.router_args,
+        )
+        em, _ = self._route_epoch(epoch, router)
         if em["max_ts_us"] >= 0:
             self.watermark_s = max(
                 self.watermark_s, em["max_ts_us"] // 1_000_000 - self.lateness_s
@@ -367,39 +385,40 @@ class HllStreamDriver(EpochDriverBase):
         self.metrics[str(epoch)] = em
 
     def _emit(self, epoch: int, watermark_s: int):
-        tables = [
-            t for t in ray.get(
-                [a.close_windows.remote(watermark_s) for a in self.actors]
-            )
-            if t.num_rows
-        ]
-        sort_by = (
-            ["key", "session_start_us"]
-            if self.session_gap_s is not None
-            else ["key", "window_start_s"]
+        start = "window_start_s" if self.session_gap_s is None else "session_start_us"
+        self._commit_closed(
+            epoch, "close_windows", watermark_s, *self.close_args,
+            sort_by=["key", start, *self.sort_extra],
         )
-        if tables:
-            out = pa.concat_tables(tables)
-            self.sink.commit(epoch, out, sort_by=sort_by)
-        else:
-            self.sink.commit(epoch, pa.table({}))
 
-    def _finalize_stream(self, final_epoch: int):
-        self._emit(final_epoch, 2**62)
-        self.metrics["final"] = {
-            "epoch": final_epoch,
-            "state_metrics": ray.get([a.get_metrics.remote() for a in self.actors]),
-        }
 
-    def result_table(self) -> pa.Table:
-        return self.sink.read_all()
+class HllRouter(_WindowRouter):
+    """Per-batch per-(key, window) HLL register partials via ONE flat
+    scatter-max across all groups (4 KiB per (key, window, batch))."""
+
+    def _groups(self, gid, vals, key_win) -> pa.Table:
+        ucomp, codes = np.unique(gid, return_inverse=True)
+        regs = np.zeros(len(ucomp) * _M, dtype=np.uint8)
+        idx, rho = _rho_and_idx(vals)
+        np.maximum.at(regs, codes.astype(np.int64) * _M + idx, rho)
+        gk, gw = key_win(ucomp)
+        return pa.table(
+            {
+                "key": pa.array(gk.tolist(), pa.string()),
+                "window_start_s": pa.array(gw, pa.int64()),
+                "regs": pa.array(
+                    [regs[i * _M : (i + 1) * _M].tobytes() for i in range(len(ucomp))],
+                    pa.binary(),
+                ),
+            }
+        )
 
 
 # -- HLL session windows -------------------------------------------------------
 
 
 @ray.remote(num_cpus=0)
-class HllSessionStatePartition:
+class HllSessionStatePartition(PendingIngest):
     """SESSION-window HLL register state for one key-hash partition:
     open session fragments ``(key, session_start_us, session_end_us)``
     -> one M-byte register row.  ksqlDB's SESSION contract is why
@@ -417,27 +436,7 @@ class HllSessionStatePartition:
         self.pending: list[pa.Table] = []
         self.keys: pd.DataFrame | None = None  # key, start_us, end_us
         self.regs: np.ndarray | None = None  # (n_sessions, M) uint8
-        self.error: str | None = None
         self.metrics = {"partial_rows_in": 0, "ingests": 0, "sessions_closed": 0}
-
-    def ingest_count(self) -> int:
-        if self.error is not None:
-            raise RuntimeError(
-                f"hll-session partition {self.pid} ingest failed: {self.error}"
-            )
-        return self.metrics["ingests"]
-
-    def ingest(self, table: pa.Table) -> int:
-        try:
-            n = table.num_rows
-            if n:
-                self.pending.append(table)
-            self.metrics["partial_rows_in"] += n
-        except Exception as e:
-            self.error = repr(e)
-            n = 0
-        self.metrics["ingests"] += 1
-        return n
 
     def _consolidate(self) -> None:
         if not self.pending:
@@ -518,7 +517,6 @@ class HllSessionStatePartition:
         os.makedirs(ckpt_dir, exist_ok=True)
         self._consolidate()
         path = os.path.join(ckpt_dir, f"hllsess-p{self.pid:04d}.parquet")
-        tmp = path + ".tmp"
         if self.keys is None or not len(self.keys):
             t = pa.table(
                 {"key": pa.array([], pa.string()),
@@ -541,13 +539,11 @@ class HllSessionStatePartition:
                     ),
                 }
             )
-        pq.write_table(t, tmp)
-        os.replace(tmp, path)
+        write_parquet_atomic(t, path)
         return path
 
     def restore(self, ckpt_dir: str) -> int:
-        """Rebuild state from the snapshot WITHOUT touching metrics
-        (the ingest barrier counts calls since restart)."""
+        """Rebuild state from the snapshot (metrics start fresh)."""
         path = os.path.join(ckpt_dir, f"hllsess-p{self.pid:04d}.parquet")
         self.pending = []
         self.keys = None
@@ -569,81 +565,29 @@ class HllSessionStatePartition:
         return t.num_rows
 
 
-class HllSessionRouter:
-    """Fused partial+route stage for session windows: within-batch
-    session FRAGMENTS per key (sort by (key, ts), split runs at gap —
-    the moment path's lexsort/segment machinery) with one flat
-    scatter-max register partial per fragment, then key-hash routing.
-    Late drop is microsecond-granular (ts_us > wm_us): an admissible
-    event could only extend a session that is still open."""
+class HllSessionRouter(_SessionRouter):
+    """Session-window register partials: one flat scatter-max register
+    partial per within-batch session fragment."""
 
-    def __init__(self, actors: list, n_partitions: int, key: str, value: str,
-                 ts_col: str, gap_s: int, watermark_s: int):
-        self.actors = actors
-        self.P = n_partitions
-        self.key = key
-        self.value = value
-        self.ts_col = ts_col
-        self.gap_us = int(gap_s) * 1_000_000
-        self.wm_us = int(max(min(watermark_s * 1_000_000, 2**62), -(2**62)))
+    def _fragments(self, seg, starts, vals, frags) -> pa.Table:
+        regs = np.zeros(starts.size * _M, dtype=np.uint8)
+        ridx, rho = _rho_and_idx(vals)
+        np.maximum.at(regs, seg * _M + ridx, rho)
+        blobs = [regs[i * _M : (i + 1) * _M].tobytes() for i in range(starts.size)]
+        return pa.table({**_frag_columns(frags), "regs": pa.array(blobs, pa.binary())})
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows_in = batch.num_rows
-        ts_us = batch[self.ts_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        max_ts = int(ts_us.max()) if rows_in else -1
-        live = ts_us > self.wm_us
-        late = int(rows_in - live.sum())
-        calls = 0
-        idx = np.flatnonzero(live)
-        if idx.size:
-            keys = batch[self.key].to_numpy(zero_copy_only=False)[idx]
-            vals = batch[self.value].to_numpy(zero_copy_only=False)[idx]
-            tv = ts_us[idx]
-            codes, uniq_keys = pd.factorize(keys, sort=False)
-            order = np.lexsort((tv, codes))
-            c_s, t_s = codes[order], tv[order]
-            n = c_s.size
-            brk = np.ones(n, dtype=bool)
-            brk[1:] = (c_s[1:] != c_s[:-1]) | ((t_s[1:] - t_s[:-1]) > self.gap_us)
-            starts = np.flatnonzero(brk)
-            seg = np.cumsum(brk) - 1
-            nseg = starts.size
-            regs = np.zeros(nseg * _M, dtype=np.uint8)
-            ridx, rho = _rho_and_idx(vals[order])
-            np.maximum.at(regs, seg * _M + ridx, rho)
-            ends = np.append(starts[1:], n) - 1
-            gk = np.asarray(uniq_keys)[c_s[starts]]
-            part = (_key_u64(gk) % np.uint64(self.P)).astype(np.int64)
-            po = np.argsort(part, kind="stable")
-            tbl = pa.table(
-                {
-                    "key": pa.array(gk[po].tolist(), pa.string()),
-                    "session_start_us": pa.array(t_s[starts][po], pa.int64()),
-                    "session_end_us": pa.array(t_s[ends][po], pa.int64()),
-                    "regs": pa.array(
-                        [
-                            regs[i * _M : (i + 1) * _M].tobytes()
-                            for i in po
-                        ],
-                        pa.binary(),
-                    ),
-                }
-            )
-            sp = part[po]
-            bounds = np.flatnonzero(np.diff(sp)) + 1
-            s_idx = np.concatenate(([0], bounds))
-            e_idx = np.concatenate((bounds, [sp.size]))
-            for s, e in zip(s_idx, e_idx):
-                self.actors[int(sp[s])].ingest.remote(tbl.slice(int(s), int(e - s)))
-                calls += 1
-        return pa.table(
-            {
-                "max_ts_us": pa.array([max_ts], pa.int64()),
-                "late_dropped": pa.array([late], pa.int64()),
-                "rows_in": pa.array([rows_in], pa.int64()),
-                "ingest_calls": pa.array([calls], pa.int64()),
-            }
-        )
+
+class HllStreamDriver(_SketchDriver):
+    """Epoch loop for streaming windowed approximate distinct counts of
+    ``value`` per ``key``: register partials → max-merge state →
+    estimates when the watermark closes a window (tumbling, hopping or
+    session)."""
+
+    routers = ("HllRouter", "HllSessionRouter")
+    partitions = (HllStatePartition, HllSessionStatePartition)
+
+    def __init__(self, input_dir: str, out_dir: str, *, value: str = "user_id", **kw):
+        super().__init__(input_dir, out_dir, "distinct", value=value, **kw)
 
 
 # -- fixture ------------------------------------------------------------------
@@ -712,7 +656,7 @@ def events_stream_fixture(
 
 
 @ray.remote(num_cpus=0)
-class KllStatePartition:
+class KllStatePartition(PendingIngest):
     """Quantile-sketch state for one key-hash partition: per
     (key, window_start_s) one deterministic KLL sketch.  KLL merge is
     mass-conserving but NOT order-commutative (the compaction schedule
@@ -729,25 +673,7 @@ class KllStatePartition:
         self.k = int(k)
         self.pending: list[pa.Table] = []
         self.state: dict[tuple, KLL] = {}
-        self.error: str | None = None
         self.metrics = {"partial_rows_in": 0, "ingests": 0, "windows_closed": 0}
-
-    def ingest_count(self) -> int:
-        if self.error is not None:
-            raise RuntimeError(f"kll partition {self.pid} ingest failed: {self.error}")
-        return self.metrics["ingests"]
-
-    def ingest(self, table: pa.Table) -> int:
-        try:
-            n = table.num_rows
-            if n:
-                self.pending.append(table)
-            self.metrics["partial_rows_in"] += n
-        except Exception as e:
-            self.error = repr(e)
-            n = 0
-        self.metrics["ingests"] += 1
-        return n
 
     def _consolidate(self) -> None:
         if not self.pending:
@@ -809,9 +735,7 @@ class KllStatePartition:
                 ),
             }
         )
-        tmp = path + ".tmp"
-        pq.write_table(t, tmp)
-        os.replace(tmp, path)
+        write_parquet_atomic(t, path)
         return path
 
     def restore(self, ckpt_dir: str) -> int:
@@ -830,212 +754,43 @@ class KllStatePartition:
         return t.num_rows
 
 
-class KllRouter:
-    """Fused partial+route stage: per-batch per-(key, window) KLL
-    partial sketches (one blob per group — O(k log(rows/k)) bytes on
-    the wire regardless of batch size), then key-hash routing."""
+class KllRouter(_WindowRouter):
+    """Per-batch per-(key, window) KLL partial sketches (one blob per
+    group — O(k log(rows/k)) bytes on the wire regardless of batch
+    size).  Group RENUMBERING only — each group still sees the same
+    values in the same stable order, so blobs are bit-identical."""
 
     def __init__(self, actors: list, n_partitions: int, key: str, value: str,
                  ts_col: str, window_size_s: int, hop_s: int, watermark_s: int,
                  k: int):
-        self.actors = actors
-        self.P = n_partitions
-        self.key = key
-        self.value = value
-        self.ts_col = ts_col
-        self.size_s = int(window_size_s)
-        self.hop_s = int(hop_s)
-        self.wm = int(watermark_s)
+        super().__init__(actors, n_partitions, key, value, ts_col, window_size_s,
+                         hop_s, watermark_s)
         self.k = int(k)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows_in = batch.num_rows
-        ts_s = (
-            batch[self.ts_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            // 1_000_000
-        )
-        max_ts = int(ts_s.max()) * 1_000_000 if rows_in else -1
-        row_of, win, late = _covering_windows(ts_s, self.size_s, self.hop_s, self.wm)
-        calls = 0
-        if row_of.size:
-            # key-dict x window composite group id (C-vectorized; the
-            # pandas MultiIndex factorize costs ~1.8 s/M rows).  Group
-            # RENUMBERING only — each group still sees the same values
-            # in the same stable order, so blobs are bit-identical.
-            kcode, kvocab = encode_key(batch[self.key].take(pa.array(row_of)), self.key)
-            kdict = kvocab.to_numpy(zero_copy_only=False)
-            vals = (
-                batch[self.value]
-                .to_numpy(zero_copy_only=False)
-                .astype(np.float64)[row_of]
-            )
-            wu, wcode = np.unique(win, return_inverse=True)
-            ucomp, codes = np.unique(kcode * len(wu) + wcode, return_inverse=True)
-            order = np.argsort(codes, kind="stable")
-            starts_g = np.flatnonzero(np.diff(codes[order], prepend=-1))
-            ends_g = np.append(starts_g[1:], order.size)
-            sv = vals[order]
-            blobs = [
-                KLL(self.k).add(sv[s:e]).to_bytes()
-                for s, e in zip(starts_g, ends_g)
-            ]
-            gk = kdict[ucomp // len(wu)]
-            gw = wu[ucomp % len(wu)].astype(np.int64)
-            part = (_key_u64(gk) % np.uint64(self.P)).astype(np.int64)
-            po = np.argsort(part, kind="stable")
-            tbl = pa.table(
-                {
-                    "key": pa.array(gk[po].tolist(), pa.string()),
-                    "window_start_s": pa.array(gw[po], pa.int64()),
-                    "sk": pa.array([blobs[i] for i in po], pa.binary()),
-                }
-            )
-            sp = part[po]
-            bounds = np.flatnonzero(np.diff(sp)) + 1
-            starts = np.concatenate(([0], bounds))
-            ends = np.concatenate((bounds, [sp.size]))
-            for s, e in zip(starts, ends):
-                self.actors[int(sp[s])].ingest.remote(tbl.slice(int(s), int(e - s)))
-                calls += 1
+    def _groups(self, gid, vals, key_win) -> pa.Table:
+        ucomp, codes = np.unique(gid, return_inverse=True)
+        order = np.argsort(codes, kind="stable")
+        starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
+        ends = np.append(starts[1:], order.size)
+        sv = vals.astype(np.float64)[order]
+        gk, gw = key_win(ucomp)
         return pa.table(
             {
-                "max_ts_us": pa.array([max_ts], pa.int64()),
-                "late_dropped": pa.array([late], pa.int64()),
-                "rows_in": pa.array([rows_in], pa.int64()),
-                "ingest_calls": pa.array([calls], pa.int64()),
+                "key": pa.array(gk.tolist(), pa.string()),
+                "window_start_s": pa.array(gw, pa.int64()),
+                "sk": pa.array(
+                    [KLL(self.k).add(sv[s:e]).to_bytes() for s, e in zip(starts, ends)],
+                    pa.binary(),
+                ),
             }
         )
-
-
-class KllStreamDriver(EpochDriverBase):
-    """Epoch loop for streaming windowed approximate quantiles of a
-    CONTINUOUS column — the sixth stateful stream kind.  Per-(key,
-    window) KLL sketches hold O(k log(n/k)) state regardless of row
-    count (the property an exact windowed histogram loses on unbounded
-    value domains); windows close when the watermark passes their end
-    and their quantile estimates commit exactly-once."""
-
-    def __init__(self, input_dir: str, out_dir: str, *, key: str = "event_type",
-                 value: str = "value", ts_col: str = "ts_us",
-                 window_size_s: int = 86400, hop_s: int | None = None,
-                 session_gap_s: int | None = None,
-                 allowed_lateness_s: int = 3600,
-                 qs: tuple = (0.5, 0.9), names: tuple = ("p50", "p90"),
-                 k: int = 200,
-                 n_partitions: int = 8, batch_size: int | None = None):
-        super().__init__(input_dir, out_dir)
-        self.key = key
-        self.value = value
-        self.ts_col = ts_col
-        self.session_gap_s = (
-            int(session_gap_s) if session_gap_s is not None else None
-        )
-        if self.session_gap_s is not None and hop_s is not None:
-            raise ValueError("session_gap_s and hop_s are mutually exclusive")
-        self.size_s = int(window_size_s)
-        self.hop_s = int(hop_s) if hop_s is not None else self.size_s
-        if self.size_s % self.hop_s:
-            raise ValueError("window_size_s must be a multiple of hop_s")
-        self.lateness_s = int(allowed_lateness_s)
-        self.qs = tuple(qs)
-        self.names = tuple(names)
-        self.k = int(k)
-        self.n_partitions = n_partitions
-        self.batch_size = batch_size
-        self.sink = ExactlyOnceParquetSink(out_dir, "quantiles")
-        self.watermark_s = _NEG
-
-    def _ensure_actors(self):
-        if self.actors is None:
-            if self.session_gap_s is not None:
-                self.actors = [
-                    KllSessionStatePartition.remote(p, self.session_gap_s, self.k)
-                    for p in range(self.n_partitions)
-                ]
-            else:
-                self.actors = [
-                    KllStatePartition.remote(p, self.size_s, self.k)
-                    for p in range(self.n_partitions)
-                ]
-
-    def _driver_state(self) -> dict:
-        return {"watermark_s": self.watermark_s,
-                "committed": self.sink.committed_epochs()}
-
-    def _load_driver_state(self, state: dict) -> None:
-        self.watermark_s = int(state["watermark_s"])
-
-    def _run_epoch(self, epoch: int):
-        ds = self._epoch_dataset(epoch)
-        em = {"rows_in": 0, "late_dropped": 0, "max_ts_us": -1}
-        if ds is not None:
-            if self.session_gap_s is not None:
-                router = KllSessionRouter(
-                    self.actors, self.n_partitions, self.key, self.value,
-                    self.ts_col, self.session_gap_s, self.watermark_s, self.k,
-                )
-            else:
-                router = KllRouter(
-                    self.actors, self.n_partitions, self.key, self.value,
-                    self.ts_col, self.size_s, self.hop_s, self.watermark_s,
-                    self.k,
-                )
-            kwargs = {"batch_format": "pyarrow", "max_retries": 0,
-                      "zero_copy_batch": True}
-            if self.batch_size:
-                kwargs["batch_size"] = self.batch_size
-            stats = ds.map_batches(router, **kwargs).to_pandas()
-            if len(stats):
-                em["rows_in"] = int(stats["rows_in"].sum())
-                em["late_dropped"] = int(stats["late_dropped"].sum())
-                em["max_ts_us"] = int(stats["max_ts_us"].max())
-                self._ingest_expected += int(stats["ingest_calls"].sum())
-            self._ingest_barrier()
-        if em["max_ts_us"] >= 0:
-            self.watermark_s = max(
-                self.watermark_s, em["max_ts_us"] // 1_000_000 - self.lateness_s
-            )
-        self._emit(epoch, self.watermark_s)
-        em["watermark_s"] = self.watermark_s
-        self.metrics[str(epoch)] = em
-
-    def _emit(self, epoch: int, watermark_s: int):
-        tables = [
-            t for t in ray.get(
-                [
-                    a.close_windows.remote(watermark_s, self.qs, self.names)
-                    for a in self.actors
-                ]
-            )
-            if t.num_rows
-        ]
-        sort_by = (
-            ["key", "session_start_us"]
-            if self.session_gap_s is not None
-            else ["key", "window_start_s"]
-        )
-        if tables:
-            out = pa.concat_tables(tables)
-            self.sink.commit(epoch, out, sort_by=sort_by)
-        else:
-            self.sink.commit(epoch, pa.table({}))
-
-    def _finalize_stream(self, final_epoch: int):
-        self._emit(final_epoch, 2**62)
-        self.metrics["final"] = {
-            "epoch": final_epoch,
-            "state_metrics": ray.get([a.get_metrics.remote() for a in self.actors]),
-        }
-
-    def result_table(self) -> pa.Table:
-        return self.sink.read_all()
 
 
 # -- KLL session windows --------------------------------------------------------
 
 
 @ray.remote(num_cpus=0)
-class KllSessionStatePartition:
+class KllSessionStatePartition(PendingIngest):
     """SESSION-window KLL quantile state for one key-hash partition:
     open session fragments (key, session_start_us, session_end_us) ->
     one KLL sketch.  Unlike HLL (idempotent max-merge), KLL merges are
@@ -1054,27 +809,7 @@ class KllSessionStatePartition:
         # aligned open-session state: row i of keys <-> sks[i]
         self.keys: pd.DataFrame | None = None
         self.sks: list[KLL] = []
-        self.error: str | None = None
         self.metrics = {"partial_rows_in": 0, "ingests": 0, "sessions_closed": 0}
-
-    def ingest_count(self) -> int:
-        if self.error is not None:
-            raise RuntimeError(
-                f"kll-session partition {self.pid} ingest failed: {self.error}"
-            )
-        return self.metrics["ingests"]
-
-    def ingest(self, table: pa.Table) -> int:
-        try:
-            n = table.num_rows
-            if n:
-                self.pending.append(table)
-            self.metrics["partial_rows_in"] += n
-        except Exception as e:
-            self.error = repr(e)
-            n = 0
-        self.metrics["ingests"] += 1
-        return n
 
     def _consolidate(self) -> None:
         if not self.pending:
@@ -1170,7 +905,6 @@ class KllSessionStatePartition:
         os.makedirs(ckpt_dir, exist_ok=True)
         self._consolidate()
         path = os.path.join(ckpt_dir, f"kllsess-p{self.pid:04d}.parquet")
-        tmp = path + ".tmp"
         if self.keys is None or not len(self.keys):
             t = pa.table(
                 {"key": pa.array([], pa.string()),
@@ -1191,13 +925,11 @@ class KllSessionStatePartition:
                     "sk": pa.array([s.to_bytes() for s in self.sks], pa.binary()),
                 }
             )
-        pq.write_table(t, tmp)
-        os.replace(tmp, path)
+        write_parquet_atomic(t, path)
         return path
 
     def restore(self, ckpt_dir: str) -> int:
-        """Rebuild state from the snapshot WITHOUT touching metrics
-        (the ingest barrier counts calls since restart)."""
+        """Rebuild state from the snapshot (metrics start fresh)."""
         path = os.path.join(ckpt_dir, f"kllsess-p{self.pid:04d}.parquet")
         self.pending = []
         self.keys = None
@@ -1221,85 +953,47 @@ class KllSessionStatePartition:
         return t.num_rows
 
 
-class KllSessionRouter:
-    """Fused partial+route stage for session-window quantiles:
-    within-batch session FRAGMENTS per key (sort by (key, ts), split
-    runs at gap — the HllSessionRouter sweep) with one KLL partial per
-    fragment, then key-hash routing.  Late drop is microsecond-granular
-    (ts_us > wm_us)."""
+class KllSessionRouter(_SessionRouter):
+    """Session-window quantile partials: one KLL sketch per within-batch
+    session fragment."""
 
     def __init__(self, actors: list, n_partitions: int, key: str, value: str,
                  ts_col: str, gap_s: int, watermark_s: int, k: int):
-        self.actors = actors
-        self.P = n_partitions
-        self.key = key
-        self.value = value
-        self.ts_col = ts_col
-        self.gap_us = int(gap_s) * 1_000_000
-        self.wm_us = int(max(min(watermark_s * 1_000_000, 2**62), -(2**62)))
+        super().__init__(actors, n_partitions, key, value, ts_col, gap_s, watermark_s)
         self.k = int(k)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows_in = batch.num_rows
-        ts_us = batch[self.ts_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        max_ts = int(ts_us.max()) if rows_in else -1
-        live = ts_us > self.wm_us
-        late = int(rows_in - live.sum())
-        calls = 0
-        idx = np.flatnonzero(live)
-        if idx.size:
-            keys = batch[self.key].to_numpy(zero_copy_only=False)[idx]
-            vals = (
-                batch[self.value]
-                .to_numpy(zero_copy_only=False)
-                .astype(np.float64)[idx]
-            )
-            tv = ts_us[idx]
-            codes, uniq_keys = pd.factorize(keys, sort=False)
-            order = np.lexsort((tv, codes))
-            c_s, t_s, v_s = codes[order], tv[order], vals[order]
-            n = c_s.size
-            brk = np.ones(n, dtype=bool)
-            brk[1:] = (c_s[1:] != c_s[:-1]) | ((t_s[1:] - t_s[:-1]) > self.gap_us)
-            starts = np.flatnonzero(brk)
-            ends = np.append(starts[1:], n)
-            blobs = [
-                KLL(self.k).add(v_s[s:e]).to_bytes()
-                for s, e in zip(starts, ends)
-            ]
-            gk = np.asarray(uniq_keys)[c_s[starts]]
-            part = (_key_u64(gk) % np.uint64(self.P)).astype(np.int64)
-            po = np.argsort(part, kind="stable")
-            tbl = pa.table(
-                {
-                    "key": pa.array(gk[po].tolist(), pa.string()),
-                    "session_start_us": pa.array(t_s[starts][po], pa.int64()),
-                    "session_end_us": pa.array(t_s[ends - 1][po], pa.int64()),
-                    "sk": pa.array([blobs[i] for i in po], pa.binary()),
-                }
-            )
-            sp = part[po]
-            bounds = np.flatnonzero(np.diff(sp)) + 1
-            s_idx = np.concatenate(([0], bounds))
-            e_idx = np.concatenate((bounds, [sp.size]))
-            for s, e in zip(s_idx, e_idx):
-                self.actors[int(sp[s])].ingest.remote(tbl.slice(int(s), int(e - s)))
-                calls += 1
-        return pa.table(
-            {
-                "max_ts_us": pa.array([max_ts], pa.int64()),
-                "late_dropped": pa.array([late], pa.int64()),
-                "rows_in": pa.array([rows_in], pa.int64()),
-                "ingest_calls": pa.array([calls], pa.int64()),
-            }
-        )
+    def _fragments(self, seg, starts, vals, frags) -> pa.Table:
+        v = vals.astype(np.float64)
+        ends = np.append(starts[1:], v.size)
+        blobs = [KLL(self.k).add(v[s:e]).to_bytes() for s, e in zip(starts, ends)]
+        return pa.table({**_frag_columns(frags), "sk": pa.array(blobs, pa.binary())})
+
+
+class KllStreamDriver(_SketchDriver):
+    """Epoch loop for streaming windowed approximate quantiles of a
+    CONTINUOUS column — the sixth stateful stream kind.  Per-(key,
+    window) KLL sketches hold O(k log(n/k)) state regardless of row
+    count (the property an exact windowed histogram loses on unbounded
+    value domains); windows close when the watermark passes their end
+    and their quantile estimates ``names`` (at ``qs``) commit
+    exactly-once."""
+
+    routers = ("KllRouter", "KllSessionRouter")
+    partitions = (KllStatePartition, KllSessionStatePartition)
+
+    def __init__(self, input_dir: str, out_dir: str, *, value: str = "value",
+                 qs: tuple = (0.5, 0.9), names: tuple = ("p50", "p90"),
+                 k: int = 200, **kw):
+        super().__init__(input_dir, out_dir, "quantiles", value=value, **kw)
+        self.state_args = self.router_args = (int(k),)
+        self.close_args = (tuple(qs), tuple(names))
 
 
 # -- Misra-Gries heavy hitters -------------------------------------------------
 
 
 @ray.remote(num_cpus=0)
-class MgStatePartition:
+class MgStatePartition(PendingIngest):
     """Heavy-hitter state for one key-hash partition: per
     (key, window_start_s) a Misra-Gries summary of item counts —
     bounded to ``capacity - 1`` counters per group regardless of the
@@ -1317,26 +1011,8 @@ class MgStatePartition:
         self.pending: list[pa.Table] = []
         self.state: pd.DataFrame | None = None  # key, window_start_s, item, n
         self.deficit: dict[tuple, int] = {}
-        self.error: str | None = None
         self.metrics = {"partial_rows_in": 0, "ingests": 0,
                         "windows_closed": 0, "prunes": 0}
-
-    def ingest_count(self) -> int:
-        if self.error is not None:
-            raise RuntimeError(f"mg partition {self.pid} ingest failed: {self.error}")
-        return self.metrics["ingests"]
-
-    def ingest(self, table: pa.Table) -> int:
-        try:
-            n = table.num_rows
-            if n:
-                self.pending.append(table)
-            self.metrics["partial_rows_in"] += n
-        except Exception as e:
-            self.error = repr(e)
-            n = 0
-        self.metrics["ingests"] += 1
-        return n
 
     def _consolidate(self) -> None:
         # mg_merge imported at MODULE scope: a lazy in-method import
@@ -1443,9 +1119,7 @@ class MgStatePartition:
             }
         )
         for p, tbl in ((path, t), (path.replace(".parquet", ".def.parquet"), dt)):
-            tmp = p + ".tmp"
-            pq.write_table(tbl, tmp)
-            os.replace(tmp, p)
+            write_parquet_atomic(tbl, p)
         return path
 
     def restore(self, ckpt_dir: str) -> int:
@@ -1468,73 +1142,22 @@ class MgStatePartition:
         return t.num_rows
 
 
-class MgRouter:
-    """Fused partial+route stage: per-batch exact (key, window, item)
-    counts via ONE factorize + bincount (the combiner — wire volume is
-    distinct tuples per batch, not rows), then key-hash routing and a
-    bookkeeping row."""
+class MgRouter(_WindowRouter):
+    """Per-batch exact (key, window, item) counts via ONE composite
+    np.unique + bincount (the combiner — wire volume is distinct tuples
+    per batch, not rows); overflow-safe since the group id < keys x
+    windows and the item code < batch rows."""
 
-    def __init__(self, actors: list, n_partitions: int, key: str, item: str,
-                 ts_col: str, window_size_s: int, hop_s: int, watermark_s: int):
-        self.actors = actors
-        self.P = n_partitions
-        self.key = key
-        self.item = item
-        self.ts_col = ts_col
-        self.size_s = int(window_size_s)
-        self.hop_s = int(hop_s)
-        self.wm = int(watermark_s)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows_in = batch.num_rows
-        ts_s = (
-            batch[self.ts_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            // 1_000_000
-        )
-        max_ts = int(ts_s.max()) * 1_000_000 if rows_in else -1
-        row_of, win, late = _covering_windows(ts_s, self.size_s, self.hop_s, self.wm)
-        calls = 0
-        if row_of.size:
-            # distinct (key, window, item) counts without the 3-level
-            # pandas MultiIndex factorize: key-dict x window composite
-            # (C-vectorized) crossed with the item's unique-inverse
-            # code — overflow-safe since kw < keys*windows and
-            # icode < batch rows
-            kcode, kvocab = encode_key(batch[self.key].take(pa.array(row_of)), self.key)
-            kdict = kvocab.to_numpy(zero_copy_only=False)
-            items = batch[self.item].to_numpy(zero_copy_only=False)[row_of]
-            wu, wcode = np.unique(win, return_inverse=True)
-            uit, icode = np.unique(items, return_inverse=True)
-            comp = (kcode * len(wu) + wcode) * len(uit) + icode
-            ucomp, codes = np.unique(comp, return_inverse=True)
-            n = np.bincount(codes).astype(np.int64)
-            kw = ucomp // len(uit)
-            gk = kdict[kw // len(wu)]
-            gw = wu[kw % len(wu)].astype(np.int64)
-            gi = uit[ucomp % len(uit)].astype(np.int64)
-            part = (_key_u64(gk) % np.uint64(self.P)).astype(np.int64)
-            order = np.argsort(part, kind="stable")
-            tbl = pa.table(
-                {
-                    "key": pa.array(gk[order].tolist(), pa.string()),
-                    "window_start_s": pa.array(gw[order], pa.int64()),
-                    "item": pa.array(gi[order], pa.int64()),
-                    "n": pa.array(n[order], pa.int64()),
-                }
-            )
-            sp = part[order]
-            bounds = np.flatnonzero(np.diff(sp)) + 1
-            starts = np.concatenate(([0], bounds))
-            ends = np.concatenate((bounds, [sp.size]))
-            for s, e in zip(starts, ends):
-                self.actors[int(sp[s])].ingest.remote(tbl.slice(int(s), int(e - s)))
-                calls += 1
+    def _groups(self, gid, vals, key_win) -> pa.Table:
+        uit, icode = np.unique(vals, return_inverse=True)
+        ucomp, codes = np.unique(gid * len(uit) + icode, return_inverse=True)
+        gk, gw = key_win(ucomp // len(uit))
         return pa.table(
             {
-                "max_ts_us": pa.array([max_ts], pa.int64()),
-                "late_dropped": pa.array([late], pa.int64()),
-                "rows_in": pa.array([rows_in], pa.int64()),
-                "ingest_calls": pa.array([calls], pa.int64()),
+                "key": pa.array(gk.tolist(), pa.string()),
+                "window_start_s": pa.array(gw, pa.int64()),
+                "item": pa.array(uit[ucomp % len(uit)].astype(np.int64), pa.int64()),
+                "n": pa.array(np.bincount(codes).astype(np.int64), pa.int64()),
             }
         )
 
@@ -1543,7 +1166,7 @@ class MgRouter:
 
 
 @ray.remote(num_cpus=0)
-class MgSessionStatePartition:
+class MgSessionStatePartition(PendingIngest):
     """SESSION-window Misra-Gries heavy-hitter state for one key-hash
     partition: open session fragments (key, session_start_us,
     session_end_us) -> one MG summary of item counts.  Fragment counts
@@ -1565,28 +1188,8 @@ class MgSessionStatePartition:
         # (key, session_start_us, session_end_us)
         self.state: pd.DataFrame | None = None
         self.deficits: pd.DataFrame | None = None
-        self.error: str | None = None
         self.metrics = {"partial_rows_in": 0, "ingests": 0,
                         "sessions_closed": 0, "prunes": 0}
-
-    def ingest_count(self) -> int:
-        if self.error is not None:
-            raise RuntimeError(
-                f"mg-session partition {self.pid} ingest failed: {self.error}"
-            )
-        return self.metrics["ingests"]
-
-    def ingest(self, table: pa.Table) -> int:
-        try:
-            n = table.num_rows
-            if n:
-                self.pending.append(table)
-            self.metrics["partial_rows_in"] += n
-        except Exception as e:
-            self.error = repr(e)
-            n = 0
-        self.metrics["ingests"] += 1
-        return n
 
     def _consolidate(self) -> None:
         if not self.pending:
@@ -1755,9 +1358,7 @@ class MgSessionStatePartition:
             (path.replace(".parquet", ".def.parquet"),
              pa.Table.from_pandas(dd, preserve_index=False)),
         ):
-            tmp = p + ".tmp"
-            pq.write_table(tbl, tmp)
-            os.replace(tmp, p)
+            write_parquet_atomic(tbl, p)
         return path
 
     def restore(self, ckpt_dir: str) -> int:
@@ -1778,204 +1379,46 @@ class MgSessionStatePartition:
         return t.num_rows
 
 
-class MgSessionRouter:
-    """Fused partial+route stage for session-window heavy hitters:
-    within-batch session FRAGMENTS per key (the HllSessionRouter
-    sweep), then exact per-(fragment, item) counts via one factorize +
-    bincount, key-hash routed.  Late drop is microsecond-granular."""
+class MgSessionRouter(_SessionRouter):
+    """Session-window heavy-hitter partials: exact per-(fragment, item)
+    counts via one factorize + bincount."""
 
-    def __init__(self, actors: list, n_partitions: int, key: str, item: str,
-                 ts_col: str, gap_s: int, watermark_s: int):
-        self.actors = actors
-        self.P = n_partitions
-        self.key = key
-        self.item = item
-        self.ts_col = ts_col
-        self.gap_us = int(gap_s) * 1_000_000
-        self.wm_us = int(max(min(watermark_s * 1_000_000, 2**62), -(2**62)))
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows_in = batch.num_rows
-        ts_us = batch[self.ts_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        max_ts = int(ts_us.max()) if rows_in else -1
-        live = ts_us > self.wm_us
-        late = int(rows_in - live.sum())
-        calls = 0
-        idx = np.flatnonzero(live)
-        if idx.size:
-            keys = batch[self.key].to_numpy(zero_copy_only=False)[idx]
-            items = batch[self.item].to_numpy(zero_copy_only=False)[idx]
-            tv = ts_us[idx]
-            codes, uniq_keys = pd.factorize(keys, sort=False)
-            order = np.lexsort((tv, codes))
-            c_s, t_s, i_s = codes[order], tv[order], items[order]
-            n = c_s.size
-            brk = np.ones(n, dtype=bool)
-            brk[1:] = (c_s[1:] != c_s[:-1]) | ((t_s[1:] - t_s[:-1]) > self.gap_us)
-            seg = np.cumsum(brk) - 1
-            starts = np.flatnonzero(brk)
-            ends = np.append(starts[1:], n)
-            # exact (fragment, item) counts in one factorize+bincount
-            fcodes, funiq = pd.factorize(
-                pd.MultiIndex.from_arrays([seg, i_s])
-            )
-            fn = np.bincount(fcodes).astype(np.int64)
-            fseg = funiq.get_level_values(0).to_numpy().astype(np.int64)
-            fitem = funiq.get_level_values(1).to_numpy().astype(np.int64)
-            gk = np.asarray(uniq_keys)[c_s[starts]]
-            fs = t_s[starts]
-            fe = t_s[ends - 1]
-            part = (_key_u64(gk) % np.uint64(self.P)).astype(np.int64)
-            rpart = part[fseg]
-            po = np.argsort(rpart, kind="stable")
-            tbl = pa.table(
-                {
-                    "key": pa.array(gk[fseg][po].tolist(), pa.string()),
-                    "session_start_us": pa.array(fs[fseg][po], pa.int64()),
-                    "session_end_us": pa.array(fe[fseg][po], pa.int64()),
-                    "item": pa.array(fitem[po], pa.int64()),
-                    "n": pa.array(fn[po], pa.int64()),
-                }
-            )
-            sp = rpart[po]
-            bounds = np.flatnonzero(np.diff(sp)) + 1
-            s_idx = np.concatenate(([0], bounds))
-            e_idx = np.concatenate((bounds, [sp.size]))
-            for s, e in zip(s_idx, e_idx):
-                self.actors[int(sp[s])].ingest.remote(tbl.slice(int(s), int(e - s)))
-                calls += 1
+    def _fragments(self, seg, starts, vals, frags) -> pa.Table:
+        fcodes, funiq = pd.factorize(pd.MultiIndex.from_arrays([seg, vals]))
+        fseg = funiq.get_level_values(0).to_numpy().astype(np.int64)
         return pa.table(
             {
-                "max_ts_us": pa.array([max_ts], pa.int64()),
-                "late_dropped": pa.array([late], pa.int64()),
-                "rows_in": pa.array([rows_in], pa.int64()),
-                "ingest_calls": pa.array([calls], pa.int64()),
+                **_frag_columns(frags, fseg),
+                "item": pa.array(
+                    funiq.get_level_values(1).to_numpy().astype(np.int64), pa.int64()
+                ),
+                "n": pa.array(np.bincount(fcodes).astype(np.int64), pa.int64()),
             }
         )
 
 
-class MgStreamDriver(EpochDriverBase):
+class MgStreamDriver(_SketchDriver):
     """Epoch loop for streaming windowed heavy hitters: exact per-batch
-    count partials -> MG-bounded actor state -> top-k emission when the
-    watermark closes a window, exactly-once per epoch."""
+    count partials of ``item`` -> MG-bounded actor state (``capacity``)
+    -> top-``top`` emission when the watermark closes a window,
+    exactly-once per epoch."""
 
-    def __init__(self, input_dir: str, out_dir: str, *, key: str = "event_type",
-                 item: str = "user_id", ts_col: str = "ts_us",
-                 window_size_s: int = 86400, hop_s: int | None = None,
-                 session_gap_s: int | None = None,
-                 allowed_lateness_s: int = 3600,
-                 capacity: int = 4096, top: int = 10,
-                 n_partitions: int = 8, batch_size: int | None = None):
-        super().__init__(input_dir, out_dir)
-        self.key = key
-        self.item = item
-        self.ts_col = ts_col
-        self.session_gap_s = (
-            int(session_gap_s) if session_gap_s is not None else None
-        )
-        if self.session_gap_s is not None and hop_s is not None:
-            raise ValueError("session_gap_s and hop_s are mutually exclusive")
-        self.size_s = int(window_size_s)
-        self.hop_s = int(hop_s) if hop_s is not None else self.size_s
-        if self.size_s % self.hop_s:
-            raise ValueError("window_size_s must be a multiple of hop_s")
-        self.lateness_s = int(allowed_lateness_s)
-        self.capacity = int(capacity)
-        self.top = int(top)
-        self.n_partitions = n_partitions
-        self.batch_size = batch_size
-        self.sink = ExactlyOnceParquetSink(out_dir, "topk")
-        self.watermark_s = _NEG
+    routers = ("MgRouter", "MgSessionRouter")
+    partitions = (MgStatePartition, MgSessionStatePartition)
+    sort_extra = ("rank",)
 
-    def _ensure_actors(self):
-        if self.actors is None:
-            if self.session_gap_s is not None:
-                self.actors = [
-                    MgSessionStatePartition.remote(
-                        p, self.session_gap_s, self.capacity
-                    )
-                    for p in range(self.n_partitions)
-                ]
-            else:
-                self.actors = [
-                    MgStatePartition.remote(p, self.size_s, self.capacity)
-                    for p in range(self.n_partitions)
-                ]
-
-    def _driver_state(self) -> dict:
-        return {"watermark_s": self.watermark_s,
-                "committed": self.sink.committed_epochs()}
-
-    def _load_driver_state(self, state: dict) -> None:
-        self.watermark_s = int(state["watermark_s"])
-
-    def _run_epoch(self, epoch: int):
-        ds = self._epoch_dataset(epoch)
-        em = {"rows_in": 0, "late_dropped": 0, "max_ts_us": -1}
-        if ds is not None:
-            if self.session_gap_s is not None:
-                router = MgSessionRouter(
-                    self.actors, self.n_partitions, self.key, self.item,
-                    self.ts_col, self.session_gap_s, self.watermark_s,
-                )
-            else:
-                router = MgRouter(
-                    self.actors, self.n_partitions, self.key, self.item,
-                    self.ts_col, self.size_s, self.hop_s, self.watermark_s,
-                )
-            kwargs = {"batch_format": "pyarrow", "max_retries": 0,
-                      "zero_copy_batch": True}
-            if self.batch_size:
-                kwargs["batch_size"] = self.batch_size
-            stats = ds.map_batches(router, **kwargs).to_pandas()
-            if len(stats):
-                em["rows_in"] = int(stats["rows_in"].sum())
-                em["late_dropped"] = int(stats["late_dropped"].sum())
-                em["max_ts_us"] = int(stats["max_ts_us"].max())
-                self._ingest_expected += int(stats["ingest_calls"].sum())
-            self._ingest_barrier()
-        if em["max_ts_us"] >= 0:
-            self.watermark_s = max(
-                self.watermark_s, em["max_ts_us"] // 1_000_000 - self.lateness_s
-            )
-        self._emit(epoch, self.watermark_s)
-        em["watermark_s"] = self.watermark_s
-        self.metrics[str(epoch)] = em
-
-    def _emit(self, epoch: int, watermark_s: int):
-        tables = [
-            t for t in ray.get(
-                [a.close_windows.remote(watermark_s, self.top) for a in self.actors]
-            )
-            if t.num_rows
-        ]
-        sort_by = (
-            ["key", "session_start_us", "rank"]
-            if self.session_gap_s is not None
-            else ["key", "window_start_s", "rank"]
-        )
-        if tables:
-            out = pa.concat_tables(tables)
-            self.sink.commit(epoch, out, sort_by=sort_by)
-        else:
-            self.sink.commit(epoch, pa.table({}))
-
-    def _finalize_stream(self, final_epoch: int):
-        self._emit(final_epoch, 2**62)
-        self.metrics["final"] = {
-            "epoch": final_epoch,
-            "state_metrics": ray.get([a.get_metrics.remote() for a in self.actors]),
-        }
-
-    def result_table(self) -> pa.Table:
-        return self.sink.read_all()
+    def __init__(self, input_dir: str, out_dir: str, *, item: str = "user_id",
+                 capacity: int = 4096, top: int = 10, **kw):
+        super().__init__(input_dir, out_dir, "topk", value=item, **kw)
+        self.state_args = (int(capacity),)
+        self.close_args = (int(top),)
 
 
 # -- Count-Min windowed frequency estimates ---------------------------------
 
 
 @ray.remote(num_cpus=0)
-class CmsStatePartition:
+class CmsStatePartition(PendingIngest):
     """Count-Min frequency state for one key-hash partition: per
     (key, window_start_s) one fixed-size DEPTH x WIDTH int64 counter
     array (sketches.py cms_*) — row-count- and domain-independent
@@ -1998,26 +1441,8 @@ class CmsStatePartition:
         self.sketch: dict[tuple, np.ndarray] = {}  # (key, ws) -> counters
         self.total: dict[tuple, int] = {}          # (key, ws) -> rows ingested
         self.probe: pd.DataFrame | None = None     # key, window_start_s, item, n
-        self.error: str | None = None
         self.metrics = {"partial_rows_in": 0, "ingests": 0,
                         "windows_closed": 0}
-
-    def ingest_count(self) -> int:
-        if self.error is not None:
-            raise RuntimeError(f"cms partition {self.pid} ingest failed: {self.error}")
-        return self.metrics["ingests"]
-
-    def ingest(self, table: pa.Table) -> int:
-        try:
-            n = table.num_rows
-            if n:
-                self.pending.append(table)
-            self.metrics["partial_rows_in"] += n
-        except Exception as e:
-            self.error = repr(e)
-            n = 0
-        self.metrics["ingests"] += 1
-        return n
 
     def _consolidate(self) -> None:
         """Merge pending partials.  The wire carries TWO row kinds in
@@ -2135,15 +1560,10 @@ class CmsStatePartition:
         )
         pt = pa.Table.from_pandas(pr, preserve_index=False)
         for p, tbl in ((path, st), (path.replace(".parquet", ".probe.parquet"), pt)):
-            tmp = p + ".tmp"
-            pq.write_table(tbl, tmp)
-            os.replace(tmp, p)
+            write_parquet_atomic(tbl, p)
         return path
 
     def restore(self, ckpt_dir: str) -> int:
-        # metrics stay FRESH (especially 'ingests': it is the ingest
-        # barrier counter on the new driver — the interval/dedup
-        # restore contract)
         path = os.path.join(ckpt_dir, f"cms-p{self.pid:04d}.parquet")
         self.pending = []
         self.sketch = {}
@@ -2168,232 +1588,101 @@ class CmsStatePartition:
         return t.num_rows
 
 
-class CmsRouter:
-    """Fused partial+route stage with a FIXED-SIZE wire: per batch,
-    ONE dense 256 KiB Count-Min partial per (key, covering window) —
-    a single flat bincount across all groups — plus exact count rows
-    for the tiny probe set, both in one routed table per partition.
-    Wire volume is keys x windows x batches x 256 KiB + probe rows,
-    INDEPENDENT of item cardinality — the property the sparse
-    (key, window, item, n) partial shape (MgRouter) loses when items
-    are near-distinct per batch (measured: 20M rows / 100k-item domain
-    routed 10.3M sparse rows through the actors; the dense wire ships
-    ~2.5k blobs for the same stream)."""
+class CmsRouter(_WindowRouter):
+    """Per-batch partials with a FIXED-SIZE wire: ONE dense 256 KiB
+    Count-Min partial per (key, covering window) — a single flat
+    bincount across all groups — plus exact count rows for the tiny
+    probe set, in one table.  Wire volume is keys x windows x batches x
+    256 KiB + probe rows, INDEPENDENT of item cardinality — the
+    property the sparse (key, window, item, n) partial shape (MgRouter)
+    loses when items are near-distinct per batch (measured: 20M rows /
+    100k-item domain routed 10.3M sparse rows through the actors; the
+    dense wire ships ~2.5k blobs for the same stream)."""
 
     def __init__(self, actors: list, n_partitions: int, key: str, item: str,
                  ts_col: str, window_size_s: int, hop_s: int,
                  watermark_s: int, probe_mod: int):
-        self.actors = actors
-        self.P = n_partitions
-        self.key = key
-        self.item = item
-        self.ts_col = ts_col
-        self.size_s = int(window_size_s)
-        self.hop_s = int(hop_s)
-        self.wm = int(watermark_s)
+        super().__init__(actors, n_partitions, key, item, ts_col, window_size_s,
+                         hop_s, watermark_s)
         self.probe_mod = int(probe_mod)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows_in = batch.num_rows
-        ts_s = (
-            batch[self.ts_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            // 1_000_000
-        )
-        max_ts = int(ts_s.max()) * 1_000_000 if rows_in else -1
-        row_of, win, late = _covering_windows(ts_s, self.size_s, self.hop_s, self.wm)
-        calls = 0
-        if row_of.size:
-            # group id = key-dict code x window code, all in C: Arrow
-            # dictionary_encode for the string key (no pandas
-            # MultiIndex factorize — 1.8 s/M rows there vs ~30 ms
-            # here), np.unique for the int windows
-            kcode, kvocab = encode_key(batch[self.key].take(pa.array(row_of)), self.key)
-            kdict = kvocab.to_numpy(zero_copy_only=False)
-            wu, wcode = np.unique(win, return_inverse=True)
-            comp = kcode * len(wu) + wcode
-            ucomp, codes = np.unique(comp, return_inverse=True)
-            G = len(ucomp)
-            DW = CMS_DEPTH * CMS_WIDTH
-            items = (
-                batch[self.item].to_numpy(zero_copy_only=False)[row_of]
-                .astype(np.int64)
-            )
-            # hash each DISTINCT item once (items repeat heavily in a
-            # batch; the dictionary trick tokenize uses)
-            uit, inv = np.unique(items, return_inverse=True)
-            idx = _cms_flat_idx(uit)[:, inv]  # (DEPTH, n)
-            flat = (codes[None, :].astype(np.int64) * DW + idx).ravel()
-            counts = np.bincount(flat, minlength=G * DW).astype(np.int64)
-            n_per = np.bincount(codes, minlength=G).astype(np.int64)
-            gk = kdict[ucomp // len(wu)]
-            gw = wu[ucomp % len(wu)].astype(np.int64)
-            blob = pa.table(
-                {
-                    "key": pa.array(gk.tolist(), pa.string()),
-                    "window_start_s": pa.array(gw, pa.int64()),
-                    "item": pa.array(np.zeros(G, dtype=np.int64)),
-                    "n": pa.array(n_per),
-                    "cms": pa.array(
-                        [counts[g * DW:(g + 1) * DW].tobytes() for g in range(G)],
-                        pa.binary(),
-                    ),
-                }
-            )
-            pm = items % self.probe_mod == 0
-            if pm.any():
-                # distinct (group, item) probe counts: one lexsort +
-                # segment boundaries (no pandas factorize)
-                pcode = codes[pm]
-                pit = items[pm]
-                order = np.lexsort((pit, pcode))
-                pc_, pi_ = pcode[order], pit[order]
-                brk = np.ones(pc_.size, dtype=bool)
-                brk[1:] = (pc_[1:] != pc_[:-1]) | (pi_[1:] != pi_[:-1])
-                starts = np.flatnonzero(brk)
-                pn = np.diff(np.append(starts, pc_.size)).astype(np.int64)
-                gsel = ucomp[pc_[starts]]
-                probe = pa.table(
-                    {
-                        "key": pa.array(
-                            kdict[gsel // len(wu)].tolist(), pa.string()
-                        ),
-                        "window_start_s": pa.array(
-                            wu[gsel % len(wu)].astype(np.int64), pa.int64()
-                        ),
-                        "item": pa.array(pi_[starts]),
-                        "n": pa.array(pn),
-                        "cms": pa.array([None] * len(pn), pa.binary()),
-                    }
-                )
-                tbl = pa.concat_tables([blob, probe])
-            else:
-                tbl = blob
-            part = (
-                _key_u64(tbl["key"].to_numpy(zero_copy_only=False))
-                % np.uint64(self.P)
-            ).astype(np.int64)
-            order = np.argsort(part, kind="stable")
-            tbl = tbl.take(pa.array(order))
-            sp = part[order]
-            bounds = np.flatnonzero(np.diff(sp)) + 1
-            starts = np.concatenate(([0], bounds))
-            ends = np.concatenate((bounds, [sp.size]))
-            for s, e in zip(starts, ends):
-                self.actors[int(sp[s])].ingest.remote(tbl.slice(int(s), int(e - s)))
-                calls += 1
-        return pa.table(
+    def _groups(self, gid, vals, key_win) -> pa.Table:
+        ucomp, codes = np.unique(gid, return_inverse=True)
+        G = len(ucomp)
+        DW = CMS_DEPTH * CMS_WIDTH
+        items = vals.astype(np.int64)
+        # hash each DISTINCT item once (items repeat heavily in a
+        # batch; the dictionary trick tokenize uses)
+        uit, inv = np.unique(items, return_inverse=True)
+        idx = _cms_flat_idx(uit)[:, inv]  # (DEPTH, n)
+        flat = (codes[None, :].astype(np.int64) * DW + idx).ravel()
+        counts = np.bincount(flat, minlength=G * DW).astype(np.int64)
+        gk, gw = key_win(ucomp)
+        tbl = pa.table(
             {
-                "max_ts_us": pa.array([max_ts], pa.int64()),
-                "late_dropped": pa.array([late], pa.int64()),
-                "rows_in": pa.array([rows_in], pa.int64()),
-                "ingest_calls": pa.array([calls], pa.int64()),
+                "key": pa.array(gk.tolist(), pa.string()),
+                "window_start_s": pa.array(gw, pa.int64()),
+                "item": pa.array(np.zeros(G, dtype=np.int64)),
+                "n": pa.array(np.bincount(codes, minlength=G).astype(np.int64)),
+                "cms": pa.array(
+                    [counts[g * DW:(g + 1) * DW].tobytes() for g in range(G)],
+                    pa.binary(),
+                ),
             }
         )
+        pm = items % self.probe_mod == 0
+        if not pm.any():
+            return tbl
+        # distinct (group, item) probe counts: one lexsort + segment
+        # boundaries (no pandas factorize)
+        pcode, pit = codes[pm], items[pm]
+        order = np.lexsort((pit, pcode))
+        pc_, pi_ = pcode[order], pit[order]
+        brk = np.ones(pc_.size, dtype=bool)
+        brk[1:] = (pc_[1:] != pc_[:-1]) | (pi_[1:] != pi_[:-1])
+        starts = np.flatnonzero(brk)
+        pn = np.diff(np.append(starts, pc_.size)).astype(np.int64)
+        pk, pw = key_win(ucomp[pc_[starts]])
+        probe = pa.table(
+            {
+                "key": pa.array(pk.tolist(), pa.string()),
+                "window_start_s": pa.array(pw, pa.int64()),
+                "item": pa.array(pi_[starts]),
+                "n": pa.array(pn),
+                "cms": pa.array([None] * len(pn), pa.binary()),
+            }
+        )
+        return pa.concat_tables([tbl, probe])
 
 
-class CmsStreamDriver(EpochDriverBase):
-    """Epoch loop for streaming windowed frequency estimates: the
-    MgRouter's exact per-batch count partials (identical wire format)
-    -> fixed-size Count-Min counter state per (key, window) -> gated
-    probe-item estimates when the watermark closes a window,
+class CmsStreamDriver(_SketchDriver):
+    """Epoch loop for streaming windowed frequency estimates of
+    ``item``: dense per-batch Count-Min partials -> fixed-size counter
+    state per (key, window) -> gated probe-item estimates (items with
+    ``item % probe_mod == 0``) when the watermark closes a window,
     exactly-once per epoch.  Tumbling + hopping; sessions are
     deliberately NOT offered for CMS — a dense 256 KiB array per open
     session FRAGMENT would make gap-merges pathological, and
     Misra-Gries (which has session support) is the bounded counter
     whose state merges by sparse integer sum."""
 
-    def __init__(self, input_dir: str, out_dir: str, *, key: str = "event_type",
-                 item: str = "user_id", ts_col: str = "ts_us",
-                 window_size_s: int = 86400, hop_s: int | None = None,
-                 allowed_lateness_s: int = 3600, probe_mod: int = 3,
-                 n_partitions: int = 8, batch_size: int | None = None):
-        super().__init__(input_dir, out_dir)
-        self.key = key
-        self.item = item
-        self.ts_col = ts_col
-        self.size_s = int(window_size_s)
-        self.hop_s = int(hop_s) if hop_s is not None else self.size_s
-        if self.size_s % self.hop_s:
-            raise ValueError("window_size_s must be a multiple of hop_s")
-        self.lateness_s = int(allowed_lateness_s)
-        self.probe_mod = int(probe_mod)
-        self.n_partitions = n_partitions
-        self.batch_size = batch_size
-        self.sink = ExactlyOnceParquetSink(out_dir, "cms")
-        self.watermark_s = _NEG
+    routers = ("CmsRouter",)
+    partitions = (CmsStatePartition,)
+    sort_extra = ("item",)
 
-    def _ensure_actors(self):
-        if self.actors is None:
-            self.actors = [
-                CmsStatePartition.remote(p, self.size_s, self.probe_mod)
-                for p in range(self.n_partitions)
-            ]
-
-    def _driver_state(self) -> dict:
-        return {"watermark_s": self.watermark_s,
-                "committed": self.sink.committed_epochs()}
-
-    def _load_driver_state(self, state: dict) -> None:
-        self.watermark_s = int(state["watermark_s"])
-
-    def _run_epoch(self, epoch: int):
-        ds = self._epoch_dataset(epoch)
-        em = {"rows_in": 0, "late_dropped": 0, "max_ts_us": -1}
-        if ds is not None:
-            router = CmsRouter(
-                self.actors, self.n_partitions, self.key, self.item,
-                self.ts_col, self.size_s, self.hop_s, self.watermark_s,
-                self.probe_mod,
-            )
-            kwargs = {"batch_format": "pyarrow", "max_retries": 0,
-                      "zero_copy_batch": True}
-            if self.batch_size:
-                kwargs["batch_size"] = self.batch_size
-            stats = ds.map_batches(router, **kwargs).to_pandas()
-            if len(stats):
-                em["rows_in"] = int(stats["rows_in"].sum())
-                em["late_dropped"] = int(stats["late_dropped"].sum())
-                em["max_ts_us"] = int(stats["max_ts_us"].max())
-                self._ingest_expected += int(stats["ingest_calls"].sum())
-            self._ingest_barrier()
-        if em["max_ts_us"] >= 0:
-            self.watermark_s = max(
-                self.watermark_s, em["max_ts_us"] // 1_000_000 - self.lateness_s
-            )
-        self._emit(epoch, self.watermark_s)
-        em["watermark_s"] = self.watermark_s
-        self.metrics[str(epoch)] = em
-
-    def _emit(self, epoch: int, watermark_s: int):
-        tables = [
-            t for t in ray.get(
-                [a.close_windows.remote(watermark_s) for a in self.actors]
-            )
-            if t.num_rows
-        ]
-        if tables:
-            out = pa.concat_tables(tables)
-            self.sink.commit(epoch, out,
-                             sort_by=["key", "window_start_s", "item"])
-        else:
-            self.sink.commit(epoch, pa.table({}))
-
-    def _finalize_stream(self, final_epoch: int):
-        self._emit(final_epoch, 2**62)
-        self.metrics["final"] = {
-            "epoch": final_epoch,
-            "state_metrics": ray.get([a.get_metrics.remote() for a in self.actors]),
-        }
-
-    def result_table(self) -> pa.Table:
-        return self.sink.read_all()
+    def __init__(self, input_dir: str, out_dir: str, *, item: str = "user_id",
+                 probe_mod: int = 3, **kw):
+        if kw.get("session_gap_s") is not None:
+            raise ValueError("CmsStreamDriver has no session windows (use MG)")
+        super().__init__(input_dir, out_dir, "cms", value=item, **kw)
+        self.state_args = self.router_args = (int(probe_mod),)
 
 
 # -- Bottom-k windowed sample (coordination-free reservoir) ------------------
 
 
 @ray.remote(num_cpus=0)
-class BottomKStatePartition:
+class BottomKStatePartition(PendingIngest):
     """Deterministic per-(key, window) bottom-k sample state for one
     key-hash partition: the k DISTINCT items with the smallest
     ``splitmix64(item)`` (ties by item) — the coordination-free
@@ -2412,28 +1701,8 @@ class BottomKStatePartition:
         self.k = int(k)
         self.pending: list[pa.Table] = []
         self.state: dict[tuple, tuple] = {}  # (key, ws) -> (hv u64[], item i64[])
-        self.error: str | None = None
         self.metrics = {"partial_rows_in": 0, "ingests": 0,
                         "windows_closed": 0}
-
-    def ingest_count(self) -> int:
-        if self.error is not None:
-            raise RuntimeError(
-                f"bottomk partition {self.pid} ingest failed: {self.error}"
-            )
-        return self.metrics["ingests"]
-
-    def ingest(self, table: pa.Table) -> int:
-        try:
-            n = table.num_rows
-            if n:
-                self.pending.append(table)
-            self.metrics["partial_rows_in"] += n
-        except Exception as e:
-            self.error = repr(e)
-            n = 0
-        self.metrics["ingests"] += 1
-        return n
 
     def _merge_group(self, kk: tuple, hv: np.ndarray, items: np.ndarray):
         if kk in self.state:
@@ -2508,13 +1777,10 @@ class BottomKStatePartition:
              "hv": pa.array(np.asarray(rows["hv"], dtype=np.uint64), pa.uint64()),
              "item": pa.array(np.asarray(rows["item"], dtype=np.int64))}
         )
-        tmp = path + ".tmp"
-        pq.write_table(t, tmp)
-        os.replace(tmp, path)
+        write_parquet_atomic(t, path)
         return path
 
     def restore(self, ckpt_dir: str) -> int:
-        # metrics stay FRESH ('ingests' is the barrier counter)
         path = os.path.join(ckpt_dir, f"bk-p{self.pid:04d}.parquet")
         self.pending = []
         self.state = {}
@@ -2527,202 +1793,45 @@ class BottomKStatePartition:
         return t.num_rows
 
 
-class BottomKRouter:
-    """Fused partial+route stage: distinct (key, window, item) via the
-    C-vectorized composite grouping, hash each DISTINCT item once,
-    then keep only each group's k smallest (hv, item) — the wire is
-    at most k x groups per batch."""
+def _bottom_k(g_of: np.ndarray, it_of: np.ndarray, k: int):
+    """Each group's k smallest (splitmix64(item), item) among distinct
+    (group, item) pairs: returns the kept indices, grouped by ascending
+    group id, and every pair's hash."""
+    hv = splitmix64(it_of.astype(np.uint64))
+    order = np.lexsort((it_of, hv, g_of))
+    gs = g_of[order]
+    starts = np.flatnonzero(np.diff(gs, prepend=-1))
+    rank = np.arange(gs.size) - np.repeat(starts, np.diff(np.append(starts, gs.size)))
+    return order[rank < k], hv
+
+
+class BottomKRouter(_WindowRouter):
+    """Per-batch distinct (key, window, item) via the composite
+    grouping, hash each DISTINCT item once, then keep only each group's
+    k smallest (hv, item) — the wire is at most k x groups per batch."""
 
     def __init__(self, actors: list, n_partitions: int, key: str, item: str,
                  ts_col: str, window_size_s: int, hop_s: int,
                  watermark_s: int, k: int):
-        self.actors = actors
-        self.P = n_partitions
-        self.key = key
-        self.item = item
-        self.ts_col = ts_col
-        self.size_s = int(window_size_s)
-        self.hop_s = int(hop_s)
-        self.wm = int(watermark_s)
+        super().__init__(actors, n_partitions, key, item, ts_col, window_size_s,
+                         hop_s, watermark_s)
         self.k = int(k)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows_in = batch.num_rows
-        ts_s = (
-            batch[self.ts_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            // 1_000_000
-        )
-        max_ts = int(ts_s.max()) * 1_000_000 if rows_in else -1
-        row_of, win, late = _covering_windows(ts_s, self.size_s, self.hop_s, self.wm)
-        calls = 0
-        if row_of.size:
-            kcode, kvocab = encode_key(batch[self.key].take(pa.array(row_of)), self.key)
-            kdict = kvocab.to_numpy(zero_copy_only=False)
-            items = batch[self.item].to_numpy(zero_copy_only=False)[row_of]
-            wu, wcode = np.unique(win, return_inverse=True)
-            uit, icode = np.unique(items, return_inverse=True)
-            comp = (kcode * len(wu) + wcode) * len(uit) + icode
-            ucomp = np.unique(comp)  # distinct (group, item)
-            g_of = ucomp // len(uit)
-            it_of = uit[ucomp % len(uit)].astype(np.int64)
-            hv = splitmix64(it_of.astype(np.uint64))
-            order = np.lexsort((it_of, hv, g_of))
-            gs = g_of[order]
-            starts = np.flatnonzero(np.diff(gs, prepend=-1))
-            rank = np.arange(gs.size) - np.repeat(
-                starts, np.diff(np.append(starts, gs.size))
-            )
-            keep = order[rank < self.k]
-            gk = kdict[g_of[keep] // len(wu)]
-            tbl = pa.table(
-                {
-                    "key": pa.array(gk.tolist(), pa.string()),
-                    "window_start_s": pa.array(
-                        wu[g_of[keep] % len(wu)].astype(np.int64), pa.int64()
-                    ),
-                    "item": pa.array(it_of[keep]),
-                    "hv": pa.array(hv[keep], pa.uint64()),
-                }
-            )
-            part = (
-                _key_u64(tbl["key"].to_numpy(zero_copy_only=False))
-                % np.uint64(self.P)
-            ).astype(np.int64)
-            po = np.argsort(part, kind="stable")
-            tbl = tbl.take(pa.array(po))
-            sp = part[po]
-            bounds = np.flatnonzero(np.diff(sp)) + 1
-            s_ = np.concatenate(([0], bounds))
-            e_ = np.concatenate((bounds, [sp.size]))
-            for s, e in zip(s_, e_):
-                self.actors[int(sp[s])].ingest.remote(tbl.slice(int(s), int(e - s)))
-                calls += 1
+    def _groups(self, gid, vals, key_win) -> pa.Table:
+        uit, icode = np.unique(vals, return_inverse=True)
+        ucomp = np.unique(gid * len(uit) + icode)  # distinct (group, item)
+        g_of = ucomp // len(uit)
+        it_of = uit[ucomp % len(uit)].astype(np.int64)
+        keep, hv = _bottom_k(g_of, it_of, self.k)
+        gk, gw = key_win(g_of[keep])
         return pa.table(
             {
-                "max_ts_us": pa.array([max_ts], pa.int64()),
-                "late_dropped": pa.array([late], pa.int64()),
-                "rows_in": pa.array([rows_in], pa.int64()),
-                "ingest_calls": pa.array([calls], pa.int64()),
+                "key": pa.array(gk.tolist(), pa.string()),
+                "window_start_s": pa.array(gw, pa.int64()),
+                "item": pa.array(it_of[keep]),
+                "hv": pa.array(hv[keep], pa.uint64()),
             }
         )
-
-
-class BottomKStreamDriver(EpochDriverBase):
-    """Epoch loop for streaming windowed deterministic samples: k x
-    groups-per-batch bottom-k partials -> O(k)-per-window min-union
-    state (idempotent) -> exact bottom-k emission when the watermark
-    closes a window, exactly-once per epoch.  Tumbling + hopping."""
-
-    def __init__(self, input_dir: str, out_dir: str, *, key: str = "event_type",
-                 item: str = "user_id", ts_col: str = "ts_us",
-                 window_size_s: int = 86400, hop_s: int | None = None,
-                 session_gap_s: int | None = None,
-                 allowed_lateness_s: int = 3600, k: int = 5,
-                 n_partitions: int = 8, batch_size: int | None = None):
-        super().__init__(input_dir, out_dir)
-        self.key = key
-        self.item = item
-        self.ts_col = ts_col
-        self.session_gap_s = (
-            int(session_gap_s) if session_gap_s is not None else None
-        )
-        if self.session_gap_s is not None and hop_s is not None:
-            raise ValueError("session_gap_s and hop_s are mutually exclusive")
-        self.size_s = int(window_size_s)
-        self.hop_s = int(hop_s) if hop_s is not None else self.size_s
-        if self.size_s % self.hop_s:
-            raise ValueError("window_size_s must be a multiple of hop_s")
-        self.lateness_s = int(allowed_lateness_s)
-        self.k = int(k)
-        self.n_partitions = n_partitions
-        self.batch_size = batch_size
-        self.sink = ExactlyOnceParquetSink(out_dir, "bottomk")
-        self.watermark_s = _NEG
-
-    def _ensure_actors(self):
-        if self.actors is None:
-            if self.session_gap_s is not None:
-                self.actors = [
-                    BottomKSessionStatePartition.remote(
-                        p, self.session_gap_s, self.k
-                    )
-                    for p in range(self.n_partitions)
-                ]
-            else:
-                self.actors = [
-                    BottomKStatePartition.remote(p, self.size_s, self.k)
-                    for p in range(self.n_partitions)
-                ]
-
-    def _driver_state(self) -> dict:
-        return {"watermark_s": self.watermark_s,
-                "committed": self.sink.committed_epochs()}
-
-    def _load_driver_state(self, state: dict) -> None:
-        self.watermark_s = int(state["watermark_s"])
-
-    def _run_epoch(self, epoch: int):
-        ds = self._epoch_dataset(epoch)
-        em = {"rows_in": 0, "late_dropped": 0, "max_ts_us": -1}
-        if ds is not None:
-            if self.session_gap_s is not None:
-                router = BottomKSessionRouter(
-                    self.actors, self.n_partitions, self.key, self.item,
-                    self.ts_col, self.session_gap_s, self.watermark_s,
-                    self.k,
-                )
-            else:
-                router = BottomKRouter(
-                    self.actors, self.n_partitions, self.key, self.item,
-                    self.ts_col, self.size_s, self.hop_s, self.watermark_s,
-                    self.k,
-                )
-            kwargs = {"batch_format": "pyarrow", "max_retries": 0,
-                      "zero_copy_batch": True}
-            if self.batch_size:
-                kwargs["batch_size"] = self.batch_size
-            stats = ds.map_batches(router, **kwargs).to_pandas()
-            if len(stats):
-                em["rows_in"] = int(stats["rows_in"].sum())
-                em["late_dropped"] = int(stats["late_dropped"].sum())
-                em["max_ts_us"] = int(stats["max_ts_us"].max())
-                self._ingest_expected += int(stats["ingest_calls"].sum())
-            self._ingest_barrier()
-        if em["max_ts_us"] >= 0:
-            self.watermark_s = max(
-                self.watermark_s, em["max_ts_us"] // 1_000_000 - self.lateness_s
-            )
-        self._emit(epoch, self.watermark_s)
-        em["watermark_s"] = self.watermark_s
-        self.metrics[str(epoch)] = em
-
-    def _emit(self, epoch: int, watermark_s: int):
-        tables = [
-            t for t in ray.get(
-                [a.close_windows.remote(watermark_s) for a in self.actors]
-            )
-            if t.num_rows
-        ]
-        sort_by = (
-            ["key", "session_start_us", "rank"]
-            if self.session_gap_s is not None
-            else ["key", "window_start_s", "rank"]
-        )
-        if tables:
-            out = pa.concat_tables(tables)
-            self.sink.commit(epoch, out, sort_by=sort_by)
-        else:
-            self.sink.commit(epoch, pa.table({}))
-
-    def _finalize_stream(self, final_epoch: int):
-        self._emit(final_epoch, 2**62)
-        self.metrics["final"] = {
-            "epoch": final_epoch,
-            "state_metrics": ray.get([a.get_metrics.remote() for a in self.actors]),
-        }
-
-    def result_table(self) -> pa.Table:
-        return self.sink.read_all()
 
 
 # -- Bottom-k session windows -------------------------------------------------
@@ -2742,7 +1851,7 @@ def _bk_pack(hv, items) -> bytes:
 
 
 @ray.remote(num_cpus=0)
-class BottomKSessionStatePartition:
+class BottomKSessionStatePartition(PendingIngest):
     """SESSION-window bottom-k sample state for one key-hash
     partition: open session fragments (key, start_us, end_us) -> one
     <=k (hv, item) pair list.  The k-truncated min-union is the
@@ -2760,27 +1869,7 @@ class BottomKSessionStatePartition:
         self.pending: list[pa.Table] = []
         self.keys: pd.DataFrame | None = None  # key, start_us, end_us
         self.pairs: list | None = None  # aligned [(hv u64[], item i64[])]
-        self.error: str | None = None
         self.metrics = {"partial_rows_in": 0, "ingests": 0, "sessions_closed": 0}
-
-    def ingest_count(self) -> int:
-        if self.error is not None:
-            raise RuntimeError(
-                f"bk-session partition {self.pid} ingest failed: {self.error}"
-            )
-        return self.metrics["ingests"]
-
-    def ingest(self, table: pa.Table) -> int:
-        try:
-            n = table.num_rows
-            if n:
-                self.pending.append(table)
-            self.metrics["partial_rows_in"] += n
-        except Exception as e:
-            self.error = repr(e)
-            n = 0
-        self.metrics["ingests"] += 1
-        return n
 
     def _bk_merge(self, parts: list) -> tuple:
         hv = np.concatenate([p[0] for p in parts])
@@ -2891,13 +1980,10 @@ class BottomKSessionStatePartition:
                  "bk": pa.array(
                      [_bk_pack(h, it) for h, it in self.pairs], pa.binary())}
             )
-        tmp = path + ".tmp"
-        pq.write_table(t, tmp)
-        os.replace(tmp, path)
+        write_parquet_atomic(t, path)
         return path
 
     def restore(self, ckpt_dir: str) -> int:
-        # metrics stay fresh (ingest barrier counts calls since restart)
         path = os.path.join(ckpt_dir, f"bksess-p{self.pid:04d}.parquet")
         self.pending = []
         self.keys = None
@@ -2911,95 +1997,40 @@ class BottomKSessionStatePartition:
         return t.num_rows
 
 
-class BottomKSessionRouter:
-    """Session-fragment partial+route: within-batch fragments per key
-    (lexsort by (key, ts), split runs at gap), each carrying its
-    bottom-k of DISTINCT items.  Late drop is microsecond-granular
-    (ts_us > wm_us), matching the other session routers."""
+class BottomKSessionRouter(_SessionRouter):
+    """Session-fragment partials: each within-batch fragment carries the
+    bottom-k of its DISTINCT items, packed as one blob."""
 
     def __init__(self, actors: list, n_partitions: int, key: str, item: str,
                  ts_col: str, gap_s: int, watermark_s: int, k: int):
-        self.actors = actors
-        self.P = n_partitions
-        self.key = key
-        self.item = item
-        self.ts_col = ts_col
-        self.gap_us = int(gap_s) * 1_000_000
-        self.wm_us = int(max(min(watermark_s * 1_000_000, 2**62), -(2**62)))
+        super().__init__(actors, n_partitions, key, item, ts_col, gap_s, watermark_s)
         self.k = int(k)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows_in = batch.num_rows
-        ts_us = batch[self.ts_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        max_ts = int(ts_us.max()) if rows_in else -1
-        live = ts_us > self.wm_us
-        late = int(rows_in - live.sum())
-        calls = 0
-        idx = np.flatnonzero(live)
-        if idx.size:
-            codes, kvocab = encode_key(batch[self.key].take(pa.array(idx)), self.key)
-            kdict = kvocab.to_numpy(zero_copy_only=False)
-            items = (
-                batch[self.item].to_numpy(zero_copy_only=False)[idx]
-                .astype(np.int64)
-            )
-            tv = ts_us[idx]
-            order = np.lexsort((tv, codes))
-            c_s, t_s = codes[order], tv[order]
-            n = c_s.size
-            brk = np.ones(n, dtype=bool)
-            brk[1:] = (c_s[1:] != c_s[:-1]) | ((t_s[1:] - t_s[:-1]) > self.gap_us)
-            seg = np.cumsum(brk) - 1
-            starts = np.flatnonzero(brk)
-            ends = np.append(starts[1:], n) - 1
-            # distinct (segment, item), then bottom-k per segment
-            it_s = items[order]
-            uit, icode = np.unique(it_s, return_inverse=True)
-            comp = seg * len(uit) + icode
-            ucomp = np.unique(comp)
-            g_of = ucomp // len(uit)
-            it_of = uit[ucomp % len(uit)].astype(np.int64)
-            hv = splitmix64(it_of.astype(np.uint64))
-            po = np.lexsort((it_of, hv, g_of))
-            gs = g_of[po]
-            st2 = np.flatnonzero(np.diff(gs, prepend=-1))
-            rank = np.arange(gs.size) - np.repeat(
-                st2, np.diff(np.append(st2, gs.size))
-            )
-            keep = po[rank < self.k]
-            frag_of = g_of[keep]
-            frags = {}
-            for j, fi in enumerate(frag_of):
-                frags.setdefault(int(fi), []).append(j)
-            fk, fs_, fe_, fb = [], [], [], []
-            for fi in sorted(frags):
-                sel = np.asarray(frags[fi])
-                fk.append(kdict[c_s[starts[fi]]])
-                fs_.append(int(t_s[starts[fi]]))
-                fe_.append(int(t_s[ends[fi]]))
-                fb.append(_bk_pack(hv[keep][sel], it_of[keep][sel]))
-            tbl = pa.table(
-                {"key": pa.array(fk, pa.string()),
-                 "session_start_us": pa.array(fs_, pa.int64()),
-                 "session_end_us": pa.array(fe_, pa.int64()),
-                 "bk": pa.array(fb, pa.binary())}
-            )
-            part = (
-                _key_u64(np.asarray(fk, dtype=object))
-                % np.uint64(self.P)
-            ).astype(np.int64)
-            po2 = np.argsort(part, kind="stable")
-            tbl = tbl.take(pa.array(po2))
-            sp = part[po2]
-            bounds = np.flatnonzero(np.diff(sp)) + 1
-            s_ = np.concatenate(([0], bounds))
-            e_ = np.concatenate((bounds, [sp.size]))
-            for s, e in zip(s_, e_):
-                self.actors[int(sp[s])].ingest.remote(tbl.slice(int(s), int(e - s)))
-                calls += 1
-        return pa.table(
-            {"max_ts_us": pa.array([max_ts], pa.int64()),
-             "late_dropped": pa.array([late], pa.int64()),
-             "rows_in": pa.array([rows_in], pa.int64()),
-             "ingest_calls": pa.array([calls], pa.int64())}
-        )
+    def _fragments(self, seg, starts, vals, frags) -> pa.Table:
+        uit, icode = np.unique(vals.astype(np.int64), return_inverse=True)
+        ucomp = np.unique(seg * len(uit) + icode)  # distinct (fragment, item)
+        g_of = ucomp // len(uit)
+        it_of = uit[ucomp % len(uit)].astype(np.int64)
+        keep, hv = _bottom_k(g_of, it_of, self.k)
+        # every fragment keeps >= 1 pair, as one run of ``keep``
+        cuts = np.append(np.flatnonzero(np.diff(g_of[keep], prepend=-1)), keep.size)
+        hk, ik = hv[keep], it_of[keep]
+        blobs = [_bk_pack(hk[a:b], ik[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+        return pa.table({**_frag_columns(frags), "bk": pa.array(blobs, pa.binary())})
+
+
+class BottomKStreamDriver(_SketchDriver):
+    """Epoch loop for streaming windowed deterministic samples of
+    ``item``: k x groups-per-batch bottom-k partials -> O(k)-per-window
+    min-union state (idempotent) -> exact bottom-k emission when the
+    watermark closes a window, exactly-once per epoch.  Tumbling,
+    hopping and session windows."""
+
+    routers = ("BottomKRouter", "BottomKSessionRouter")
+    partitions = (BottomKStatePartition, BottomKSessionStatePartition)
+    sort_extra = ("rank",)
+
+    def __init__(self, input_dir: str, out_dir: str, *, item: str = "user_id",
+                 k: int = 5, **kw):
+        super().__init__(input_dir, out_dir, "bottomk", value=item, **kw)
+        self.state_args = self.router_args = (int(k),)

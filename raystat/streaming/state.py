@@ -10,7 +10,9 @@ epoch's partials with :func:`route_partials` — one ``ingest`` per
 partition — the explicit, tiny shuffle mandated by
 BASELINE.json:north_star.  With no actor calls inside Ray Data tasks
 the stage is replayable, so Ray's task retries are safe and the read
-fuses with it.
+fuses with it.  Every other streaming kind's router returns its
+partial through the same :func:`partial_row` and is routed by the same
+:func:`route_partials`; their actors share :class:`PendingIngest`.
 
 Skew: partials are pre-aggregated per ``(source, salt, window)`` with
 ``salt = numeric_doc_id % S``, so a hot source's state spreads over up
@@ -26,6 +28,7 @@ snapshot and replays from the next epoch (SURVEY.md §4.2).
 from __future__ import annotations
 
 import os
+import time
 import zlib
 
 import numpy as np
@@ -35,11 +38,16 @@ import pyarrow.parquet as pq
 import ray
 
 from raystat.aggregate import encode_key
+from raystat.dataops.asof import _key_u64
 
 __all__ = [
     "StatePartition", "SessionStatePartition", "Router", "route_partition",
-    "route_partials",
+    "key_partition", "partial_row", "route_partials", "PendingIngest",
+    "write_parquet_atomic",
 ]
+
+
+PART_COL = "_partition"  # owning partition of each partial row on the wire
 
 
 def route_partition(source, salt, n_partitions: int) -> np.ndarray:
@@ -50,27 +58,85 @@ def route_partition(source, salt, n_partitions: int) -> np.ndarray:
     return (h[codes] * 31 + salt) % n_partitions
 
 
+def key_partition(keys, n_partitions: int, name: str = "key") -> np.ndarray:
+    """Owning partition of each row by key hash: ``splitmix64`` of the
+    key value mod P, hashed once per distinct key (``keys`` an Arrow
+    int or string column; a null key raises)."""
+    codes, vocab = encode_key(keys, name)
+    h = _key_u64(vocab.to_numpy(zero_copy_only=False)) % np.uint64(n_partitions)
+    return h.astype(np.int64)[codes]
+
+
+def partial_row(partial: pa.Table | None, part, batch_key: int, **book) -> pa.Table:
+    """The one row a router returns per batch: the bookkeeping scalars
+    ``book``, ``batch_key`` (orders the epoch's payloads, see
+    :func:`route_partials`), ``partial_rows``, ``sec_route`` (the
+    encode time) and ``partial``: the partial table as an Arrow IPC
+    stream whose ``PART_COL`` column holds ``part``, each row's owning
+    partition (empty bytes for an empty partial)."""
+    t0 = time.monotonic()
+    n = 0 if partial is None else partial.num_rows
+    payload = b""
+    if n:
+        partial = partial.append_column(PART_COL, pa.array(part, pa.int64()))
+        sink = pa.BufferOutputStream()
+        with pa.ipc.new_stream(sink, partial.schema) as w:
+            w.write_table(partial)
+        payload = sink.getvalue().to_pybytes()
+    book.update(batch_key=batch_key, partial_rows=n, sec_route=time.monotonic() - t0)
+    cols = {k: [v] for k, v in book.items()}
+    return pa.table({**cols, "partial": pa.array([payload], pa.binary())})
+
+
 def route_partials(book: pd.DataFrame, actors: list) -> list:
     """Submit one epoch's partials to their owning actors and return the
-    ``ingest`` refs, at most one per actor.  ``book`` holds the Router's
-    rows; the non-empty payloads are concatenated in batch-key order
-    (payload bytes break ties from doc ids repeated across batches), so
-    every actor sees the same rows in the same order on every run
-    (float sums depend on it).  Sessions carry no salt: they hash on
-    source alone."""
+    ``ingest`` refs, at most one per actor.  ``book`` holds the
+    routers' rows (:func:`partial_row`); the non-empty payloads are
+    concatenated in batch-key order (payload bytes break ties), then
+    stably sorted by owning partition, so every actor sees the same
+    rows in the same order on every run, whatever order the read tasks
+    finished in (float sums and sketch merges depend on it)."""
+    if not len(book):  # an epoch of empty files has no router rows
+        return []
     live = book[book["partial_rows"] > 0].sort_values(["batch_key", "partial"])
     if not len(live):
         return []
-    tbl = pa.concat_tables([pa.ipc.open_stream(b).read_all() for b in live["partial"]])
-    salt = tbl["salt"].to_numpy() if "salt" in tbl.column_names else 0
-    part = route_partition(tbl["source"], salt, len(actors))
+    tbl = pa.concat_tables(
+        [pa.ipc.open_stream(b).read_all() for b in live["partial"]],
+        promote_options="default",
+    )
+    part = tbl[PART_COL].to_numpy()
     order = np.argsort(part, kind="stable")
-    tbl, part = tbl.take(order), part[order]
+    tbl, part = tbl.drop_columns([PART_COL]).take(order), part[order]
     cuts = [0, *(np.flatnonzero(np.diff(part)) + 1), len(part)]
     return [
         actors[int(part[lo])].ingest.remote(tbl.slice(lo, hi - lo))
         for lo, hi in zip(cuts[:-1], cuts[1:])
     ]
+
+
+def write_parquet_atomic(table: pa.Table, path: str) -> None:
+    """Write ``table`` to ``path`` through a temp file and a rename, so
+    a crash never leaves a torn snapshot."""
+    tmp = path + ".tmp"
+    pq.write_table(table, tmp)
+    os.replace(tmp, path)
+
+
+class PendingIngest:
+    """``ingest`` shared by the state actors: buffer the partial table
+    for the next consolidation and count it.  A failure raises to the
+    driver's barrier, which waits on the ingest refs."""
+
+    rows_metric = "partial_rows_in"
+
+    def ingest(self, table: pa.Table) -> int:
+        n = table.num_rows
+        if n:
+            self.pending.append(table)
+        self.metrics[self.rows_metric] += n
+        self.metrics["ingests"] += 1
+        return n
 
 
 def _require_columns(owner: str, table: pa.Table, cols: list[str]) -> None:
@@ -83,7 +149,7 @@ _KEY = ["source", "salt", "window_start"]
 
 
 @ray.remote(num_cpus=0)
-class StatePartition:
+class StatePartition(PendingIngest):
     # num_cpus=0: merge work is tiny (partial structs); reserving CPU
     # shares would starve the map_batches stages in small sessions.
     """Owns per-(source, salt, window_start) accumulator sums.
@@ -114,12 +180,7 @@ class StatePartition:
         driver's barrier.  Field-wise addition == the reference's
         merge(); deferred to _consolidate()."""
         _require_columns(f"state partition {self.pid}", table, _KEY + self.sum_cols)
-        n = table.num_rows
-        if n:
-            self.pending.append(table)
-        self.metrics["partial_rows_in"] += n
-        self.metrics["ingests"] += 1
-        return n
+        return super().ingest(table)
 
     def _consolidate(self) -> None:
         if not self.pending:
@@ -213,9 +274,7 @@ class StatePartition:
             }
         )
         path = os.path.join(ckpt_dir, f"state-p{self.pid:04d}.parquet")
-        tmp = path + ".tmp"
-        pq.write_table(t, tmp)
-        os.replace(tmp, path)
+        write_parquet_atomic(t, path)
         return path
 
     def restore(self, ckpt_dir: str) -> int:
@@ -236,54 +295,41 @@ class StatePartition:
 
 
 class Router:
-    """The epoch's ``map_batches`` stage: computes one batch's partial
-    table (via ``partial_fn``) and returns it as data, in one row per
-    batch with the bookkeeping (max event ts, late-drop count, raw row
-    count, timings), the partial as an Arrow IPC payload and the batch
-    key (smallest numeric doc id) that orders payloads for
-    :func:`route_partials`.  It makes no actor calls, so Ray may retry
-    it and fuse it with the read.  ``actors`` and ``n_partitions`` go
-    unused (the driver routes); they keep the constructor signature
-    that every streaming router shares and that router wrappers rely
-    on."""
+    """The epoch's ``map_batches`` stage of ``StreamDriver``: computes one
+    batch's partial table (via ``partial_fn``) and returns it as data
+    through :func:`partial_row`, each row owned by partition
+    ``route_partition(source, salt, P)`` (sessions carry no salt: they
+    hash on source alone), with the batch's bookkeeping (max event ts,
+    late-drop count, raw row count, per-source max ts, the kernel time
+    ``sec_fn``) and the smallest numeric doc id as batch key.  It makes
+    no actor calls, so Ray may retry it and fuse it with the read.
+    ``actors`` goes unused (the driver routes); it keeps the
+    constructor signature every streaming router shares and that
+    router wrappers rely on."""
 
     def __init__(self, actors: list, n_partitions: int, partial_fn):
+        self.P = n_partitions
         self.partial_fn = partial_fn
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import time as _time
-
-        t0 = _time.monotonic()
+        t0 = time.monotonic()
         partial, info = self.partial_fn(batch)
-        sec_fn = _time.monotonic() - t0
-        payload = b""
+        part = None
         if partial.num_rows:
-            sink = pa.BufferOutputStream()
-            with pa.ipc.new_stream(sink, partial.schema) as w:
-                w.write_table(partial)
-            payload = sink.getvalue().to_pybytes()
-        sec_route = _time.monotonic() - t0 - sec_fn
-        return pa.table(
-            {
-                "max_ts_us": pa.array([info["max_ts_us"]], pa.int64()),
-                "late_dropped": pa.array([info["late_dropped"]], pa.int64()),
-                "rows_in": pa.array([info["rows_in"]], pa.int64()),
-                "partial_rows": pa.array([partial.num_rows], pa.int64()),
-                "sec_fn": pa.array([sec_fn], pa.float64()),
-                "sec_route": pa.array([sec_route], pa.float64()),
-                # per-source max event ts (JSON; "" when the stage runs
-                # with a global watermark) for per_source watermarking
-                "src_max_json": pa.array(
-                    [info.get("src_max_json", "")], pa.string()
-                ),
-                "batch_key": pa.array([info["batch_key"]], pa.int64()),
-                "partial": pa.array([payload], pa.binary()),
-            }
+            salt = partial["salt"].to_numpy() if "salt" in partial.column_names else 0
+            part = route_partition(partial["source"], salt, self.P)
+        return partial_row(
+            partial, part, info["batch_key"], max_ts_us=info["max_ts_us"],
+            late_dropped=info["late_dropped"], rows_in=info["rows_in"],
+            sec_fn=time.monotonic() - t0,
+            # per-source max event ts (JSON; "" under a global
+            # watermark) for per_source watermarking
+            src_max_json=info.get("src_max_json", ""),
         )
 
 
 @ray.remote(num_cpus=0)
-class SessionStatePartition:
+class SessionStatePartition(PendingIngest):
     """Session-window state store: open partial sessions
     ``(source, start_us, end_us, sums...)`` merged by the gap rule.
 
@@ -331,12 +377,7 @@ class SessionStatePartition:
         _consolidate()."""
         cols = ["source"] + self._cols
         _require_columns(f"session partition {self.pid}", table, cols)
-        n = table.num_rows
-        if n:
-            self.pending.append(table.select(cols))
-        self.metrics["partial_rows_in"] += n
-        self.metrics["ingests"] += 1
-        return n
+        return super().ingest(table.select(cols))
 
     def _consolidate(self) -> None:
         if not self.pending:
@@ -436,9 +477,7 @@ class SessionStatePartition:
         os.makedirs(ckpt_dir, exist_ok=True)
         t = self.peek_state()
         path = os.path.join(ckpt_dir, f"sess-p{self.pid:04d}.parquet")
-        tmp = path + ".tmp"
-        pq.write_table(t, tmp)
-        os.replace(tmp, path)
+        write_parquet_atomic(t, path)
         return path
 
     def restore(self, ckpt_dir: str) -> int:

@@ -864,17 +864,53 @@ def test_route_partials_ignores_arrival_order():
     assert sum(t.num_rows for t in runs[0]) == 12 * 40
 
 
-def test_epoch_reads_fused_with_partial_stage(ray_session, fixture_dir):
+def _fusion_driver(kind: str, fixture_dir: str, sf: str, out: str):
+    """One streaming driver of each router shape with 3 state partitions,
+    on its pytest fixture."""
+    from raystat.streaming.dedup import DedupStreamDriver, docs_stream_fixture
+    from raystat.streaming.interval import (
+        IntervalJoinConfig,
+        IntervalStreamDriver,
+        events_interval_fixture,
+    )
+    from raystat.streaming.sketch import HllStreamDriver, events_stream_fixture
+
+    lateness = 200 * 3600
+    if kind == "StreamDriver":
+        return StreamDriver(fixture_dir, out, make_cfg(passthrough=False, n_partitions=3))
+    if kind == "HllStreamDriver":
+        return HllStreamDriver(
+            events_stream_fixture(sf, n_epochs=4), out, window_size_s=7 * 86400,
+            allowed_lateness_s=lateness, n_partitions=3,
+        )
+    if kind == "DedupStreamDriver":
+        return DedupStreamDriver(docs_stream_fixture(sf, n_epochs=4), out, n_partitions=3)
+    return IntervalStreamDriver(
+        events_interval_fixture(sf, n_epochs=4), out,
+        IntervalJoinConfig(allowed_lateness_s=lateness, n_partitions=3),
+    )
+
+
+_FUSED_ROUTER = {
+    "StreamDriver": "Router",
+    "HllStreamDriver": "HllRouter",
+    "DedupStreamDriver": "DedupRouter",
+    "IntervalStreamDriver": "IntervalRouter",
+}
+
+
+@pytest.mark.parametrize("kind", list(_FUSED_ROUTER))
+def test_epoch_reads_fused_with_partial_stage(ray_session, fixture_dir, sf_dir, kind):
     """Each epoch runs as ONE Ray Data operator (the read fused with the
-    Router), with at most one read task per Ray CPU and at most one
-    ingest call per state partition."""
+    driver's router), with at most one read task per Ray CPU and at
+    most one ingest call per state partition."""
     import re
 
     import ray
 
     out = "/tmp/rs_pytest_fusion"
     shutil.rmtree(out, ignore_errors=True)
-    drv = StreamDriver(fixture_dir, out, make_cfg(passthrough=False, n_partitions=3))
+    drv = _fusion_driver(kind, fixture_dir, sf_dir, out)
     executed = []
     epoch_dataset = drv._epoch_dataset
 
@@ -892,11 +928,15 @@ def test_epoch_reads_fused_with_partial_stage(ray_session, fixture_dir):
     cpus = ray.cluster_resources()["CPU"]
     for ds in executed:
         ops = ds._get_stats_summary().operators_stats
-        assert [o.operator_name for o in ops] == ["ReadParquet->MapBatches(Router)"]
+        assert [o.operator_name for o in ops] == [
+            f"ReadParquet->MapBatches({_FUSED_ROUTER[kind]})"
+        ]
         tasks = int(re.search(r"(\d+) tasks executed", ops[0].block_execution_summary_str)[1])
         assert 1 <= tasks <= cpus
-    calls = [em["ingest_calls"] for em in metrics["epochs"].values()]
+    calls = [em["ingest_calls"] for e, em in metrics["epochs"].items() if e != "final"]
     assert max(calls) <= 3 and sum(calls) > 0
+    for a in drv.actors:
+        ray.kill(a)
     shutil.rmtree(out, ignore_errors=True)
 
 

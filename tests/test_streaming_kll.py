@@ -17,6 +17,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from raystat.streaming.sketch import KllStreamDriver, events_stream_fixture
+from tests.util import manifest_digests
 
 SF = "/root/testdata/sf0.001"
 WEEK = 7 * 86400
@@ -40,12 +41,12 @@ def _exact_windowed(fix: str, size_s: int, qs=(0.45, 0.5, 0.55, 0.85, 0.9, 0.95)
     return pd.DataFrame(rows)
 
 
-def _run(out: str, n_partitions: int = 4) -> pd.DataFrame:
+def _run(out: str, n_partitions: int = 4, batch_size: int | None = None) -> pd.DataFrame:
     fix = events_stream_fixture(SF, n_epochs=4)
     drv = KllStreamDriver(
         fix, out, key="event_type", value="value", ts_col="ts_us",
         window_size_s=WEEK, allowed_lateness_s=LATENESS,
-        n_partitions=n_partitions,
+        n_partitions=n_partitions, batch_size=batch_size,
     )
     drv.run()
     return drv.result_table().to_pandas().sort_values(
@@ -90,10 +91,15 @@ def test_small_windows_exact(ray_session):
 
 
 def test_deterministic_across_runs(ray_session):
+    """Several batches per epoch (batch_size 48 on ~250-row epochs):
+    the driver routes partials in batch-key order and the actors merge
+    canonically, so two runs commit byte-identical epochs."""
     out_a = tempfile.mkdtemp(prefix="rs_kll_a_")
     out_b = tempfile.mkdtemp(prefix="rs_kll_b_")
     try:
-        pd.testing.assert_frame_equal(_run(out_a), _run(out_b))
+        pd.testing.assert_frame_equal(_run(out_a, batch_size=48), _run(out_b, batch_size=48))
+        digests = [manifest_digests(os.path.join(o, "quantiles")) for o in (out_a, out_b)]
+        assert digests[0] and digests[0] == digests[1]
     finally:
         shutil.rmtree(out_a, ignore_errors=True)
         shutil.rmtree(out_b, ignore_errors=True)
@@ -126,12 +132,13 @@ def _exact_sessions(fix: str, gap_s: int = GAP_S):
     return pd.DataFrame(rows)
 
 
-def _run_sessions(out: str, n_partitions: int = 4) -> pd.DataFrame:
+def _run_sessions(out: str, n_partitions: int = 4,
+                  batch_size: int | None = None) -> pd.DataFrame:
     fix = events_stream_fixture(SF, n_epochs=4)
     drv = KllStreamDriver(
         fix, out, key="event_type", value="value", ts_col="ts_us",
         session_gap_s=GAP_S, allowed_lateness_s=LATENESS,
-        n_partitions=n_partitions,
+        n_partitions=n_partitions, batch_size=batch_size,
     )
     drv.run()
     return drv.result_table().to_pandas().sort_values(
@@ -161,12 +168,16 @@ def test_session_boundaries_and_brackets(ray_session):
 
 
 def test_session_deterministic_across_runs(ray_session):
-    """Canonical fragment merge order -> identical estimates run to
-    run despite nondeterministic ingest arrival order."""
+    """Canonical fragment merge order -> identical estimates and
+    byte-identical epochs run to run, with several batches per epoch."""
     out_a = tempfile.mkdtemp(prefix="rs_kllsess_a_")
     out_b = tempfile.mkdtemp(prefix="rs_kllsess_b_")
     try:
-        pd.testing.assert_frame_equal(_run_sessions(out_a), _run_sessions(out_b))
+        pd.testing.assert_frame_equal(
+            _run_sessions(out_a, batch_size=48), _run_sessions(out_b, batch_size=48)
+        )
+        digests = [manifest_digests(os.path.join(o, "quantiles")) for o in (out_a, out_b)]
+        assert digests[0] and digests[0] == digests[1]
     finally:
         shutil.rmtree(out_a, ignore_errors=True)
         shutil.rmtree(out_b, ignore_errors=True)

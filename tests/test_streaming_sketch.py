@@ -845,10 +845,12 @@ def test_bottomk_hopping_windows_cover_both(ray_session):
 
 
 def test_bottomk_session_crash_resume_and_determinism(ray_session):
-    """Session bottom-k: gap-merged boundaries + samples equal a
-    re-run exactly, and crash/resume reproduces the reference run
-    (idempotent min-union makes overlapping fragment merges safe)."""
+    """Session bottom-k: with several batches per epoch, a re-run
+    commits byte-identical epochs, and crash/resume reproduces the
+    reference run (idempotent min-union makes overlapping fragment
+    merges safe)."""
     from raystat.streaming.sketch import BottomKStreamDriver
+    from tests.util import manifest_digests
 
     fix = events_stream_fixture(SF, n_epochs=4)
     outs = []
@@ -858,8 +860,10 @@ def test_bottomk_session_crash_resume_and_determinism(ray_session):
             outs.append(out)
             BottomKStreamDriver(
                 fix, out, session_gap_s=_SESS_GAP,
-                allowed_lateness_s=LATENESS, k=5, n_partitions=4,
+                allowed_lateness_s=LATENESS, k=5, n_partitions=4, batch_size=48,
             ).run()
+        digests = [manifest_digests(os.path.join(o, "bottomk")) for o in outs]
+        assert digests[0] and digests[0] == digests[1]
         cols = ["key", "session_start_us", "session_end_us", "item", "rank"]
         a, b = (
             BottomKStreamDriver(fix, o, session_gap_s=_SESS_GAP)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import glob
+import json
+import os
+
 import duckdb
 import numpy as np
 import pandas as pd
@@ -57,3 +61,13 @@ def assert_frames_close(got, expected, keys, rel=1e-9, abs_tol=1e-9):
             pd.testing.assert_series_equal(
                 g, e, check_dtype=False, check_names=False, obj=f"column {c}"
             )
+
+
+def manifest_digests(sink_root: str) -> list[tuple[str, str]]:
+    """(manifest name, sha256) of every committed epoch of one
+    exactly-once sink, in epoch order."""
+    out = []
+    for f in sorted(glob.glob(os.path.join(sink_root, "_manifest", "epoch-*.json"))):
+        with open(f) as fh:
+            out.append((os.path.basename(f), json.load(fh)["sha256"]))
+    return out
