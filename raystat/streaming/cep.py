@@ -274,19 +274,17 @@ class CepStreamDriver(EpochDriverBase):
     def _load_driver_state(self, state: dict) -> None:
         self.watermark_s = int(state["watermark_s"])
 
-    def _run_epoch(self, epoch: int):
-        router = CepRouter(
+    def _router(self):
+        return CepRouter(
             self.actors, self.n_partitions, self.key, self.type_col,
             self.ts_col, self.stages, self._wm_us(self.watermark_s),
         )
-        em, _ = self._route_epoch(epoch, router)
+
+    def _advance(self, em: dict, book) -> None:
         if em["max_ts_us"] >= 0:
             self.watermark_s = max(
                 self.watermark_s, em["max_ts_us"] // 1_000_000 - self.lateness_s
             )
-        self._emit(epoch, self.watermark_s)
-        em["watermark_s"] = self.watermark_s
-        self.metrics[str(epoch)] = em
 
     @staticmethod
     def _wm_us(watermark_s: int) -> int:

@@ -217,11 +217,11 @@ class DedupStreamDriver(EpochDriverBase):
     def _driver_state(self) -> dict:
         return {"committed": self.sink.committed_epochs()}
 
+    def _router(self):
+        return DedupRouter(self.actors, self.n_partitions, self.text_col, self.id_col)
+
     def _run_epoch(self, epoch: int):
-        router = DedupRouter(
-            self.actors, self.n_partitions, self.text_col, self.id_col
-        )
-        em, _ = self._route_epoch(epoch, router)
+        em, _ = self._route_epoch(epoch)
         self._emit(epoch)
         self.metrics[str(epoch)] = em
 

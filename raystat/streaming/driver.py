@@ -20,13 +20,16 @@ loop, with this driver's stages):
    window_start)`` and tag each partial row with its owning partition;
    each batch returns one row — bookkeeping (max event ts, late
    counts), its partial table as Arrow IPC and a batch key
-3. the driver concatenates the epoch's partials in batch-key order and
-   routes them to their owning StatePartition actors with one
-   ``ingest`` per partition (the explicit salted hash shuffle), then
-   waits for those calls (the barrier)
-4. advance watermark to ``max_event_ts - allowed_lateness``; actors pop
-   state of windows with ``window_end <= watermark``; cross-salt merge
-   (field-wise add) + vectorized finalize
+3. advance watermark to ``max_event_ts - allowed_lateness`` (per
+   source under ``watermark_scope="per_source"``), which is all the
+   next epoch's Router needs, so epoch ``e+1``'s steps 1-2 start here
+   on a second thread and run while the driver finishes epoch ``e``:
+   it concatenates epoch ``e``'s partials in batch-key order, routes
+   them to their owning StatePartition actors with one ``ingest`` per
+   partition (the explicit salted hash shuffle) and waits for those
+   calls (the barrier), then runs steps 4-7
+4. actors pop state of windows with ``window_end <= watermark``;
+   cross-salt merge (field-wise add) + vectorized finalize
 5. join against the metadata stream state (grace-buffered left join)
 6. commit via the exactly-once sink; optional exact per-row passthrough
    (same late-drop predicate, token arrays untouched)
@@ -632,21 +635,20 @@ class StreamDriver(EpochDriverBase):
             _canonicalize_json_batch, batch_format="pyarrow", zero_copy_batch=True
         )
 
-    def _run_epoch(self, epoch: int):
-        # late-drop predicate for BOTH sinks at ingest time: the global
-        # scalar, or a frozen copy of the per-source frontier map
-        wm_at_ingest = (
-            dict(self.src_watermark) if self.per_source_wm else self.watermark_s
-        )
+    def _watermark(self):
+        """The watermark in force: the global scalar, or a frozen copy
+        of the per-source frontier map."""
+        return dict(self.src_watermark) if self.per_source_wm else self.watermark_s
+
+    def _router(self):
         stage = _session_partial_stage if self.session_mode else _partial_stage
         fn = stage(
             self.cfg, self.needed, self.u_order, self.w_order, self.watermark_s,
-            src_wm=wm_at_ingest if self.per_source_wm else None,
+            src_wm=self._watermark() if self.per_source_wm else None,
         )
-        em, book = self._route_epoch(
-            epoch, Router(self.actors, self.cfg.n_partitions, fn)
-        )
-        t0 = time.monotonic()
+        return Router(self.actors, self.cfg.n_partitions, fn)
+
+    def _advance(self, em: dict, book: pd.DataFrame | None) -> None:
         if em["max_ts_us"] >= 0:
             self.watermark_s = max(
                 self.watermark_s,
@@ -658,10 +660,14 @@ class StreamDriver(EpochDriverBase):
                     wm = int(m) // 1_000_000 - self.cfg.allowed_lateness_s
                     if wm > self.src_watermark.get(src, NEG):
                         self.src_watermark[src] = wm
-        self._emit(
-            epoch,
-            dict(self.src_watermark) if self.per_source_wm else self.watermark_s,
-        )
+
+    def _run_epoch(self, epoch: int):
+        # the passthrough drops what this epoch's router dropped: the
+        # watermark before _advance
+        wm_at_ingest = self._watermark()
+        em, book = self._route_epoch(epoch)
+        t0 = time.monotonic()
+        self._emit(epoch, self._watermark())
         em["sec_emit"] = round(time.monotonic() - t0, 3)
         if self.pass_sink is not None and book is not None:
             self.pass_sink.commit_dataset(

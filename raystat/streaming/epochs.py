@@ -4,26 +4,39 @@ drivers all subclass :class:`EpochDriverBase`.
 
 Per arrival epoch ``e`` (``input_dir/arrival=e/*.parquet``):
 
-1. ``_epoch_dataset(e)``: a lazy Dataset over the epoch's files, with
-   at most one read task per Ray CPU slot;
-2. ``_route_epoch``: one side-effect-free ``map_batches(router)``
-   stage, which Ray fuses with the read.  Each batch returns one row
+1. the stage: ``_epoch_dataset(e)``, a lazy Dataset over the epoch's
+   files with at most one read task per Ray CPU slot, and one
+   side-effect-free ``map_batches(router)`` over it, which Ray fuses
+   with the read.  The router comes from ``_router()``, built from the
+   driver state as it stands.  Each batch returns one row
    (``state.partial_row``): its bookkeeping plus its partial table as
-   Arrow IPC.  The driver sums the bookkeeping, and ``_ingest_barrier``
-   routes the epoch's partials with at most one ``ingest`` per state
-   actor (``state.route_partials``) and waits on those calls: an actor
-   error raises there;
-3. the subclass's ``_run_epoch`` advances its watermark and ``_emit``
-   commits what closed through its exactly-once sink;
+   Arrow IPC;
+2. ``_route_epoch``: the driver sums the bookkeeping and ``_advance``
+   moves its watermark, which is all the next epoch's router depends
+   on; it then starts epoch ``e+1``'s stage on a second thread, and
+   ``_ingest_barrier`` routes epoch ``e``'s partials with at most one
+   ``ingest`` per state actor (``state.route_partials``) and waits on
+   those calls: an actor error raises there;
+3. ``_run_epoch``: ``_emit`` closes what the watermark passed and
+   commits it through the exactly-once sink;
 4. ``_checkpoint(e)``: actor snapshots plus ``_driver_state()``.
+
+So epoch ``e+1``'s read and partial kernel run while the driver
+routes, closes, commits and checkpoints epoch ``e``.  The stage has no
+side effects, and epoch ``e+1``'s partials reach the actors only in
+``_run_epoch(e+1)``, after ``_checkpoint(e)``: the state, the outputs
+and a resume are what the serial loop gives.  The depth is 1: epoch
+``e+2``'s router needs epoch ``e+1``'s watermark.  ``run`` starts no
+stage past ``stop_after_epoch`` or the last epoch, and waits for the
+one in flight before it returns or raises.
 
 ``run(resume=True)`` restores the latest checkpoint and replays from
 the next epoch; sinks skip epochs they already committed.
 
-Subclasses provide ``_ensure_actors``, ``_run_epoch(epoch)``,
-``_emit`` and the ``_driver_state()`` / ``_load_driver_state(state)``
-checkpoint payload, and set ``sink``; the actors expose
-``ingest / snapshot / restore / get_metrics``.
+Subclasses provide ``_ensure_actors``, ``_router()``, ``_advance(em,
+book)``, ``_emit`` and the ``_driver_state()`` /
+``_load_driver_state(state)`` checkpoint payload, and set ``sink``;
+the actors expose ``ingest / snapshot / restore / get_metrics``.
 """
 
 from __future__ import annotations
@@ -33,6 +46,7 @@ import json
 import os
 import re
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pandas as pd
 import pyarrow as pa
@@ -47,6 +61,7 @@ END = 2**62  # end-of-stream watermark: every window closes
 class EpochDriverBase:
     # bookkeeping columns summed into each epoch's metrics
     book_sums = ("rows_in", "late_dropped", "partial_rows")
+    wm_attr = "watermark_s"  # the watermark ``_run_epoch`` closes with
 
     def __init__(self, input_dir: str, out_dir: str, n_partitions: int = 8,
                  batch_size: int | None = None):
@@ -58,6 +73,9 @@ class EpochDriverBase:
         os.makedirs(self.ckpt_root, exist_ok=True)
         self.metrics: dict[str, dict] = {}
         self.actors: list | None = None
+        # set by run(): the stage thread, the epoch whose stage to start
+        # next (None: none) and (epoch, future) of the stage in flight
+        self._pool = self._next_epoch = self._prefetch = None
 
     # -- epochs -------------------------------------------------------------
 
@@ -108,26 +126,37 @@ class EpochDriverBase:
         ray.get([a.get_metrics.remote() for a in self.actors])
         return self
 
-    def _route_epoch(self, epoch: int, router) -> tuple[dict, pd.DataFrame | None]:
-        """Run ``router`` over epoch ``epoch`` (one row per batch), sum
-        its bookkeeping and route its partials to the actors; returns
-        the epoch's metrics and the router rows (None for an epoch
-        without files)."""
+    def _stage(self, epoch: int, router) -> tuple[pd.DataFrame | None, float]:
+        """Run ``router`` over epoch ``epoch``: its rows, one per batch
+        (None for an epoch without files), and the seconds it took."""
         t0 = time.monotonic()
-        em = {c: 0 for c in self.book_sums}
-        em.update(max_ts_us=-1, ingest_calls=0, sec_pipeline=0.0, sec_barrier=0.0)
         ds = self._epoch_dataset(epoch)
         if ds is None:
-            return em, None
+            return None, 0.0
         # zero_copy_batch: routers never mutate their input batch, so Ray
         # must not copy its buffers.  No task-level remote args: the
         # stage has no side effects, so Ray's default retries are safe.
         kwargs = {"batch_format": "pyarrow", "zero_copy_batch": True}
         if self.batch_size:
             kwargs["batch_size"] = self.batch_size
-        book = ds.map_batches(router, **kwargs).to_pandas()
-        t_pipe = time.monotonic() - t0
-        if len(book):
+        return ds.map_batches(router, **kwargs).to_pandas(), time.monotonic() - t0
+
+    def _route_epoch(self, epoch: int) -> tuple[dict, pd.DataFrame | None]:
+        """Take epoch ``epoch``'s router rows (started during the
+        previous epoch, or run now), sum their bookkeeping and
+        ``_advance``; start the next epoch's stage; route this epoch's
+        partials to the actors.  Returns the epoch's metrics and the
+        router rows (None for an epoch without files)."""
+        pending, self._prefetch = self._prefetch, None
+        if pending is not None:
+            assert pending[0] == epoch, (pending[0], epoch)
+            book, t_pipe = pending[1].result()
+        else:
+            book, t_pipe = self._stage(epoch, self._router())
+        em = {c: 0 for c in self.book_sums}
+        em.update(max_ts_us=-1, ingest_calls=0, sec_pipeline=round(t_pipe, 3),
+                  sec_barrier=0.0)
+        if book is not None and len(book):
             for c in self.book_sums:
                 em[c] = int(book[c].sum())
             if "max_ts_us" in book:
@@ -136,9 +165,14 @@ class EpochDriverBase:
             em["sec_route_sum"] = round(float(book["sec_route"].sum()), 3)
             if "sec_fn" in book:
                 em["sec_fn_sum"] = round(float(book["sec_fn"].sum()), 3)
-        em["ingest_calls"] = self._ingest_barrier(book)
-        em["sec_pipeline"] = round(t_pipe, 3)
-        em["sec_barrier"] = round(time.monotonic() - t0 - t_pipe, 3)
+        self._advance(em, book)
+        if self._next_epoch is not None:
+            nxt = self._next_epoch
+            self._prefetch = (nxt, self._pool.submit(self._stage, nxt, self._router()))
+        if book is not None:
+            t0 = time.monotonic()
+            em["ingest_calls"] = self._ingest_barrier(book)
+            em["sec_barrier"] = round(time.monotonic() - t0, 3)
         return em, book
 
     def _ingest_barrier(self, book: pd.DataFrame) -> int:
@@ -214,17 +248,27 @@ class EpochDriverBase:
                 self._restore(ck)
                 start = ck + 1
         self._ensure_actors()
-        for e in [x for x in epochs if x >= start]:
+        todo = [x for x in epochs if x >= start]
+        self._pool = ThreadPoolExecutor(1, thread_name_prefix="raystat-stage")
+        try:
+            for i, e in enumerate(todo):
+                stop = stop_after_epoch is not None and e >= stop_after_epoch
+                self._next_epoch = None if stop or i + 1 == len(todo) else todo[i + 1]
+                t0 = time.monotonic()
+                self._run_epoch(e)
+                self._checkpoint(e)
+                self.metrics[str(e)]["sec_total"] = round(time.monotonic() - t0, 3)
+                if stop:
+                    return self._final_metrics()
             t0 = time.monotonic()
-            self._run_epoch(e)
-            self._checkpoint(e)
-            self.metrics[str(e)]["sec_total"] = round(time.monotonic() - t0, 3)
-            if stop_after_epoch is not None and e >= stop_after_epoch:
-                return self._final_metrics()
-        t0 = time.monotonic()
-        self._finalize_stream(epochs[-1] + 1)
-        self.tail_sec = round(time.monotonic() - t0, 3)
-        return self._final_metrics()
+            self._finalize_stream(epochs[-1] + 1)
+            self.tail_sec = round(time.monotonic() - t0, 3)
+            return self._final_metrics()
+        finally:
+            # after an error, wait out the stage in flight; its result
+            # goes unread, since the error ends the run
+            self._pool.shutdown()
+            self._pool = self._next_epoch = self._prefetch = None
 
     def _finalize_stream(self, final_epoch: int):
         """End of stream: close everything, then record the actors'
@@ -249,8 +293,21 @@ class EpochDriverBase:
     def _ensure_actors(self):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def _run_epoch(self, epoch: int):  # pragma: no cover - abstract
+    def _router(self):  # pragma: no cover - abstract
+        """The epoch's ``map_batches`` callable, built from the driver
+        state as it stands (it must copy what ``_advance`` mutates)."""
         raise NotImplementedError
+
+    def _advance(self, em: dict, book: pd.DataFrame | None) -> None:
+        """Move the watermark past an epoch, from its summed
+        bookkeeping ``em`` and its router rows ``book``."""
+
+    def _run_epoch(self, epoch: int):
+        em, _ = self._route_epoch(epoch)
+        wm = getattr(self, self.wm_attr)
+        self._emit(epoch, wm)
+        em[self.wm_attr] = wm
+        self.metrics[str(epoch)] = em
 
     def _emit(self, epoch: int, watermark: int):  # pragma: no cover - abstract
         raise NotImplementedError

@@ -211,6 +211,8 @@ class TaggedJoinDriver(EpochDriverBase):
     replays the failed epoch from the last checkpoint; committed epochs
     re-commit as no-ops."""
 
+    wm_attr = "watermark_us"
+
     def __init__(self, input_dir: str, out_dir: str, cfg, sink_name: str):
         super().__init__(input_dir, out_dir, cfg.n_partitions, cfg.batch_size)
         self.cfg = cfg
@@ -224,18 +226,16 @@ class TaggedJoinDriver(EpochDriverBase):
     def _load_driver_state(self, state: dict) -> None:
         self.watermark_us = int(state["watermark_us"])
 
-    def _run_epoch(self, epoch: int):
+    def _router(self):
         c = self.cfg
-        router = IntervalRouter(self.actors, c.n_partitions, c.by, c.on, self.watermark_us)
-        em, _ = self._route_epoch(epoch, router)
+        return IntervalRouter(self.actors, c.n_partitions, c.by, c.on, self.watermark_us)
+
+    def _advance(self, em: dict, book) -> None:
         if em["max_ts_us"] >= 0:
             self.watermark_us = max(
                 self.watermark_us,
-                em["max_ts_us"] - int(c.allowed_lateness_s) * 1_000_000,
+                em["max_ts_us"] - int(self.cfg.allowed_lateness_s) * 1_000_000,
             )
-        self._emit(epoch, self.watermark_us)
-        em["watermark_us"] = self.watermark_us
-        self.metrics[str(epoch)] = em
 
 
 class IntervalStreamDriver(TaggedJoinDriver):

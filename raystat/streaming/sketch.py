@@ -316,8 +316,8 @@ class _SketchDriver(EpochDriverBase):
     ``n_partitions=8``, ``batch_size``.
 
     A kind names its (window, session) routers — looked up in this
-    module when each epoch runs, so callers may swap them — and actor
-    classes, plus the extra arguments its actors, routers and
+    module each time a router is built, so callers may swap them — and
+    actor classes, plus the extra arguments its actors, routers and
     ``close_windows`` take."""
 
     routers: tuple = ()  # (window router name, session router name)
@@ -370,19 +370,17 @@ class _SketchDriver(EpochDriverBase):
     def _load_driver_state(self, state: dict) -> None:
         self.watermark_s = int(state["watermark_s"])
 
-    def _run_epoch(self, epoch: int):
-        router = globals()[self.routers[self.session_gap_s is not None]](
+    def _router(self):
+        return globals()[self.routers[self.session_gap_s is not None]](
             self.actors, self.n_partitions, self.key, self.value, self.ts_col,
             *self._span(), self.watermark_s, *self.router_args,
         )
-        em, _ = self._route_epoch(epoch, router)
+
+    def _advance(self, em: dict, book) -> None:
         if em["max_ts_us"] >= 0:
             self.watermark_s = max(
                 self.watermark_s, em["max_ts_us"] // 1_000_000 - self.lateness_s
             )
-        self._emit(epoch, self.watermark_s)
-        em["watermark_s"] = self.watermark_s
-        self.metrics[str(epoch)] = em
 
     def _emit(self, epoch: int, watermark_s: int):
         start = "window_start_s" if self.session_gap_s is None else "session_start_us"

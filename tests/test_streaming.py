@@ -47,8 +47,7 @@ def fixture_dir():
     return FIXTURE
 
 
-@pytest.fixture(scope="module")
-def replay(fixture_dir):
+def replay_stream(fixture_dir: str, lateness_s: int):
     """Replay the stream semantics in pandas: which rows are accepted,
     what the watermark sequence is, per-window expected stats."""
     frames = []
@@ -76,10 +75,15 @@ def replay(fixture_dir):
     for e in sorted(df["arrival"].unique()):
         m = (df["arrival"] == e).to_numpy()
         accepted[m] = (df.loc[m, "ws"] + WINDOW_S) > wm
-        wm = max(wm, int(df.loc[m, "ts_s"].max()) - LATENESS_S)
+        wm = max(wm, int(df.loc[m, "ts_s"].max()) - lateness_s)
         wm_by_epoch[int(e)] = wm
     df["accepted"] = accepted
     return df, wm_by_epoch
+
+
+@pytest.fixture(scope="module")
+def replay(fixture_dir):
+    return replay_stream(fixture_dir, LATENESS_S)
 
 
 @pytest.fixture(scope="module")
@@ -130,14 +134,27 @@ def test_aggregates_match_replay_oracle(run_out, replay):
         np.testing.assert_allclose(m[c], m[f"{c}_exp"], rtol=1e-6, atol=1e-6)
 
 
-def test_watermark_and_late_drop_counts(run_out, replay):
+def test_watermark_and_late_drop_counts(run_out, replay, fixture_dir, tmp_path):
+    """Late drops per arrival epoch and the watermark after each epoch
+    equal the replay's, at the fixture's lateness and at a quarter of
+    it.  At a quarter, rows one epoch late are dropped against the
+    watermark the epoch before them left, so a router built from an
+    older watermark drops too few."""
     _, metrics, _ = run_out
-    df, wm_by_epoch = replay
-    dropped_expected = int((~df["accepted"]).sum())
-    dropped_got = sum(e["late_dropped"] for e in metrics["epochs"].values())
-    assert dropped_got == dropped_expected
-    for e, em in metrics["epochs"].items():
-        assert em["watermark_s"] == wm_by_epoch[int(e)]
+    lateness_s = LATENESS_S // 4
+    small = StreamDriver(
+        fixture_dir, str(tmp_path / "small"),
+        make_cfg(passthrough=False, allowed_lateness_s=lateness_s),
+    )
+    runs = [(metrics, replay), (small.run(), replay_stream(fixture_dir, lateness_s))]
+    small.cleanup()
+    for m, (df, wm_by_epoch) in runs:
+        expected = (~df["accepted"]).groupby(df["arrival"]).sum()
+        assert (expected > 0).sum() >= 3
+        assert sorted(m["epochs"]) == [str(e) for e in expected.index]
+        for e, em in m["epochs"].items():
+            assert em["late_dropped"] == int(expected[int(e)]), e
+            assert em["watermark_s"] == wm_by_epoch[int(e)], e
 
 
 def test_passthrough_exact_token_equality(run_out, replay, fixture_dir):
