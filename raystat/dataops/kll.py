@@ -119,8 +119,15 @@ class KLL:
             + [a.tobytes() for a in self.levels]
         )
 
+    @property
+    def parity(self) -> int:
+        """The compactors' alternation bits (bit h: level h), which
+        ``to_bytes`` leaves out; ``from_bytes(b, parity)`` restores
+        them, so the sketch goes on compacting as the original would."""
+        return sum(p << h for h, p in enumerate(self._parity))
+
     @classmethod
-    def from_bytes(cls, b: bytes) -> "KLL":
+    def from_bytes(cls, b: bytes, parity: int = 0) -> "KLL":
         head = np.frombuffer(b[:24], dtype=np.int64)
         k, n, nlev = int(head[0]), int(head[1]), int(head[2])
         lens = np.frombuffer(b[24 : 24 + 8 * nlev], dtype=np.int64)
@@ -128,11 +135,11 @@ class KLL:
         s.n = n
         s.levels, s._parity = [], []
         off = 24 + 8 * nlev
-        for ln in lens:
+        for h, ln in enumerate(lens):
             s.levels.append(
                 np.frombuffer(b[off : off + 8 * int(ln)], dtype=np.float64).copy()
             )
-            s._parity.append(0)
+            s._parity.append((parity >> h) & 1)
             off += 8 * int(ln)
         return s
 

@@ -17,6 +17,9 @@ actor.  Their state kinds: sum-mergeable moment state
 (`BottomKStreamDriver`), first-occurrence seen-hash dedup state with
 optional retention-bounded eviction (`DedupStreamDriver`), and
 temporal-join state with dominated-right pruning (`AsofStreamDriver`).
+The five sketch kinds (HLL, KLL, MG, CMS, bottom-k) share one state
+actor, ``sketch.SketchPartition``, over an Arrow state table: a kind is
+its payload columns, a merge and a finish.
 """
 
 from raystat.streaming.asof import AsofJoinConfig, AsofStreamDriver

@@ -36,7 +36,10 @@ the next epoch; sinks skip epochs they already committed.
 Subclasses provide ``_ensure_actors``, ``_router()``, ``_advance(em,
 book)``, ``_emit`` and the ``_driver_state()`` /
 ``_load_driver_state(state)`` checkpoint payload, and set ``sink``;
-the actors expose ``ingest / snapshot / restore / get_metrics``.
+the actors expose ``ingest / snapshot / restore / get_metrics`` and
+the close method ``_emit`` calls.  Every sketch kind runs one actor
+class, ``sketch.SketchPartition``, which takes the kind's merge and
+finish; the moment, CEP, dedup and join drivers have their own.
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ from raystat.dataops.asof import _key_u64
 __all__ = [
     "StatePartition", "SessionStatePartition", "Router", "route_partition",
     "key_partition", "partial_row", "route_partials", "PendingIngest",
-    "write_parquet_atomic",
+    "write_parquet_atomic", "gap_sweep",
 ]
 
 
@@ -137,6 +137,25 @@ class PendingIngest:
         self.metrics[self.rows_metric] += n
         self.metrics["ingests"] += 1
         return n
+
+
+def gap_sweep(codes: np.ndarray, start: np.ndarray, end: np.ndarray, gap_us: int):
+    """The gap-rule session sweep of the session state actors: sort by
+    (key code, start), take each key's running max of the ends, and
+    open a new session where the key changes or ``start - running max
+    > gap``.  Returns the sort order, the sorted position of each
+    session's first row and each session's end.  (The grouped running
+    max suffices: a row starting beyond it is provably a new session,
+    and every row of a new session has ``end >= start > previous
+    max``, so earlier sessions never leak into a later session's
+    end.)  One C-loop pass at any key cardinality."""
+    order = np.lexsort((start, codes))
+    c, s = codes[order], start[order]
+    cm = pd.Series(end[order]).groupby(c).cummax().to_numpy()
+    brk = np.ones(c.size, dtype=bool)
+    brk[1:] = (c[1:] != c[:-1]) | (s[1:] - cm[:-1] > gap_us)
+    first = np.flatnonzero(brk)
+    return order, first, cm[np.append(first[1:], c.size) - 1]
 
 
 def _require_columns(owner: str, table: pa.Table, cols: list[str]) -> None:
@@ -340,17 +359,12 @@ class SessionStatePartition(PendingIngest):
     merge partial aggregates, SURVEY.md §2.2).
 
     Merge strategy mirrors StatePartition: ``ingest`` only APPENDS the
-    incoming partial table; the gap-rule merge
-    happens lazily at epoch boundaries as ONE vectorized sweep over
-    everything pending — factorize sources, lexsort by (source, start),
-    grouped end-cummax, cluster breaks where ``start - cummax(end) >
-    gap``, then ``np.add.reduceat`` per sum column.  (The global
-    grouped cummax is sufficient: a row starting beyond it is provably
-    a new cluster, and any row inside a new cluster has ``end >= start
-    > previous cummax``, so earlier clusters never leak into a later
-    cluster's end.)  Same interval algorithm the batch path uses
-    (aggregate.session_moments); C-loop per key at any source
-    cardinality — no per-source or per-row Python."""
+    incoming partial table; the gap-rule merge happens lazily at epoch
+    boundaries as ONE vectorized :func:`gap_sweep` over the open
+    sessions and everything pending (the sweep the sketch actors
+    share), then ``np.add.reduceat`` per sum column.  Same interval
+    algorithm the batch path uses (aggregate.session_moments); no
+    per-source or per-row Python."""
 
     def __init__(self, partition_id: int, sum_cols: list[str], gap_s: int):
         self.pid = partition_id
@@ -396,24 +410,15 @@ class SessionStatePartition(PendingIngest):
         )
         codes, _ = pd.factorize(allf["source"], sort=False)
         start = allf["session_start_us"].to_numpy()
-        end = allf["session_end_us"].to_numpy()
-        order = np.lexsort((start, codes))
-        codes_s, start_s, end_s = codes[order], start[order], end[order]
-        cm = pd.Series(end_s).groupby(codes_s).cummax().to_numpy()
-        n = len(codes_s)
-        brk = np.ones(n, dtype=bool)
-        brk[1:] = (codes_s[1:] != codes_s[:-1]) | (
-            start_s[1:] - cm[:-1] > self.gap_us
+        order, first, end = gap_sweep(
+            codes, start, allf["session_end_us"].to_numpy(), self.gap_us
         )
-        starts_idx = np.flatnonzero(brk)
-        last_idx = np.append(starts_idx[1:], n) - 1
-        S = allf[self.sum_cols].to_numpy()[order]
-        sums = np.add.reduceat(S, starts_idx, axis=0)
+        sums = np.add.reduceat(allf[self.sum_cols].to_numpy()[order], first, axis=0)
         merged = pd.DataFrame(
             {
-                "source": allf["source"].to_numpy()[order][starts_idx],
-                "session_start_us": start_s[starts_idx],
-                "session_end_us": cm[last_idx].astype(np.int64),
+                "source": allf["source"].to_numpy()[order][first],
+                "session_start_us": start[order][first],
+                "session_end_us": end.astype(np.int64),
             }
         )
         for j, c in enumerate(self.sum_cols):

@@ -1,7 +1,8 @@
-"""Streaming windowed HLL distinct: streamed registers equal the
-batch registers over the same rows (max-merge order independence),
-ingest idempotence (replay safety), late-drop behaviour, and
-crash/resume exactly-once."""
+"""Streaming windowed sketches: streamed HLL registers equal the batch
+registers over the same rows (max-merge order independence), ingest
+idempotence (replay safety), late-drop behaviour, crash/resume
+exactly-once, and the one ``SketchPartition`` actor's column checks and
+snapshot/restore for every (kind, span)."""
 
 from __future__ import annotations
 
@@ -18,11 +19,17 @@ import pytest
 import ray
 
 from raystat.dataops.sketches import _M, _rho_and_idx, hll_estimate
+from raystat.streaming.epochs import END, NEG
 from raystat.streaming.sketch import (
-    HllStatePartition,
+    BottomKStreamDriver,
+    CmsStreamDriver,
     HllStreamDriver,
+    KllStreamDriver,
+    MgStreamDriver,
+    SketchPartition,
     events_stream_fixture,
 )
+from raystat.streaming.state import partial_row
 
 SF = "/root/testdata/sf0.001"
 WEEK = 7 * 86400
@@ -77,30 +84,144 @@ def test_streamed_equals_batch_registers(ray_session):
         shutil.rmtree(out, ignore_errors=True)
 
 
-def test_ingest_idempotence(ray_session):
-    """Max-merge is idempotent: replaying the SAME partial changes
-    nothing — the property that makes epoch replay safe without
-    de-duplication bookkeeping."""
-    idx, rho = _rho_and_idx(np.arange(1000))
-    regs = np.zeros(_M, dtype=np.uint8)
-    np.maximum.at(regs, idx, rho)
-    partial = pa.table(
-        {
-            "key": pa.array(["a"], pa.string()),
-            "window_start_s": pa.array([0], pa.int64()),
-            "regs": pa.array([regs.tobytes()], pa.binary()),
-        }
-    )
-    actor = HllStatePartition.remote(0, 3600)
-    ray.get(actor.ingest.remote(partial))
-    once = ray.get(actor.close_windows.remote(2**62)).to_pandas()
+def _bottomk_pairs(items: np.ndarray):
+    from raystat.dataops.pairs import splitmix64
 
-    actor2 = HllStatePartition.remote(0, 3600)
-    ray.get(actor2.ingest.remote(partial))
-    ray.get(actor2.ingest.remote(partial))
-    ray.get(actor2.ingest.remote(partial))
-    thrice = ray.get(actor2.close_windows.remote(2**62)).to_pandas()
-    pd.testing.assert_frame_equal(once, thrice)
+    hv = splitmix64(items.astype(np.uint64))
+    order = np.lexsort((items, hv))
+    return hv[order], items[order]
+
+
+def _idempotence_partial(kind: str, session: bool) -> pa.Table:
+    us = 1_000_000
+    groups = (
+        {"key": pa.array(["a", "a"]),
+         "session_start_us": pa.array([1000 * us, 1100 * us], pa.int64()),
+         "session_end_us": pa.array([1050 * us, 1200 * us], pa.int64())}
+        if session else
+        {"key": pa.array(["a", "b"]), "window_start_s": pa.array([0, 0], pa.int64())}
+    )
+    items = [np.arange(1000), np.arange(500, 1700)]
+    if kind == "hll":
+        blobs = []
+        for it in items:
+            idx, rho = _rho_and_idx(it)
+            regs = np.zeros(_M, dtype=np.uint8)
+            np.maximum.at(regs, idx, rho)
+            blobs.append(regs.tobytes())
+        return pa.table({**groups, "regs": pa.array(blobs, pa.binary())})
+    pairs = [_bottomk_pairs(it.astype(np.int64)) for it in items]
+    if session:  # one packed blob per fragment: 3 hashes, then 3 items
+        blobs = [np.concatenate([hv[:3], it[:3].view(np.uint64)]).tobytes()
+                 for hv, it in pairs]
+        return pa.table({**groups, "bk": pa.array(blobs, pa.binary())})
+    rep = [3, 3]
+    return pa.table({
+        **{c: pa.array(np.repeat(col.to_numpy(zero_copy_only=False), rep))
+           for c, col in groups.items()},
+        "item": pa.array(np.concatenate([it[:3] for _, it in pairs])),
+        "hv": pa.array(np.concatenate([hv[:3] for hv, _ in pairs]), pa.uint64()),
+    })
+
+
+@pytest.mark.parametrize(
+    "kind, session",
+    [("hll", False), ("hll", True), ("bottomk", False), ("bottomk", True)],
+    ids=["hll-window", "hll-session", "bottomk-window", "bottomk-session"],
+)
+def test_ingest_idempotence(ray_session, kind, session):
+    """HLL max-merge and the bottom-k min-union are idempotent:
+    replaying the SAME partial changes nothing — the property that
+    makes epoch replay safe without de-duplication bookkeeping."""
+    partial = _idempotence_partial(kind, session)
+    args = (3,) if kind == "bottomk" else ()
+    outs = []
+    for times in (1, 3):
+        actor = SketchPartition.remote(0, kind, 3600, session, *args)
+        for _ in range(times):
+            ray.get(actor.ingest.remote(partial))
+        outs.append(ray.get(actor.close_windows.remote(END)).to_pandas())
+        ray.kill(actor)
+    assert len(outs[0]) == (1 if session else 2) * (1 if kind == "hll" else 3)
+    pd.testing.assert_frame_equal(outs[0], outs[1])
+
+
+# Every (kind, span) SketchPartition runs, with the driver arguments
+# that put MG in its lossy regime and give CMS probe rows.
+_KIND_SPANS = [
+    (cls, span, kw)
+    for cls, kw in [
+        (HllStreamDriver, {}), (KllStreamDriver, {"k": 16}),
+        (MgStreamDriver, {"capacity": 4, "top": 3}),
+        (CmsStreamDriver, {"probe_mod": 3}), (BottomKStreamDriver, {"k": 3}),
+    ]
+    for span in ("window", "session")
+    if not (cls is CmsStreamDriver and span == "session")
+]
+_KIND_IDS = [f"{c.kind}-{s}" for c, s, _ in _KIND_SPANS]
+
+
+def _kind_driver(cls, span: str, kw: dict, out: str, n_partitions: int = 2):
+    span_kw = {"session_gap_s": GAP_S} if span == "session" else {"window_size_s": WEEK}
+    return cls(events_stream_fixture(SF, n_epochs=4), out, allowed_lateness_s=LATENESS,
+               n_partitions=n_partitions, **span_kw, **kw)
+
+
+@pytest.mark.parametrize("cls, span, kw", _KIND_SPANS, ids=_KIND_IDS)
+def test_malformed_partial_fails_at_barrier(ray_session, cls, span, kw):
+    """A sketch partial that lacks its kind's columns raises from the
+    driver's barrier (the actor checks them at ingest), not later at
+    close or snapshot."""
+    out = tempfile.mkdtemp(prefix="rs_sk_bad_")
+    try:
+        drv = _kind_driver(cls, span, kw, out).prepare()
+        groups = (["key", "session_start_us", "session_end_us"] if span == "session"
+                  else ["key", "window_start_s"])
+        bad = pa.table({c: pa.array(["a"]) if c == "key" else pa.array([0], pa.int64())
+                        for c in groups})  # group columns, no payload
+        book = partial_row(bad, [0], 0, max_ts_us=0, late_dropped=0, rows_in=1).to_pandas()
+        with pytest.raises(Exception, match="lacks columns"):
+            drv._ingest_barrier(book)
+    finally:
+        shutil.rmtree(out, ignore_errors=True)
+
+
+@pytest.mark.parametrize("cls, span, kw", _KIND_SPANS, ids=_KIND_IDS)
+def test_snapshot_restore_every_kind(ray_session, cls, span, kw):
+    """Partials of two epochs, a snapshot, a restore into fresh actors:
+    closing everything on the restored actors gives the same tables as
+    on the originals, from exactly one parquet file per actor; a
+    directory without the actor's snapshot fails the restore."""
+    out = tempfile.mkdtemp(prefix="rs_sk_snap_")
+    try:
+        drv = _kind_driver(cls, span, kw, out).prepare()
+        for e in (0, 1):
+            book, _ = drv._stage(e, drv._router())
+            drv._ingest_barrier(book)
+            ray.get([a.close_windows.remote(NEG) for a in drv.actors])  # consolidate
+        ckpt = os.path.join(out, "ckpt")
+        ray.get([a.snapshot.remote(ckpt, 1) for a in drv.actors])
+        assert sorted(os.listdir(ckpt)) == ["sketch-p0000.parquet", "sketch-p0001.parquet"]
+        fresh = [
+            SketchPartition.remote(p, cls.kind, drv._span()[0], span == "session",
+                                   *drv.kind_args)
+            for p in range(2)
+        ]
+        with pytest.raises(Exception, match="sketch-p0000.parquet"):
+            ray.get(fresh[0].restore.remote(out))  # no snapshot there
+        ray.get([a.restore.remote(ckpt) for a in fresh])
+        want = ray.get([a.close_windows.remote(END) for a in drv.actors])
+        got = ray.get([a.close_windows.remote(END) for a in fresh])
+        assert sum(t.num_rows for t in want) > 0
+        for w, g in zip(want, got):
+            assert g.equals(w, check_metadata=True)
+        rows = pa.concat_tables(want).to_pandas()
+        if cls is MgStreamDriver:
+            assert (rows["mg_deficit"] > 0).any()
+        for a in fresh:
+            ray.kill(a)
+    finally:
+        shutil.rmtree(out, ignore_errors=True)
 
 
 def test_late_rows_drop_when_window_closed(ray_session):
@@ -769,29 +890,6 @@ def test_bottomk_crash_resume_exactly_once(ray_session):
     finally:
         shutil.rmtree(out1, ignore_errors=True)
         shutil.rmtree(out2, ignore_errors=True)
-
-
-def test_bottomk_ingest_idempotent(ray_session):
-    """Replaying the SAME partial table any number of times cannot
-    change the sample (min-union idempotence, the HLL property)."""
-    from raystat.streaming.sketch import BottomKStatePartition
-    from raystat.dataops.pairs import splitmix64
-
-    p = BottomKStatePartition.remote(0, 3600, 3)
-    items = np.array([10, 20, 30, 40, 50], dtype=np.int64)
-    hv = splitmix64(items.astype(np.uint64))
-    t = pa.table(
-        {"key": pa.array(["a"] * 5, pa.string()),
-         "window_start_s": pa.array(np.zeros(5, dtype=np.int64)),
-         "item": pa.array(items),
-         "hv": pa.array(hv, pa.uint64())}
-    )
-    for _ in range(3):
-        ray.get(p.ingest.remote(t))
-    out = ray.get(p.close_windows.remote(10_000)).to_pandas()
-    want = items[np.lexsort((items, hv))][:3]
-    assert out["item"].tolist() == want.tolist()
-    assert out["rank"].tolist() == [1, 2, 3]
 
 
 def test_bottomk_hopping_windows_cover_both(ray_session):
