@@ -27,7 +27,7 @@ soon as the watermark passes them (a future stage-0 has
 tombstone set grows O(emitted keys) — the same cardinality as the
 batch output itself.
 
-Dataflow per epoch: one map_batches stage filters stage events, drops
+Dataflow per epoch: the epoch stage's router filters stage events, drops
 late rows and returns the ``(key, ts_us, stage)`` rows, which the
 driver key-hash-routes to the owning state actor (wire =
 stage-matching rows only — CEP is irreducibly row-wise, there is no

@@ -11,15 +11,16 @@ input alone.
 Per epoch ``e`` (the :class:`~raystat.streaming.epochs.EpochDriverBase`
 loop, with this driver's stages):
 
-1. build a lazy Dataset over epoch ``e``'s files, with at most one
-   read task per CPU slot
-2. one side-effect-free ``map_batches`` stage (the ``Router``, fused by
-   Ray with the read): derive event time, assign tumbling/hopping
-   windows, drop+count rows whose window already closed (late beyond
-   watermark), pre-aggregate power sums per ``(source, salt,
-   window_start)`` and tag each partial row with its owning partition;
-   each batch returns one row — bookkeeping (max event ts, late
-   counts), its partial table as Arrow IPC and a batch key
+1. read epoch ``e``'s files (Parquet, or JSONL cast to the canonical
+   schema) in plain Ray tasks, at most one per CPU slot, each over a
+   contiguous slice of the files
+2. in the same tasks, the side-effect-free ``Router`` over each batch:
+   derive event time, assign tumbling/hopping windows, drop+count rows
+   whose window already closed (late beyond watermark), pre-aggregate
+   power sums per ``(source, salt, window_start)`` and tag each
+   partial row with its owning partition; each batch returns one row —
+   bookkeeping (max event ts, late counts), its partial table as Arrow
+   IPC and a batch key
 3. advance watermark to ``max_event_ts - allowed_lateness`` (per
    source under ``watermark_scope="per_source"``), which is all the
    next epoch's Router needs, so epoch ``e+1``'s steps 1-2 start here
@@ -41,19 +42,21 @@ loop, with this driver's stages):
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.json as pajson
 import ray
 
 from raystat.accumulators import canonical_sums_for, get_spec
 from raystat.aggregate import encode_key, partial_sums
 from raystat.extract import event_time_us_from_numeric, numeric_doc_id
 from raystat.scratch import astype_f8, buf, tune_allocator
-from raystat.streaming.epochs import END, NEG, EpochDriverBase
+from raystat.streaming.epochs import END, NEG, EpochDriverBase, EpochRead, with_partitions
 from raystat.streaming.join import MetadataJoin
 from raystat.streaming.sink import ExactlyOnceParquetSink
 from raystat.streaming.state import Router, SessionStatePartition, StatePartition
@@ -140,6 +143,20 @@ def _canonicalize_json_batch(batch: pa.Table) -> pa.Table:
         want = _CANON_TYPES.get(name)
         cols.append(col.cast(want) if want is not None and col.type != want else col)
     return pa.table(dict(zip(batch.schema.names, cols)))
+
+
+def _json_batches(files: list[str]):
+    """JSONL ``files`` (the reference's value_format='json') as one
+    batch in the canonical schema, cast file by file: the batch one
+    Ray Data task of a JSON read plus that cast gives (a map's outputs
+    are merged into one block per task)."""
+    opts = pajson.ReadOptions(use_threads=False)
+    tables = [
+        _canonicalize_json_batch(with_partitions(pajson.read_json(f, read_options=opts), f))
+        for f in files if os.path.getsize(f)
+    ]
+    if tables:
+        yield pa.concat_tables(tables, promote_options="default")
 
 
 def _row_token_sums(batch: pa.Table, tokens_col: str, rows_in: int) -> dict[str, np.ndarray]:
@@ -617,23 +634,13 @@ class StreamDriver(EpochDriverBase):
         }
         self.join = MetadataJoin.from_state(state["join"])
 
-    def _epoch_dataset(self, epoch: int):
+    def _epoch_dataset(self, epoch: int) -> EpochRead | None:
         if self.cfg.file_format == "parquet":
             return super()._epoch_dataset(epoch)
-        import ray.data as rd
-
         files = self._epoch_files(epoch, "jsonl")
         if not files:
             return None
-        # JSONL ingest (the reference's value_format='json'): read, then
-        # cast to the canonical Arrow schema so every downstream stage —
-        # including exact token-array passthrough — sees bit-identical
-        # types to the parquet path (JSON integers arrive as int64).
-        # The cast fuses with the read and the router.
-        nblocks = self._read_tasks(files, 8 * 1024 * 1024)
-        return rd.read_json(files, override_num_blocks=nblocks).map_batches(
-            _canonicalize_json_batch, batch_format="pyarrow", zero_copy_batch=True
-        )
+        return EpochRead(files, _json_batches, self._read_tasks(files, 8 * 1024 * 1024))
 
     def _watermark(self):
         """The watermark in force: the global scalar, or a frozen copy
@@ -654,7 +661,8 @@ class StreamDriver(EpochDriverBase):
                 self.watermark_s,
                 em["max_ts_us"] // 1_000_000 - self.cfg.allowed_lateness_s,
             )
-        if self.per_source_wm and book is not None:
+        # an epoch of zero-row files has no router rows, so no frontiers
+        if self.per_source_wm and book is not None and len(book):
             for js in book["src_max_json"]:
                 for src, m in json.loads(js or "{}").items():
                     wm = int(m) // 1_000_000 - self.cfg.allowed_lateness_s
@@ -676,14 +684,24 @@ class StreamDriver(EpochDriverBase):
         em["watermark_s"] = self.watermark_s
         self.metrics[str(epoch)] = em
 
-    def _passthrough_ds(self, ds, wm):
-        """Exact per-row passthrough: same late-drop predicate as the
-        aggregation path (the watermark in force at ingest — the global
-        scalar, or the per-source frontier dict), token arrays
-        byte-identical (pure Arrow filter, no rewrite).  In hopping
-        mode a row is kept iff ANY covering window is open, i.e. its
-        LATEST window ((ts//hop)*hop + size) is open — matching
-        _partial_stage's row_keep."""
+    def _passthrough_ds(self, read: EpochRead, wm):
+        """Exact per-row passthrough of an epoch's files (``read``) as
+        a Ray Data Dataset (the passthrough sink writes a Dataset),
+        with as many read tasks as the stage: same late-drop
+        predicate as the aggregation path (the watermark in force at
+        ingest — the global scalar, or the per-source frontier dict),
+        token arrays byte-identical (pure Arrow filter, no rewrite).
+        In hopping mode a row is kept iff ANY covering window is open,
+        i.e. its LATEST window ((ts//hop)*hop + size) is open —
+        matching _partial_stage's row_keep."""
+        import ray.data as rd
+
+        if self.cfg.file_format == "parquet":
+            ds = rd.read_parquet(read.files, override_num_blocks=read.tasks)
+        else:
+            ds = rd.read_json(read.files, override_num_blocks=read.tasks).map_batches(
+                _canonicalize_json_batch, batch_format="pyarrow", zero_copy_batch=True
+            )
         size_s = self.cfg.window_size_s
         step = self.cfg.hop_s if self.cfg.hop_s is not None else size_s
         session = self.session_mode

@@ -4,13 +4,15 @@ drivers all subclass :class:`EpochDriverBase`.
 
 Per arrival epoch ``e`` (``input_dir/arrival=e/*.parquet``):
 
-1. the stage: ``_epoch_dataset(e)``, a lazy Dataset over the epoch's
-   files with at most one read task per Ray CPU slot, and one
-   side-effect-free ``map_batches(router)`` over it, which Ray fuses
-   with the read.  The router comes from ``_router()``, built from the
-   driver state as it stands.  Each batch returns one row
-   (``state.partial_row``): its bookkeeping plus its partial table as
-   Arrow IPC;
+1. the stage: ``_epoch_dataset(e)``, an :class:`EpochRead` over the
+   epoch's files, runs the side-effect-free router as plain Ray
+   tasks, at most one per Ray CPU slot, each reading a contiguous
+   slice of the files with pyarrow and calling the router on each
+   batch (the batches a one-task Ray Data read gives, or
+   ``batch_size``-row slices).  The router comes from ``_router()``,
+   built from the driver state as it stands.  Each batch returns one
+   row (``state.partial_row``): its bookkeeping plus its partial table
+   as Arrow IPC;
 2. ``_route_epoch``: the driver sums the bookkeeping and ``_advance``
    moves its watermark, which is all the next epoch's router depends
    on; it then starts epoch ``e+1``'s stage on a second thread, and
@@ -51,14 +53,87 @@ import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.dataset as pads
+import pyarrow.fs as pafs
 import ray
 
 from raystat.streaming.state import route_partials
 
 NEG = -(2**62)  # watermark before any event
 END = 2**62  # end-of-stream watermark: every window closes
+# rows per Parquet read batch: the batch Ray Data's Parquet reader
+# gives rows under 1.28 kB
+READ_BATCH_ROWS = 10_000
+
+
+def with_partitions(table: pa.Table, path: str) -> pa.Table:
+    """``table`` read from ``path`` plus a string column for each
+    ``key=value`` directory of the path it lacks (hive partitioning, as
+    Ray Data's readers add it: ``arrival`` for ``arrival=N/*``)."""
+    for d in os.path.dirname(path).split("/"):
+        if d.count("=") == 1:
+            key, value = d.split("=")
+            if key not in table.column_names:
+                table = table.append_column(key, pa.repeat(value, table.num_rows))
+    return table
+
+
+def parquet_batches(files: list[str]):
+    """The batches of Parquet ``files`` in order, as one Ray Data read
+    task gives them: at most ``READ_BATCH_ROWS`` rows each, never
+    spanning a row group, with the path's partition columns."""
+    fmt, fs = pads.ParquetFileFormat(), pafs.LocalFileSystem()
+    for path in files:
+        frag = fmt.make_fragment(path, fs)
+        for rb in frag.to_batches(batch_size=READ_BATCH_ROWS, use_threads=False):
+            yield with_partitions(pa.Table.from_batches([rb]), path)
+
+
+@ray.remote
+def _route_files(files: list[str], read, batch_size: int | None, router) -> pa.Table | None:
+    """One read task of an epoch's stage: ``router`` over the non-empty
+    batches ``read(files)`` yields, or, with a ``batch_size``, over
+    their rows concatenated and cut into ``batch_size``-row batches
+    (the last one short).  Returns the router rows (None if the files
+    hold no rows)."""
+    batches = [b for b in read(files) if b.num_rows]
+    if batch_size and batches:
+        rows = pa.concat_tables(batches)
+        batches = [rows.slice(i, batch_size) for i in range(0, rows.num_rows, batch_size)]
+    out = [router(b) for b in batches]
+    return pa.concat_tables(out, promote_options="default") if out else None
+
+
+class EpochRead:
+    """One epoch's input for the stage: its files in sorted order, read
+    by ``tasks`` plain Ray tasks, each over a contiguous slice of them
+    with ``read(files)`` (``_route_files``).  It has the shape of the
+    Ray Data Dataset calls the stage makes, which wrappers of
+    ``_epoch_dataset`` (the benchmark's tracer) rely on:
+    ``map_batches(router, batch_size=...)``, lazy, then
+    ``to_pandas()``, which runs the tasks and returns their router rows
+    in task order."""
+
+    def __init__(self, files: list[str], read, tasks: int, router=None,
+                 batch_size: int | None = None):
+        self.files, self.read, self.tasks = files, read, tasks
+        self.router, self.batch_size = router, batch_size
+
+    def map_batches(self, router, batch_size: int | None = None) -> EpochRead:
+        return EpochRead(self.files, self.read, self.tasks, router, batch_size)
+
+    def to_pandas(self) -> pd.DataFrame:
+        refs = [
+            _route_files.remote(part.tolist(), self.read, self.batch_size, self.router)
+            for part in np.array_split(self.files, self.tasks)
+        ]
+        tables = [t for t in ray.get(refs) if t is not None]
+        if not tables:  # an epoch of zero-row files
+            return pd.DataFrame()
+        return pa.concat_tables(tables, promote_options="default").to_pandas()
 
 
 class EpochDriverBase:
@@ -98,35 +173,29 @@ class EpochDriverBase:
     @staticmethod
     def _read_tasks(files: list[str], block_bytes: int) -> int:
         """Read tasks per epoch = min(files, bytes / block bytes, CPU
-        slots).  Each Ray Data task costs ~35 ms, so more tasks than
-        slots only queue (a fused read+count of 11 epochs at Ray
-        num_cpus=1 on a 1-vCPU host: 7.5 s at 16 tasks per epoch, 3.0 s
-        at 1); the default planner would split tiny epochs into
-        ctx.read_op_min_num_blocks (200) slivers.  More blocks than
-        files would insert a SplitBlocks op that breaks the
-        read->router fusion.  That fusion holds only while the router's
-        map_batches carries no task-level remote arg (retry or CPU
-        settings, ...) and no batch_size: otherwise decoded blocks
-        round-trip through the object store."""
+        slots).  A task has a fixed cost (scheduling, a worker hop, its
+        argument and result transfer) worth paying once per
+        ``block_bytes`` of input, and more tasks than slots only
+        queue."""
         total_bytes = sum(os.path.getsize(f) for f in files)
         slots = int(ray.cluster_resources().get("CPU", 1))
         return int(min(max(1, total_bytes // block_bytes), len(files), slots))
 
-    def _epoch_dataset(self, epoch: int):
-        import ray.data as rd
-
+    def _epoch_dataset(self, epoch: int) -> EpochRead | None:
         files = self._epoch_files(epoch, "parquet")
         if not files:
             return None
-        return rd.read_parquet(
-            files, override_num_blocks=self._read_tasks(files, 2 * 1024 * 1024)
-        )
+        return EpochRead(files, parquet_batches, self._read_tasks(files, 2 * 1024 * 1024))
 
     def prepare(self):
         """Provision the state-actor pool and wait until every actor is
-        live (setup; excluded from throughput timing in bench)."""
+        live and has taken its first Arrow argument (``ready``; setup,
+        excluded from throughput timing in bench)."""
         self._ensure_actors()
-        ray.get([a.get_metrics.remote() for a in self.actors])
+        # with a column: Ray deserializes a column-less table without
+        # importing ray.data
+        probe = pa.table({"ready": pa.array([], pa.int8())})
+        ray.get([a.ready.remote(probe) for a in self.actors])
         return self
 
     def _stage(self, epoch: int, router) -> tuple[pd.DataFrame | None, float]:
@@ -136,13 +205,8 @@ class EpochDriverBase:
         ds = self._epoch_dataset(epoch)
         if ds is None:
             return None, 0.0
-        # zero_copy_batch: routers never mutate their input batch, so Ray
-        # must not copy its buffers.  No task-level remote args: the
-        # stage has no side effects, so Ray's default retries are safe.
-        kwargs = {"batch_format": "pyarrow", "zero_copy_batch": True}
-        if self.batch_size:
-            kwargs["batch_size"] = self.batch_size
-        return ds.map_batches(router, **kwargs).to_pandas(), time.monotonic() - t0
+        book = ds.map_batches(router, batch_size=self.batch_size).to_pandas()
+        return book, time.monotonic() - t0
 
     def _route_epoch(self, epoch: int) -> tuple[dict, pd.DataFrame | None]:
         """Take epoch ``epoch``'s router rows (started during the

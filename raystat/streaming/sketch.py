@@ -4,10 +4,10 @@ quantiles (KLL), heavy hitters (Misra-Gries), frequency estimates
 tumbling, hopping or session windows, through the engine's
 epoch/watermark/checkpoint conventions.
 
-Dataflow per epoch: one map_batches stage, fused with the read,
-computes per-batch partial sketches per (key, window) or per session
-fragment — the kind's router, a ``_WindowRouter`` or ``_SessionRouter``
-— and returns them as data; the driver then routes the epoch's
+Dataflow per epoch: one stage of read tasks computes per-batch
+partial sketches per (key, window) or per session fragment — the
+kind's router, a ``_WindowRouter`` or ``_SessionRouter`` — and
+returns them as data; the driver then routes the epoch's
 partials to their owning state actors by key hash, one ingest per
 actor (rows never shuffle).  Every driver is a ``_SketchDriver`` on the
 shared ``EpochDriverBase`` loop.
@@ -563,8 +563,8 @@ class _KeyedRouter:
     rows)``) and returns it as data (:func:`partial_row`), each row
     owned by its key's hash partition, with the smallest event ts as
     batch key.  Routers make no actor calls: the driver routes the
-    epoch's partials after the stage, so Ray may retry the stage and
-    fuse it with the read.  ``actors`` stays the first constructor
+    epoch's partials after the stage, so Ray may retry the stage's
+    tasks.  ``actors`` stays the first constructor
     argument that every streaming router shares."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:

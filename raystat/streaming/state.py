@@ -3,16 +3,16 @@
 The reference's state lives in ksqlDB's RocksDB stores partitioned by
 the GROUP BY key, with ``merge()`` combining partials across partitions
 (SURVEY.md §4.1).  Here: ``P`` ``StatePartition`` actors each own a
-hash range of ``(source, salt)``.  The epoch's ``map_batches`` stage
+hash range of ``(source, salt)``.  The epoch's stage router
 (:class:`Router`) only computes *partial moment structs* (never raw
 rows) and returns them as data; the driver then routes the whole
 epoch's partials with :func:`route_partials` — one ``ingest`` per
 partition — the explicit, tiny shuffle mandated by
-BASELINE.json:north_star.  With no actor calls inside Ray Data tasks
-the stage is replayable, so Ray's task retries are safe and the read
-fuses with it.  Every other streaming kind's router returns its
-partial through the same :func:`partial_row` and is routed by the same
-:func:`route_partials`; their actors share :class:`PendingIngest`.
+BASELINE.json:north_star.  With no actor calls inside the stage's read
+tasks the stage is replayable, so Ray's task retries are safe.  Every
+other streaming kind's router returns its partial through the same
+:func:`partial_row` and is routed by the same :func:`route_partials`;
+their actors share :class:`PendingIngest`.
 
 Skew: partials are pre-aggregated per ``(source, salt, window)`` with
 ``salt = numeric_doc_id % S``, so a hot source's state spreads over up
@@ -138,6 +138,15 @@ class PendingIngest:
         self.metrics["ingests"] += 1
         return n
 
+    def ready(self, table: pa.Table) -> bool:
+        """A no-op taking an Arrow table, which the driver's
+        ``prepare()`` sends once per actor: the first Arrow column a
+        worker deserializes imports Ray's Arrow tensor extensions, and
+        with them ``ray.data`` (0.1-0.3 s per actor process on one
+        vCPU), which the first epoch's barrier would otherwise wait
+        on."""
+        return True
+
 
 def gap_sweep(codes: np.ndarray, start: np.ndarray, end: np.ndarray, gap_us: int):
     """The gap-rule session sweep of the session state actors: sort by
@@ -170,7 +179,7 @@ _KEY = ["source", "salt", "window_start"]
 @ray.remote(num_cpus=0)
 class StatePartition(PendingIngest):
     # num_cpus=0: merge work is tiny (partial structs); reserving CPU
-    # shares would starve the map_batches stages in small sessions.
+    # shares would starve the epoch stage's read tasks in small sessions.
     """Owns per-(source, salt, window_start) accumulator sums.
 
     Merge strategy: ``ingest`` only APPENDS the incoming partial table
@@ -314,14 +323,14 @@ class StatePartition(PendingIngest):
 
 
 class Router:
-    """The epoch's ``map_batches`` stage of ``StreamDriver``: computes one
+    """The epoch stage's router of ``StreamDriver``: computes one
     batch's partial table (via ``partial_fn``) and returns it as data
     through :func:`partial_row`, each row owned by partition
     ``route_partition(source, salt, P)`` (sessions carry no salt: they
     hash on source alone), with the batch's bookkeeping (max event ts,
     late-drop count, raw row count, per-source max ts, the kernel time
     ``sec_fn``) and the smallest numeric doc id as batch key.  It makes
-    no actor calls, so Ray may retry it and fuse it with the read.
+    no actor calls, so Ray may retry the read task that runs it.
     ``actors`` goes unused (the driver routes); it keeps the
     constructor signature every streaming router shares and that
     router wrappers rely on."""

@@ -881,7 +881,7 @@ def test_route_partials_ignores_arrival_order():
     assert sum(t.num_rows for t in runs[0]) == 12 * 40
 
 
-def _fusion_driver(kind: str, fixture_dir: str, sf: str, out: str):
+def _stage_driver(kind: str, fixture_dir: str, sf: str, out: str):
     """One streaming driver of each router shape with 3 state partitions,
     on its pytest fixture."""
     from raystat.streaming.dedup import DedupStreamDriver, docs_stream_fixture
@@ -908,48 +908,41 @@ def _fusion_driver(kind: str, fixture_dir: str, sf: str, out: str):
     )
 
 
-_FUSED_ROUTER = {
-    "StreamDriver": "Router",
-    "HllStreamDriver": "HllRouter",
-    "DedupStreamDriver": "DedupRouter",
-    "IntervalStreamDriver": "IntervalRouter",
-}
+_STAGE_KINDS = ["StreamDriver", "HllStreamDriver", "DedupStreamDriver", "IntervalStreamDriver"]
 
 
-@pytest.mark.parametrize("kind", list(_FUSED_ROUTER))
-def test_epoch_reads_fused_with_partial_stage(ray_session, fixture_dir, sf_dir, kind):
-    """Each epoch runs as ONE Ray Data operator (the read fused with the
-    driver's router), with at most one read task per Ray CPU and at
-    most one ingest call per state partition."""
-    import re
-
+@pytest.mark.parametrize("kind", _STAGE_KINDS)
+def test_epoch_stage_runs_once_within_cpu_slots(ray_session, fixture_dir, sf_dir,
+                                                kind, monkeypatch):
+    """Each epoch runs ONE stage (its read and the driver's router),
+    exactly once, as 1 to (Ray CPU slots) read tasks, and routes with
+    at most one ingest call per state partition."""
     import ray
 
-    out = "/tmp/rs_pytest_fusion"
+    from raystat.streaming import epochs
+
+    out = "/tmp/rs_pytest_stage"
     shutil.rmtree(out, ignore_errors=True)
-    drv = _fusion_driver(kind, fixture_dir, sf_dir, out)
-    executed = []
-    epoch_dataset = drv._epoch_dataset
+    drv = _stage_driver(kind, fixture_dir, sf_dir, out)
+    stages, tasks = [], []  # per stage: its epoch, its read tasks
+    stage, route_files = drv._stage, epochs._route_files
 
-    class Capture:
-        def __init__(self, ds):
-            self.ds = ds
+    def counted_stage(epoch, router):
+        stages.append(epoch)
+        tasks.append(0)
+        return stage(epoch, router)
 
-        def map_batches(self, *args, **kwargs):
-            executed.append(self.ds.map_batches(*args, **kwargs))
-            return executed[-1]
+    class CountedTasks:
+        def remote(self, *args):
+            tasks[-1] += 1
+            return route_files.remote(*args)
 
-    drv._epoch_dataset = lambda e: Capture(epoch_dataset(e))
+    drv._stage = counted_stage
+    monkeypatch.setattr(epochs, "_route_files", CountedTasks())
     metrics = drv.run()
-    assert len(executed) == len(drv.arrival_epochs())
+    assert stages == drv.arrival_epochs()
     cpus = ray.cluster_resources()["CPU"]
-    for ds in executed:
-        ops = ds._get_stats_summary().operators_stats
-        assert [o.operator_name for o in ops] == [
-            f"ReadParquet->MapBatches({_FUSED_ROUTER[kind]})"
-        ]
-        tasks = int(re.search(r"(\d+) tasks executed", ops[0].block_execution_summary_str)[1])
-        assert 1 <= tasks <= cpus
+    assert all(1 <= n <= cpus for n in tasks), tasks
     calls = [em["ingest_calls"] for e, em in metrics["epochs"].items() if e != "final"]
     assert max(calls) <= 3 and sum(calls) > 0
     for a in drv.actors:

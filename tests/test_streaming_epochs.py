@@ -278,3 +278,192 @@ def test_tail_error_waits_for_stage_in_flight(ray_session, tmp_path, kind):
     assert drv.latest_checkpoint() is None
     for a in drv.actors:
         ray.kill(a)
+
+
+# -- the stage's plain read tasks against a Ray Data read ---------------------
+
+TOKENS = "/tmp/raystat_fixtures/stream_pytest"  # test_streaming's token fixture
+
+
+def _equivalence_driver(kind: str, sf: str, out: str):
+    from raystat.fixtures import epoch_len_us, jsonl_stream_from_parquet, write_stream_fixture
+    from raystat.streaming import StreamConfig, StreamDriver
+    from raystat.streaming.sketch import HllStreamDriver, KllStreamDriver, events_stream_fixture
+
+    if kind.startswith("stream"):
+        write_stream_fixture(TOKENS, n_rows=8000, n_epochs=4)
+        src = TOKENS
+        kw = dict(window_size_s=3600, allowed_lateness_s=epoch_len_us(4) // 4_000_000,
+                  n_partitions=3, passthrough=False)
+        if kind == "stream_batch500":
+            kw["batch_size"] = 500
+        if kind == "stream_json":
+            src = jsonl_stream_from_parquet(TOKENS, TOKENS + "_jsonl")
+            kw["file_format"] = "json"
+        return StreamDriver(src, out, StreamConfig(**kw))
+    if kind == "interval":  # its router carries every column, the partition's too
+        return _driver("interval", sf, out)
+    fix = events_stream_fixture(sf, n_epochs=4)
+    if kind == "kll_batch48":
+        return KllStreamDriver(fix, out, window_size_s=WEEK, allowed_lateness_s=LATENESS,
+                               n_partitions=3, batch_size=BATCH)
+    return HllStreamDriver(fix, out, session_gap_s=7200, allowed_lateness_s=LATENESS,
+                           n_partitions=3, batch_size=BATCH)
+
+
+def _ray_data_rows(drv, epoch: int, router):
+    """``router`` over epoch ``epoch`` read by Ray Data in one read task."""
+    import ray.data as rd
+
+    from raystat.streaming.driver import _canonicalize_json_batch
+
+    kw = {"batch_format": "pyarrow", "zero_copy_batch": True}
+    if getattr(getattr(drv, "cfg", None), "file_format", "parquet") == "json":
+        ds = rd.read_json(drv._epoch_files(epoch, "jsonl"), override_num_blocks=1)
+        ds = ds.map_batches(_canonicalize_json_batch, **kw)
+    else:
+        ds = rd.read_parquet(drv._epoch_files(epoch, "parquet"), override_num_blocks=1)
+    if drv.batch_size:
+        kw["batch_size"] = drv.batch_size
+    return ds.map_batches(router, **kw).to_pandas()
+
+
+def _stage_rows(drv, epoch: int, router):
+    ds = drv._epoch_dataset(epoch)
+    assert ds.tasks == 1  # the fixtures' epochs are far below one task's bytes
+    return ds.map_batches(router, batch_size=drv.batch_size).to_pandas()
+
+
+def _canon(book):
+    """Router rows without their timings, in batch-key order."""
+    book = book.drop(columns=["sec_fn", "sec_route"], errors="ignore")
+    return book.sort_values(["batch_key", "partial"], ignore_index=True)
+
+
+@pytest.mark.parametrize(
+    "kind", ["stream", "stream_batch500", "stream_json", "kll_batch48",
+             "hll_session_batch48", "interval"]
+)
+def test_stage_rows_equal_ray_data_read(ray_session, sf_dir, tmp_path, kind):
+    """Every epoch's router rows from the stage's plain read tasks equal
+    those of the same router over a one-task Ray Data read of the same
+    files (JSON: read, then the canonical cast), timings aside: same
+    batches, same partials (the interval join's carry the hive
+    partition column ``arrival`` Ray Data adds), same bookkeeping."""
+    import pandas as pd
+
+    drv = _equivalence_driver(kind, sf_dir, str(tmp_path / "out"))
+    router = drv._router()
+    n_batches = 0
+    for e in drv.arrival_epochs():
+        got, want = _stage_rows(drv, e, router), _ray_data_rows(drv, e, router)
+        assert len(want)
+        pd.testing.assert_frame_equal(_canon(got), _canon(want))
+        n_batches += len(want)
+    # several batches in some epoch; JSON gives one per read task
+    assert n_batches > len(drv.arrival_epochs()) or kind == "stream_json"
+
+
+def _events_epochs(root, parts: list[list[int]], null_epoch: int | None = None) -> str:
+    """Events epochs (event_type, ts_us, user_id), one Parquet file per
+    entry of ``parts[e]`` holding that many rows; ``null_epoch`` gets a
+    null key."""
+    import os
+
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    src = str(root / "events")
+    for e, sizes in enumerate(parts):
+        os.makedirs(os.path.join(src, f"arrival={e}"))
+        for i, n in enumerate(sizes):
+            key = [None if e == null_epoch and j == 1 else f"k{j % 3}" for j in range(n)]
+            t = pa.table({
+                "event_type": pa.array(key, pa.string()),
+                "ts_us": pa.array(10**12 + e * 10**9 + np.arange(n, dtype=np.int64)),
+                "user_id": pa.array(np.arange(n, dtype=np.int64) % 7),
+            })
+            pq.write_table(t, os.path.join(src, f"arrival={e}", f"part-{i}.parquet"))
+    return src
+
+
+def test_stage_zero_row_epoch_and_router_error(ray_session, tmp_path):
+    """An epoch of zero-row files gives no router rows on either read
+    and commits empty; a router error raises from ``run()`` at its
+    epoch, as its own class with its own message, after the epochs
+    before it are durable."""
+    import ray
+
+    from raystat.streaming.sketch import HllStreamDriver
+
+    src = _events_epochs(tmp_path, [[5, 3], [0, 0], [4]])
+    drv = HllStreamDriver(src, str(tmp_path / "out"), n_partitions=2)
+    router = drv._router()
+    assert len(_stage_rows(drv, 1, router)) == len(_ray_data_rows(drv, 1, router)) == 0
+    m = drv.run()
+    assert [m["epochs"][str(e)]["rows_in"] for e in range(3)] == [8, 0, 4]
+    assert m["epochs"]["1"]["ingest_calls"] == 0
+    assert drv.sink.committed_epochs() == [0, 1, 2, 3]
+    for a in drv.actors:
+        ray.kill(a)
+
+    src = _events_epochs(tmp_path / "err", [[5], [0], [4], [6]], null_epoch=2)
+    drv = HllStreamDriver(src, str(tmp_path / "err_out"), n_partitions=2)
+    with pytest.raises(ValueError, match="key column 'event_type' contains nulls"):
+        drv.run()
+    assert drv.latest_checkpoint() == 1
+    assert not _stage_threads()
+    for a in drv.actors:
+        ray.kill(a)
+
+
+def test_parquet_batches_match_ray_data_reader(ray_session, tmp_path):
+    """Files past ``READ_BATCH_ROWS`` rows and over several row groups
+    split as Ray Data's Parquet reader splits them (no batch spans a
+    row group); zero-row files give none."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from raystat.streaming.epochs import EpochRead, parquet_batches
+
+    files = []
+    for i, n in enumerate([25_000, 0, 3_000, 12_500]):
+        f = str(tmp_path / f"part-{i}.parquet")
+        pq.write_table(pa.table({"x": np.arange(n)}), f, row_group_size=12_000)
+        files.append(f)
+
+    def sizes(batch: pa.Table) -> pa.Table:
+        return pa.table({"n": [batch.num_rows], "first": [batch["x"][0].as_py()]})
+
+    got = EpochRead(files, parquet_batches, 1).map_batches(sizes).to_pandas()
+    want = rd.read_parquet(files, override_num_blocks=1).map_batches(
+        sizes, batch_format="pyarrow").to_pandas()
+    assert got.to_dict("list") == want.to_dict("list")
+    assert got["n"].tolist() == [10_000, 2_000, 10_000, 2_000, 1_000, 3_000,
+                                 10_000, 2_000, 500]
+
+
+def test_per_source_watermark_after_zero_row_epoch(ray_session, tmp_path):
+    """A per-source watermark survives an epoch of zero-row files (it
+    has no router rows to take source frontiers from)."""
+    import os
+
+    import pyarrow.parquet as pq
+    import ray
+
+    from raystat.streaming import StreamConfig, StreamDriver
+
+    src = _two_epochs(tmp_path)
+    empty = pq.read_table(os.path.join(src, "arrival=1", "part-0.parquet")).slice(0, 0)
+    os.makedirs(os.path.join(src, "arrival=2"))
+    pq.write_table(empty, os.path.join(src, "arrival=2", "part-0.parquet"))
+    drv = StreamDriver(src, str(tmp_path / "out"), StreamConfig(
+        n_partitions=2, passthrough=False, watermark_scope="per_source"))
+    m = drv.run()
+    assert [m["epochs"][str(e)]["rows_in"] for e in range(3)] == [300, 300, 0]
+    assert drv.sink.committed_epochs() == [0, 1, 2, 3]
+    for a in drv.actors:
+        ray.kill(a)

@@ -1,7 +1,9 @@
 """Output-identity sweep over the streaming drivers.
 
-Runs 28 driver configurations on the pytest fixtures (sf0.001 and the
-synthetic token stream) and writes, per configuration, the sha256 of
+Runs 31 driver configurations on the pytest fixtures (sf0.001 and the
+synthetic token stream, also as JSONL) and on a wider token stream
+whose epochs (about 7 MB, 8 files) plan 3 read tasks at 4 CPUs, and
+writes, per configuration, the sha256 of
 every committed sink epoch (from its manifest) and the per-epoch
 ``late_dropped`` counts.  The passthrough sink's manifests carry no
 digest, so for it the sweep hashes its rows in ``doc_id`` order.
@@ -31,13 +33,17 @@ import tempfile
 SF = os.path.expanduser("~/testdata/sf0.001")  # the pytest suite's sf0.001 tables
 STREAM_FIXTURE = "/tmp/raystat_fixtures/stream_pytest"
 N_ROWS, N_EPOCHS = 8000, 4
+WIDE_FIXTURE = "/tmp/raystat_fixtures/stream_sweep_wide"
+WIDE_ROWS = 120_000  # 8 files of ~0.9 MB per epoch
 WEEK, GAP = 7 * 86400, 7200
 LATE = 200 * 3600  # the sketch/join tests' lateness: nothing drops
 TIGHT = 3600  # rows one arrival epoch late drop at the routers
 
 
 def _configs():
-    from raystat.fixtures import epoch_len_us, metadata_rows, write_stream_fixture
+    from raystat.fixtures import (
+        epoch_len_us, jsonl_stream_from_parquet, metadata_rows, write_stream_fixture,
+    )
     from raystat.streaming import (
         AsofJoinConfig, AsofStreamDriver, CepStreamDriver, DedupStreamDriver,
         HllStreamDriver, IntervalJoinConfig, IntervalStreamDriver, KllStreamDriver,
@@ -51,14 +57,17 @@ def _configs():
     )
 
     write_stream_fixture(STREAM_FIXTURE, n_rows=N_ROWS, n_epochs=N_EPOCHS)
+    write_stream_fixture(WIDE_FIXTURE, n_rows=WIDE_ROWS, rows_per_block=WIDE_ROWS // 8,
+                         n_epochs=N_EPOCHS)
     tok, ev = STREAM_FIXTURE, events_stream_fixture(SF, n_epochs=4)
+    tok_json = jsonl_stream_from_parquet(tok, tok + "_jsonl")
     lat = epoch_len_us(N_EPOCHS) // 1_000_000
 
-    def stream(**kw):
+    def stream(src=tok, **kw):
         base = dict(window_size_s=3600, allowed_lateness_s=lat, n_partitions=8,
                     n_salts=4, passthrough=False, join_grace_epochs=1)
         base.update(kw)
-        return lambda out: StreamDriver(tok, out, StreamConfig(**base),
+        return lambda out: StreamDriver(src, out, StreamConfig(**base),
                                         metadata=metadata_rows(N_EPOCHS))
 
     def sketch(cls, **kw):
@@ -93,6 +102,9 @@ def _configs():
         "stream_passthrough_per_source_changes": stream(
             passthrough=True, watermark_scope="per_source", emit_changes=True),
         "stream_quarter_lateness": stream(allowed_lateness_s=lat // 4),
+        "stream_json": stream(tok_json, file_format="json"),
+        "stream_multitask": stream(WIDE_FIXTURE),
+        "stream_multitask_batch4096": stream(WIDE_FIXTURE, batch_size=4096),
         "hll_tumbling": sketch(HllStreamDriver, window_size_s=WEEK),
         "hll_hopping": sketch(HllStreamDriver, window_size_s=2 * 86400, hop_s=86400),
         "hll_session": sketch(HllStreamDriver, session_gap_s=GAP),

@@ -34,10 +34,9 @@ sys.path.insert(0, REPO)
 
 def write_fixture(root: str, n_rows: int, n_epochs: int = 4,
                   files_per_epoch: int = 8) -> None:
-    """Multiple part files per epoch: the engine's epoch reads are
-    capped at FILE COUNT to preserve read->route fusion, so a
-    single-file epoch would serialize the router regardless of CPUs —
-    real arrival directories have many parts."""
+    """Multiple part files per epoch: an epoch is read by at most one
+    task per file, so a single-file epoch would serialize the router
+    regardless of CPUs — real arrival directories have many parts."""
     rng = np.random.default_rng(42)
     per = n_rows // n_epochs
     base = 1_700_000_000_000_000
@@ -75,6 +74,9 @@ def main() -> int:
     if not os.path.exists(os.path.join(fix, "arrival=3")):
         write_fixture(fix, n_rows)
     if not ray.is_initialized():
+        # the workers import raystat too, from any working directory
+        old = os.environ.get("PYTHONPATH")
+        os.environ["PYTHONPATH"] = REPO + (os.pathsep + old if old else "")
         ray.init(address="local",
                  num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
                  include_dashboard=False, logging_level="ERROR")
