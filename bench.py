@@ -61,16 +61,13 @@ def _warm_engine_path(fix: str, ncpu: int) -> None:
 
     from raystat.accumulators import canonical_sums_for, get_spec
     from raystat.streaming.driver import StreamConfig, _partial_stage
-    from raystat.streaming.state import Router, StatePartition, route_partials
+    from raystat.streaming.state import Router, StatePartition, route_partials, start_hosts
 
     cfg = StreamConfig(window_size_s=3600, n_salts=8, token_stats=True, comoment_stats=True)
     resolved = {k: get_spec(v) for k, v in cfg.specs.items()}
     needed, u, w = canonical_sums_for(resolved.values())
     needed = tuple(needed) + ("t_n", "t_s1", "t_s2", "t_s3", "t_s4", "c_syy", "c_sxy")
-    actors = [
-        StatePartition.remote(p, list(needed), cfg.window_size_s)
-        for p in range(N_PARTITIONS)
-    ]
+    actors = start_hosts(N_PARTITIONS, StatePartition, list(needed), cfg.window_size_s)
     ray.get([a.get_metrics.remote() for a in actors])
     files = sorted(glob.glob(os.path.join(fix, "arrival=0", "*.parquet")))
     # several waves per worker: allocator arenas and scratch pools grow
@@ -81,7 +78,7 @@ def _warm_engine_path(fix: str, ncpu: int) -> None:
     book = rd.read_parquet(files, override_num_blocks=len(files)).map_batches(
         router, batch_format="pyarrow", batch_size=32768
     ).to_pandas()
-    ray.get(route_partials(book, actors))
+    ray.get(route_partials(book, actors, N_PARTITIONS))
     for a in actors:
         ray.kill(a)
 

@@ -194,7 +194,8 @@ def main(argv: list[str] | None = None) -> int:
         )
     import ray
 
-    if not ray.is_initialized():
+    owns_ray = not ray.is_initialized()  # shut down only a session we start
+    if owns_ray:
         ray.init(
             address="local",
             num_cpus=args.num_cpus,
@@ -210,7 +211,8 @@ def main(argv: list[str] | None = None) -> int:
         metrics = drv.run(resume=args.resume)
         json.dump(metrics, sys.stdout)
         print()
-        ray.shutdown()
+        if owns_ray:
+            ray.shutdown()
         return 0
 
     from raystat.streaming import StreamConfig, StreamDriver
@@ -234,7 +236,8 @@ def main(argv: list[str] | None = None) -> int:
     metrics = drv.run(resume=args.resume)
     json.dump(metrics, sys.stdout)
     print()
-    ray.shutdown()
+    if owns_ray:
+        ray.shutdown()
     return 0
 
 

@@ -5,8 +5,9 @@ per-partition checkpointing (SURVEY.md §3.2, §4.2).
 
 Ten drivers run one epoch loop (``epochs.EpochDriverBase``): each
 epoch's side-effect-free router stage returns its partials as data and
-the driver routes them to the state actors with one ``ingest`` per
-actor.  Their state kinds: sum-mergeable moment state
+the driver routes them to the logical state partitions, hosted in
+``min(partitions, CPU slots)`` ``state.PartitionHost`` actors, with one
+``ingest`` per host.  Their state kinds: sum-mergeable moment state
 (`StreamDriver`), stream-stream interval-join row buffers
 (`IntervalStreamDriver`), idempotent max-merge HLL register state
 (`HllStreamDriver`), bounded Misra-Gries heavy-hitter summaries
@@ -17,8 +18,8 @@ actor.  Their state kinds: sum-mergeable moment state
 (`BottomKStreamDriver`), first-occurrence seen-hash dedup state with
 optional retention-bounded eviction (`DedupStreamDriver`), and
 temporal-join state with dominated-right pruning (`AsofStreamDriver`).
-The five sketch kinds (HLL, KLL, MG, CMS, bottom-k) share one state
-actor, ``sketch.SketchPartition``, over an Arrow state table: a kind is
+The five sketch kinds (HLL, KLL, MG, CMS, bottom-k) share one
+partition class, ``sketch.SketchPartition``, over an Arrow state table: a kind is
 its payload columns, a merge and a finish.
 """
 

@@ -36,7 +36,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-import ray
 
 from raystat.dataops.asof import asof_join_frames
 from raystat.streaming.interval import TaggedJoinDriver
@@ -55,7 +54,6 @@ class AsofJoinConfig:
     batch_size: int | None = None
 
 
-@ray.remote(num_cpus=0)
 class AsofJoinPartition(PendingIngest):
     """Temporal-join state for one key-hash partition on the unified
     tagged schema (_side 1 = left, 0 = right).  ``ingest`` appends;
@@ -177,13 +175,9 @@ class AsofStreamDriver(TaggedJoinDriver):
                  cfg: AsofJoinConfig | None = None):
         super().__init__(input_dir, out_dir, cfg or AsofJoinConfig(), "matches")
 
-    def _ensure_actors(self):
-        if self.actors is None:
-            c = self.cfg
-            self.actors = [
-                AsofJoinPartition.remote(p, c.by, c.on, list(c.right_cols))
-                for p in range(c.n_partitions)
-            ]
+    def _partition(self) -> tuple:
+        c = self.cfg
+        return AsofJoinPartition, c.by, c.on, list(c.right_cols)
 
     def _emit(self, epoch: int, watermark_us: int):
         self._commit_closed(

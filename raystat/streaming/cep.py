@@ -47,7 +47,6 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-import ray
 
 from raystat.dataops.cep import funnel_frame
 from raystat.streaming.epochs import END, NEG, EpochDriverBase
@@ -64,7 +63,6 @@ __all__ = ["CepStreamDriver"]
 _NO = np.int64(np.iinfo(np.int64).max)
 
 
-@ray.remote(num_cpus=0)
 class CepStatePartition(PendingIngest):
     """Funnel state for one key-hash partition: a buffer of
     ``(key, ts_us, stage)`` events awaiting a verdict, plus the
@@ -260,12 +258,8 @@ class CepStreamDriver(EpochDriverBase):
         self.sink = ExactlyOnceParquetSink(out_dir, "funnel")
         self.watermark_s = NEG
 
-    def _ensure_actors(self):
-        if self.actors is None:
-            self.actors = [
-                CepStatePartition.remote(p, len(self.stages), self.within_us)
-                for p in range(self.n_partitions)
-            ]
+    def _partition(self) -> tuple:
+        return CepStatePartition, len(self.stages), self.within_us
 
     def _driver_state(self) -> dict:
         return {"watermark_s": self.watermark_s,

@@ -33,7 +33,6 @@ import os
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
-import ray
 
 from raystat.dataops.dedup import _md5_64_col
 from raystat.streaming.epochs import EpochDriverBase
@@ -50,7 +49,6 @@ def _empty_pending() -> pa.Table:
     )
 
 
-@ray.remote(num_cpus=0)
 class DedupStatePartition(PendingIngest):
     """Seen-hash state for one hash partition: sorted int64 hash array
     + last-seen epoch per hash.  ``ingest`` appends (hash, doc_id)
@@ -207,12 +205,8 @@ class DedupStreamDriver(EpochDriverBase):
         self.retention = retention_epochs
         self.sink = ExactlyOnceParquetSink(out_dir, "winners")
 
-    def _ensure_actors(self):
-        if self.actors is None:
-            self.actors = [
-                DedupStatePartition.remote(p, self.retention)
-                for p in range(self.n_partitions)
-            ]
+    def _partition(self) -> tuple:
+        return DedupStatePartition, self.retention
 
     def _driver_state(self) -> dict:
         return {"committed": self.sink.committed_epochs()}

@@ -26,17 +26,19 @@ loop, with this driver's stages):
    next epoch's Router needs, so epoch ``e+1``'s steps 1-2 start here
    on a second thread and run while the driver finishes epoch ``e``:
    it concatenates epoch ``e``'s partials in batch-key order, routes
-   them to their owning StatePartition actors with one ``ingest`` per
-   partition (the explicit salted hash shuffle) and waits for those
-   calls (the barrier), then runs steps 4-7
-4. actors pop state of windows with ``window_end <= watermark``;
+   them to their owning StatePartitions (the explicit salted hash
+   shuffle) with one ``ingest`` per state host, which carries the
+   slices of the ``n_partitions / min(n_partitions, CPU slots)``
+   partitions it hosts, and waits for those calls (the barrier), then
+   runs steps 4-7
+4. partitions pop state of windows with ``window_end <= watermark``;
    cross-salt merge (field-wise add) + vectorized finalize
 5. join against the metadata stream state (grace-buffered left join)
 6. commit via the exactly-once sink; optional exact per-row passthrough
    (same late-drop predicate, token arrays untouched)
-7. checkpoint actor snapshots + driver state (watermark, join buffer,
-   metrics) — resume replays from the next epoch; re-commits of
-   already-manifested epochs are no-ops.
+7. checkpoint partition snapshots (one file each) + driver state
+   (watermark, join buffer, metrics) — resume replays from the next
+   epoch; re-commits of already-manifested epochs are no-ops.
 """
 
 from __future__ import annotations
@@ -81,7 +83,9 @@ class StreamConfig:
     allowed_lateness_s: int = 1800
     session_gap_s: int | None = None  # set => SESSION windows (gap rule);
     #   window_size_s/hop_s are ignored; units of window_start/end are us
-    n_partitions: int = 8  # state-store actors (fix >= max CPUs for N/4N runs)
+    n_partitions: int = 8  # logical state partitions, hosted in
+    #   min(n_partitions, CPU slots) state actors (fix >= max CPUs for
+    #   N/4N runs)
     n_salts: int = 4  # salt buckets per source for skew spreading
     join_grace_epochs: int = 2
     batch_size: int | None = None
@@ -605,20 +609,10 @@ class StreamDriver(EpochDriverBase):
         self.src_watermark: dict[str, int] = {}
         self.join = MetadataJoin(self.cfg.join_grace_epochs)
 
-    def _ensure_actors(self):
-        if self.actors is None:
-            if self.session_mode:
-                self.actors = [
-                    SessionStatePartition.remote(
-                        p, list(self.needed), self.cfg.session_gap_s
-                    )
-                    for p in range(self.cfg.n_partitions)
-                ]
-            else:
-                self.actors = [
-                    StatePartition.remote(p, list(self.needed), self.cfg.window_size_s)
-                    for p in range(self.cfg.n_partitions)
-                ]
+    def _partition(self) -> tuple:
+        if self.session_mode:
+            return SessionStatePartition, list(self.needed), self.cfg.session_gap_s
+        return StatePartition, list(self.needed), self.cfg.window_size_s
 
     def _driver_state(self) -> dict:
         return {
@@ -679,29 +673,22 @@ class StreamDriver(EpochDriverBase):
         em["sec_emit"] = round(time.monotonic() - t0, 3)
         if self.pass_sink is not None and book is not None:
             self.pass_sink.commit_dataset(
-                epoch, self._passthrough_ds(self._epoch_dataset(epoch), wm_at_ingest)
+                epoch, self._passthrough(self._epoch_dataset(epoch), wm_at_ingest)
             )
         em["watermark_s"] = self.watermark_s
         self.metrics[str(epoch)] = em
 
-    def _passthrough_ds(self, read: EpochRead, wm):
-        """Exact per-row passthrough of an epoch's files (``read``) as
-        a Ray Data Dataset (the passthrough sink writes a Dataset),
-        with as many read tasks as the stage: same late-drop
-        predicate as the aggregation path (the watermark in force at
-        ingest — the global scalar, or the per-source frontier dict),
-        token arrays byte-identical (pure Arrow filter, no rewrite).
-        In hopping mode a row is kept iff ANY covering window is open,
-        i.e. its LATEST window ((ts//hop)*hop + size) is open —
-        matching _partial_stage's row_keep."""
-        import ray.data as rd
-
-        if self.cfg.file_format == "parquet":
-            ds = rd.read_parquet(read.files, override_num_blocks=read.tasks)
-        else:
-            ds = rd.read_json(read.files, override_num_blocks=read.tasks).map_batches(
-                _canonicalize_json_batch, batch_format="pyarrow", zero_copy_batch=True
-            )
+    def _passthrough(self, read: EpochRead, wm):
+        """Exact per-row passthrough of an epoch's files (``read``): the
+        kept rows of each read task, as Arrow tables in task order
+        (the stage's read tasks, with ``keep`` as the router).  Same
+        late-drop predicate as the aggregation path (the watermark in
+        force at ingest — the global scalar, or the per-source
+        frontier dict), token arrays byte-identical (pure Arrow
+        filter, no rewrite).  In hopping mode a row is kept iff ANY
+        covering window is open, i.e. its LATEST window
+        ((ts//hop)*hop + size) is open — matching _partial_stage's
+        row_keep."""
         size_s = self.cfg.window_size_s
         step = self.cfg.hop_s if self.cfg.hop_s is not None else size_s
         session = self.session_mode
@@ -723,7 +710,7 @@ class StreamDriver(EpochDriverBase):
             last_end = (ts_s // step) * step + size_s
             return batch.filter(pa.array(last_end > wm_row))
 
-        return ds.map_batches(keep, batch_format="pyarrow")
+        return read.map_batches(keep).tables()
 
     def _ingest_metadata(self, epoch: int):
         if self.metadata is None:
@@ -736,11 +723,10 @@ class StreamDriver(EpochDriverBase):
             )
 
     def _close_and_finalize(self, watermark_s: int) -> pd.DataFrame:
-        """Pop closed state from every actor, merge partials (cross-salt
-        field-wise add for keyed windows; sessions arrive pre-merged),
-        and evaluate every spec vectorized."""
-        closed = ray.get([a.close_windows.remote(watermark_s) for a in self.actors])
-        return self._finalize_tables(closed)
+        """Pop closed state from every partition, merge partials
+        (cross-salt field-wise add for keyed windows; sessions arrive
+        pre-merged), and evaluate every spec vectorized."""
+        return self._finalize_tables(self._call("close_windows", watermark_s))
 
     def _finalize_tables(self, tables: list) -> pd.DataFrame:
         tbl = pa.concat_tables(tables)
@@ -794,9 +780,7 @@ class StreamDriver(EpochDriverBase):
         out = self._close_and_finalize(watermark_s)
         self._commit_emitted(epoch, self.join.process(out, epoch))
         if self.changes_sink is not None:
-            live = self._finalize_tables(
-                ray.get([a.peek_state.remote() for a in self.actors])
-            )
+            live = self._finalize_tables(self._call("peek_state"))
             live["epoch"] = epoch
             self.changes_sink.commit(
                 epoch,
@@ -813,14 +797,14 @@ class StreamDriver(EpochDriverBase):
         self._commit_emitted(final_epoch, emitted)
         self.final_metrics = {
             "epoch": final_epoch,
-            "state_metrics": ray.get([a.get_metrics.remote() for a in self.actors]),
+            "state_metrics": self._call("get_metrics"),
             "join_metrics": self.join.metrics,
         }
 
     def cleanup(self, delete_output: bool = False) -> None:
         """Engine-level teardown (the reference's
         ``DROP TABLE/STREAM ... DELETE TOPIC`` lifecycle,
-        AllUdafIT.java:461-498): kill the state-actor pool, drop
+        AllUdafIT.java:461-498): kill the state hosts, drop
         checkpoints, and — with ``delete_output=True`` (ksqlDB's
         DELETE TOPIC flag) — remove the committed sink output too."""
         import shutil

@@ -17,11 +17,20 @@ Per arrival epoch ``e`` (``input_dir/arrival=e/*.parquet``):
    moves its watermark, which is all the next epoch's router depends
    on; it then starts epoch ``e+1``'s stage on a second thread, and
    ``_ingest_barrier`` routes epoch ``e``'s partials with at most one
-   ``ingest`` per state actor (``state.route_partials``) and waits on
-   those calls: an actor error raises there;
-3. ``_run_epoch``: ``_emit`` closes what the watermark passed and
-   commits it through the exactly-once sink;
-4. ``_checkpoint(e)``: actor snapshots plus ``_driver_state()``.
+   ``ingest`` per state host (``state.route_partials``), each carrying
+   its owned partitions' slices, and waits on those calls: an error
+   in any partition's ingest raises there;
+3. ``_run_epoch``: ``_emit`` closes what the watermark passed, on
+   every partition in pid order, and commits it through the
+   exactly-once sink;
+4. ``_checkpoint(e)``: one snapshot file per logical partition plus
+   ``_driver_state()``.
+
+The ``n_partitions`` logical partitions live in ``min(n_partitions,
+CPU slots)`` ``state.PartitionHost`` actors (``self.actors``), each
+owning a contiguous range of partition ids; ``_call`` runs a
+partition method on every partition and returns the results in pid
+order, so outputs and checkpoints do not depend on the host count.
 
 So epoch ``e+1``'s read and partial kernel run while the driver
 routes, closes, commits and checkpoints epoch ``e``.  The stage has no
@@ -35,13 +44,14 @@ one in flight before it returns or raises.
 ``run(resume=True)`` restores the latest checkpoint and replays from
 the next epoch; sinks skip epochs they already committed.
 
-Subclasses provide ``_ensure_actors``, ``_router()``, ``_advance(em,
-book)``, ``_emit`` and the ``_driver_state()`` /
-``_load_driver_state(state)`` checkpoint payload, and set ``sink``;
-the actors expose ``ingest / snapshot / restore / get_metrics`` and
-the close method ``_emit`` calls.  Every sketch kind runs one actor
-class, ``sketch.SketchPartition``, which takes the kind's merge and
-finish; the moment, CEP, dedup and join drivers have their own.
+Subclasses provide ``_partition()`` (the partition class and its
+arguments after the pid), ``_router()``, ``_advance(em, book)``,
+``_emit`` and the ``_driver_state()`` / ``_load_driver_state(state)``
+checkpoint payload, and set ``sink``; the partition classes expose
+``ingest / snapshot / restore / get_metrics`` and the close method
+``_emit`` calls.  Every sketch kind runs one partition class,
+``sketch.SketchPartition``, which takes the kind's merge and finish;
+the moment, CEP, dedup and join drivers have their own.
 """
 
 from __future__ import annotations
@@ -60,7 +70,7 @@ import pyarrow.dataset as pads
 import pyarrow.fs as pafs
 import ray
 
-from raystat.streaming.state import route_partials
+from raystat.streaming.state import cpu_slots, route_partials, start_hosts
 
 NEG = -(2**62)  # watermark before any event
 END = 2**62  # end-of-stream watermark: every window closes
@@ -115,7 +125,8 @@ class EpochRead:
     ``_epoch_dataset`` (the benchmark's tracer) rely on:
     ``map_batches(router, batch_size=...)``, lazy, then
     ``to_pandas()``, which runs the tasks and returns their router rows
-    in task order."""
+    in task order.  ``tables()`` yields each task's result as it is
+    (the passthrough's kept rows)."""
 
     def __init__(self, files: list[str], read, tasks: int, router=None,
                  batch_size: int | None = None):
@@ -125,12 +136,20 @@ class EpochRead:
     def map_batches(self, router, batch_size: int | None = None) -> EpochRead:
         return EpochRead(self.files, self.read, self.tasks, router, batch_size)
 
-    def to_pandas(self) -> pd.DataFrame:
+    def tables(self):
+        """Run the tasks; yield their results in task order, fetching
+        one at a time (a task over zero-row files yields nothing)."""
         refs = [
             _route_files.remote(part.tolist(), self.read, self.batch_size, self.router)
             for part in np.array_split(self.files, self.tasks)
         ]
-        tables = [t for t in ray.get(refs) if t is not None]
+        for ref in refs:
+            t = ray.get(ref)
+            if t is not None:
+                yield t
+
+    def to_pandas(self) -> pd.DataFrame:
+        tables = list(self.tables())
         if not tables:  # an epoch of zero-row files
             return pd.DataFrame()
         return pa.concat_tables(tables, promote_options="default").to_pandas()
@@ -150,7 +169,7 @@ class EpochDriverBase:
         self.ckpt_root = os.path.join(out_dir, "_checkpoints")
         os.makedirs(self.ckpt_root, exist_ok=True)
         self.metrics: dict[str, dict] = {}
-        self.actors: list | None = None
+        self.actors: list | None = None  # the PartitionHost handles
         # set by run(): the stage thread, the epoch whose stage to start
         # next (None: none) and (epoch, future) of the stage in flight
         self._pool = self._next_epoch = self._prefetch = None
@@ -175,11 +194,10 @@ class EpochDriverBase:
         """Read tasks per epoch = min(files, bytes / block bytes, CPU
         slots).  A task has a fixed cost (scheduling, a worker hop, its
         argument and result transfer) worth paying once per
-        ``block_bytes`` of input, and more tasks than slots only
-        queue."""
+        ``block_bytes`` of input, and more tasks than slots only queue
+        (the rule ``state.start_hosts`` applies to state hosts)."""
         total_bytes = sum(os.path.getsize(f) for f in files)
-        slots = int(ray.cluster_resources().get("CPU", 1))
-        return int(min(max(1, total_bytes // block_bytes), len(files), slots))
+        return int(min(max(1, total_bytes // block_bytes), len(files), cpu_slots()))
 
     def _epoch_dataset(self, epoch: int) -> EpochRead | None:
         files = self._epoch_files(epoch, "parquet")
@@ -187,9 +205,19 @@ class EpochDriverBase:
             return None
         return EpochRead(files, parquet_batches, self._read_tasks(files, 2 * 1024 * 1024))
 
+    def _ensure_actors(self):
+        if self.actors is None:
+            self.actors = start_hosts(self.n_partitions, *self._partition())
+
+    def _call(self, method: str, *args) -> list:
+        """Partition method ``method(*args)`` on every logical
+        partition; the results in pid order."""
+        per_host = ray.get([h.call.remote(method, *args) for h in self.actors])
+        return [r for rs in per_host for r in rs]
+
     def prepare(self):
-        """Provision the state-actor pool and wait until every actor is
-        live and has taken its first Arrow argument (``ready``; setup,
+        """Provision the state hosts and wait until every host is live
+        and has taken its first Arrow argument (``ready``; setup,
         excluded from throughput timing in bench)."""
         self._ensure_actors()
         # with a column: Ray deserializes a column-less table without
@@ -244,21 +272,19 @@ class EpochDriverBase:
 
     def _ingest_barrier(self, book: pd.DataFrame) -> int:
         """Route this epoch's partials (the router rows in ``book``) with
-        one ingest per partition and wait until every actor applied
+        one ingest per host and wait until every partition applied
         them; an ingest error raises here.  Required before closing
         windows for this epoch.  Returns the number of ingest calls."""
-        refs = route_partials(book, self.actors)
+        refs = route_partials(book, self.actors, self.n_partitions)
         ray.get(refs)
         return len(refs)
 
     def _commit_closed(self, epoch: int, close: str, *args, sort_by=None) -> None:
-        """Call actor method ``close(*args)`` on every actor and commit
-        the non-empty results as epoch ``epoch`` (an empty table when
-        nothing closed).  ``sort_by`` may be a function of the table."""
-        tables = [
-            t for t in ray.get([getattr(a, close).remote(*args) for a in self.actors])
-            if t is not None and t.num_rows
-        ]
+        """Call partition method ``close(*args)`` on every partition and
+        commit the non-empty results as epoch ``epoch`` (an empty table
+        when nothing closed).  ``sort_by`` may be a function of the
+        table."""
+        tables = [t for t in self._call(close, *args) if t is not None and t.num_rows]
         if not tables:
             self.sink.commit(epoch, pa.table({}))
             return
@@ -273,7 +299,7 @@ class EpochDriverBase:
     def _checkpoint(self, epoch: int):
         d = self._ckpt_dir(epoch)
         os.makedirs(d, exist_ok=True)
-        ray.get([a.snapshot.remote(d, epoch) for a in self.actors])
+        self._call("snapshot", d, epoch)
         state = {"epoch": epoch, "metrics": self.metrics, **self._driver_state()}
         tmp = os.path.join(d, "driver.json.tmp")
         with open(tmp, "w") as f:
@@ -298,7 +324,7 @@ class EpochDriverBase:
         self.metrics = {str(k): v for k, v in st["metrics"].items()}
         self._load_driver_state(st)
         self._ensure_actors()
-        ray.get([a.restore.remote(d) for a in self.actors])
+        self._call("restore", d)
 
     # -- main loop ------------------------------------------------------------
 
@@ -346,7 +372,7 @@ class EpochDriverBase:
     def _record_final(self, final_epoch: int):
         self.metrics["final"] = {
             "epoch": final_epoch,
-            "state_metrics": ray.get([a.get_metrics.remote() for a in self.actors]),
+            "state_metrics": self._call("get_metrics"),
         }
 
     def _final_metrics(self) -> dict:
@@ -357,7 +383,9 @@ class EpochDriverBase:
 
     # -- subclass hooks --------------------------------------------------------
 
-    def _ensure_actors(self):  # pragma: no cover - abstract
+    def _partition(self) -> tuple:  # pragma: no cover - abstract
+        """The partition class and its constructor arguments after the
+        partition id."""
         raise NotImplementedError
 
     def _router(self):  # pragma: no cover - abstract

@@ -36,7 +36,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-import ray
 
 from raystat.dataops.interval_join import interval_join_frames
 from raystat.streaming.epochs import NEG, EpochDriverBase
@@ -75,7 +74,6 @@ class IntervalJoinConfig:
         return int(self.after_s) * 1_000_000
 
 
-@ray.remote(num_cpus=0)
 class IntervalJoinPartition(PendingIngest):
     """Join state for one key-hash partition: buffered rows of BOTH
     sides on the unified tagged schema.  ``ingest`` only appends (O(1)
@@ -178,7 +176,7 @@ class IntervalRouter:
     rows older than the watermark in force at ingest and returns the
     rest as data (:func:`partial_row`), each row owned by its ``by``
     key's hash partition, with the smallest event ts as batch key; the
-    driver routes them to the partition actors."""
+    driver routes them to the partitions' hosts."""
 
     def __init__(self, actors: list, n_partitions: int, by: str, on: str,
                  watermark_us: int):
@@ -245,15 +243,10 @@ class IntervalStreamDriver(TaggedJoinDriver):
     def __init__(self, input_dir: str, out_dir: str, cfg: IntervalJoinConfig | None = None):
         super().__init__(input_dir, out_dir, cfg or IntervalJoinConfig(), "pairs")
 
-    def _ensure_actors(self):
-        if self.actors is None:
-            c = self.cfg
-            self.actors = [
-                IntervalJoinPartition.remote(
-                    p, c.by, c.on, list(c.right_cols), c.before_us, c.after_us
-                )
-                for p in range(c.n_partitions)
-            ]
+    def _partition(self) -> tuple:
+        c = self.cfg
+        return (IntervalJoinPartition, c.by, c.on, list(c.right_cols),
+                c.before_us, c.after_us)
 
     def _emit(self, epoch: int, watermark_us: int):
         self._commit_closed(

@@ -84,10 +84,15 @@ class ExactlyOnceParquetSink:
 
     # -- dataset commit (large passthrough output) -------------------------
 
-    def commit_dataset(self, epoch: int, ds) -> bool:
-        """Commit a whole Dataset for one epoch via write-to-temp-dir +
-        atomic directory rename (for the per-row passthrough path, which
-        is too large for a single driver-side table)."""
+    def commit_dataset(self, epoch: int, blocks) -> bool:
+        """Commit one epoch's large output (the per-row passthrough,
+        too large for a single driver-side table), given as its blocks:
+        Arrow tables in a deterministic order, fetched one at a time.
+        Each non-empty block becomes ``part-NNNNN.parquet`` in block
+        order in a temp dir, renamed into place atomically; the
+        manifest records the rows and each file's sha256 (``files``).
+        Returns False, consuming no block, if the epoch was already
+        committed."""
         if os.path.exists(self._manifest_path(epoch)):
             return False
         part_dir = os.path.join(self.root, f"epoch={epoch:06d}")
@@ -95,17 +100,21 @@ class ExactlyOnceParquetSink:
         shutil.rmtree(tmp_dir, ignore_errors=True)
         shutil.rmtree(part_dir, ignore_errors=True)
         os.makedirs(tmp_dir, exist_ok=True)  # an all-filtered epoch writes no files
-        ds.write_parquet(tmp_dir)
-        n = 0
-        for f in os.listdir(tmp_dir):
-            if f.endswith(".parquet"):
-                fp = os.path.join(tmp_dir, f)
-                n += pq.read_metadata(fp).num_rows
-                _fsync_path(fp)  # data durable BEFORE the manifest
+        files, n = {}, 0
+        for block in blocks:
+            if not block.num_rows:
+                continue
+            name = f"part-{len(files):05d}.parquet"
+            fp = os.path.join(tmp_dir, name)
+            pq.write_table(block, fp)
+            with open(fp, "rb") as f:
+                files[name] = hashlib.sha256(f.read()).hexdigest()
+            _fsync_path(fp)  # data durable BEFORE the manifest
+            n += block.num_rows
         _fsync_path(tmp_dir)
         os.replace(tmp_dir, part_dir)
         _fsync_path(os.path.dirname(part_dir))
-        self._write_manifest(epoch, {"rows": int(n), "kind": "dataset"})
+        self._write_manifest(epoch, {"rows": n, "files": files, "kind": "dataset"})
         return True
 
     # -- reads -------------------------------------------------------------

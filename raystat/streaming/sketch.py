@@ -8,11 +8,12 @@ Dataflow per epoch: one stage of read tasks computes per-batch
 partial sketches per (key, window) or per session fragment — the
 kind's router, a ``_WindowRouter`` or ``_SessionRouter`` — and
 returns them as data; the driver then routes the epoch's
-partials to their owning state actors by key hash, one ingest per
-actor (rows never shuffle).  Every driver is a ``_SketchDriver`` on the
+partials to their owning partitions by key hash, one ingest per
+state host (rows never shuffle).  Every driver is a ``_SketchDriver`` on the
 shared ``EpochDriverBase`` loop.
 
-State: ONE actor class for every kind, :class:`SketchPartition`.  It
+State: ONE partition class for every kind, :class:`SketchPartition`,
+run inside the shared ``state.PartitionHost`` actors.  It
 keeps its partition's open groups as one Arrow table — the group
 columns (``key, window_start_s`` or ``key, session_start_us,
 session_end_us``) plus the kind's payload columns — and owns the
@@ -49,7 +50,6 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-import ray
 
 from raystat.aggregate import encode_key
 from raystat.dataops.kll import KLL
@@ -433,7 +433,6 @@ class _BottomK(_Kind):
 _KINDS = {"hll": _Hll, "kll": _Kll, "mg": _Mg, "cms": _Cms, "bottomk": _BottomK}
 
 
-@ray.remote(num_cpus=0)
 class SketchPartition(PendingIngest):
     """Sketch state for one key-hash partition, for every sketch kind:
     the open groups as ONE Arrow table (group columns + the kind's
@@ -533,7 +532,7 @@ class SketchPartition(PendingIngest):
 
     def restore(self, ckpt_dir: str) -> int:
         """Rebuild the state from the snapshot (metrics start fresh).  A
-        checkpoint without this actor's snapshot raises: resuming on
+        checkpoint without this partition's snapshot raises: resuming on
         empty state would silently lose it."""
         self.pending = []
         self.state = pq.read_table(self._path(ckpt_dir)).cast(self.schema)
@@ -672,7 +671,7 @@ class _SketchDriver(EpochDriverBase):
     A driver names its ``SketchPartition`` kind and its (window,
     session) routers — looked up in this module each time a router is
     built, so callers may swap them — plus the extra arguments its
-    actors (``kind_args``: state and close arguments) and routers
+    partitions (``kind_args``: state and close arguments) and routers
     take."""
 
     kind = ""  # the SketchPartition kind (a _KINDS key)
@@ -703,19 +702,14 @@ class _SketchDriver(EpochDriverBase):
         self.watermark_s = NEG
 
     def _span(self) -> tuple:
-        """The window arguments of this driver's actors and routers."""
+        """The window arguments of this driver's partitions and routers."""
         if self.session_gap_s is not None:
             return (self.session_gap_s,)
         return (self.size_s, self.hop_s)
 
-    def _ensure_actors(self):
-        if self.actors is None:
-            session = self.session_gap_s is not None
-            self.actors = [
-                SketchPartition.remote(p, self.kind, self._span()[0], session,
-                                       *self.kind_args)
-                for p in range(self.n_partitions)
-            ]
+    def _partition(self) -> tuple:
+        return (SketchPartition, self.kind, self._span()[0],
+                self.session_gap_s is not None, *self.kind_args)
 
     def _driver_state(self) -> dict:
         return {"watermark_s": self.watermark_s,

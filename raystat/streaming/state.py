@@ -2,26 +2,34 @@
 
 The reference's state lives in ksqlDB's RocksDB stores partitioned by
 the GROUP BY key, with ``merge()`` combining partials across partitions
-(SURVEY.md §4.1).  Here: ``P`` ``StatePartition`` actors each own a
-hash range of ``(source, salt)``.  The epoch's stage router
-(:class:`Router`) only computes *partial moment structs* (never raw
-rows) and returns them as data; the driver then routes the whole
-epoch's partials with :func:`route_partials` — one ``ingest`` per
-partition — the explicit, tiny shuffle mandated by
+(SURVEY.md §4.1).  Here: ``P`` logical partitions, each a
+``StatePartition`` (or another kind's partition class) owning a hash
+range of ``(source, salt)``, are hosted in ``H = min(P, Ray CPU
+slots)`` :class:`PartitionHost` actors, each over a contiguous range
+of partition ids (:func:`host_pids`).  Kafka Streams runs its
+partition tasks, each with its own state store, on a few stream
+threads the same way: more state processes than CPU slots only
+time-share.  The epoch's stage router (:class:`Router`) only computes
+*partial moment structs* (never raw rows) and returns them as data;
+the driver then routes the whole epoch's partials with
+:func:`route_partials` — one ``ingest`` per host, carrying each owned
+partition's slice — the explicit, tiny shuffle mandated by
 BASELINE.json:north_star.  With no actor calls inside the stage's read
 tasks the stage is replayable, so Ray's task retries are safe.  Every
 other streaming kind's router returns its partial through the same
 :func:`partial_row` and is routed by the same :func:`route_partials`;
-their actors share :class:`PendingIngest`.
+their partition classes share :class:`PendingIngest` and run in the
+same host.
 
 Skew: partials are pre-aggregated per ``(source, salt, window)`` with
 ``salt = numeric_doc_id % S``, so a hot source's state spreads over up
-to S actors; the cross-salt merge happens once per window close on
+to S partitions; the cross-salt merge happens once per window close on
 O(closed windows) rows.
 
 Fault tolerance: Ray does not recover actor state — each partition
 checkpoints its accumulator dict per epoch (tiny: O(groups × windows ×
-sums)) and the driver records the epoch frontier; resume restores the
+sums)) as its own file, so a checkpoint restores under any host count,
+and the driver records the epoch frontier; resume restores the
 snapshot and replays from the next epoch (SURVEY.md §4.2).
 """
 
@@ -30,6 +38,7 @@ from __future__ import annotations
 import os
 import time
 import zlib
+from numbers import Number
 
 import numpy as np
 import pandas as pd
@@ -41,9 +50,10 @@ from raystat.aggregate import encode_key
 from raystat.dataops.asof import _key_u64
 
 __all__ = [
-    "StatePartition", "SessionStatePartition", "Router", "route_partition",
-    "key_partition", "partial_row", "route_partials", "PendingIngest",
-    "write_parquet_atomic", "gap_sweep",
+    "StatePartition", "SessionStatePartition", "PartitionHost", "Router",
+    "route_partition", "key_partition", "partial_row", "route_partials",
+    "PendingIngest", "write_parquet_atomic", "gap_sweep", "cpu_slots",
+    "host_pids", "start_hosts",
 ]
 
 
@@ -88,14 +98,37 @@ def partial_row(partial: pa.Table | None, part, batch_key: int, **book) -> pa.Ta
     return pa.table({**cols, "partial": pa.array([payload], pa.binary())})
 
 
-def route_partials(book: pd.DataFrame, actors: list) -> list:
-    """Submit one epoch's partials to their owning actors and return the
-    ``ingest`` refs, at most one per actor.  ``book`` holds the
-    routers' rows (:func:`partial_row`); the non-empty payloads are
-    concatenated in batch-key order (payload bytes break ties), then
-    stably sorted by owning partition, so every actor sees the same
-    rows in the same order on every run, whatever order the read tasks
-    finished in (float sums and sketch merges depend on it)."""
+def cpu_slots() -> int:
+    """The Ray cluster's CPU slots: the cap on an epoch's read tasks
+    and on its state hosts."""
+    return int(ray.cluster_resources().get("CPU", 1))
+
+
+def host_pids(n_partitions: int, n_hosts: int) -> list[list[int]]:
+    """The partition ids each of ``n_hosts`` hosts owns: contiguous
+    ranges in pid order, their sizes differing by at most one."""
+    return [p.tolist() for p in np.array_split(np.arange(n_partitions), n_hosts)]
+
+
+def start_hosts(n_partitions: int, cls, *args) -> list:
+    """Start ``min(n_partitions, cpu_slots())`` :class:`PartitionHost`
+    actors hosting partitions ``cls(pid, *args)`` for pid in
+    ``range(n_partitions)`` (:func:`host_pids`)."""
+    n_hosts = min(n_partitions, cpu_slots())
+    return [PartitionHost.remote(pids, cls, *args)
+            for pids in host_pids(n_partitions, n_hosts)]
+
+
+def route_partials(book: pd.DataFrame, hosts: list, n_partitions: int) -> list:
+    """Submit one epoch's partials to the hosts of their owning
+    partitions and return the ``ingest`` refs, at most one per host
+    (``hosts`` as :func:`start_hosts` made them for ``n_partitions``).
+    ``book`` holds the routers' rows (:func:`partial_row`); the
+    non-empty payloads are concatenated in batch-key order (payload
+    bytes break ties), then stably sorted by owning partition, so every
+    partition sees the same rows in the same order on every run,
+    whatever order the read tasks finished in (float sums and sketch
+    merges depend on it)."""
     if not len(book):  # an epoch of empty files has no router rows
         return []
     live = book[book["partial_rows"] > 0].sort_values(["batch_key", "partial"])
@@ -108,11 +141,15 @@ def route_partials(book: pd.DataFrame, actors: list) -> list:
     part = tbl[PART_COL].to_numpy()
     order = np.argsort(part, kind="stable")
     tbl, part = tbl.drop_columns([PART_COL]).take(order), part[order]
-    cuts = [0, *(np.flatnonzero(np.diff(part)) + 1), len(part)]
-    return [
-        actors[int(part[lo])].ingest.remote(tbl.slice(lo, hi - lo))
-        for lo, hi in zip(cuts[:-1], cuts[1:])
-    ]
+    pids = host_pids(n_partitions, len(hosts))
+    host_of = np.repeat(np.arange(len(hosts)), [len(p) for p in pids])[part]
+    cuts = [0, *(np.flatnonzero(np.diff(host_of)) + 1), len(part)]
+    refs = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        owned, rows = np.unique(part[lo:hi], return_counts=True)
+        refs.append(hosts[int(host_of[lo])].ingest.remote(
+            tbl.slice(lo, hi - lo), list(zip(owned.tolist(), rows.tolist()))))
+    return refs
 
 
 def write_parquet_atomic(table: pa.Table, path: str) -> None:
@@ -124,9 +161,9 @@ def write_parquet_atomic(table: pa.Table, path: str) -> None:
 
 
 class PendingIngest:
-    """``ingest`` shared by the state actors: buffer the partial table
-    for the next consolidation and count it.  A failure raises to the
-    driver's barrier, which waits on the ingest refs."""
+    """``ingest`` shared by the partition classes: buffer the partial
+    table for the next consolidation and count it.  A failure raises
+    to the driver's barrier, which waits on the hosts' ingest refs."""
 
     rows_metric = "partial_rows_in"
 
@@ -138,14 +175,57 @@ class PendingIngest:
         self.metrics["ingests"] += 1
         return n
 
+
+@ray.remote(num_cpus=0)
+class PartitionHost:
+    # num_cpus=0: merge work is tiny (partial structs); reserving CPU
+    # shares would starve the epoch stage's read tasks in small sessions.
+    """One state-actor process hosting the logical partitions ``pids``
+    (a contiguous range), each a plain ``cls(pid, *args)`` object: a
+    ``StatePartition``, ``SessionStatePartition``,
+    ``sketch.SketchPartition``, ``cep.CepStatePartition``,
+    ``dedup.DedupStatePartition``, ``interval.IntervalJoinPartition``
+    or ``asof.AsofJoinPartition``.  ``call`` runs a method on each
+    owned partition in pid order, so the driver sees per-partition
+    results in the order ``range(P)`` gives them whatever the host
+    count, and every partition still snapshots to its own file."""
+
+    def __init__(self, pids: list[int], cls, *args):
+        self.parts = {p: cls(p, *args) for p in pids}
+
     def ready(self, table: pa.Table) -> bool:
         """A no-op taking an Arrow table, which the driver's
-        ``prepare()`` sends once per actor: the first Arrow column a
+        ``prepare()`` sends once per host: the first Arrow column a
         worker deserializes imports Ray's Arrow tensor extensions, and
         with them ``ray.data`` (0.1-0.3 s per actor process on one
         vCPU), which the first epoch's barrier would otherwise wait
         on."""
         return True
+
+    def ingest(self, table: pa.Table, sizes: list[tuple[int, int]]) -> int:
+        """``table`` is the owned partitions' slices back to back, in
+        the order of ``sizes``, its ``(pid, rows)`` pairs; each
+        partition ingests its own slice."""
+        lo = 0
+        for pid, n in sizes:
+            self.parts[pid].ingest(table.slice(lo, n))
+            lo += n
+        return lo
+
+    def call(self, method: str, *args) -> list:
+        """``method(*args)`` of every owned partition, in pid order."""
+        return [getattr(p, method)(*args) for p in self.parts.values()]
+
+    def get_metrics(self) -> dict:
+        """The owned partitions' numeric counters summed, plus their own
+        metric dicts in pid order under ``partitions``."""
+        per = self.call("get_metrics")
+        out: dict = {}
+        for m in per:
+            for k, v in m.items():
+                if k != "partition" and isinstance(v, Number):
+                    out[k] = out.get(k, 0) + v
+        return {**out, "partitions": per}
 
 
 def gap_sweep(codes: np.ndarray, start: np.ndarray, end: np.ndarray, gap_us: int):
@@ -176,10 +256,7 @@ def _require_columns(owner: str, table: pa.Table, cols: list[str]) -> None:
 _KEY = ["source", "salt", "window_start"]
 
 
-@ray.remote(num_cpus=0)
 class StatePartition(PendingIngest):
-    # num_cpus=0: merge work is tiny (partial structs); reserving CPU
-    # shares would starve the epoch stage's read tasks in small sessions.
     """Owns per-(source, salt, window_start) accumulator sums.
 
     Merge strategy: ``ingest`` only APPENDS the incoming partial table
@@ -228,8 +305,8 @@ class StatePartition(PendingIngest):
 
     def _emit_table(self, df: pd.DataFrame) -> pa.Table:
         """(source, window_start, sums) rows, pre-merged across the
-        salts this actor owns — the driver only concatenates shards and
-        merges the (rare) cross-actor residue."""
+        salts this partition owns — the driver only concatenates shards
+        and merges the (rare) cross-partition residue."""
         if not len(df):
             return pa.table(
                 {
@@ -253,7 +330,7 @@ class StatePartition(PendingIngest):
     def close_windows(self, watermark_s) -> pa.Table:
         """Pop and return all state whose window has fully passed the
         watermark (window_start + size <= watermark), merged across
-        this actor's salts.  ``watermark_s`` may be a per-source dict
+        this partition's salts.  ``watermark_s`` may be a per-source dict
         (cfg.watermark_scope='per_source'): each row closes against its
         OWN source's frontier; sources absent from the dict never
         close (no events seen yet)."""
@@ -356,7 +433,6 @@ class Router:
         )
 
 
-@ray.remote(num_cpus=0)
 class SessionStatePartition(PendingIngest):
     """Session-window state store: open partial sessions
     ``(source, start_us, end_us, sums...)`` merged by the gap rule.
@@ -370,7 +446,7 @@ class SessionStatePartition(PendingIngest):
     Merge strategy mirrors StatePartition: ``ingest`` only APPENDS the
     incoming partial table; the gap-rule merge happens lazily at epoch
     boundaries as ONE vectorized :func:`gap_sweep` over the open
-    sessions and everything pending (the sweep the sketch actors
+    sessions and everything pending (the sweep the sketch partitions
     share), then ``np.add.reduceat`` per sum column.  Same interval
     algorithm the batch path uses (aggregate.session_moments); no
     per-source or per-row Python."""

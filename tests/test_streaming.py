@@ -772,7 +772,10 @@ def test_high_cardinality_sources(ray_session, tmp_path):
 
 def test_cli_end_to_end(ray_session, fixture_dir, tmp_path, capsys):
     """python -m raystat surface: the ray-job-submit entrypoint runs
-    the driver and prints the metrics JSON."""
+    the driver and prints the metrics JSON, and leaves a Ray session it
+    did not start running."""
+    import ray
+
     from raystat.cli import main
 
     out = str(tmp_path / "cli_out")
@@ -785,6 +788,7 @@ def test_cli_end_to_end(ray_session, fixture_dir, tmp_path, capsys):
     m = json.loads(printed.strip().splitlines()[-1])
     assert m["committed"], "no epochs committed"
     assert glob.glob(os.path.join(out, "agg", "epoch=*", "*.parquet"))
+    assert ray.is_initialized()
 
 
 def test_ingest_error_surfaces_at_barrier(ray_session):
@@ -843,17 +847,18 @@ def test_output_deterministic_across_runs(ray_session, batch_size):
 
 
 def test_route_partials_ignores_arrival_order():
-    """Each actor receives the same rows in the same order whatever
-    order the Router rows arrive in, at most one ingest per actor."""
-    from raystat.streaming.state import Router, route_partials
+    """Each partition receives the same rows in the same order whatever
+    order the Router rows arrive in, at most one ingest per host, each
+    carrying the slices of the partitions that host owns."""
+    from raystat.streaming.state import Router, host_pids, route_partials
 
-    class Actor:
+    class Host:
         def __init__(self):
             self.got = []
             self.ingest = self
 
-        def remote(self, table):
-            self.got.append(table)
+        def remote(self, table, sizes):
+            self.got.append((table, sizes))
 
     rng = np.random.default_rng(5)
     rows = []
@@ -862,23 +867,33 @@ def test_route_partials_ignores_arrival_order():
         part = pa.table(
             {
                 "source": pa.array([f"s{i}" for i in rng.integers(0, 9, n)]),
-                "salt": pa.array(np.full(n, key % 3), pa.int64()),
+                "salt": pa.array(np.full(n, key % 5), pa.int64()),
                 "u_s1": pa.array(rng.random(n)),
             }
         )
         info = {"max_ts_us": 0, "late_dropped": 0, "rows_in": n, "batch_key": 1000 - key}
-        rows.append(Router(None, 3, lambda b, p=part, i=info: (p, i))(part).to_pandas())
+        rows.append(Router(None, 5, lambda b, p=part, i=info: (p, i))(part).to_pandas())
     book = pd.concat(rows, ignore_index=True)
     runs = []
     for seed in range(3):
-        actors = [Actor() for _ in range(3)]
+        hosts = [Host() for _ in range(2)]
         shuffled = book.sample(frac=1, random_state=seed).reset_index(drop=True)
-        assert len(route_partials(shuffled, actors)) == 3
-        assert all(len(a.got) == 1 for a in actors)
-        runs.append([a.got[0] for a in actors])
+        assert len(route_partials(shuffled, hosts, 5)) == 2
+        assert all(len(h.got) == 1 for h in hosts)
+        per_part = {}
+        for h, owned in zip(hosts, host_pids(5, 2)):
+            table, sizes = h.got[0]
+            assert [pid for pid, _ in sizes] == owned  # pid order, owned only
+            assert sum(n for _, n in sizes) == table.num_rows
+            lo = 0
+            for pid, n in sizes:
+                per_part[pid] = table.slice(lo, n)
+                lo += n
+        runs.append(per_part)
     for other in runs[1:]:
-        assert all(x.equals(y) for x, y in zip(runs[0], other))
-    assert sum(t.num_rows for t in runs[0]) == 12 * 40
+        assert all(other[p].equals(t) for p, t in runs[0].items())
+    assert sum(t.num_rows for t in runs[0].values()) == 12 * 40
+    assert host_pids(5, 2) == [[0, 1, 2], [3, 4]]
 
 
 def _stage_driver(kind: str, fixture_dir: str, sf: str, out: str):
@@ -916,7 +931,7 @@ def test_epoch_stage_runs_once_within_cpu_slots(ray_session, fixture_dir, sf_dir
                                                 kind, monkeypatch):
     """Each epoch runs ONE stage (its read and the driver's router),
     exactly once, as 1 to (Ray CPU slots) read tasks, and routes with
-    at most one ingest call per state partition."""
+    at most one ingest call per state host (here one per partition)."""
     import ray
 
     from raystat.streaming import epochs

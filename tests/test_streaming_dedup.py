@@ -168,25 +168,23 @@ def test_state_is_hashes_only_and_bounded(ray_session):
 def test_restore_leaves_ingest_barrier_fresh(ray_session):
     """A restored partition keeps the checkpointed seen set and its
     cumulative metrics (winners/evictions stay cumulative)."""
-    import ray
-
     from raystat.streaming.dedup import DedupStatePartition
 
     ck = tempfile.mkdtemp(prefix="rs_sdedup_ck_")
     try:
-        a = DedupStatePartition.remote(0, None)
+        a = DedupStatePartition(0, None)
         t = pa.table(
             {"content_hash": pa.array([11, 22], pa.int64()),
              "doc_id": pa.array([1, 2], pa.int64())}
         )
-        ray.get(a.ingest.remote(t))
-        ray.get(a.ingest.remote(t))
-        ray.get(a.close_epoch.remote(0))
-        ray.get(a.snapshot.remote(ck, 0))
+        a.ingest(t)
+        a.ingest(t)
+        a.close_epoch(0)
+        a.snapshot(ck, 0)
 
-        b = DedupStatePartition.remote(0, None)
-        assert ray.get(b.restore.remote(ck)) == 2  # 2 seen hashes
-        m = ray.get(b.get_metrics.remote())
+        b = DedupStatePartition(0, None)
+        assert b.restore(ck) == 2  # 2 seen hashes
+        m = b.get_metrics()
         assert m["winners"] == 2, "cumulative metrics must carry over"
         assert m["state_size"] == 2
     finally:

@@ -5,7 +5,9 @@ the driver routes each epoch's partials in batch-key order whatever
 order the batches finish in.  KLL (windows and sessions) and bottom-k
 sessions check the same property in their own modules.  The pipelined
 loop (epoch e+1's stage runs during epoch e's tail) stops, resumes and
-fails at the same epochs as a serial one."""
+fails at the same epochs as a serial one.  P logical partitions share
+min(P, CPU slots) state hosts, and a killed host fails the run, whose
+resume then commits what an uninterrupted run commits."""
 
 from __future__ import annotations
 
@@ -121,7 +123,7 @@ def test_empty_epoch_file(ray_session, tmp_path):
 PIPELINED = ["StreamDriver", "MgStreamDriver"]
 
 
-def _pipelined_driver(kind: str, src: str, out: str, **mg):
+def _pipelined_driver(kind: str, src: str, out: str, n_partitions: int = 3, **mg):
     from raystat.fixtures import epoch_len_us
     from raystat.streaming import StreamConfig, StreamDriver
     from raystat.streaming.sketch import MgStreamDriver
@@ -129,10 +131,10 @@ def _pipelined_driver(kind: str, src: str, out: str, **mg):
     if kind == "StreamDriver":
         return StreamDriver(src, out, StreamConfig(
             window_size_s=3600, allowed_lateness_s=epoch_len_us(4) // 4_000_000,
-            n_partitions=3, passthrough=False, batch_size=500,
+            n_partitions=n_partitions, passthrough=False, batch_size=500,
         ))
     return MgStreamDriver(src, out, window_size_s=86400, allowed_lateness_s=3600,
-                          n_partitions=3, batch_size=BATCH, **mg)
+                          n_partitions=n_partitions, batch_size=BATCH, **mg)
 
 
 def _four_epochs(kind: str, sf: str, root) -> str:
@@ -467,3 +469,94 @@ def test_per_source_watermark_after_zero_row_epoch(ray_session, tmp_path):
     assert drv.sink.committed_epochs() == [0, 1, 2, 3]
     for a in drv.actors:
         ray.kill(a)
+
+
+# -- state hosts: P logical partitions in min(P, CPU slots) actors -------------
+
+
+def _kill_all(*drivers) -> None:
+    import ray
+
+    for d in drivers:
+        for a in d.actors or ():
+            ray.kill(a)
+
+
+@pytest.mark.parametrize("kind", PIPELINED)
+def test_partitions_share_hosts_per_cpu_slot(ray_session, sf_dir, tmp_path, kind):
+    """P=8 partitions in a 4-slot session run in 4 hosts of 2
+    partitions: at most 4 ingests per epoch, yet one snapshot file and
+    one final metrics dict per logical partition, and a host's metrics
+    are its partitions' counters summed.  A fresh driver resuming from
+    checkpoint 1 commits what the uninterrupted run commits."""
+    import glob
+    import os
+
+    import ray
+
+    assert ray.cluster_resources()["CPU"] == 4
+    src = _four_epochs(kind, sf_dir, tmp_path)
+    full = _pipelined_driver(kind, src, str(tmp_path / "full"), n_partitions=8)
+    m = full.run()
+    assert len(full.actors) == 4
+    calls = [em["ingest_calls"] for e, em in m["epochs"].items() if e != "final"]
+    assert max(calls) <= 4 and sum(calls) > 0
+    final = m["final"] if "final" in m else m["epochs"]["final"]
+    assert [p["partition"] for p in final["state_metrics"]] == list(range(8))
+    for e in full.arrival_epochs():
+        snaps = glob.glob(os.path.join(full._ckpt_dir(e), "*-p*.parquet"))
+        assert sorted(os.path.basename(f)[-13:] for f in snaps) == [
+            f"p{p:04d}.parquet" for p in range(8)]
+    host = ray.get(full.actors[1].get_metrics.remote())
+    assert [p["partition"] for p in host["partitions"]] == [2, 3]
+    assert host["partial_rows_in"] == sum(p["partial_rows_in"] for p in host["partitions"])
+
+    out = str(tmp_path / "resumed")
+    d1 = _pipelined_driver(kind, src, out, n_partitions=8)
+    d1.run(stop_after_epoch=1)
+    d2 = _pipelined_driver(kind, src, out, n_partitions=8)
+    d2.run(resume=True)
+    assert manifest_digests(d2.sink.root) == manifest_digests(full.sink.root)
+    _kill_all(full, d1, d2)
+
+
+def test_killed_host_fails_run_and_resume_is_exact(ray_session, sf_dir, tmp_path):
+    """A state host killed in epoch 2, after the ingest barrier and
+    before the close, fails ``run()``; a fresh driver's resume from
+    checkpoint 1 replays epoch 2 and commits byte-identical manifests.
+    MG's merge is not idempotent, so a partial ingested twice would
+    show in its counts."""
+    import ray
+
+    src = _four_epochs("MgStreamDriver", sf_dir, tmp_path)
+    mg = dict(n_partitions=8, capacity=8, top=3)
+    full = _pipelined_driver("MgStreamDriver", src, str(tmp_path / "full"), **mg)
+    full.run()
+
+    out = str(tmp_path / "killed")
+    drv = _pipelined_driver("MgStreamDriver", src, out, **mg)
+    epochs, run_epoch, barrier = [], drv._run_epoch, drv._ingest_barrier
+
+    def tracked_run_epoch(epoch):
+        epochs.append(epoch)
+        return run_epoch(epoch)
+
+    def killing_barrier(book):
+        n = barrier(book)
+        if epochs[-1] == 2:
+            ray.kill(drv.actors[1])
+        return n
+
+    drv._run_epoch, drv._ingest_barrier = tracked_run_epoch, killing_barrier
+    with pytest.raises(ray.exceptions.RayActorError):
+        drv.run()
+    assert epochs == [0, 1, 2]
+    assert drv.latest_checkpoint() == 1
+    assert drv.sink.committed_epochs() == [0, 1]
+    assert not _stage_threads()
+
+    fresh = _pipelined_driver("MgStreamDriver", src, out, **mg)
+    fresh.run(resume=True)
+    assert manifest_digests(fresh.sink.root) == manifest_digests(full.sink.root)
+    assert len(manifest_digests(full.sink.root)) == 5
+    _kill_all(full, drv, fresh)

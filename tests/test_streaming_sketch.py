@@ -1,7 +1,7 @@
 """Streaming windowed sketches: streamed HLL registers equal the batch
 registers over the same rows (max-merge order independence), ingest
 idempotence (replay safety), late-drop behaviour, crash/resume
-exactly-once, and the one ``SketchPartition`` actor's column checks and
+exactly-once, and the one ``SketchPartition`` class's column checks and
 snapshot/restore for every (kind, span)."""
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from raystat.streaming.sketch import (
     SketchPartition,
     events_stream_fixture,
 )
-from raystat.streaming.state import partial_row
+from raystat.streaming.state import PartitionHost, partial_row
 
 SF = "/root/testdata/sf0.001"
 WEEK = 7 * 86400
@@ -137,11 +137,10 @@ def test_ingest_idempotence(ray_session, kind, session):
     args = (3,) if kind == "bottomk" else ()
     outs = []
     for times in (1, 3):
-        actor = SketchPartition.remote(0, kind, 3600, session, *args)
+        state = SketchPartition(0, kind, 3600, session, *args)
         for _ in range(times):
-            ray.get(actor.ingest.remote(partial))
-        outs.append(ray.get(actor.close_windows.remote(END)).to_pandas())
-        ray.kill(actor)
+            state.ingest(partial)
+        outs.append(state.close_windows(END).to_pandas())
     assert len(outs[0]) == (1 if session else 2) * (1 if kind == "hll" else 3)
     pd.testing.assert_frame_equal(outs[0], outs[1])
 
@@ -188,37 +187,36 @@ def test_malformed_partial_fails_at_barrier(ray_session, cls, span, kw):
 
 @pytest.mark.parametrize("cls, span, kw", _KIND_SPANS, ids=_KIND_IDS)
 def test_snapshot_restore_every_kind(ray_session, cls, span, kw):
-    """Partials of two epochs, a snapshot, a restore into fresh actors:
-    closing everything on the restored actors gives the same tables as
-    on the originals, from exactly one parquet file per actor; a
-    directory without the actor's snapshot fails the restore."""
+    """Partials of two epochs, a snapshot, a restore into a fresh host:
+    closing everything on the restored partitions gives the same
+    tables as on the originals, from exactly one parquet file per
+    partition, restored under another host count (the driver's two
+    partitions on two hosts, restored into one host owning both); a
+    directory without a partition's snapshot fails the restore."""
     out = tempfile.mkdtemp(prefix="rs_sk_snap_")
     try:
         drv = _kind_driver(cls, span, kw, out).prepare()
+        assert len(drv.actors) == 2
         for e in (0, 1):
             book, _ = drv._stage(e, drv._router())
             drv._ingest_barrier(book)
-            ray.get([a.close_windows.remote(NEG) for a in drv.actors])  # consolidate
+            drv._call("close_windows", NEG)  # consolidate
         ckpt = os.path.join(out, "ckpt")
-        ray.get([a.snapshot.remote(ckpt, 1) for a in drv.actors])
+        drv._call("snapshot", ckpt, 1)
         assert sorted(os.listdir(ckpt)) == ["sketch-p0000.parquet", "sketch-p0001.parquet"]
-        fresh = [
-            SketchPartition.remote(p, cls.kind, drv._span()[0], span == "session",
-                                   *drv.kind_args)
-            for p in range(2)
-        ]
+        fresh = PartitionHost.remote([0, 1], *drv._partition())
         with pytest.raises(Exception, match="sketch-p0000.parquet"):
-            ray.get(fresh[0].restore.remote(out))  # no snapshot there
-        ray.get([a.restore.remote(ckpt) for a in fresh])
-        want = ray.get([a.close_windows.remote(END) for a in drv.actors])
-        got = ray.get([a.close_windows.remote(END) for a in fresh])
-        assert sum(t.num_rows for t in want) > 0
+            ray.get(fresh.call.remote("restore", out))  # no snapshot there
+        ray.get(fresh.call.remote("restore", ckpt))
+        want = drv._call("close_windows", END)
+        got = ray.get(fresh.call.remote("close_windows", END))
+        assert len(got) == 2 and sum(t.num_rows for t in want) > 0
         for w, g in zip(want, got):
             assert g.equals(w, check_metadata=True)
         rows = pa.concat_tables(want).to_pandas()
         if cls is MgStreamDriver:
             assert (rows["mg_deficit"] > 0).any()
-        for a in fresh:
+        for a in [fresh, *drv.actors]:
             ray.kill(a)
     finally:
         shutil.rmtree(out, ignore_errors=True)

@@ -5,8 +5,10 @@ synthetic token stream, also as JSONL) and on a wider token stream
 whose epochs (about 7 MB, 8 files) plan 3 read tasks at 4 CPUs, and
 writes, per configuration, the sha256 of
 every committed sink epoch (from its manifest) and the per-epoch
-``late_dropped`` counts.  The passthrough sink's manifests carry no
-digest, so for it the sweep hashes its rows in ``doc_id`` order.
+``late_dropped`` counts.  For a passthrough (``kind: "dataset"``)
+sink it records each epoch's row count and hashes the sink's rows in
+``doc_id`` order: its part files depend on the number of read tasks,
+and older checkouts record no digest for them.
 
 It imports only the public drivers and fixtures, so it runs against any
 checkout given on ``PYTHONPATH``; a refactor keeps outputs when two
@@ -17,11 +19,16 @@ checkouts' files are identical:
     diff old.json new.json
 
 It reads the sf0.001 test data the pytest suite reads (``SF``) and runs
-a local Ray with 4 CPUs.
+a local Ray with ``--cpus`` CPUs (default 4).  The CPU count sets the
+read tasks per epoch and the state hosts per driver (``min(partitions,
+CPUs)``), so compare two checkouts at the same count:
+
+    python tools/digest_sweep.py --cpus 1 out.json
 """
 
 from __future__ import annotations
 
+import argparse
 import glob
 import hashlib
 import json
@@ -159,7 +166,8 @@ def _digests(out: str) -> dict:
         for f in sorted(glob.glob(os.path.join(mdir, "epoch-*.json"))):
             with open(f) as fh:
                 m = json.load(fh)
-            per[os.path.basename(f)] = m.get("sha256", m["rows"])
+            dataset = m.get("kind") == "dataset"
+            per[os.path.basename(f)] = m["rows"] if dataset else m["sha256"]
         if any(isinstance(v, int) for v in per.values()):  # dataset sink
             per["rows_sha256"] = _row_digest(root)
         res[name] = per
@@ -167,16 +175,17 @@ def _digests(out: str) -> dict:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print(__doc__)
-        return 2
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out", help="the JSON file to write")
+    ap.add_argument("--cpus", type=int, default=4, help="local Ray CPUs (default 4)")
+    args = ap.parse_args(argv)
     import logging
 
     import ray
     from ray.data import DataContext
 
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=4, include_dashboard=False,
+        ray.init(address="local", num_cpus=args.cpus, include_dashboard=False,
                  logging_level="ERROR")
     DataContext.get_current().enable_progress_bars = False
     logging.getLogger("ray.data").setLevel(logging.WARNING)
@@ -194,7 +203,7 @@ def main(argv: list[str]) -> int:
         finally:
             shutil.rmtree(out, ignore_errors=True)
         print(name, "ok", flush=True)
-    with open(argv[0], "w") as f:
+    with open(args.out, "w") as f:
         json.dump(result, f, indent=1, sort_keys=True)
     return 0
 
