@@ -59,21 +59,19 @@ def _warm_engine_path(fix: str, ncpu: int) -> None:
     import ray
     import ray.data as rd
 
-    from raystat.accumulators import canonical_sums_for, get_spec
-    from raystat.streaming.driver import StreamConfig, _partial_stage
-    from raystat.streaming.state import Router, StatePartition, route_partials, start_hosts
+    from raystat.streaming.driver import StreamConfig, StreamDriver, _partial_stage
+    from raystat.streaming.state import NEG, Router, route_partials, start_hosts
 
     cfg = StreamConfig(window_size_s=3600, n_salts=8, token_stats=True, comoment_stats=True)
-    resolved = {k: get_spec(v) for k, v in cfg.specs.items()}
-    needed, u, w = canonical_sums_for(resolved.values())
-    needed = tuple(needed) + ("t_n", "t_s1", "t_s2", "t_s3", "t_s4", "c_syy", "c_sxy")
-    actors = start_hosts(N_PARTITIONS, StatePartition, list(needed), cfg.window_size_s)
+    out = tempfile.mkdtemp(prefix="raystat_warm_")
+    drv = StreamDriver(fix, out, cfg)  # the driver's partitions and sum columns
+    actors = start_hosts(N_PARTITIONS, *drv._partition())
     ray.get([a.get_metrics.remote() for a in actors])
     files = sorted(glob.glob(os.path.join(fix, "arrival=0", "*.parquet")))
     # several waves per worker: allocator arenas and scratch pools grow
     # over the first batches, and a single wave leaves them cold
     files = files[: min(len(files), 4 * ncpu)]
-    fn = _partial_stage(cfg, needed, u, w, -(2**62))
+    fn = _partial_stage(cfg, drv.needed, drv.u_order, drv.w_order, NEG)
     router = Router(actors, N_PARTITIONS, fn)
     book = rd.read_parquet(files, override_num_blocks=len(files)).map_batches(
         router, batch_format="pyarrow", batch_size=32768
@@ -81,6 +79,7 @@ def _warm_engine_path(fix: str, ncpu: int) -> None:
     ray.get(route_partials(book, actors, N_PARTITIONS))
     for a in actors:
         ray.kill(a)
+    shutil.rmtree(out, ignore_errors=True)
 
 
 def main() -> None:

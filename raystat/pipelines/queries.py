@@ -5079,7 +5079,7 @@ _SESS_GAP_S = 7200
 
 def _q_streaming_distinct_sessions(sf_dir):
     """STREAMING SESSION-windowed approximate COUNT DISTINCT
-    (streaming/sketch.py SketchPartition, kind "hll"): completes the
+    (state.KeyedPartition, kind sketch._Hll): completes the
     window-mode x state-kind matrix at its cheapest cell — HLL
     registers max-merge idempotently, so ksqlDB's SESSION
     merge-overlapping-partials contract (the stated reason ``merge()``
@@ -5246,8 +5246,8 @@ QUERIES.append(
 
 
 def _q_streaming_session_top_users(sf_dir):
-    """STREAMING SESSION-windowed heavy hitters (streaming/sketch.py
-    SketchPartition, kind "mg"): per-(event_type, gap-rule session) top-5
+    """STREAMING SESSION-windowed heavy hitters (streaming
+    state.KeyedPartition, kind sketch._Mg): per-(event_type, gap-rule session) top-5
     user_ids through Misra-Gries-bounded session state — fragment
     counts are exact partials over disjoint event subsets, so the
     gap-rule cluster merge is a plain integer sum by item with at most
@@ -5450,7 +5450,7 @@ QUERIES.append(
 
 def _q_streaming_session_samples(sf_dir):
     """STREAMING SESSION-windowed deterministic sampling
-    (SketchPartition, kind "bottomk"): per-(event_type, gap-rule session)
+    (state.KeyedPartition, kind sketch._BottomK): per-(event_type, gap-rule session)
     the k=5 distinct users with the smallest splitmix64(user_id).
     The k-truncated min-union is the IDEMPOTENT case of the SESSION
     merge contract (the HLL-registers case) — overlapping fragments
@@ -5705,7 +5705,7 @@ QUERIES.append(
 
 def _q_streaming_session_quantiles(sf_dir):
     """STREAMING SESSION-windowed approximate quantiles
-    (streaming/sketch.py SketchPartition, kind "kll"): the
+    (state.KeyedPartition, kind sketch._Kll): the
     NON-IDEMPOTENT cell of the window-mode x state-kind matrix —
     session fragments are disjoint event subsets, so KLL's
     mass-conserving merge applies under the gap rule, with the

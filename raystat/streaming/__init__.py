@@ -18,9 +18,11 @@ the driver routes them to the logical state partitions, hosted in
 (`BottomKStreamDriver`), first-occurrence seen-hash dedup state with
 optional retention-bounded eviction (`DedupStreamDriver`), and
 temporal-join state with dominated-right pruning (`AsofStreamDriver`).
-The five sketch kinds (HLL, KLL, MG, CMS, bottom-k) share one
-partition class, ``sketch.SketchPartition``, over an Arrow state table: a kind is
-its payload columns, a merge and a finish.
+The moment kind and the five sketch kinds (HLL, KLL, MG, CMS,
+bottom-k) share one partition class, ``state.KeyedPartition``, over an
+Arrow state table: a kind is its group and payload columns, a merge and
+a finish.  CEP, dedup and the two joins keep their own partition
+classes.
 """
 
 from raystat.streaming.asof import AsofJoinConfig, AsofStreamDriver

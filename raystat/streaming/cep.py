@@ -171,18 +171,14 @@ class CepStatePartition(PendingIngest):
         return path
 
     def restore(self, ckpt_dir: str) -> int:
+        """Rebuild the buffer and the tombstones from the snapshot; a
+        checkpoint without either of this partition's files raises."""
         path = os.path.join(ckpt_dir, f"cep-p{self.pid:04d}.parquet")
-        self.pending = []
-        self.buf = None
-        self.done = set()
-        if not os.path.exists(path):
-            return 0
         t = pq.read_table(path)
-        if t.num_rows:
-            self.buf = t.to_pandas()
-        dp = path.replace(".parquet", ".done.parquet")
-        if os.path.exists(dp):
-            self.done = set(pq.read_table(dp)["key"].to_pylist())
+        done = pq.read_table(path.replace(".parquet", ".done.parquet"))
+        self.pending = []
+        self.buf = t.to_pandas() if t.num_rows else None
+        self.done = set(done["key"].to_pylist())
         return t.num_rows
 
 

@@ -35,7 +35,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from raystat.dataops.dedup import _md5_64_col
-from raystat.streaming.epochs import EpochDriverBase
+from raystat.streaming.epochs import EpochDriverBase, arrival_fixture
 from raystat.streaming.sink import ExactlyOnceParquetSink
 from raystat.streaming.state import PendingIngest, partial_row, write_parquet_atomic
 
@@ -136,13 +136,10 @@ class DedupStatePartition(PendingIngest):
         return path
 
     def restore(self, ckpt_dir: str) -> int:
-        path = os.path.join(ckpt_dir, f"dedup-p{self.pid:04d}.parquet")
+        """Rebuild the seen set and the metrics from the snapshot; a
+        checkpoint without this partition's snapshot raises."""
+        t = pq.read_table(os.path.join(ckpt_dir, f"dedup-p{self.pid:04d}.parquet"))
         self.pending = []
-        self.seen = np.zeros(0, dtype=np.int64)
-        self.last_seen = np.zeros(0, dtype=np.int64)
-        if not os.path.exists(path):
-            return 0
-        t = pq.read_table(path)
         self.seen = t["seen"].to_numpy(zero_copy_only=False).astype(np.int64).copy()
         self.last_seen = (
             t["last_seen"].to_numpy(zero_copy_only=False).astype(np.int64).copy()
@@ -245,43 +242,22 @@ def docs_stream_fixture(
     wraps to epoch 0 and arrives FIRST: the echo (larger id) wins
     there, pinning that the rule is first-ARRIVAL, not min-id.  Cached
     per sf_dir; returns the fixture dir."""
-    tag = sf_dir.strip("/").replace("/", "_")
-    out = os.path.join(root, f"docs_str_{tag}_e{n_epochs}")
-    done = os.path.join(out, "_fixture.json")
-    params = {"sf_dir": sf_dir, "n_epochs": n_epochs, "v": 3}
-    if os.path.exists(done):
-        try:
-            with open(done) as f:
-                if json.load(f) == params:
-                    return out
-        except Exception:
-            pass
-    import shutil
 
-    tmp = out + ".tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
-    shutil.rmtree(out, ignore_errors=True)
-    os.makedirs(tmp)
-    t = pq.read_table(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
-    did = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    echo_sel = did % 10 == 3
-    echo = pa.table(
-        {
-            "doc_id": pa.array(did[echo_sel] + 1_000_001),
-            "text": t["text"].filter(pa.array(echo_sel)),
-        }
-    )
-    t = pa.concat_tables([t, echo])
-    did = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    epoch = did % n_epochs
-    for e in range(n_epochs):
-        sub = t.filter(pa.array(epoch == e))
-        d = os.path.join(tmp, f"arrival={e}")
-        os.makedirs(d)
-        pq.write_table(sub, os.path.join(d, "part-0.parquet"))
-    with open(os.path.join(tmp, "_fixture.json"), "w") as f:
-        json.dump(params, f)
-    os.replace(tmp, out)
-    return out
+    def build():
+        t = pq.read_table(
+            os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
+        )
+        did = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        echo_sel = did % 10 == 3
+        echo = pa.table(
+            {
+                "doc_id": pa.array(did[echo_sel] + 1_000_001),
+                "text": t["text"].filter(pa.array(echo_sel)),
+            }
+        )
+        t = pa.concat_tables([t, echo])
+        return t, t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64) % n_epochs
+
+    tag = sf_dir.strip("/").replace("/", "_")
+    return arrival_fixture(os.path.join(root, f"docs_str_{tag}_e{n_epochs}"),
+                           {"sf_dir": sf_dir, "n_epochs": n_epochs, "v": 3}, build)

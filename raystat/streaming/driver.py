@@ -26,12 +26,13 @@ loop, with this driver's stages):
    next epoch's Router needs, so epoch ``e+1``'s steps 1-2 start here
    on a second thread and run while the driver finishes epoch ``e``:
    it concatenates epoch ``e``'s partials in batch-key order, routes
-   them to their owning StatePartitions (the explicit salted hash
+   them to their owning state partitions (the explicit salted hash
    shuffle) with one ``ingest`` per state host, which carries the
    slices of the ``n_partitions / min(n_partitions, CPU slots)``
    partitions it hosts, and waits for those calls (the barrier), then
    runs steps 4-7
-4. partitions pop state of windows with ``window_end <= watermark``;
+4. partitions (``state.KeyedPartition`` running the :class:`_Sums`
+   kind) pop state of windows with ``window_end <= watermark``;
    cross-salt merge (field-wise add) + vectorized finalize
 5. join against the metadata stream state (grace-buffered left join)
 6. commit via the exactly-once sink; optional exact per-row passthrough
@@ -51,6 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.json as pajson
 import ray
 
@@ -61,7 +63,7 @@ from raystat.scratch import astype_f8, buf, tune_allocator
 from raystat.streaming.epochs import END, NEG, EpochDriverBase, EpochRead, with_partitions
 from raystat.streaming.join import MetadataJoin
 from raystat.streaming.sink import ExactlyOnceParquetSink
-from raystat.streaming.state import Router, SessionStatePartition, StatePartition
+from raystat.streaming.state import KeyedPartition, Kind, Router, source_watermarks
 
 __all__ = ["StreamConfig", "StreamDriver"]
 
@@ -238,9 +240,7 @@ def _src_max_json(src_vocab: pa.Array, ts_us: np.ndarray, src_code: np.ndarray) 
     return json.dumps({s: int(v) for s, v in zip(src_vocab.to_pylist(), m) if v >= 0})
 
 
-def _partial_stage(
-    cfg: StreamConfig, needed, u_order, w_order, watermark_s: int, src_wm=None
-):
+def _partial_stage(cfg: StreamConfig, needed, u_order, w_order, watermark):
     """Fused per-batch extraction + windowing + late-drop + partial
     aggregation.  Group keys (source dictionary code, salt,
     window_start) are factorized through a dense composite integer key
@@ -249,7 +249,9 @@ def _partial_stage(
     direct ``np.bincount`` over the dense key with NO sort at all; a
     1-D ``np.unique`` fallback covers high-cardinality domains.  A row
     is counted late iff ALL its covering windows are closed (same unit
-    as ``rows_in`` and the passthrough predicate)."""
+    as ``rows_in`` and the passthrough predicate).  ``watermark`` is
+    the global scalar or the per-source frontier dict."""
+    per_source = isinstance(watermark, dict)
     size_s = cfg.window_size_s
     hop_s = cfg.hop_s
     step = hop_s if hop_s is not None else size_s
@@ -293,17 +295,11 @@ def _partial_stage(
         # late iff the row's LATEST covering window is closed (tumbling:
         # its only window; hopping: window starting at (ts//hop)*hop)
         k_last = ts_s // step
-        if src_wm is not None:
-            # per-source watermark: each row checks its OWN source's
-            # frontier (O(vocab) dict lookups per batch, then a gather)
-            wm_arr = np.array(
-                [src_wm.get(s, -(2**62)) for s in src_vocab.to_pylist()],
-                dtype=np.int64,
-            )
-            row_keep = (k_last * step + size_s) > wm_arr[src_code]
+        # the global watermark, or each row's own source's frontier
+        wm = source_watermarks(batch["source"], watermark)
+        row_keep = (k_last * step + size_s) > wm
+        if per_source:
             info["src_max_json"] = _src_max_json(src_vocab, ts_us, src_code)
-        else:
-            row_keep = (k_last * step + size_s) > watermark_s
         late_n = rows_in - int(row_keep.sum())
         info["late_dropped"] = late_n
 
@@ -327,6 +323,7 @@ def _partial_stage(
                 ts_s[kept], src_code[kept], x[kept], k_last[kept]
             )
             w = w[kept] if w is not None else None
+            wm = wm[kept] if per_source else wm
             if tr is not None:
                 tr = {c: v[kept] for c, v in tr.items()}
         n_rows_kept = x.size
@@ -348,14 +345,11 @@ def _partial_stage(
             ws = (np.repeat(k_min, counts) + offs) * hop_s
             # earlier covering windows may already be closed; the frontier
             # that closes them must match the one used for row_keep and
-            # StatePartition.close_windows — per-source when src_wm is set,
+            # the partitions' close — per-source under a frontier dict,
             # else the global scalar (a lagging source's early windows stay
             # open under per-source watermarks even when the global frontier
             # has passed them).
-            if src_wm is not None:
-                win_open = (ws + size_s) > wm_arr[src_code][row_of]
-            else:
-                win_open = (ws + size_s) > watermark_s
+            win_open = (ws + size_s) > (wm[row_of] if per_source else wm)
             if not win_open.all():
                 row_of, ws = row_of[win_open], ws[win_open]
             g_src = src_code[row_of]
@@ -440,9 +434,7 @@ def _partial_stage(
     return fn
 
 
-def _session_partial_stage(
-    cfg: StreamConfig, needed, u_order, w_order, watermark_s: int, src_wm=None
-):
+def _session_partial_stage(cfg: StreamConfig, needed, u_order, w_order, watermark):
     """Within-batch partial sessions per source: sort by (source, ts),
     split runs at gap, aggregate power sums + min/max ts.  Late rows
     (ts <= watermark) are dropped: any such event could only extend an
@@ -469,16 +461,10 @@ def _session_partial_stage(
         ts_us = event_time_us_from_numeric(ids)
         max_ts = int(ts_us.max()) if rows_in else -1
         src_code, src_vocab = encode_key(batch["source"], "source")
-        if src_wm is not None:
-            wm_arr = np.array(
-                [src_wm.get(s, -(2**62)) for s in src_vocab.to_pylist()],
-                dtype=np.int64,
-            )
-            keep = (ts_us // 1_000_000) > wm_arr[src_code]
+        keep = (ts_us // 1_000_000) > source_watermarks(batch["source"], watermark)
+        extra_info = {}
+        if isinstance(watermark, dict):
             extra_info = {"src_max_json": _src_max_json(src_vocab, ts_us, src_code)}
-        else:
-            keep = (ts_us // 1_000_000) > watermark_s
-            extra_info = {}
         late_n = rows_in - int(keep.sum())
         x = batch[value_col].cast(pa.float64()).to_numpy(zero_copy_only=False)
         w = (
@@ -548,6 +534,74 @@ def _session_partial_stage(
     return fn
 
 
+class _Sums(Kind):
+    """Moment state, as ``state.KeyedPartition`` runs it: float64
+    power-sum columns ``sum_cols`` per ``(source, salt, window_start)``
+    window or per ``(source, session_start_us, session_end_us)``
+    session.  Sums merge by field-wise addition (the reference's
+    ``merge()``), in a pinned order, since float sums depend on it:
+
+    - windows: the new partials are summed per group with pandas
+      (Kahan-compensated, in ingest order) and added to the state,
+      missing groups filled with 0.0.  The state keeps its row order
+      when the new groups are its groups in its order, and is
+      otherwise ordered by group (pandas aligns two unequal indexes on
+      their sorted union); that row order is the order of the
+      cross-salt sum in ``finish``;
+    - sessions: each session's rows, old and new, in ``lexsort((start,
+      gid))`` order (the state's rows before the new ones on a tie),
+      through ``np.add.reduceat``.
+
+    ``finish`` emits windows merged across the partition's salts
+    (``source, window_start``, sums) and sessions as they are."""
+
+    window_groups = ("source", "salt", "window_start")
+    session_groups = ("source", "session_start_us", "session_end_us")
+
+    def __init__(self, session: bool, sum_cols: list[str]):
+        self.payload = {c: pa.float64() for c in sum_cols}
+        super().__init__(session)
+
+    def _values(self, t: pa.Table) -> np.ndarray:
+        """The sum columns of ``t`` as one float64 (rows, columns) array."""
+        return np.column_stack(
+            [np.asarray(t[c].to_numpy(), dtype=np.float64) for c in self.wire]
+        )
+
+    def merge(self, state: pa.Table, new: pa.Table, gid: np.ndarray):
+        ns = state.num_rows
+        if self.session:
+            start = np.concatenate([t["session_start_us"].to_numpy() for t in (state, new)])
+            order = np.lexsort((start, gid))
+            first = np.flatnonzero(np.diff(gid[order], prepend=-1))
+            vals = np.concatenate([self._values(state), self._values(new)])[order]
+            sums = np.add.reduceat(vals, first, axis=0)
+            return gid[order][first], dict(zip(self.wire, sums.T))
+        sums = pd.DataFrame(self._values(new), columns=self.wire)
+        sums = sums.groupby(gid[ns:], sort=False).sum()
+        if ns:
+            old = pd.DataFrame(self._values(state), columns=self.wire, index=gid[:ns])
+            reorder = not old.index.equals(sums.index)
+            sums = old.add(sums, fill_value=0.0)
+            if reorder:
+                both = pa.concat_tables([t.select(self.groups) for t in (state, new)])
+                first = np.unique(gid, return_index=True)[1]
+                keys = [(c, "ascending") for c in self.groups]
+                sums = sums.loc[pc.sort_indices(both.take(first), sort_keys=keys).to_numpy()]
+        return sums.index.to_numpy(), {c: sums[c].to_numpy() for c in self.wire}
+
+    def finish(self, closed: pa.Table, gid: np.ndarray) -> pa.Table:
+        if self.session:
+            return closed
+        df = closed.drop_columns(["salt"]).to_pandas()
+        g = df.groupby(["source", "window_start"], sort=False).sum()
+        return pa.table({
+            "source": pa.array(g.index.get_level_values(0), pa.string()),
+            "window_start": pa.array(g.index.get_level_values(1), pa.int64()),
+            **{c: pa.array(g[c].to_numpy(), pa.float64()) for c in self.wire},
+        })
+
+
 class StreamDriver(EpochDriverBase):
     def __init__(
         self,
@@ -610,9 +664,8 @@ class StreamDriver(EpochDriverBase):
         self.join = MetadataJoin(self.cfg.join_grace_epochs)
 
     def _partition(self) -> tuple:
-        if self.session_mode:
-            return SessionStatePartition, list(self.needed), self.cfg.session_gap_s
-        return StatePartition, list(self.needed), self.cfg.window_size_s
+        span = self.cfg.session_gap_s if self.session_mode else self.cfg.window_size_s
+        return KeyedPartition, _Sums, span, self.session_mode, list(self.needed)
 
     def _driver_state(self) -> dict:
         return {
@@ -643,10 +696,7 @@ class StreamDriver(EpochDriverBase):
 
     def _router(self):
         stage = _session_partial_stage if self.session_mode else _partial_stage
-        fn = stage(
-            self.cfg, self.needed, self.u_order, self.w_order, self.watermark_s,
-            src_wm=self._watermark() if self.per_source_wm else None,
-        )
+        fn = stage(self.cfg, self.needed, self.u_order, self.w_order, self._watermark())
         return Router(self.actors, self.cfg.n_partitions, fn)
 
     def _advance(self, em: dict, book: pd.DataFrame | None) -> None:
@@ -696,15 +746,7 @@ class StreamDriver(EpochDriverBase):
         def keep(batch: pa.Table) -> pa.Table:
             ids = numeric_doc_id(batch["doc_id"])
             ts_s = event_time_us_from_numeric(ids) // 1_000_000
-            if isinstance(wm, dict):
-                wm_row = (
-                    pd.Series(batch["source"].to_pylist())
-                    .map(wm)
-                    .fillna(-(2**62))
-                    .to_numpy(np.int64)
-                )
-            else:
-                wm_row = wm
+            wm_row = source_watermarks(batch["source"], wm)
             if session:
                 return batch.filter(pa.array(ts_s > wm_row))
             last_end = (ts_s // step) * step + size_s

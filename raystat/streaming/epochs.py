@@ -49,9 +49,16 @@ arguments after the pid), ``_router()``, ``_advance(em, book)``,
 ``_emit`` and the ``_driver_state()`` / ``_load_driver_state(state)``
 checkpoint payload, and set ``sink``; the partition classes expose
 ``ingest / snapshot / restore / get_metrics`` and the close method
-``_emit`` calls.  Every sketch kind runs one partition class,
-``sketch.SketchPartition``, which takes the kind's merge and finish;
-the moment, CEP, dedup and join drivers have their own.
+``_emit`` calls.  The moment driver and every sketch driver run one
+partition class, ``state.KeyedPartition``, which takes the kind's
+merge and finish; the CEP, dedup and join drivers have their own.  A
+restore raises when a partition's snapshot is missing from the
+checkpoint: ``driver.json`` is written after every snapshot, so a
+missing file is a fault, and resuming on empty state would break
+exactly-once.
+
+The sketch, join and dedup fixtures write the arrival layout through
+:func:`arrival_fixture`.
 """
 
 from __future__ import annotations
@@ -60,6 +67,7 @@ import glob
 import json
 import os
 import re
+import shutil
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -68,12 +76,11 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.dataset as pads
 import pyarrow.fs as pafs
+import pyarrow.parquet as pq
 import ray
 
-from raystat.streaming.state import cpu_slots, route_partials, start_hosts
+from raystat.streaming.state import END, NEG, cpu_slots, route_partials, start_hosts
 
-NEG = -(2**62)  # watermark before any event
-END = 2**62  # end-of-stream watermark: every window closes
 # rows per Parquet read batch: the batch Ray Data's Parquet reader
 # gives rows under 1.28 kB
 READ_BATCH_ROWS = 10_000
@@ -412,3 +419,63 @@ class EpochDriverBase:
 
     def _load_driver_state(self, state: dict) -> None:
         pass
+
+
+# -- fixtures -----------------------------------------------------------------
+
+
+def arrival_fixture(out: str, params: dict, build) -> str:
+    """Materialize an arrival-partitioned stream at ``out`` once:
+    ``build()`` returns a table and each row's arrival epoch, and the
+    rows of epoch e (for e < ``params["n_epochs"]``) go to
+    ``arrival=e/part-0.parquet``.  Cached: ``params`` is recorded in
+    ``_fixture.json`` and a fixture with the same record is reused.
+    Returns ``out``."""
+    done = os.path.join(out, "_fixture.json")
+    if os.path.exists(done):
+        try:
+            with open(done) as f:
+                if json.load(f) == params:
+                    return out
+        except Exception:
+            pass
+    tmp = out + ".tmp"
+    shutil.rmtree(tmp, ignore_errors=True)
+    shutil.rmtree(out, ignore_errors=True)
+    os.makedirs(tmp)
+    tbl, epoch = build()
+    for e in range(params["n_epochs"]):
+        d = os.path.join(tmp, f"arrival={e}")
+        os.makedirs(d)
+        pq.write_table(tbl.filter(pa.array(epoch == e)), os.path.join(d, "part-0.parquet"))
+    with open(os.path.join(tmp, "_fixture.json"), "w") as f:
+        json.dump(params, f)
+    os.replace(tmp, out)
+    return out
+
+
+def events_fixture(sf_dir: str, n_epochs: int, root: str, name: str, version: int,
+                   columns: list[str], rows) -> str:
+    """The events table of ``sf_dir`` (its ``columns``) as an
+    :func:`arrival_fixture` under ``root``: ``rows(t, ts_us)`` returns
+    the stream's table and the mask (or slice) of the events it
+    holds.  Arrival epoch = event-time quantile, except a
+    deterministic 5% of rows (event_id % 20 == 0) arrive one epoch
+    late (the last epoch's stay in it)."""
+
+    def build():
+        t = pq.read_table(os.path.join(sf_dir, "events.parquet"), columns=columns)
+        ts_us = (t["ts"].to_numpy(zero_copy_only=False)
+                 .astype("datetime64[us]").astype(np.int64))
+        tbl, keep = rows(t, ts_us)
+        eid, ts_us = t["event_id"].to_numpy(zero_copy_only=False)[keep], ts_us[keep]
+        n = len(eid)
+        order = np.argsort(ts_us, kind="stable")
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        epoch = np.minimum((rank * n_epochs) // max(n, 1), n_epochs - 1)
+        return tbl, np.minimum(epoch + ((eid % 20) == 0), n_epochs - 1)
+
+    tag = sf_dir.strip("/").replace("/", "_")
+    params = {"sf_dir": sf_dir, "n_epochs": n_epochs, "v": version}
+    return arrival_fixture(os.path.join(root, f"{name}_{tag}_e{n_epochs}"), params, build)

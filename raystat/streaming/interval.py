@@ -28,7 +28,6 @@ sides through one exchange.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
@@ -38,7 +37,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from raystat.dataops.interval_join import interval_join_frames
-from raystat.streaming.epochs import NEG, EpochDriverBase
+from raystat.streaming.epochs import NEG, EpochDriverBase, events_fixture
 from raystat.streaming.sink import ExactlyOnceParquetSink
 from raystat.streaming.state import (
     PendingIngest,
@@ -74,27 +73,26 @@ class IntervalJoinConfig:
         return int(self.after_s) * 1_000_000
 
 
-class IntervalJoinPartition(PendingIngest):
+class TaggedJoinPartition(PendingIngest):
     """Join state for one key-hash partition: buffered rows of BOTH
-    sides on the unified tagged schema.  ``ingest`` only appends (O(1)
-    hot path); the pair sweep happens once per epoch in
-    ``emit_pairs`` as a single vectorized ``interval_join_frames``
-    call over (newly-emittable lefts x all buffered rights)."""
+    sides on the unified tagged schema (``_side`` 1 = left, 0 =
+    right).  ``ingest`` only appends (O(1) hot path); the join's emit
+    method sweeps once per epoch over the watermark-ready lefts and the
+    buffered rights.  A subclass names its snapshot file (``name``)
+    and its emitted-rows metric (``emitted``)."""
 
     rows_metric = "rows_in"
+    name = emitted = ""
 
-    def __init__(self, pid: int, by: str, on: str, right_cols: list[str],
-                 before_us: int, after_us: int):
+    def __init__(self, pid: int, by: str, on: str, right_cols: list[str]):
         self.pid = pid
         self.by = by
         self.on = on
         self.right_cols = list(right_cols)
-        self.before_us = int(before_us)
-        self.after_us = int(after_us)
         self.pending: list[pa.Table] = []
         self.state: pd.DataFrame | None = None  # unified schema + _side
         self.metrics = {
-            "rows_in": 0, "ingests": 0, "pairs_emitted": 0,
+            "rows_in": 0, "ingests": 0, self.emitted: 0,
             "left_buffered": 0, "right_buffered": 0, "right_retired": 0,
         }
 
@@ -107,6 +105,48 @@ class IntervalJoinPartition(PendingIngest):
                 new if self.state is None or not len(self.state)
                 else pd.concat([self.state, new], ignore_index=True)
             )
+
+    def get_metrics(self) -> dict:
+        return {"partition": self.pid, **self.metrics}
+
+    # -- checkpoint ---------------------------------------------------------
+
+    def _path(self, ckpt_dir: str) -> str:
+        return os.path.join(ckpt_dir, f"{self.name}-p{self.pid:04d}.parquet")
+
+    def snapshot(self, ckpt_dir: str, epoch: int) -> str:
+        os.makedirs(ckpt_dir, exist_ok=True)
+        self._consolidate()
+        path = self._path(ckpt_dir)
+        df = self.state if self.state is not None else pd.DataFrame()
+        write_parquet_atomic(pa.Table.from_pandas(df, preserve_index=False), path)
+        return path
+
+    def restore(self, ckpt_dir: str) -> int:
+        """Rebuild buffers from the snapshot (metrics start fresh); a
+        checkpoint without this partition's snapshot raises."""
+        t = pq.read_table(self._path(ckpt_dir))
+        self.pending = []
+        self.state = None
+        if t.num_rows:
+            df = t.to_pandas()
+            df[self.on] = df[self.on].astype(np.int64)
+            self.state = df
+        return t.num_rows
+
+
+class IntervalJoinPartition(TaggedJoinPartition):
+    """Interval-join state: ``emit_pairs`` is a single vectorized
+    ``interval_join_frames`` call over (newly-emittable lefts x all
+    buffered rights)."""
+
+    name, emitted = "ivj", "pairs_emitted"
+
+    def __init__(self, pid: int, by: str, on: str, right_cols: list[str],
+                 before_us: int, after_us: int):
+        super().__init__(pid, by, on, right_cols)
+        self.before_us = int(before_us)
+        self.after_us = int(after_us)
 
     def emit_pairs(self, watermark_us: int) -> pa.Table:
         """Pairs for every left row whose ``on + after`` is now below
@@ -142,33 +182,6 @@ class IntervalJoinPartition(PendingIngest):
         self.metrics["left_buffered"] = int(keep_left.sum())
         self.metrics["right_buffered"] = int(keep_right.sum())
         return out
-
-    def get_metrics(self) -> dict:
-        return {"partition": self.pid, **self.metrics}
-
-    # -- checkpoint ---------------------------------------------------------
-
-    def snapshot(self, ckpt_dir: str, epoch: int) -> str:
-        os.makedirs(ckpt_dir, exist_ok=True)
-        self._consolidate()
-        path = os.path.join(ckpt_dir, f"ivj-p{self.pid:04d}.parquet")
-        df = self.state if self.state is not None else pd.DataFrame()
-        write_parquet_atomic(pa.Table.from_pandas(df, preserve_index=False), path)
-        return path
-
-    def restore(self, ckpt_dir: str) -> int:
-        """Rebuild buffers from the snapshot (metrics start fresh)."""
-        path = os.path.join(ckpt_dir, f"ivj-p{self.pid:04d}.parquet")
-        self.pending = []
-        self.state = None
-        if not os.path.exists(path):
-            return 0
-        t = pq.read_table(path)
-        if t.num_rows:
-            df = t.to_pandas()
-            df[self.on] = df[self.on].astype(np.int64)
-            self.state = df
-        return t.num_rows
 
 
 class IntervalRouter:
@@ -258,6 +271,35 @@ class IntervalStreamDriver(TaggedJoinDriver):
 # -- fixture ------------------------------------------------------------------
 
 
+def tagged_events_fixture(sf_dir: str, n_epochs: int, root: str, name: str,
+                          left: tuple, right: tuple, columns: list[str],
+                          side_cols) -> str:
+    """The events table as an arrival-partitioned tagged two-sided
+    stream: events of the types ``left`` are the LEFT side (``_side``
+    1), those of ``right`` the RIGHT (0), on the unified schema
+    ``(user_id, ts_us, _side, *side_cols)``; ``side_cols(kept, eid,
+    side, ts_us)`` builds the side columns from the kept events, their
+    event ids, sides and times.  Arrival epochs
+    as ``epochs.events_fixture`` gives them (the 5% late subset arrives
+    inside the drivers' allowed lateness, so results still equal the
+    batch join)."""
+
+    def rows(t: pa.Table, ts_us: np.ndarray):
+        ev = t["event_type"].to_numpy(zero_copy_only=False)
+        is_left = np.isin(ev, left)
+        keep = is_left | np.isin(ev, right)
+        kept, side, ts_us = t.filter(pa.array(keep)), is_left[keep].astype(np.int8), ts_us[keep]
+        eid = kept["event_id"].to_numpy(zero_copy_only=False)
+        return pa.table({
+            "user_id": pa.array(kept["user_id"].to_numpy(zero_copy_only=False), pa.int64()),
+            "ts_us": pa.array(ts_us, pa.int64()),
+            "_side": pa.array(side, pa.int8()),
+            **side_cols(kept, eid, side, ts_us),
+        }), keep
+
+    return events_fixture(sf_dir, n_epochs, root, name, 1, columns, rows)
+
+
 def events_interval_fixture(
     sf_dir: str,
     n_epochs: int = 4,
@@ -266,67 +308,17 @@ def events_interval_fixture(
     """Materialize the events table as an arrival-partitioned tagged
     two-sided stream for the interval join: purchases are the LEFT
     side, click/view touches the RIGHT, on the unified schema
-    ``(user_id, ts_us, _side, purchase_id, touch_id, touch_ts_us)``.
-    Arrival epoch = event-time quantile, except a deterministic 5% of
-    rows (event_id % 20 == 0) arrive one epoch LATE — inside the
-    driver's allowed lateness, so results still equal the batch join.
-    Cached per sf_dir; returns the fixture dir."""
-    tag = sf_dir.strip("/").replace("/", "_")
-    out = os.path.join(root, f"events_ivj_{tag}_e{n_epochs}")
-    done = os.path.join(out, "_fixture.json")
-    params = {"sf_dir": sf_dir, "n_epochs": n_epochs, "v": 1}
-    if os.path.exists(done):
-        try:
-            with open(done) as f:
-                if json.load(f) == params:
-                    return out
-        except Exception:
-            pass
-    import shutil
+    ``(user_id, ts_us, _side, purchase_id, touch_id, touch_ts_us)``
+    (:func:`tagged_events_fixture`).  Cached per sf_dir; returns the
+    fixture dir."""
 
-    tmp = out + ".tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
-    shutil.rmtree(out, ignore_errors=True)
-    os.makedirs(tmp)
-    t = pq.read_table(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "ts", "user_id", "event_type"],
-    )
-    ev_type = t["event_type"].to_numpy(zero_copy_only=False)
-    is_left = ev_type == "purchase"
-    is_right = np.isin(ev_type, ("click", "view"))
-    keep = is_left | is_right
-    eid = t["event_id"].to_numpy(zero_copy_only=False)[keep]
-    uid = t["user_id"].to_numpy(zero_copy_only=False)[keep]
-    ts_us = (
-        t["ts"].to_numpy(zero_copy_only=False).astype("datetime64[us]").astype(np.int64)[keep]
-    )
-    side = is_left[keep].astype(np.int8)
-    n = len(eid)
-    # event-time quantile epoch, then the deterministic late subset
-    order = np.argsort(ts_us, kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    epoch = np.minimum((rank * n_epochs) // max(n, 1), n_epochs - 1)
-    late = (eid % 20) == 0
-    epoch = np.minimum(epoch + late, n_epochs - 1)
-    tbl = pa.table(
-        {
-            "user_id": pa.array(uid, pa.int64()),
-            "ts_us": pa.array(ts_us, pa.int64()),
-            "_side": pa.array(side, pa.int8()),
-            "purchase_id": pa.array(np.where(side == 1, eid, -1), pa.int64()).cast(pa.int64()),
+    def side_cols(kept, eid, side, ts_us):
+        return {
+            "purchase_id": pa.array(np.where(side == 1, eid, -1), pa.int64()),
             "touch_id": pa.array(np.where(side == 0, eid, -1), pa.int64()),
             "touch_ts_us": pa.array(np.where(side == 0, ts_us, -1), pa.int64()),
         }
-    )
-    for e in range(n_epochs):
-        d = os.path.join(tmp, f"arrival={e}")
-        os.makedirs(d)
-        pq.write_table(
-            tbl.filter(pa.array(epoch == e)), os.path.join(d, "part-0.parquet")
-        )
-    with open(os.path.join(tmp, "_fixture.json"), "w") as f:
-        json.dump(params, f)
-    os.replace(tmp, out)
-    return out
+
+    return tagged_events_fixture(sf_dir, n_epochs, root, "events_ivj", ("purchase",),
+                                 ("click", "view"), ["event_id", "ts", "user_id", "event_type"],
+                                 side_cols)

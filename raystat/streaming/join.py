@@ -10,7 +10,7 @@ with null ``quality`` (left-outer after grace).
 
 Scaling note: metadata is per-source (small side) so this state is
 O(sources) and lives beside the driver; at larger key cardinality the
-same class shards into the hash-partitioned StatePartition actors,
+same class shards into the hash-partitioned moment state partitions,
 co-partitioned on ``source`` — the shuffle key is already the join key,
 so no second shuffle would be needed.
 """

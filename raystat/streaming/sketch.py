@@ -12,19 +12,20 @@ partials to their owning partitions by key hash, one ingest per
 state host (rows never shuffle).  Every driver is a ``_SketchDriver`` on the
 shared ``EpochDriverBase`` loop.
 
-State: ONE partition class for every kind, :class:`SketchPartition`,
-run inside the shared ``state.PartitionHost`` actors.  It
-keeps its partition's open groups as one Arrow table — the group
-columns (``key, window_start_s`` or ``key, session_start_us,
-session_end_us``) plus the kind's payload columns — and owns the
-lifecycle of the reference's UDAF (initialize, aggregate, merge, map;
-PAPER.md §0): ingest buffers partials; the lazy consolidation gives each
-row its group id (for sessions, one gap-rule sweep over old and new
-fragments) and calls the kind's vectorized ``merge``; ``close_windows``
-retires the groups the watermark passed and maps them to output rows
-with the kind's ``finish``; ``snapshot``/``restore`` write and read the
-table as one parquet file.  So a sketch kind (:class:`_Kind`) is only
-its payload columns, a merge and a finish:
+State: every kind runs in ``state.KeyedPartition``, the one keyed
+partition class (shared with the moment state), inside the shared
+``state.PartitionHost`` actors.  It keeps its partition's open groups
+as one Arrow table — the group columns (``key, window_start_s`` or
+``key, session_start_us, session_end_us``) plus the kind's payload
+columns — and owns the lifecycle of the reference's UDAF (initialize,
+aggregate, merge, map; PAPER.md §0): ingest buffers partials; the lazy
+consolidation gives each row its group id (for sessions, one gap-rule
+sweep over old and new fragments) and calls the kind's vectorized
+``merge``; ``close_windows`` retires the groups the watermark passed
+and maps them to output rows with the kind's ``finish``;
+``snapshot``/``restore`` write and read the table as one parquet file.
+So a sketch kind (a ``state.Kind``) is only its payload columns, a
+merge and a finish:
 
 - HLL: 4 KiB registers, element-wise max (idempotent: replayed or
   reordered partials can never over-count, and the streamed estimate
@@ -42,14 +43,10 @@ unbounded streams.
 
 from __future__ import annotations
 
-import json
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 from raystat.aggregate import encode_key
 from raystat.dataops.kll import KLL
@@ -62,25 +59,15 @@ from raystat.dataops.sketches import (
     CMS_WIDTH,
     hll_estimate,
 )
-from raystat.streaming.epochs import END, NEG, EpochDriverBase
+from raystat.streaming.epochs import END, NEG, EpochDriverBase, events_fixture
 from raystat.streaming.sink import ExactlyOnceParquetSink
-from raystat.streaming.state import (
-    PendingIngest,
-    _require_columns,
-    gap_sweep,
-    key_partition,
-    partial_row,
-    write_parquet_atomic,
-)
+from raystat.streaming.state import KeyedPartition, Kind, key_partition, partial_row
 
 __all__ = [
     "HllStreamDriver", "MgStreamDriver", "KllStreamDriver",
-    "CmsStreamDriver", "BottomKStreamDriver", "SketchPartition",
-    "events_stream_fixture",
+    "CmsStreamDriver", "BottomKStreamDriver", "events_stream_fixture",
 ]
 
-WINDOW_GROUPS = ("key", "window_start_s")
-SESSION_GROUPS = ("key", "session_start_us", "session_end_us")
 _CMS_CELLS = CMS_DEPTH * CMS_WIDTH
 
 
@@ -146,51 +133,10 @@ def _sum_by(g: np.ndarray, item: np.ndarray, n: np.ndarray):
     return g[first], item[first], np.add.reduceat(n, first) if first.size else n
 
 
-def _group_ids(t: pa.Table, cols) -> tuple[np.ndarray, np.ndarray]:
-    """The dense id of each row's ``cols`` tuple, and the first row of
-    each id."""
-    gid = np.zeros(t.num_rows, dtype=np.int64)
-    for c in cols:
-        if pa.types.is_string(t[c].type):
-            codes = encode_key(t[c], c)[0]
-        else:
-            codes = np.unique(t[c].to_numpy(), return_inverse=True)[1]
-        gid = np.unique(gid * (codes.max(initial=0) + 1) + codes, return_inverse=True)[1]
-    return gid, np.unique(gid, return_index=True)[1]
-
-
 # -- sketch kinds ------------------------------------------------------------------
 
 
-class _Kind:
-    """A sketch kind, as :class:`SketchPartition` runs it.
-
-    - ``payload``: the state columns after the group columns;
-      ``wire``: the partial columns its routers send (the payload
-      unless set);
-    - ``merge(state, new, gid) -> (g, columns)``: merge the consolidated
-      ``state`` table and the ``new`` partials; ``gid`` is the group id
-      of every row of ``state`` then ``new``.  Returns each output row's
-      group id and the payload columns; the actor puts the group columns
-      in front;
-    - ``finish(closed, gid) -> pa.Table``: the emitted rows of the
-      closed groups (``gid``: each closed row's group id), group columns
-      first.
-    """
-
-    payload: dict = {}
-
-    def __init__(self, session: bool):
-        self.session = session
-        self.groups = list(SESSION_GROUPS if session else WINDOW_GROUPS)
-        self.wire = list(self.payload)
-        self.metrics: dict = {}
-
-    def _group_columns(self, t: pa.Table) -> dict:
-        return {c: t[c] for c in self.groups}
-
-
-class _Hll(_Kind):
+class _Hll(Kind):
     """HyperLogLog registers (one M-byte row per group): merge is ONE
     stable sort + ``np.maximum.reduceat`` over the stacked register
     matrix; finish is the estimate."""
@@ -210,7 +156,7 @@ class _Hll(_Kind):
                          "approx_distinct": pa.array(est, pa.float64())})
 
 
-class _Kll(_Kind):
+class _Kll(Kind):
     """KLL quantile sketches, one blob per group; finish emits ``n`` and
     the quantiles ``names`` at ``qs``.  KLL merge is mass-conserving
     but NOT order-commutative (the compaction schedule depends on merge
@@ -269,7 +215,7 @@ class _Kll(_Kind):
         })
 
 
-class _Mg(_Kind):
+class _Mg(Kind):
     """Misra-Gries heavy-hitter summaries as (item, n) rows, bounded to
     ``capacity - 1`` items per group regardless of the item domain.  A
     row with a NULL item carries the group's deficit: the mass the MG
@@ -337,7 +283,7 @@ class _Mg(_Kind):
         })
 
 
-class _Cms(_Kind):
+class _Cms(Kind):
     """Count-Min frequency state: per group one dense DEPTH x WIDTH int64
     counter blob (``n``: the rows it absorbed; ``item`` 0) plus EXACT
     counts for the deterministic probe items ``item % probe_mod == 0``
@@ -385,7 +331,7 @@ class _Cms(_Kind):
         })
 
 
-class _BottomK(_Kind):
+class _BottomK(Kind):
     """Deterministic bottom-k samples: per group the k DISTINCT items
     with the smallest ``splitmix64(item)`` (ties by item), as
     (item, hv) rows — the coordination-free reservoir.  Merge is a
@@ -428,115 +374,6 @@ class _BottomK(_Kind):
         order = np.lexsort((item, closed["hv"].to_numpy(), gid))
         return pa.table({**self._group_columns(closed.take(pa.array(order))),
                          "item": item[order], "rank": _rank(gid[order]) + 1})
-
-
-_KINDS = {"hll": _Hll, "kll": _Kll, "mg": _Mg, "cms": _Cms, "bottomk": _BottomK}
-
-
-class SketchPartition(PendingIngest):
-    """Sketch state for one key-hash partition, for every sketch kind:
-    the open groups as ONE Arrow table (group columns + the kind's
-    payload).  ``span_s`` is the window size, or the session gap when
-    ``session``; ``kind_args`` go to the kind (``_KINDS``).
-
-    ``ingest`` checks and buffers a partial table; the merge happens
-    lazily (close, snapshot, metrics) as ONE consolidation over
-    everything pending.  Windows group rows by (key, window_start_s).
-    Sessions run the gap-rule sweep over the open sessions and the new
-    fragments (``state.gap_sweep``): each cluster becomes one session
-    whose bounds span its members.  ksqlDB's SESSION contract is why
-    merge exists: overlapping partials must merge.  A window closes
-    when ``window_start + size <= watermark``; a session when ``end +
-    gap <= watermark`` (any admissible future event has ts >
-    watermark, so it cannot extend it)."""
-
-    def __init__(self, pid: int, kind: str, span_s: int, session: bool, *kind_args):
-        self.pid = pid
-        self.session = bool(session)
-        self.kind = _KINDS[kind](self.session, *kind_args)
-        self.groups = self.kind.groups
-        # window size in s (window starts are in s), session gap in us
-        self.span = int(span_s) * (1_000_000 if self.session else 1)
-        self.wire = self.groups + self.kind.wire
-        group_types = [pa.string()] + [pa.int64()] * (len(self.groups) - 1)
-        self.schema = pa.schema(list(zip(self.groups, group_types))
-                                + list(self.kind.payload.items()))
-        self.state = self.schema.empty_table()
-        self.pending: list[pa.Table] = []
-        self.closed_metric = "sessions_closed" if self.session else "windows_closed"
-        self.metrics = {"partial_rows_in": 0, "ingests": 0, self.closed_metric: 0}
-
-    def ingest(self, table: pa.Table) -> int:
-        """Buffer one partial table; a missing column raises to the
-        driver's barrier."""
-        _require_columns(f"sketch partition {self.pid}", table, self.wire)
-        return super().ingest(table.select(self.wire))
-
-    def _session_groups(self, t: pa.Table):
-        codes = encode_key(t["key"], "key")[0]
-        start = t["session_start_us"].to_numpy()
-        order, first, end = gap_sweep(codes, start, t["session_end_us"].to_numpy(), self.span)
-        gid = np.empty(t.num_rows, dtype=np.int64)
-        gid[order] = np.repeat(np.arange(first.size), np.diff(np.append(first, order.size)))
-        bounds = pa.table({"key": t["key"].take(pa.array(order[first])),
-                           "session_start_us": start[order][first],
-                           "session_end_us": end.astype(np.int64)})
-        return gid, bounds
-
-    def _consolidate(self) -> None:
-        if not self.pending:
-            return
-        new = pa.concat_tables(self.pending)
-        self.pending = []
-        both = pa.concat_tables([self.state.select(self.groups), new.select(self.groups)])
-        if self.session:
-            gid, bounds = self._session_groups(both)
-        else:
-            gid, first = _group_ids(both, self.groups)
-            bounds = both.take(pa.array(first))
-        g, cols = self.kind.merge(self.state, new, gid)
-        keys = bounds.take(pa.array(g))
-        self.state = pa.table({**{c: keys[c] for c in self.groups}, **cols})
-
-    def close_windows(self, watermark_s) -> pa.Table:
-        """Retire every group the watermark passed; returns the kind's
-        output rows for them."""
-        self._consolidate()
-        if self.session:
-            wm = max(min(watermark_s * 1_000_000, END), NEG)
-            bound = self.state["session_end_us"].to_numpy() + self.span
-        else:
-            wm = watermark_s
-            bound = self.state["window_start_s"].to_numpy() + self.span
-        done = bound <= wm
-        closed = self.state.filter(pa.array(done))
-        self.state = self.state.filter(pa.array(~done))
-        gid, first = _group_ids(closed, self.groups)
-        self.metrics[self.closed_metric] += int(first.size)
-        return self.kind.finish(closed, gid)
-
-    def get_metrics(self) -> dict:
-        self._consolidate()
-        return {"partition": self.pid, **self.metrics, **self.kind.metrics,
-                "state_rows": self.state.num_rows}
-
-    def _path(self, ckpt_dir: str) -> str:
-        return os.path.join(ckpt_dir, f"sketch-p{self.pid:04d}.parquet")
-
-    def snapshot(self, ckpt_dir: str, epoch: int) -> str:
-        self._consolidate()
-        os.makedirs(ckpt_dir, exist_ok=True)
-        path = self._path(ckpt_dir)
-        write_parquet_atomic(self.state, path)
-        return path
-
-    def restore(self, ckpt_dir: str) -> int:
-        """Rebuild the state from the snapshot (metrics start fresh).  A
-        checkpoint without this partition's snapshot raises: resuming on
-        empty state would silently lose it."""
-        self.pending = []
-        self.state = pq.read_table(self._path(ckpt_dir)).cast(self.schema)
-        return self.state.num_rows
 
 
 def _covering_windows(ts_s: np.ndarray, size_s: int, hop_s: int, wm: int):
@@ -668,13 +505,13 @@ class _SketchDriver(EpochDriverBase):
     exclusive with ``hop_s``), ``allowed_lateness_s=3600``,
     ``n_partitions=8``, ``batch_size``.
 
-    A driver names its ``SketchPartition`` kind and its (window,
+    A driver names its ``state.KeyedPartition`` kind and its (window,
     session) routers — looked up in this module each time a router is
     built, so callers may swap them — plus the extra arguments its
     partitions (``kind_args``: state and close arguments) and routers
     take."""
 
-    kind = ""  # the SketchPartition kind (a _KINDS key)
+    kind: type  # the state.Kind subclass its partitions run
     routers: tuple = ()  # (window router name, session router name)
     sort_extra: tuple = ()  # output sort columns after key and start
     kind_args: tuple = ()
@@ -708,7 +545,7 @@ class _SketchDriver(EpochDriverBase):
         return (self.size_s, self.hop_s)
 
     def _partition(self) -> tuple:
-        return (SketchPartition, self.kind, self._span()[0],
+        return (KeyedPartition, self.kind, self._span()[0],
                 self.session_gap_s is not None, *self.kind_args)
 
     def _driver_state(self) -> dict:
@@ -780,7 +617,7 @@ class HllStreamDriver(_SketchDriver):
     estimates when the watermark closes a window (tumbling, hopping or
     session)."""
 
-    kind = "hll"
+    kind = _Hll
     routers = ("HllRouter", "HllSessionRouter")
 
     def __init__(self, input_dir: str, out_dir: str, *, value: str = "user_id", **kw):
@@ -796,57 +633,22 @@ def events_stream_fixture(
     root: str = "/tmp/raystat_fixtures",
 ) -> str:
     """Materialize the events table as an arrival-partitioned stream
-    ``(event_type, ts_us, user_id)`` for the sketch driver: arrival
-    epoch = event-time quantile, with the deterministic 5% late subset
-    (event_id % 20 == 0) arriving one epoch behind.  Cached per
-    sf_dir; returns the fixture dir."""
-    tag = sf_dir.strip("/").replace("/", "_")
-    out = os.path.join(root, f"events_str_{tag}_e{n_epochs}")
-    done = os.path.join(out, "_fixture.json")
-    params = {"sf_dir": sf_dir, "n_epochs": n_epochs, "v": 2}
-    if os.path.exists(done):
-        try:
-            with open(done) as f:
-                if json.load(f) == params:
-                    return out
-        except Exception:
-            pass
-    import shutil
+    ``(event_type, ts_us, user_id, value)`` for the sketch drivers:
+    arrival epoch = event-time quantile, with the deterministic 5% late
+    subset (event_id % 20 == 0) arriving one epoch behind
+    (``epochs.events_fixture``).  Cached per sf_dir; returns the
+    fixture dir."""
 
-    tmp = out + ".tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
-    shutil.rmtree(out, ignore_errors=True)
-    os.makedirs(tmp)
-    t = pq.read_table(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "ts", "user_id", "event_type", "value"],
-    )
-    eid = t["event_id"].to_numpy(zero_copy_only=False)
-    ts_us = t["ts"].to_numpy(zero_copy_only=False).astype("datetime64[us]").astype(np.int64)
-    n = len(eid)
-    order = np.argsort(ts_us, kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    epoch = np.minimum((rank * n_epochs) // max(n, 1), n_epochs - 1)
-    epoch = np.minimum(epoch + ((eid % 20) == 0), n_epochs - 1)
-    tbl = pa.table(
-        {
+    def rows(t: pa.Table, ts_us: np.ndarray):
+        return pa.table({
             "event_type": t["event_type"],
             "ts_us": pa.array(ts_us, pa.int64()),
             "user_id": t["user_id"],
             "value": t["value"].cast(pa.float64()),
-        }
-    )
-    for e in range(n_epochs):
-        d = os.path.join(tmp, f"arrival={e}")
-        os.makedirs(d)
-        pq.write_table(
-            tbl.filter(pa.array(epoch == e)), os.path.join(d, "part-0.parquet")
-        )
-    with open(os.path.join(tmp, "_fixture.json"), "w") as f:
-        json.dump(params, f)
-    os.replace(tmp, out)
-    return out
+        }), slice(None)
+
+    return events_fixture(sf_dir, n_epochs, root, "events_str", 2,
+                          ["event_id", "ts", "user_id", "event_type", "value"], rows)
 
 
 # -- KLL windowed quantiles ----------------------------------------------------
@@ -912,7 +714,7 @@ class KllStreamDriver(_SketchDriver):
     and their quantile estimates ``names`` (at ``qs``) commit
     exactly-once."""
 
-    kind = "kll"
+    kind = _Kll
     routers = ("KllRouter", "KllSessionRouter")
 
     def __init__(self, input_dir: str, out_dir: str, *, value: str = "value",
@@ -973,7 +775,7 @@ class MgStreamDriver(_SketchDriver):
     -> top-``top`` emission when the watermark closes a window,
     exactly-once per epoch."""
 
-    kind = "mg"
+    kind = _Mg
     routers = ("MgRouter", "MgSessionRouter")
     sort_extra = ("rank",)
 
@@ -1064,7 +866,7 @@ class CmsStreamDriver(_SketchDriver):
     Misra-Gries (which has session support) is the bounded counter
     whose state merges by sparse integer sum."""
 
-    kind = "cms"
+    kind = _Cms
     routers = ("CmsRouter",)
     sort_extra = ("item",)
 
@@ -1165,7 +967,7 @@ class BottomKStreamDriver(_SketchDriver):
     watermark closes a window, exactly-once per epoch.  Tumbling,
     hopping and session windows."""
 
-    kind = "bottomk"
+    kind = _BottomK
     routers = ("BottomKRouter", "BottomKSessionRouter")
     sort_extra = ("rank",)
 

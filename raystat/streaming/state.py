@@ -1,36 +1,40 @@
-"""Keyed state-store actors + the side-effect-free partial stage.
+"""Keyed state partitions, the actors that host them, and the
+side-effect-free partial stage's routing.
 
 The reference's state lives in ksqlDB's RocksDB stores partitioned by
 the GROUP BY key, with ``merge()`` combining partials across partitions
-(SURVEY.md §4.1).  Here: ``P`` logical partitions, each a
-``StatePartition`` (or another kind's partition class) owning a hash
-range of ``(source, salt)``, are hosted in ``H = min(P, Ray CPU
-slots)`` :class:`PartitionHost` actors, each over a contiguous range
-of partition ids (:func:`host_pids`).  Kafka Streams runs its
-partition tasks, each with its own state store, on a few stream
-threads the same way: more state processes than CPU slots only
-time-share.  The epoch's stage router (:class:`Router`) only computes
-*partial moment structs* (never raw rows) and returns them as data;
-the driver then routes the whole epoch's partials with
+(SURVEY.md §4.1).  Here: ``P`` logical partitions, each owning a hash
+range of the routing key, are hosted in ``H = min(P, Ray CPU slots)``
+:class:`PartitionHost` actors, each over a contiguous range of
+partition ids (:func:`host_pids`).  Kafka Streams runs its partition
+tasks, each with its own state store, on a few stream threads the same
+way: more state processes than CPU slots only time-share.  The moment
+kind and the five sketch kinds run one partition class,
+:class:`KeyedPartition`, over one Arrow state table; a kind
+(:class:`Kind`) is its group and payload columns, a merge and a
+finish.  The CEP, dedup and join partitions are their own classes and
+share :class:`PendingIngest`.
+
+The epoch's stage router (:class:`Router` for ``StreamDriver``) only
+computes *partial moment structs* (never raw rows) and returns them as
+data; the driver then routes the whole epoch's partials with
 :func:`route_partials` — one ``ingest`` per host, carrying each owned
 partition's slice — the explicit, tiny shuffle mandated by
 BASELINE.json:north_star.  With no actor calls inside the stage's read
 tasks the stage is replayable, so Ray's task retries are safe.  Every
 other streaming kind's router returns its partial through the same
-:func:`partial_row` and is routed by the same :func:`route_partials`;
-their partition classes share :class:`PendingIngest` and run in the
-same host.
+:func:`partial_row` and is routed by the same :func:`route_partials`.
 
-Skew: partials are pre-aggregated per ``(source, salt, window)`` with
-``salt = numeric_doc_id % S``, so a hot source's state spreads over up
-to S partitions; the cross-salt merge happens once per window close on
-O(closed windows) rows.
+Skew: moment partials are pre-aggregated per ``(source, salt,
+window)`` with a per-batch ``salt``, so a hot source's state spreads
+over up to S partitions; the cross-salt merge happens once per window
+close on O(closed windows) rows.
 
 Fault tolerance: Ray does not recover actor state — each partition
-checkpoints its accumulator dict per epoch (tiny: O(groups × windows ×
-sums)) as its own file, so a checkpoint restores under any host count,
-and the driver records the epoch frontier; resume restores the
-snapshot and replays from the next epoch (SURVEY.md §4.2).
+checkpoints its state per epoch as its own file, so a checkpoint
+restores under any host count, and the driver records the epoch
+frontier; resume restores the snapshot and replays from the next epoch
+(SURVEY.md §4.2).
 """
 
 from __future__ import annotations
@@ -50,14 +54,16 @@ from raystat.aggregate import encode_key
 from raystat.dataops.asof import _key_u64
 
 __all__ = [
-    "StatePartition", "SessionStatePartition", "PartitionHost", "Router",
-    "route_partition", "key_partition", "partial_row", "route_partials",
+    "KeyedPartition", "Kind", "PartitionHost", "Router", "route_partition",
+    "key_partition", "source_watermarks", "partial_row", "route_partials",
     "PendingIngest", "write_parquet_atomic", "gap_sweep", "cpu_slots",
     "host_pids", "start_hosts",
 ]
 
 
 PART_COL = "_partition"  # owning partition of each partial row on the wire
+NEG = -(2**62)  # watermark before any event
+END = 2**62  # end-of-stream watermark: every window closes
 
 
 def route_partition(source, salt, n_partitions: int) -> np.ndarray:
@@ -66,6 +72,18 @@ def route_partition(source, salt, n_partitions: int) -> np.ndarray:
     codes, vocab = encode_key(source, "source")
     h = np.array([zlib.crc32(v.encode()) for v in vocab.to_pylist()], dtype=np.int64)
     return (h[codes] * 31 + salt) % n_partitions
+
+
+def source_watermarks(sources, watermark):
+    """Each row's watermark: ``watermark`` itself when it is the one
+    global scalar, else its per-source frontier dict, looked up once
+    per distinct value of ``sources`` (an Arrow string column); a
+    source without a frontier has seen no event yet (``NEG``)."""
+    if not isinstance(watermark, dict):
+        return watermark
+    codes, vocab = encode_key(sources, "source")
+    wm = np.array([watermark.get(s, NEG) for s in vocab.to_pylist()], dtype=np.int64)
+    return wm[codes]
 
 
 def key_partition(keys, n_partitions: int, name: str = "key") -> np.ndarray:
@@ -182,8 +200,7 @@ class PartitionHost:
     # shares would starve the epoch stage's read tasks in small sessions.
     """One state-actor process hosting the logical partitions ``pids``
     (a contiguous range), each a plain ``cls(pid, *args)`` object: a
-    ``StatePartition``, ``SessionStatePartition``,
-    ``sketch.SketchPartition``, ``cep.CepStatePartition``,
+    :class:`KeyedPartition`, ``cep.CepStatePartition``,
     ``dedup.DedupStatePartition``, ``interval.IntervalJoinPartition``
     or ``asof.AsofJoinPartition``.  ``call`` runs a method on each
     owned partition in pid order, so the driver sees per-partition
@@ -253,150 +270,166 @@ def _require_columns(owner: str, table: pa.Table, cols: list[str]) -> None:
         raise ValueError(f"{owner}: partial table lacks columns {missing}")
 
 
-_KEY = ["source", "salt", "window_start"]
+def _group_ids(t: pa.Table, cols) -> tuple[np.ndarray, np.ndarray]:
+    """The dense id of each row's ``cols`` tuple, and the first row of
+    each id."""
+    gid = np.zeros(t.num_rows, dtype=np.int64)
+    for c in cols:
+        if pa.types.is_string(t[c].type):
+            codes = encode_key(t[c], c)[0]
+        else:
+            codes = np.unique(t[c].to_numpy(), return_inverse=True)[1]
+        gid = np.unique(gid * (codes.max(initial=0) + 1) + codes, return_inverse=True)[1]
+    return gid, np.unique(gid, return_index=True)[1]
 
 
-class StatePartition(PendingIngest):
-    """Owns per-(source, salt, window_start) accumulator sums.
+class Kind:
+    """A state kind, as :class:`KeyedPartition` runs it.
 
-    Merge strategy: ``ingest`` only APPENDS the incoming partial table
-    (the driver sends one per epoch); the field-wise merge happens
-    lazily at epoch boundaries (close/peek/snapshot) as ONE vectorized
-    pandas concat + groupby-sum over everything pending, so per-key
-    cost is C-loop, not Python-loop, at any key cardinality."""
+    - ``window_groups`` / ``session_groups``: the group columns, a
+      string key first (the one the watermark and the gap sweep go
+      by), then int64 columns: a window's start in seconds last, a
+      session's start and end in microseconds;
+    - ``payload``: the state columns after the group columns;
+      ``wire``: the partial columns its routers send (the payload
+      unless set);
+    - ``merge(state, new, gid) -> (g, columns)``: merge the consolidated
+      ``state`` table and the ``new`` partials; ``gid`` is the group id
+      of every row of ``state`` then ``new``.  Returns each output row's
+      group id and the payload columns; the partition puts the group
+      columns in front;
+    - ``finish(closed, gid) -> pa.Table``: the emitted rows of the
+      closed groups (``gid``: each closed row's group id), group columns
+      first.
+    """
 
-    def __init__(self, partition_id: int, sum_cols: list[str], window_size_s: int):
-        self.pid = partition_id
-        self.sum_cols = list(sum_cols)
-        self.window_size_s = window_size_s
-        # consolidated state: MultiIndex (source, salt, window_start) ->
-        # float64 sum columns
-        self.state = pd.DataFrame(
-            columns=self.sum_cols,
-            index=pd.MultiIndex.from_arrays([[], [], []], names=_KEY),
-            dtype=np.float64,
-        )
+    window_groups = ("key", "window_start_s")
+    session_groups = ("key", "session_start_us", "session_end_us")
+    payload: dict = {}
+
+    def __init__(self, session: bool):
+        self.session = session
+        self.groups = list(self.session_groups if session else self.window_groups)
+        self.wire = list(self.payload)
+        self.metrics: dict = {}
+
+    def _group_columns(self, t: pa.Table) -> dict:
+        return {c: t[c] for c in self.groups}
+
+
+class KeyedPartition(PendingIngest):
+    """Keyed state for one partition, for the moment kind and every
+    sketch kind: the open groups as ONE Arrow table (the kind's group
+    columns + its payload).  ``kind`` is the :class:`Kind` subclass,
+    built as ``kind(session, *kind_args)``; ``span_s`` is the window
+    size, or the session gap when ``session``.
+
+    ``ingest`` checks and buffers a partial table; the merge happens
+    lazily (close, peek, snapshot, metrics) as ONE consolidation over
+    everything pending.  Windows group rows by their group columns.
+    Sessions run the gap-rule sweep over the open sessions and the new
+    fragments (:func:`gap_sweep`): each cluster becomes one session
+    whose bounds span its members.  ksqlDB's SESSION contract is why
+    merge exists: overlapping partials must merge.  A window closes
+    when ``window_start + size <= watermark``; a session when ``end +
+    gap <= watermark`` (any admissible future event has ts >
+    watermark, so it cannot extend it).  The watermark may be a
+    per-source dict (:func:`source_watermarks`)."""
+
+    def __init__(self, pid: int, kind, span_s: int, session: bool, *kind_args):
+        self.pid = pid
+        self.session = bool(session)
+        self.kind = kind(self.session, *kind_args)
+        self.groups = self.kind.groups
+        # window size in s (window starts are in s), session gap in us
+        self.span = int(span_s) * (1_000_000 if self.session else 1)
+        self.wire = self.groups + self.kind.wire
+        group_types = [pa.string()] + [pa.int64()] * (len(self.groups) - 1)
+        self.schema = pa.schema(list(zip(self.groups, group_types))
+                                + list(self.kind.payload.items()))
+        self.state = self.schema.empty_table()
         self.pending: list[pa.Table] = []
-        self.metrics = {"partial_rows_in": 0, "ingests": 0, "windows_closed": 0}
+        self.closed_metric = "sessions_closed" if self.session else "windows_closed"
+        self.metrics = {"partial_rows_in": 0, "ingests": 0, self.closed_metric: 0}
 
     def ingest(self, table: pa.Table) -> int:
-        """Buffer a partial-sums table (cols: source, salt,
-        window_start, *sum_cols); a missing column raises to the
-        driver's barrier.  Field-wise addition == the reference's
-        merge(); deferred to _consolidate()."""
-        _require_columns(f"state partition {self.pid}", table, _KEY + self.sum_cols)
-        return super().ingest(table)
+        """Buffer one partial table; a missing column raises to the
+        driver's barrier."""
+        _require_columns(f"partition {self.pid}", table, self.wire)
+        return super().ingest(table.select(self.wire))
+
+    def _session_groups(self, t: pa.Table):
+        key = self.groups[0]
+        codes = encode_key(t[key], key)[0]
+        start = t["session_start_us"].to_numpy()
+        order, first, end = gap_sweep(codes, start, t["session_end_us"].to_numpy(), self.span)
+        gid = np.empty(t.num_rows, dtype=np.int64)
+        gid[order] = np.repeat(np.arange(first.size), np.diff(np.append(first, order.size)))
+        bounds = pa.table({key: t[key].take(pa.array(order[first])),
+                           "session_start_us": start[order][first],
+                           "session_end_us": end.astype(np.int64)})
+        return gid, bounds
 
     def _consolidate(self) -> None:
         if not self.pending:
             return
-        tbl = pa.concat_tables(self.pending)
+        new = pa.concat_tables(self.pending)
         self.pending = []
-        df = tbl.select(_KEY + self.sum_cols).to_pandas()
-        for c in self.sum_cols:
-            if df[c].dtype != np.float64:
-                df[c] = df[c].astype(np.float64)
-        merged = df.groupby(_KEY, sort=False).sum()
-        self.state = (
-            merged
-            if self.state.empty
-            else self.state.add(merged, fill_value=0.0)
-        )
-
-    def _emit_table(self, df: pd.DataFrame) -> pa.Table:
-        """(source, window_start, sums) rows, pre-merged across the
-        salts this partition owns — the driver only concatenates shards
-        and merges the (rare) cross-partition residue."""
-        if not len(df):
-            return pa.table(
-                {
-                    "source": pa.array([], pa.string()),
-                    "window_start": pa.array([], pa.int64()),
-                    **{c: pa.array([], pa.float64()) for c in self.sum_cols},
-                }
-            )
-        g = df.groupby(level=["source", "window_start"], sort=False).sum()
-        idx = g.index
-        return pa.table(
-            {
-                "source": pa.array(idx.get_level_values("source"), pa.string()),
-                "window_start": pa.array(
-                    idx.get_level_values("window_start").astype(np.int64)
-                ),
-                **{c: pa.array(g[c].to_numpy()) for c in self.sum_cols},
-            }
-        )
+        both = pa.concat_tables([self.state.select(self.groups), new.select(self.groups)])
+        if self.session:
+            gid, bounds = self._session_groups(both)
+        else:
+            gid, first = _group_ids(both, self.groups)
+            bounds = both.take(pa.array(first))
+        g, cols = self.kind.merge(self.state, new, gid)
+        keys = bounds.take(pa.array(g))
+        self.state = pa.table({**{c: keys[c] for c in self.groups}, **cols})
 
     def close_windows(self, watermark_s) -> pa.Table:
-        """Pop and return all state whose window has fully passed the
-        watermark (window_start + size <= watermark), merged across
-        this partition's salts.  ``watermark_s`` may be a per-source dict
-        (cfg.watermark_scope='per_source'): each row closes against its
-        OWN source's frontier; sources absent from the dict never
-        close (no events seen yet)."""
+        """Retire every group the watermark passed; returns the kind's
+        output rows for them."""
         self._consolidate()
-        ws = self.state.index.get_level_values("window_start").to_numpy()
-        if isinstance(watermark_s, dict):
-            srcs = self.state.index.get_level_values("source")
-            wm = srcs.map(lambda s: watermark_s.get(s, -(2**62))).to_numpy()
-            closed_mask = ws + self.window_size_s <= wm
+        wm = source_watermarks(self.state[self.groups[0]], watermark_s)
+        if self.session:
+            wm = np.clip(wm, NEG // 1_000_000, END // 1_000_000) * 1_000_000
+            bound = self.state["session_end_us"].to_numpy() + self.span
         else:
-            closed_mask = ws + self.window_size_s <= watermark_s
-        closed = self.state[closed_mask]
-        self.state = self.state[~closed_mask]
-        self.metrics["windows_closed"] += int(len(closed))
-        return self._emit_table(closed)
+            bound = self.state[self.groups[-1]].to_numpy() + self.span
+        done = bound <= wm
+        closed = self.state.filter(pa.array(done))
+        self.state = self.state.filter(pa.array(~done))
+        gid, first = _group_ids(closed, self.groups)
+        self.metrics[self.closed_metric] += int(first.size)
+        return self.kind.finish(closed, gid)
+
+    def peek_state(self) -> pa.Table:
+        """The kind's output rows for every open group, which stay open
+        (EMIT CHANGES)."""
+        self._consolidate()
+        return self.kind.finish(self.state, _group_ids(self.state, self.groups)[0])
 
     def get_metrics(self) -> dict:
         self._consolidate()
-        return {"partition": self.pid, **self.metrics, "live_groups": len(self.state)}
+        return {"partition": self.pid, **self.metrics, **self.kind.metrics,
+                "state_rows": self.state.num_rows}
 
-    def get_state_size(self) -> int:
-        self._consolidate()
-        return len(self.state)
-
-    def peek_state(self) -> pa.Table:
-        """Non-destructive snapshot of ALL live state (EMIT CHANGES:
-        finalize may be applied repeatedly to intermediate state)."""
-        self._consolidate()
-        return self._emit_table(self.state)
-
-    # -- checkpoint / restore ---------------------------------------------
+    def _path(self, ckpt_dir: str) -> str:
+        return os.path.join(ckpt_dir, f"state-p{self.pid:04d}.parquet")
 
     def snapshot(self, ckpt_dir: str, epoch: int) -> str:
         self._consolidate()
         os.makedirs(ckpt_dir, exist_ok=True)
-        df = self.state.sort_index()
-        idx = df.index
-        t = pa.table(
-            {
-                "source": pa.array(idx.get_level_values("source"), pa.string()),
-                "salt": pa.array(idx.get_level_values("salt").astype(np.int64)),
-                "window_start": pa.array(
-                    idx.get_level_values("window_start").astype(np.int64)
-                ),
-                **{c: pa.array(df[c].to_numpy()) for c in self.sum_cols},
-            }
-        )
-        path = os.path.join(ckpt_dir, f"state-p{self.pid:04d}.parquet")
-        write_parquet_atomic(t, path)
+        path = self._path(ckpt_dir)
+        write_parquet_atomic(self.state, path)
         return path
 
     def restore(self, ckpt_dir: str) -> int:
-        """Rebuild state directly from the snapshot (no metrics side
-        effects)."""
-        path = os.path.join(ckpt_dir, f"state-p{self.pid:04d}.parquet")
+        """Rebuild the state from the snapshot (metrics start fresh).  A
+        checkpoint without this partition's snapshot raises: resuming on
+        empty state would silently lose it."""
         self.pending = []
-        self.state = self.state.iloc[0:0]
-        if not os.path.exists(path):
-            return 0
-        t = pq.read_table(path)
-        if t.num_rows:
-            df = t.select(_KEY + self.sum_cols).to_pandas()
-            for c in self.sum_cols:
-                df[c] = df[c].astype(np.float64)
-            self.state = df.set_index(_KEY)
-        return t.num_rows
+        self.state = pq.read_table(self._path(ckpt_dir)).cast(self.schema)
+        return self.state.num_rows
 
 
 class Router:
@@ -431,160 +464,3 @@ class Router:
             # watermark) for per_source watermarking
             src_max_json=info.get("src_max_json", ""),
         )
-
-
-class SessionStatePartition(PendingIngest):
-    """Session-window state store: open partial sessions
-    ``(source, start_us, end_us, sums...)`` merged by the gap rule.
-
-    Sessions are NOT salted: one source's session state must be
-    contiguous to merge correctly (ksqlDB likewise processes one key in
-    one partition).  This is exactly the case where the reference's
-    ``merge()`` on overlapping partials is load-bearing (SESSION windows
-    merge partial aggregates, SURVEY.md §2.2).
-
-    Merge strategy mirrors StatePartition: ``ingest`` only APPENDS the
-    incoming partial table; the gap-rule merge happens lazily at epoch
-    boundaries as ONE vectorized :func:`gap_sweep` over the open
-    sessions and everything pending (the sweep the sketch partitions
-    share), then ``np.add.reduceat`` per sum column.  Same interval
-    algorithm the batch path uses (aggregate.session_moments); no
-    per-source or per-row Python."""
-
-    def __init__(self, partition_id: int, sum_cols: list[str], gap_s: int):
-        self.pid = partition_id
-        self.sum_cols = list(sum_cols)
-        self.gap_us = int(gap_s) * 1_000_000
-        self._cols = ["session_start_us", "session_end_us"] + self.sum_cols
-        self.state: pd.DataFrame = self._empty_state()
-        self.pending: list[pa.Table] = []
-        self.metrics = {"partial_rows_in": 0, "ingests": 0, "sessions_closed": 0}
-
-    def _empty_state(self) -> pd.DataFrame:
-        d = {
-            "source": pd.Series(dtype=object),
-            "session_start_us": pd.Series(dtype=np.int64),
-            "session_end_us": pd.Series(dtype=np.int64),
-        }
-        d.update({c: pd.Series(dtype=np.float64) for c in self.sum_cols})
-        return pd.DataFrame(d)
-
-    def ingest(self, table: pa.Table) -> int:
-        """Buffer a partial-sessions table (cols: source,
-        session_start_us, session_end_us, *sum_cols); a missing column
-        raises to the driver's barrier.  Gap-rule merge deferred to
-        _consolidate()."""
-        cols = ["source"] + self._cols
-        _require_columns(f"session partition {self.pid}", table, cols)
-        return super().ingest(table.select(cols))
-
-    def _consolidate(self) -> None:
-        if not self.pending:
-            return
-        new = pa.concat_tables(self.pending).to_pandas()
-        self.pending = []
-        new["session_start_us"] = new["session_start_us"].astype(np.int64)
-        new["session_end_us"] = new["session_end_us"].astype(np.int64)
-        for c in self.sum_cols:
-            if new[c].dtype != np.float64:
-                new[c] = new[c].astype(np.float64)
-        allf = (
-            pd.concat([self.state, new], ignore_index=True)
-            if len(self.state)
-            else new
-        )
-        codes, _ = pd.factorize(allf["source"], sort=False)
-        start = allf["session_start_us"].to_numpy()
-        order, first, end = gap_sweep(
-            codes, start, allf["session_end_us"].to_numpy(), self.gap_us
-        )
-        sums = np.add.reduceat(allf[self.sum_cols].to_numpy()[order], first, axis=0)
-        merged = pd.DataFrame(
-            {
-                "source": allf["source"].to_numpy()[order][first],
-                "session_start_us": start[order][first],
-                "session_end_us": end.astype(np.int64),
-            }
-        )
-        for j, c in enumerate(self.sum_cols):
-            merged[c] = sums[:, j]
-        self.state = merged
-
-    def _emit_table(self, df: pd.DataFrame) -> pa.Table:
-        return pa.table(
-            {
-                "source": pa.array(df["source"].tolist(), pa.string()),
-                "session_start_us": pa.array(
-                    df["session_start_us"].to_numpy().astype(np.int64)
-                ),
-                "session_end_us": pa.array(
-                    df["session_end_us"].to_numpy().astype(np.int64)
-                ),
-                **{c: pa.array(df[c].to_numpy()) for c in self.sum_cols},
-            }
-        )
-
-    def close_windows(self, watermark_s) -> pa.Table:
-        """Pop sessions that can no longer be extended:
-        end + gap <= watermark.  Accepts a per-source watermark dict
-        like StatePartition.close_windows."""
-        self._consolidate()
-        if isinstance(watermark_s, dict):
-            wm_us = (
-                self.state["source"]
-                .map(lambda s: watermark_s.get(s, -(2**62)))
-                .to_numpy(dtype=np.float64)
-                * 1_000_000
-            )
-        else:
-            wm_us = watermark_s * 1_000_000
-        closed_mask = (
-            self.state["session_end_us"].to_numpy() + self.gap_us <= wm_us
-        )
-        closed = self.state[closed_mask]
-        self.state = self.state[~closed_mask].reset_index(drop=True)
-        self.metrics["sessions_closed"] += int(len(closed))
-        return self._emit_table(closed)
-
-    def get_metrics(self) -> dict:
-        self._consolidate()
-        return {
-            "partition": self.pid,
-            **self.metrics,
-            "live_sources": int(self.state["source"].nunique()),
-        }
-
-    def peek_state(self) -> pa.Table:
-        """Non-destructive snapshot of all live sessions."""
-        self._consolidate()
-        return self._emit_table(
-            self.state.sort_values(
-                ["source", "session_start_us"], ignore_index=True
-            )
-        )
-
-    def snapshot(self, ckpt_dir: str, epoch: int) -> str:
-        os.makedirs(ckpt_dir, exist_ok=True)
-        t = self.peek_state()
-        path = os.path.join(ckpt_dir, f"sess-p{self.pid:04d}.parquet")
-        write_parquet_atomic(t, path)
-        return path
-
-    def restore(self, ckpt_dir: str) -> int:
-        """Rebuild ``self.state`` directly from the snapshot, without
-        routing it through ``ingest()`` or touching the ingest metrics."""
-        path = os.path.join(ckpt_dir, f"sess-p{self.pid:04d}.parquet")
-        self.pending = []
-        self.state = self._empty_state()
-        if not os.path.exists(path):
-            return 0
-        t = pq.read_table(path)
-        if t.num_rows:
-            df = t.select(["source"] + self._cols).to_pandas()
-            df["session_start_us"] = df["session_start_us"].astype(np.int64)
-            df["session_end_us"] = df["session_end_us"].astype(np.int64)
-            for c in self.sum_cols:
-                df[c] = df[c].astype(np.float64)
-            self.state = df
-        return t.num_rows
-

@@ -896,6 +896,49 @@ def test_route_partials_ignores_arrival_order():
     assert host_pids(5, 2) == [[0, 1, 2], [3, 4]]
 
 
+def test_moment_window_sums_equal_pandas_group_sums():
+    """The moment kind sums each consolidation's partials per window
+    with pandas (Kahan-compensated, in ingest order) and adds them to
+    the state, bit for bit: several partial tables with hundreds of
+    rows per group, consolidated twice.  A pairwise or unordered sum
+    (``np.add.reduceat``, Arrow ``group_by``) differs in many groups
+    at these magnitudes."""
+    from raystat.streaming.driver import _Sums
+    from raystat.streaming.epochs import END
+    from raystat.streaming.state import KeyedPartition
+
+    rng = np.random.default_rng(11)
+    cols = ["u_n", "u_s1", "t_s4"]
+    keys = ["source", "window_start"]
+
+    def partial(n: int) -> pa.Table:
+        return pa.table({
+            "source": pa.array([f"s{i}" for i in rng.integers(0, 5, n)]),
+            "salt": pa.array(np.zeros(n, np.int64)),
+            "window_start": pa.array(rng.integers(0, 4, n) * 3600, pa.int64()),
+            "u_n": pa.array(rng.integers(1, 100, n), pa.int64()),
+            "u_s1": pa.array(rng.random(n) * 10.0 ** rng.integers(0, 6, n)),
+            "t_s4": pa.array(rng.random(n) * 1e18),
+        })
+
+    halves = [[partial(2000) for _ in range(3)] for _ in range(2)]
+    state = KeyedPartition(0, _Sums, 3600, False, cols)
+    expected = None
+    for tables in halves:
+        for t in tables:
+            state.ingest(t)
+        state.get_metrics()  # consolidate
+        df = pa.concat_tables(tables).to_pandas().astype({"u_n": np.float64})
+        sums = df.groupby(keys, sort=False)[cols].sum()
+        expected = sums if expected is None else expected.add(sums, fill_value=0.0)
+    got = state.close_windows(END).to_pandas().set_index(keys).sort_index()
+    expected = expected.sort_index()
+    assert len(got) == 20
+    for c in cols:
+        assert np.array_equal(got[c].to_numpy().view(np.int64),
+                              expected[c].to_numpy().view(np.int64)), c
+
+
 def _stage_driver(kind: str, fixture_dir: str, sf: str, out: str):
     """One streaming driver of each router shape with 3 state partitions,
     on its pytest fixture."""

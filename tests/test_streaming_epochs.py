@@ -560,3 +560,46 @@ def test_killed_host_fails_run_and_resume_is_exact(ray_session, sf_dir, tmp_path
     assert manifest_digests(fresh.sink.root) == manifest_digests(full.sink.root)
     assert len(manifest_digests(full.sink.root)) == 5
     _kill_all(full, drv, fresh)
+
+
+# the file of partition 1 each case deletes from the latest checkpoint
+MISSING_SNAPSHOT = {
+    "moments-window": "state-p0001.parquet",
+    "moments-session": "state-p0001.parquet",
+    "cep": "cep-p0001.parquet",
+    "cep-tombstones": "cep-p0001.done.parquet",
+    "dedup": "dedup-p0001.parquet",
+    "interval": "ivj-p0001.parquet",
+    "asof": "asof-p0001.parquet",
+}
+
+
+@pytest.mark.parametrize("kind", list(MISSING_SNAPSHOT))
+def test_resume_without_a_partition_snapshot_raises(ray_session, sf_dir, tmp_path, kind):
+    """A checkpoint that lacks one partition's snapshot file fails the
+    resume.  ``driver.json`` is written after every snapshot, so the
+    missing file is a fault; resuming that partition on empty state
+    would silently lose its state and break exactly-once."""
+    import os
+
+    from raystat.fixtures import epoch_len_us
+    from raystat.streaming import StreamConfig, StreamDriver
+
+    src = _four_epochs("StreamDriver", sf_dir, tmp_path) if kind.startswith("moments") else None
+
+    def make():
+        if src is None:
+            return _driver(kind.split("-")[0], sf_dir, str(tmp_path / "out"))
+        return StreamDriver(src, str(tmp_path / "out"), StreamConfig(
+            window_size_s=3600, allowed_lateness_s=epoch_len_us(4) // 1_000_000,
+            session_gap_s=1800 if kind.endswith("session") else None,
+            n_partitions=3, passthrough=False,
+        ))
+
+    first = make()
+    first.run(stop_after_epoch=1)
+    os.remove(os.path.join(first._ckpt_dir(1), MISSING_SNAPSHOT[kind]))
+    again = make()
+    with pytest.raises(FileNotFoundError, match=MISSING_SNAPSHOT[kind]):
+        again.run(resume=True)
+    _kill_all(first, again)

@@ -1,8 +1,8 @@
 """Streaming windowed sketches: streamed HLL registers equal the batch
 registers over the same rows (max-merge order independence), ingest
 idempotence (replay safety), late-drop behaviour, crash/resume
-exactly-once, and the one ``SketchPartition`` class's column checks and
-snapshot/restore for every (kind, span)."""
+exactly-once, and the one ``KeyedPartition`` class's column checks and
+snapshot/restore for every (kind, span), moments included."""
 
 from __future__ import annotations
 
@@ -19,6 +19,8 @@ import pytest
 import ray
 
 from raystat.dataops.sketches import _M, _rho_and_idx, hll_estimate
+from raystat.fixtures import epoch_len_us, write_stream_fixture
+from raystat.streaming import StreamConfig, StreamDriver
 from raystat.streaming.epochs import END, NEG
 from raystat.streaming.sketch import (
     BottomKStreamDriver,
@@ -26,12 +28,12 @@ from raystat.streaming.sketch import (
     HllStreamDriver,
     KllStreamDriver,
     MgStreamDriver,
-    SketchPartition,
     events_stream_fixture,
 )
-from raystat.streaming.state import PartitionHost, partial_row
+from raystat.streaming.state import KeyedPartition, PartitionHost, partial_row
 
 SF = "/root/testdata/sf0.001"
+TOKENS = "/tmp/raystat_fixtures/stream_pytest"  # the token stream of test_streaming
 WEEK = 7 * 86400
 LATENESS = 200 * 3600  # > the fixture's one-epoch arrival lag: zero drops
 
@@ -137,7 +139,8 @@ def test_ingest_idempotence(ray_session, kind, session):
     args = (3,) if kind == "bottomk" else ()
     outs = []
     for times in (1, 3):
-        state = SketchPartition(0, kind, 3600, session, *args)
+        kind_cls = {"hll": HllStreamDriver, "bottomk": BottomKStreamDriver}[kind].kind
+        state = KeyedPartition(0, kind_cls, 3600, session, *args)
         for _ in range(times):
             state.ingest(partial)
         outs.append(state.close_windows(END).to_pandas())
@@ -157,10 +160,19 @@ _KIND_SPANS = [
     for span in ("window", "session")
     if not (cls is CmsStreamDriver and span == "session")
 ]
-_KIND_IDS = [f"{c.kind}-{s}" for c, s, _ in _KIND_SPANS]
+_KIND_IDS = [f"{c.kind.__name__[1:].lower()}-{s}" for c, s, _ in _KIND_SPANS]
+# the moment kind of StreamDriver runs in the same partition class
+_STATE_SPANS = _KIND_SPANS + [(StreamDriver, span, {}) for span in ("window", "session")]
+_STATE_IDS = _KIND_IDS + ["moments-window", "moments-session"]
 
 
 def _kind_driver(cls, span: str, kw: dict, out: str, n_partitions: int = 2):
+    if cls is StreamDriver:
+        write_stream_fixture(TOKENS, n_rows=8000, n_epochs=4)
+        cfg = StreamConfig(window_size_s=3600, allowed_lateness_s=epoch_len_us(4) // 1_000_000,
+                           session_gap_s=1800 if span == "session" else None,
+                           n_partitions=n_partitions, passthrough=False)
+        return StreamDriver(TOKENS, out, cfg)
     span_kw = {"session_gap_s": GAP_S} if span == "session" else {"window_size_s": WEEK}
     return cls(events_stream_fixture(SF, n_epochs=4), out, allowed_lateness_s=LATENESS,
                n_partitions=n_partitions, **span_kw, **kw)
@@ -185,7 +197,7 @@ def test_malformed_partial_fails_at_barrier(ray_session, cls, span, kw):
         shutil.rmtree(out, ignore_errors=True)
 
 
-@pytest.mark.parametrize("cls, span, kw", _KIND_SPANS, ids=_KIND_IDS)
+@pytest.mark.parametrize("cls, span, kw", _STATE_SPANS, ids=_STATE_IDS)
 def test_snapshot_restore_every_kind(ray_session, cls, span, kw):
     """Partials of two epochs, a snapshot, a restore into a fresh host:
     closing everything on the restored partitions gives the same
@@ -203,9 +215,9 @@ def test_snapshot_restore_every_kind(ray_session, cls, span, kw):
             drv._call("close_windows", NEG)  # consolidate
         ckpt = os.path.join(out, "ckpt")
         drv._call("snapshot", ckpt, 1)
-        assert sorted(os.listdir(ckpt)) == ["sketch-p0000.parquet", "sketch-p0001.parquet"]
+        assert sorted(os.listdir(ckpt)) == ["state-p0000.parquet", "state-p0001.parquet"]
         fresh = PartitionHost.remote([0, 1], *drv._partition())
-        with pytest.raises(Exception, match="sketch-p0000.parquet"):
+        with pytest.raises(Exception, match="state-p0000.parquet"):
             ray.get(fresh.call.remote("restore", out))  # no snapshot there
         ray.get(fresh.call.remote("restore", ckpt))
         want = drv._call("close_windows", END)

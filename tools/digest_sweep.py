@@ -1,6 +1,6 @@
 """Output-identity sweep over the streaming drivers.
 
-Runs 31 driver configurations on the pytest fixtures (sf0.001 and the
+Runs 33 driver configurations on the pytest fixtures (sf0.001 and the
 synthetic token stream, also as JSONL) and on a wider token stream
 whose epochs (about 7 MB, 8 files) plan 3 read tasks at 4 CPUs, and
 writes, per configuration, the sha256 of
@@ -112,6 +112,15 @@ def _configs():
         "stream_json": stream(tok_json, file_format="json"),
         "stream_multitask": stream(WIDE_FIXTURE),
         "stream_multitask_batch4096": stream(WIDE_FIXTURE, batch_size=4096),
+        "stream_session_per_source_changes_tokens": stream(
+            session_gap_s=1800, n_salts=1, watermark_scope="per_source",
+            emit_changes=True, token_stats=True),
+        # every salt of a source in one partition: the in-partition
+        # cross-salt sum of 3+ salts, whose float order shows in the
+        # token power sums (> 2**53)
+        "stream_one_partition_4salts": stream(
+            n_partitions=1, n_salts=4, batch_size=500, token_stats=True,
+            emit_changes=True),
         "hll_tumbling": sketch(HllStreamDriver, window_size_s=WEEK),
         "hll_hopping": sketch(HllStreamDriver, window_size_s=2 * 86400, hop_s=86400),
         "hll_session": sketch(HllStreamDriver, session_gap_s=GAP),
