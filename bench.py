@@ -56,30 +56,24 @@ def _warm_engine_path(fix: str, ncpu: int) -> None:
     the protocol times throughput, not process warmup (BASELINE.md)."""
     import glob
 
-    import ray
     import ray.data as rd
 
-    from raystat.streaming.driver import StreamConfig, StreamDriver, _partial_stage
-    from raystat.streaming.state import NEG, Router, route_partials, start_hosts
+    from raystat.streaming.driver import StreamConfig, StreamDriver
 
-    cfg = StreamConfig(window_size_s=3600, n_salts=8, token_stats=True, comoment_stats=True)
+    cfg = StreamConfig(window_size_s=3600, n_salts=8, n_partitions=N_PARTITIONS,
+                       token_stats=True, comoment_stats=True)
     out = tempfile.mkdtemp(prefix="raystat_warm_")
-    drv = StreamDriver(fix, out, cfg)  # the driver's partitions and sum columns
-    actors = start_hosts(N_PARTITIONS, *drv._partition())
-    ray.get([a.get_metrics.remote() for a in actors])
+    drv = StreamDriver(fix, out, cfg)
+    drv.prepare()  # its state hosts
     files = sorted(glob.glob(os.path.join(fix, "arrival=0", "*.parquet")))
     # several waves per worker: allocator arenas and scratch pools grow
     # over the first batches, and a single wave leaves them cold
     files = files[: min(len(files), 4 * ncpu)]
-    fn = _partial_stage(cfg, drv.needed, drv.u_order, drv.w_order, NEG)
-    router = Router(actors, N_PARTITIONS, fn)
     book = rd.read_parquet(files, override_num_blocks=len(files)).map_batches(
-        router, batch_format="pyarrow", batch_size=32768
+        drv._router(), batch_format="pyarrow", batch_size=32768
     ).to_pandas()
-    ray.get(route_partials(book, actors, N_PARTITIONS))
-    for a in actors:
-        ray.kill(a)
-    shutil.rmtree(out, ignore_errors=True)
+    drv._ingest_barrier(book)
+    drv.cleanup(delete_output=True)
 
 
 def main() -> None:

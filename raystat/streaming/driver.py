@@ -14,13 +14,18 @@ loop, with this driver's stages):
 1. read epoch ``e``'s files (Parquet, or JSONL cast to the canonical
    schema) in plain Ray tasks, at most one per CPU slot, each over a
    contiguous slice of the files
-2. in the same tasks, the side-effect-free ``Router`` over each batch:
-   derive event time, assign tumbling/hopping windows, drop+count rows
-   whose window already closed (late beyond watermark), pre-aggregate
-   power sums per ``(source, salt, window_start)`` and tag each
-   partial row with its owning partition; each batch returns one row —
-   bookkeeping (max event ts, late counts), its partial table as Arrow
-   IPC and a batch key
+2. in the same tasks, the side-effect-free ``Router`` over each batch
+   (:func:`_moment_stage`): derive event time, drop+count rows with a
+   null value or weight, then the late rows (``state.late_rows``: a
+   window row whose latest covering window closed, a session row at or
+   before the watermark), expand the rest into their open windows
+   (``state.covering_windows``) or split them into session fragments
+   (``state.session_split``) — the window frame the sketch routers and
+   the passthrough share — pre-aggregate power sums per ``(source,
+   salt, window_start)`` or per fragment and tag each partial row with
+   its owning partition; each batch returns one row — bookkeeping (max
+   event ts, late and null counts), its partial table as Arrow IPC and
+   a batch key
 3. advance watermark to ``max_event_ts - allowed_lateness`` (per
    source under ``watermark_scope="per_source"``), which is all the
    next epoch's Router needs, so epoch ``e+1``'s steps 1-2 start here
@@ -32,11 +37,13 @@ loop, with this driver's stages):
    partitions it hosts, and waits for those calls (the barrier), then
    runs steps 4-7
 4. partitions (``state.KeyedPartition`` running the :class:`_Sums`
-   kind) pop state of windows with ``window_end <= watermark``;
-   cross-salt merge (field-wise add) + vectorized finalize
+   kind) pop state of windows with ``window_end <= watermark`` and of
+   sessions with ``end + gap <= watermark``; cross-salt merge
+   (field-wise add) + vectorized finalize
 5. join against the metadata stream state (grace-buffered left join)
 6. commit via the exactly-once sink; optional exact per-row passthrough
-   (same late-drop predicate, token arrays untouched)
+   (the same ``state.late_rows``; null-value rows kept; token arrays
+   untouched)
 7. checkpoint partition snapshots (one file each) + driver state
    (watermark, join buffer, metrics) — resume replays from the next
    epoch; re-commits of already-manifested epochs are no-ops.
@@ -63,7 +70,10 @@ from raystat.scratch import astype_f8, buf, tune_allocator
 from raystat.streaming.epochs import END, NEG, EpochDriverBase, EpochRead, with_partitions
 from raystat.streaming.join import MetadataJoin
 from raystat.streaming.sink import ExactlyOnceParquetSink
-from raystat.streaming.state import KeyedPartition, Kind, Router, source_watermarks
+from raystat.streaming.state import (
+    KeyedPartition, Kind, Router, covering_windows, late_rows, session_split,
+    source_watermarks,
+)
 
 __all__ = ["StreamConfig", "StreamDriver"]
 
@@ -181,14 +191,8 @@ def _row_token_sums(batch: pa.Table, tokens_col: str, rows_in: int) -> dict[str,
         z = np.zeros(0, dtype=np.float64)
         return {c: z for c in ("t_n", "t_s1", "t_s2", "t_s3", "t_s4")}
     tok_col = batch[tokens_col]
-    if isinstance(tok_col, pa.ChunkedArray):
-        tok_col = tok_col.combine_chunks()
-    if isinstance(tok_col, pa.ChunkedArray):  # single- or zero-chunk wrap
-        tok_col = (
-            tok_col.chunk(0)
-            if tok_col.num_chunks
-            else pa.array([], type=tok_col.type)
-        )
+    if isinstance(tok_col, pa.ChunkedArray):  # no copy of a one-chunk column
+        tok_col = tok_col.chunk(0) if tok_col.num_chunks == 1 else tok_col.combine_chunks()
     off = tok_col.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
     vals = tok_col.values.to_numpy(zero_copy_only=False)
     lo, hi = int(off[0]), int(off[-1])
@@ -240,69 +244,109 @@ def _src_max_json(src_vocab: pa.Array, ts_us: np.ndarray, src_code: np.ndarray) 
     return json.dumps({s: int(v) for s, v in zip(src_vocab.to_pylist(), m) if v >= 0})
 
 
-def _partial_stage(cfg: StreamConfig, needed, u_order, w_order, watermark):
-    """Fused per-batch extraction + windowing + late-drop + partial
-    aggregation.  Group keys (source dictionary code, salt,
-    window_start) are factorized through a dense composite integer key
-    ``(src*S + salt)*W + win`` — when the key domain is small (the
-    common case: sources x salts x open windows), every power sum is a
-    direct ``np.bincount`` over the dense key with NO sort at all; a
-    1-D ``np.unique`` fallback covers high-cardinality domains.  A row
-    is counted late iff ALL its covering windows are closed (same unit
-    as ``rows_in`` and the passthrough predicate).  ``watermark`` is
-    the global scalar or the per-source frontier dict."""
-    per_source = isinstance(watermark, dict)
+def _null_rows(batch: pa.Table, value_col: str, weight_col: str | None):
+    """Rows whose value or weight is null, or None when there are none
+    (the batch path's null rule, ``aggregate._clean_xw``)."""
+    null = None
+    for c in {value_col, weight_col} - {None}:
+        if batch[c].null_count:
+            m = pc.is_null(batch[c]).to_numpy(zero_copy_only=False)
+            null = m if null is None else null | m
+    return null
+
+
+def _power_sums(gidx, n_groups: int, take, x, w, tr, needed, u_order, w_order, alias_w):
+    """Every partial sum of ``needed`` per group id ``gidx`` (one per
+    pair, ``< n_groups``), each an ``np.bincount`` that adds a group's
+    pairs in pair order.  Pair ``i`` is row ``take[i]`` of the per-row
+    arrays ``x``, ``w`` and ``tr`` (``take`` None: pair ``i`` is row
+    ``i``).  Returns the group ids that have pairs, ascending, and
+    their sums."""
+    def at(v):
+        return v if take is None else np.take(v, take)
+
+    counts = np.bincount(gidx, minlength=n_groups)
+    present = np.flatnonzero(counts)
+    sel = None if present.size == n_groups else present
+
+    def gsum(v):
+        s = np.bincount(gidx, weights=v, minlength=n_groups)
+        return s if sel is None else s[sel]
+
+    g_x = at(x)
+    m = g_x.size
+    sums: dict[str, np.ndarray] = {}
+    if u_order:
+        sums["u_n"] = counts[present].astype(np.int64)
+        sums["u_s1"] = gsum(g_x)
+        pb = buf("pow", m)
+        np.copyto(pb, g_x)
+        for i in range(2, u_order + 1):
+            np.multiply(pb, g_x, out=pb)
+            sums[f"u_s{i}"] = gsum(pb)
+    if w_order and alias_w:
+        # weight == value: sum w·x^i is the power sum one order up
+        sums["w_sw"] = sums["u_s1"]
+        sums["w_sv"] = sums["u_s2"]
+        for i in range(2, w_order + 1):
+            sums[f"w_s{i}"] = sums[f"u_s{i + 1}"]
+    elif w_order:
+        g_w = at(w)
+        wp = buf("wpow", m)
+        sums["w_sw"] = gsum(g_w)
+        np.multiply(g_w, g_x, out=wp)
+        sums["w_sv"] = gsum(wp)
+        pb = buf("pow", m)
+        np.copyto(pb, g_x)
+        for i in range(2, w_order + 1):
+            np.multiply(pb, g_x, out=pb)
+            np.multiply(g_w, pb, out=wp)
+            sums[f"w_s{i}"] = gsum(wp)
+    if tr is not None:
+        for c, v in tr.items():
+            sums[c] = gsum(at(v))
+    if "c_sxy" in needed:
+        # bivariate sums: y = the row's token sum
+        y = at(tr["t_s1"])
+        sums["c_syy"] = gsum(y * y)
+        sums["c_sxy"] = gsum(g_x * y)
+    return present, sums
+
+
+def _moment_stage(cfg: StreamConfig, needed, u_order, w_order, watermark):
+    """``StreamDriver``'s per-batch kernel, for every window mode: one
+    row extraction, the mode's grouping, then :func:`_power_sums`.
+    ``watermark`` is the global scalar or the per-source frontier dict.
+
+    Rows with a null value or weight are dropped first (``null_dropped``);
+    then ``state.late_rows`` flags the late ones (``late_dropped``).
+    Windows expand the rows into their open (row, window) pairs
+    (``state.covering_windows``, any ``hop_s <= window_size_s``) and
+    group them by (source code, window start) through a dense composite
+    key ``src * W + win``: when the key domain is small (sources x open
+    windows) the sums are a direct ``np.bincount`` with no sort at all, a
+    1-D ``np.unique`` covering high-cardinality domains; every partial
+    row carries the batch's salt.  Sessions split the kept rows into
+    fragments (``state.session_split``) bounded by their first and last
+    event ts.  Source codes encode the whole batch, late rows too."""
+    session = cfg.session_gap_s is not None
     size_s = cfg.window_size_s
-    hop_s = cfg.hop_s
-    step = hop_s if hop_s is not None else size_s
+    step = cfg.hop_s or size_s
     value_col, weight_col, n_salts = cfg.value_col, cfg.weight_col, cfg.n_salts
-    token_stats = cfg.token_stats
-    t_cols = ("t_n", "t_s1", "t_s2", "t_s3", "t_s4")
-    # weight == value (e.g. n_tok-weighted token lengths): every
-    # weighted sum is an unweighted power sum one order up — alias
-    # instead of recomputing (sum w·x^i == u_s{i+1})
-    alias_w = (
-        weight_col is not None
-        and weight_col == value_col
-        and u_order >= w_order + 1
-    )
+    alias_w = weight_col is not None and weight_col == value_col and u_order >= w_order + 1
+    gap_us = int(cfg.session_gap_s or 0) * 1_000_000
 
-    def empty_table() -> pa.Table:
-        return pa.table(
-            {
-                "source": pa.array([], pa.string()),
-                "salt": pa.array([], pa.int64()),
-                "window_start": pa.array([], pa.int64()),
-                **{
-                    c: pa.array([], pa.int64() if c == "u_n" else pa.float64())
-                    for c in needed
-                },
-            }
-        )
-
-    def fn(batch: pa.Table) -> tuple[pa.Table, dict]:
+    def fn(batch: pa.Table) -> tuple[pa.Table | None, dict]:
         tune_allocator()  # idempotent; needed under by-value pickling
         rows_in = batch.num_rows
         ids = numeric_doc_id(batch["doc_id"])
         ts_us = event_time_us_from_numeric(ids)
-        max_ts = int(ts_us.max()) if rows_in else -1
-        info = {
-            "max_ts_us": max_ts, "rows_in": rows_in,
-            "batch_key": int(ids.min()) if rows_in else -1,
-        }
-        ts_s = ts_us // 1_000_000
         src_code, src_vocab = encode_key(batch["source"], "source")
-        # late iff the row's LATEST covering window is closed (tumbling:
-        # its only window; hopping: window starting at (ts//hop)*hop)
-        k_last = ts_s // step
-        # the global watermark, or each row's own source's frontier
         wm = source_watermarks(batch["source"], watermark)
-        row_keep = (k_last * step + size_s) > wm
-        if per_source:
+        info = {"max_ts_us": int(ts_us.max()) if rows_in else -1, "rows_in": rows_in,
+                "batch_key": int(ids.min()) if rows_in else -1, "null_dropped": 0}
+        if isinstance(watermark, dict):
             info["src_max_json"] = _src_max_json(src_vocab, ts_us, src_code)
-        late_n = rows_in - int(row_keep.sum())
-        info["late_dropped"] = late_n
-
         # BATCH-level salt: spreading a hot source's load over actors
         # only needs different BATCHES to route differently, not
         # different rows — a constant salt per batch (derived from the
@@ -310,226 +354,58 @@ def _partial_stage(cfg: StreamConfig, needed, u_order, w_order, watermark):
         # and the routing fan-out by n_salts while keeping the same
         # skew spreading across the stream.
         salt_b = int(ids[0]) % n_salts if rows_in else 0
+        null = _null_rows(batch, value_col, weight_col)
+        if null is not None:
+            ok = np.flatnonzero(~null)
+            info["null_dropped"] = rows_in - ok.size
+            batch, ts_us, src_code = batch.take(ok), ts_us[ok], src_code[ok]
+            wm = wm[ok] if np.ndim(wm) else wm
         x = astype_f8("x", batch[value_col].to_numpy(zero_copy_only=False))
         w = (
             astype_f8("w", batch[weight_col].to_numpy(zero_copy_only=False))
             if weight_col is not None and not alias_w
             else None
         )
-        tr = _row_token_sums(batch, cfg.tokens_col, rows_in) if token_stats else None
-        if late_n:
-            kept = np.flatnonzero(row_keep)
-            ts_s, src_code, x, k_last = (
-                ts_s[kept], src_code[kept], x[kept], k_last[kept]
-            )
-            w = w[kept] if w is not None else None
-            wm = wm[kept] if per_source else wm
-            if tr is not None:
-                tr = {c: v[kept] for c, v in tr.items()}
-        n_rows_kept = x.size
-        if n_rows_kept == 0:
-            return empty_table(), info
+        tr = _row_token_sums(batch, cfg.tokens_col, x.size) if cfg.token_stats else None
 
-        if hop_s is None:
-            ws = k_last * size_s
-            row_of = None  # group rows == kept rows
-            g_src, g_x, g_w = src_code, x, w
+        if session:
+            late = late_rows(ts_us, wm)
+            kept = np.flatnonzero(~late)
+            order, gidx, starts = session_split(src_code[kept], ts_us[kept], gap_us)
+            take, n_groups = kept[order], starts.size
         else:
-            # expand each row to its open covering windows
-            k_min = (ts_s - size_s) // hop_s + 1
-            counts = (k_last - k_min + 1).astype(np.int64)
-            row_of = np.repeat(np.arange(n_rows_kept, dtype=np.int64), counts)
-            offs = np.arange(row_of.size, dtype=np.int64) - np.repeat(
-                np.cumsum(counts) - counts, counts
-            )
-            ws = (np.repeat(k_min, counts) + offs) * hop_s
-            # earlier covering windows may already be closed; the frontier
-            # that closes them must match the one used for row_keep and
-            # the partitions' close — per-source under a frontier dict,
-            # else the global scalar (a lagging source's early windows stay
-            # open under per-source watermarks even when the global frontier
-            # has passed them).
-            win_open = (ws + size_s) > (wm[row_of] if per_source else wm)
-            if not win_open.all():
-                row_of, ws = row_of[win_open], ws[win_open]
-            g_src = src_code[row_of]
-            g_x = np.take(x, row_of)
-            g_w = np.take(w, row_of) if w is not None else None
-        m = ws.size
-
-        # -- factorize (src, ws) via dense composite key (salt is batch-
-        # constant, so it is not part of the group key) --------------------
-        ws_min = int(ws.min())
-        win_idx = (ws - ws_min) // step
-        n_win = int(win_idx.max()) + 1
-        n_src = len(src_vocab)
-        D = n_src * n_win
-        dense = buf("dense", m, np.int64)
-        np.multiply(g_src, n_win, out=dense)
-        np.add(dense, win_idx, out=dense)
-        if D <= max(4 * m, 1 << 16):
-            gidx, gdom = dense, D  # bincount straight over the dense key
-            sel = None  # chosen below from the count vector
-        else:  # high-cardinality: 1-D sort-based factorization
-            kd, gidx = np.unique(dense, return_inverse=True)
-            gdom, sel = kd.size, slice(None)
-
-        sums: dict[str, np.ndarray] = {}
-
-        def gsum(weights=None):
-            s = np.bincount(gidx, weights=weights, minlength=gdom)
-            return s if sel is None else s[sel]
-
-        counts_g = np.bincount(gidx, minlength=gdom)
-        if sel is None:
-            nz = np.flatnonzero(counts_g)
-            kd, sel = nz, nz
-            counts_g = counts_g[sel]
-        if u_order:
-            sums["u_n"] = counts_g.astype(np.int64)
-            sums["u_s1"] = gsum(g_x)
-            pb = buf("pow", m)
-            np.copyto(pb, g_x)
-            for i in range(2, u_order + 1):
-                np.multiply(pb, g_x, out=pb)
-                sums[f"u_s{i}"] = gsum(pb)
-        if w_order and alias_w:
-            sums["w_sw"] = sums["u_s1"]
-            sums["w_sv"] = sums["u_s2"]
-            for i in range(2, w_order + 1):
-                sums[f"w_s{i}"] = sums[f"u_s{i + 1}"]
-        elif w_order:
-            wp = buf("wpow", m)
-            sums["w_sw"] = gsum(g_w)
-            np.multiply(g_w, g_x, out=wp)
-            sums["w_sv"] = gsum(wp)
-            pb = buf("pow", m)
-            np.copyto(pb, g_x)
-            for i in range(2, w_order + 1):
-                np.multiply(pb, g_x, out=pb)
-                np.multiply(g_w, pb, out=wp)
-                sums[f"w_s{i}"] = gsum(wp)
-        if token_stats:
-            for c in t_cols:
-                v = tr[c] if row_of is None else np.take(tr[c], row_of)
-                sums[c] = gsum(v)
-        if "c_sxy" in needed:
-            # bivariate sums: y = per-row token sum (t_s1 row-level)
-            y = tr["t_s1"] if row_of is None else np.take(tr["t_s1"], row_of)
-            sums["c_syy"] = gsum(y * y)
-            sums["c_sxy"] = gsum(g_x * y)
-
-        # decode keys from the composite integer
-        u_src, u_win = np.divmod(kd, n_win)
-        part = pa.table(
-            {
-                "source": src_vocab.take(pa.array(u_src, pa.int64())),
-                "salt": pa.array(np.full(u_src.size, salt_b, dtype=np.int64)),
-                "window_start": pa.array(ws_min + u_win * step),
-                **{c: pa.array(sums[c]) for c in needed},
-            }
-        )
-        return part, info
-
-    return fn
-
-
-def _session_partial_stage(cfg: StreamConfig, needed, u_order, w_order, watermark):
-    """Within-batch partial sessions per source: sort by (source, ts),
-    split runs at gap, aggregate power sums + min/max ts.  Late rows
-    (ts <= watermark) are dropped: any such event could only extend an
-    already-closed session (close rule: end + gap <= watermark)."""
-    gap_us = int(cfg.session_gap_s) * 1_000_000
-    value_col, weight_col = cfg.value_col, cfg.weight_col
-    token_stats = cfg.token_stats
-
-    def empty_part() -> pa.Table:
-        cols = {"source": pa.array([], pa.string())}
-        for c in needed:
-            cols[c] = pa.array([], pa.int64() if c == "u_n" else pa.float64())
-        cols["session_start_us"] = pa.array([], pa.int64())
-        cols["session_end_us"] = pa.array([], pa.int64())
-        return pa.table(cols)
-
-    def fn(batch: pa.Table) -> tuple[pa.Table, dict]:
-        """Same lexsort/segment machinery as the keyed partial stage:
-        dictionary source codes, one lexsort by (source, ts), run
-        breaks at gap, bincount power sums per segment — no pandas
-        frame or per-group Python in the per-batch path."""
-        rows_in = batch.num_rows
-        ids = numeric_doc_id(batch["doc_id"])
-        ts_us = event_time_us_from_numeric(ids)
-        max_ts = int(ts_us.max()) if rows_in else -1
-        src_code, src_vocab = encode_key(batch["source"], "source")
-        keep = (ts_us // 1_000_000) > source_watermarks(batch["source"], watermark)
-        extra_info = {}
-        if isinstance(watermark, dict):
-            extra_info = {"src_max_json": _src_max_json(src_vocab, ts_us, src_code)}
-        late_n = rows_in - int(keep.sum())
-        x = batch[value_col].cast(pa.float64()).to_numpy(zero_copy_only=False)
-        w = (
-            batch[weight_col].cast(pa.float64()).to_numpy(zero_copy_only=False)
-            if weight_col is not None
-            else None
-        )
-        tr = _row_token_sums(batch, cfg.tokens_col, rows_in) if token_stats else None
-        if late_n:
-            kept = np.flatnonzero(keep)
-            src_code, ts_us, x = src_code[kept], ts_us[kept], x[kept]
-            w = w[kept] if w is not None else None
-            if tr is not None:
-                tr = {c: v[kept] for c, v in tr.items()}
-        info = {
-            "max_ts_us": max_ts, "late_dropped": late_n, "rows_in": rows_in,
-            "batch_key": int(ids.min()) if rows_in else -1, **extra_info,
-        }
-        n = x.size
-        if n == 0:
-            return empty_part(), info
-
-        order = np.lexsort((ts_us, src_code))
-        sc, tv = src_code[order], ts_us[order]
-        brk = np.ones(n, dtype=bool)
-        brk[1:] = (sc[1:] != sc[:-1]) | ((tv[1:] - tv[:-1]) > gap_us)
-        starts = np.flatnonzero(brk)
-        seg = np.cumsum(brk) - 1  # segment index per sorted row
-        nseg = starts.size
-
-        def ssum(v: np.ndarray) -> np.ndarray:
-            return np.bincount(seg, weights=v[order], minlength=nseg)
-
-        sums: dict[str, np.ndarray] = {}
-        if u_order:
-            sums["u_n"] = np.bincount(seg, minlength=nseg).astype(np.int64)
-            sums["u_s1"] = ssum(x)
-            px = x
-            for i in range(2, u_order + 1):
-                px = px * x
-                sums[f"u_s{i}"] = ssum(px)
-        if w_order:
-            sums["w_sw"] = ssum(w)
-            sums["w_sv"] = ssum(w * x)
-            px = x
-            for i in range(2, w_order + 1):
-                px = px * x
-                sums[f"w_s{i}"] = ssum(w * px)
-        if tr is not None:
-            for c, v in tr.items():
-                sums[c] = ssum(v)
-        if "c_sxy" in needed:
-            y = tr["t_s1"]
-            sums["c_syy"] = ssum(y * y)
-            sums["c_sxy"] = ssum(x * y)
-        ends = np.append(starts[1:], n) - 1  # ts-sorted: last row = max ts
-        part = pa.table(
-            {
-                "source": src_vocab.take(pa.array(sc[starts])),
-                **{c: pa.array(sums[c]) for c in needed},
-                "session_start_us": pa.array(tv[starts]),
-                "session_end_us": pa.array(tv[ends]),
-            }
-        )
-        return part, info
+            take, ws, late = covering_windows(ts_us, wm, size_s, step)
+        info["late_dropped"] = int(late.sum())
+        if not take.size:
+            return None, info
+        if not session:
+            if take.size == x.size and not info["late_dropped"]:
+                take = None  # every row one window: no gather
+            # (source, window) as one dense composite key; the salt is
+            # batch-constant, so not part of the group key
+            ws_min = int(ws.min())
+            n_win = int(ws.max() - ws_min) // step + 1
+            n_groups = len(src_vocab) * n_win
+            gidx = buf("dense", ws.size, np.int64)
+            np.multiply(src_code if take is None else src_code[take], n_win, out=gidx)
+            np.add(gidx, (ws - ws_min) // step, out=gidx)
+            key = None
+            if n_groups > max(4 * ws.size, 1 << 16):  # high cardinality: sort
+                key, gidx = np.unique(gidx, return_inverse=True)
+                n_groups = key.size
+        present, sums = _power_sums(gidx, n_groups, take, x, w, tr, needed,
+                                    u_order, w_order, alias_w)
+        if session:
+            ts_k = ts_us[take]
+            ends = np.append(starts[1:], take.size) - 1  # ts-sorted: last = max ts
+            keys = {"source": src_vocab.take(pa.array(src_code[take][starts])),
+                    "session_start_us": ts_k[starts], "session_end_us": ts_k[ends]}
+        else:
+            u_src, u_win = np.divmod(present if key is None else key[present], n_win)
+            keys = {"source": src_vocab.take(pa.array(u_src, pa.int64())),
+                    "salt": np.full(u_src.size, salt_b, dtype=np.int64),
+                    "window_start": ws_min + u_win * step}
+        return pa.table({**keys, **{c: pa.array(sums[c]) for c in needed}}), info
 
     return fn
 
@@ -603,6 +479,8 @@ class _Sums(Kind):
 
 
 class StreamDriver(EpochDriverBase):
+    book_sums = EpochDriverBase.book_sums + ("null_dropped",)
+
     def __init__(
         self,
         input_dir: str,
@@ -695,8 +573,7 @@ class StreamDriver(EpochDriverBase):
         return dict(self.src_watermark) if self.per_source_wm else self.watermark_s
 
     def _router(self):
-        stage = _session_partial_stage if self.session_mode else _partial_stage
-        fn = stage(self.cfg, self.needed, self.u_order, self.w_order, self._watermark())
+        fn = _moment_stage(self.cfg, self.needed, self.u_order, self.w_order, self._watermark())
         return Router(self.actors, self.cfg.n_partitions, fn)
 
     def _advance(self, em: dict, book: pd.DataFrame | None) -> None:
@@ -731,26 +608,19 @@ class StreamDriver(EpochDriverBase):
     def _passthrough(self, read: EpochRead, wm):
         """Exact per-row passthrough of an epoch's files (``read``): the
         kept rows of each read task, as Arrow tables in task order
-        (the stage's read tasks, with ``keep`` as the router).  Same
-        late-drop predicate as the aggregation path (the watermark in
-        force at ingest — the global scalar, or the per-source
-        frontier dict), token arrays byte-identical (pure Arrow
-        filter, no rewrite).  In hopping mode a row is kept iff ANY
-        covering window is open, i.e. its LATEST window
-        ((ts//hop)*hop + size) is open — matching _partial_stage's
-        row_keep."""
-        size_s = self.cfg.window_size_s
-        step = self.cfg.hop_s if self.cfg.hop_s is not None else size_s
-        session = self.session_mode
+        (the stage's read tasks, with ``keep`` as the router).  The
+        aggregation path's late rule (``state.late_rows``) under the
+        watermark in force at ingest (the global scalar, or the
+        per-source frontier dict); rows with a null value are kept.
+        Token arrays stay byte-identical (pure Arrow filter, no
+        rewrite)."""
+        cfg = self.cfg
+        span = () if self.session_mode else (cfg.window_size_s, cfg.hop_s or cfg.window_size_s)
 
         def keep(batch: pa.Table) -> pa.Table:
-            ids = numeric_doc_id(batch["doc_id"])
-            ts_s = event_time_us_from_numeric(ids) // 1_000_000
-            wm_row = source_watermarks(batch["source"], wm)
-            if session:
-                return batch.filter(pa.array(ts_s > wm_row))
-            last_end = (ts_s // step) * step + size_s
-            return batch.filter(pa.array(last_end > wm_row))
+            ts_us = event_time_us_from_numeric(numeric_doc_id(batch["doc_id"]))
+            late = late_rows(ts_us, source_watermarks(batch["source"], wm), *span)
+            return batch.filter(pa.array(~late))
 
         return read.map_batches(keep).tables()
 

@@ -6,11 +6,19 @@ epoch/watermark/checkpoint conventions.
 
 Dataflow per epoch: one stage of read tasks computes per-batch
 partial sketches per (key, window) or per session fragment — the
-kind's router, a ``_WindowRouter`` or ``_SessionRouter`` — and
-returns them as data; the driver then routes the epoch's
-partials to their owning partitions by key hash, one ingest per
-state host (rows never shuffle).  Every driver is a ``_SketchDriver`` on the
-shared ``EpochDriverBase`` loop.
+kind's router — and returns them as data; the driver then routes the
+epoch's partials to their owning partitions by key hash, one ingest
+per state host (rows never shuffle).  Every driver is a
+``_SketchDriver`` on the shared ``EpochDriverBase`` loop.
+
+Routers: a kind writes one ``_groups(gid, vals, cols)``, the sketch of
+each group's values, and runs it in two window frames,
+``_WindowRouter`` (tumbling and hopping) and ``_SessionRouter`` (a
+session router is the session frame over the kind's window router).
+The frames are the moment stage's (``driver._moment_stage``) and the
+passthrough's: one late rule (``state.late_rows``), one covering-window
+expansion (``state.covering_windows``) and one session split
+(``state.session_split``).
 
 State: every kind runs in ``state.KeyedPartition``, the one keyed
 partition class (shared with the moment state), inside the shared
@@ -44,7 +52,6 @@ unbounded streams.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -59,9 +66,12 @@ from raystat.dataops.sketches import (
     CMS_WIDTH,
     hll_estimate,
 )
-from raystat.streaming.epochs import END, NEG, EpochDriverBase, events_fixture
+from raystat.streaming.epochs import NEG, EpochDriverBase, events_fixture
 from raystat.streaming.sink import ExactlyOnceParquetSink
-from raystat.streaming.state import KeyedPartition, Kind, key_partition, partial_row
+from raystat.streaming.state import (
+    KeyedPartition, Kind, covering_windows, key_partition, late_rows, partial_row,
+    session_split,
+)
 
 __all__ = [
     "HllStreamDriver", "MgStreamDriver", "KllStreamDriver",
@@ -340,7 +350,7 @@ class _BottomK(Kind):
     IDEMPOTENT like the HLL max, so replayed, reordered or overlapping
     partials can never change the sample, and the streamed sample is
     exactly the batch bottom-k over the same rows.  Session fragments
-    arrive packed, one ``bk`` blob per fragment (``_bk_pack``).  Finish
+    arrive packed, one ``bk`` blob per fragment (``BottomKSessionRouter``).  Finish
     ranks each closed group's sample."""
 
     payload = {"item": pa.int64(), "hv": pa.uint64()}
@@ -376,123 +386,99 @@ class _BottomK(Kind):
                          "item": item[order], "rank": _rank(gid[order]) + 1})
 
 
-def _covering_windows(ts_s: np.ndarray, size_s: int, hop_s: int, wm: int):
-    """Expand each row into its ``size/hop`` covering windows (tumbling
-    when hop == size) and drop (row, window) combos whose window has
-    already closed.  Returns (row_of, window_start, n_fully_late):
-    a row counts late only when EVERY covering window is closed —
-    matching the aggregate driver's hopping row_keep rule."""
-    m = size_s // hop_s
-    n = ts_s.size
-    base = (ts_s // hop_s) * hop_s
-    win = np.repeat(base, m) - np.tile(np.arange(m, dtype=np.int64) * hop_s, n)
-    live = win + size_s > wm
-    late = int(n - live.reshape(n, m).any(axis=1).sum()) if n else 0
-    row_of = np.repeat(np.arange(n), m)
-    return row_of[live], win[live], late
-
-
 class _KeyedRouter:
-    """Frame shared by the sketch routers: reads event time from
-    ``ts_col``, builds the subclass's per-batch partial
-    (``_partial(batch, ts_us) -> (table keyed by "key" or None, late
-    rows)``) and returns it as data (:func:`partial_row`), each row
-    owned by its key's hash partition, with the smallest event ts as
-    batch key.  Routers make no actor calls: the driver routes the
-    epoch's partials after the stage, so Ray may retry the stage's
-    tasks.  ``actors`` stays the first constructor
-    argument that every streaming router shares."""
+    """The window frame of every sketch router: reads event time from
+    ``ts_col``, pairs the batch's rows with their groups (``_pairs``:
+    :class:`_WindowRouter` or :class:`_SessionRouter`, late rows
+    dropped and counted by ``state.late_rows``), and hands the kind's
+    ``_groups`` each pair's group id, the pairs' values (row order
+    within a group) and ``cols``, which maps group ids to the group
+    columns.  The partial table it builds goes out as data
+    (:func:`partial_row`), each row owned by its key's hash partition,
+    with the smallest event ts as batch key.  Routers make no actor
+    calls: the driver routes the epoch's partials after the stage, so
+    Ray may retry the stage's tasks.  ``actors`` stays the first
+    constructor argument that every streaming router shares; a kind's
+    own arguments (``k``, ``probe_mod``) come last, by keyword, and are
+    kept as int attributes."""
+
+    def _setup(self, n_partitions: int, key: str, value: str, ts_col: str,
+               watermark_s: int, params: dict) -> None:
+        self.P = n_partitions
+        self.key, self.value, self.ts_col = key, value, ts_col
+        self.wm = int(watermark_s)
+        for name, v in params.items():
+            setattr(self, name, int(v))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ts_us = batch[self.ts_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        tbl, late = self._partial(batch, ts_us)
-        part = None if tbl is None else key_partition(tbl["key"], self.P)
+        row_of, gid, cols, late = self._pairs(batch, ts_us)
+        tbl = part = None
+        if row_of.size:
+            vals = batch[self.value].to_numpy(zero_copy_only=False)[row_of]
+            tbl = self._groups(gid, vals, cols)
+            part = key_partition(tbl["key"], self.P)
         n = batch.num_rows
         return partial_row(
             tbl, part, int(ts_us.min()) if n else -1,
-            max_ts_us=int(ts_us.max()) if n else -1, late_dropped=late, rows_in=n,
+            max_ts_us=int(ts_us.max()) if n else -1, late_dropped=int(late.sum()), rows_in=n,
         )
 
 
 class _WindowRouter(_KeyedRouter):
-    """Tumbling/hopping frame: expands each row to its covering windows
-    minus the closed ones (late drop) and hands the subclass's
-    ``_groups`` one group id per (row, window) — key-dictionary code x
-    window code, all in C (Arrow dictionary_encode + np.unique; the
-    pandas MultiIndex factorize this replaces costs ~1.8 s/M rows) —
-    the rows' values, and ``key_win`` mapping group ids back to
-    (key, window_start_s)."""
+    """Tumbling/hopping frame: each row's open covering windows
+    (``state.covering_windows``); a group is a (key, window) pair, its
+    id key-dictionary code x window code, all in C (Arrow
+    dictionary_encode + np.unique; the pandas MultiIndex factorize this
+    replaces costs ~1.8 s/M rows); ``cols`` gives ``key,
+    window_start_s``."""
 
     def __init__(self, actors: list, n_partitions: int, key: str, value: str,
-                 ts_col: str, window_size_s: int, hop_s: int, watermark_s: int):
-        self.P = n_partitions
-        self.key, self.value, self.ts_col = key, value, ts_col
+                 ts_col: str, window_size_s: int, hop_s: int, watermark_s: int, **params):
+        self._setup(n_partitions, key, value, ts_col, watermark_s, params)
         self.size_s, self.hop_s = int(window_size_s), int(hop_s)
-        self.wm = int(watermark_s)
 
-    def _partial(self, batch: pa.Table, ts_us: np.ndarray):
-        row_of, win, late = _covering_windows(
-            ts_us // 1_000_000, self.size_s, self.hop_s, self.wm
-        )
-        if not row_of.size:
-            return None, late
+    def _pairs(self, batch: pa.Table, ts_us: np.ndarray):
+        row_of, win, late = covering_windows(ts_us, self.wm, self.size_s, self.hop_s)
         kcode, kvocab = encode_key(batch[self.key].take(pa.array(row_of)), self.key)
         kdict = kvocab.to_numpy(zero_copy_only=False)
         wu, wcode = np.unique(win, return_inverse=True)
-        vals = batch[self.value].to_numpy(zero_copy_only=False)[row_of]
 
-        def key_win(g: np.ndarray):
-            return kdict[g // len(wu)], wu[g % len(wu)].astype(np.int64)
+        def cols(g: np.ndarray) -> dict:
+            return {"key": pa.array(kdict[g // len(wu)].tolist(), pa.string()),
+                    "window_start_s": pa.array(wu[g % len(wu)], pa.int64())}
 
-        return self._groups(kcode * len(wu) + wcode, vals, key_win), late
+        return row_of, kcode * len(wu) + wcode, cols, late
 
 
 class _SessionRouter(_KeyedRouter):
-    """Session frame: drops late rows (microsecond-granular, ts_us >
-    wm_us: an admissible event could only extend a session that is
-    still open), sorts by (key, ts) and splits each key's run where the
-    gap exceeds ``gap_s`` into session FRAGMENTS.  The subclass's
-    ``_fragments`` gets each sorted row's fragment id, the fragment
-    starts, the sorted values and the fragments' key/start/end
-    columns."""
+    """Session frame: the kept rows split into session FRAGMENTS per key
+    where the gap exceeds ``gap_s`` (``state.session_split``); a group
+    is a fragment, its id the fragment's sorted position; ``cols``
+    gives ``key, session_start_us, session_end_us``.  A kind's session
+    router is this frame over its window router's ``_groups``."""
 
     def __init__(self, actors: list, n_partitions: int, key: str, value: str,
-                 ts_col: str, gap_s: int, watermark_s: int):
-        self.P = n_partitions
-        self.key, self.value, self.ts_col = key, value, ts_col
+                 ts_col: str, gap_s: int, watermark_s: int, **params):
+        self._setup(n_partitions, key, value, ts_col, watermark_s, params)
         self.gap_us = int(gap_s) * 1_000_000
-        self.wm_us = int(max(min(watermark_s * 1_000_000, END), NEG))
 
-    def _partial(self, batch: pa.Table, ts_us: np.ndarray):
-        idx = np.flatnonzero(ts_us > self.wm_us)
-        late = int(batch.num_rows - idx.size)
-        if not idx.size:
-            return None, late
+    def _pairs(self, batch: pa.Table, ts_us: np.ndarray):
+        late = late_rows(ts_us, self.wm)
+        idx = np.flatnonzero(~late)
         codes, kvocab = encode_key(batch[self.key].take(pa.array(idx)), self.key)
-        tv = ts_us[idx]
-        order = np.lexsort((tv, codes))
-        c_s, t_s = codes[order], tv[order]
-        brk = np.ones(c_s.size, dtype=bool)
-        brk[1:] = (c_s[1:] != c_s[:-1]) | ((t_s[1:] - t_s[:-1]) > self.gap_us)
-        starts = np.flatnonzero(brk)
-        ends = np.append(starts[1:], c_s.size) - 1
-        frags = {
-            "key": kvocab.to_numpy(zero_copy_only=False)[c_s[starts]],
-            "session_start_us": t_s[starts],
-            "session_end_us": t_s[ends],
-        }
-        vals = batch[self.value].to_numpy(zero_copy_only=False)[idx][order]
-        return self._fragments(np.cumsum(brk) - 1, starts, vals, frags), late
+        order, seg, starts = session_split(codes, ts_us[idx], self.gap_us)
+        row_of = idx[order]
+        key_of = kvocab.to_numpy(zero_copy_only=False)[codes[order][starts]]
+        start_of = ts_us[row_of[starts]]
+        end_of = ts_us[row_of[np.append(starts[1:], row_of.size) - 1]]
 
+        def cols(g: np.ndarray) -> dict:
+            return {"key": pa.array(key_of[g].tolist(), pa.string()),
+                    "session_start_us": pa.array(start_of[g], pa.int64()),
+                    "session_end_us": pa.array(end_of[g], pa.int64())}
 
-def _frag_columns(frags: dict, sel=slice(None)) -> dict:
-    """The fragments' (key, session_start_us, session_end_us) columns,
-    gathered by ``sel``."""
-    return {
-        "key": pa.array(frags["key"][sel].tolist(), pa.string()),
-        "session_start_us": pa.array(frags["session_start_us"][sel], pa.int64()),
-        "session_end_us": pa.array(frags["session_end_us"][sel], pa.int64()),
-    }
+        return row_of, seg, cols, late
 
 
 class _SketchDriver(EpochDriverBase):
@@ -509,13 +495,13 @@ class _SketchDriver(EpochDriverBase):
     session) routers — looked up in this module each time a router is
     built, so callers may swap them — plus the extra arguments its
     partitions (``kind_args``: state and close arguments) and routers
-    take."""
+    (``router_kw``) take."""
 
     kind: type  # the state.Kind subclass its partitions run
     routers: tuple = ()  # (window router name, session router name)
     sort_extra: tuple = ()  # output sort columns after key and start
     kind_args: tuple = ()
-    router_args: tuple = ()
+    router_kw: dict = {}
 
     def __init__(self, input_dir: str, out_dir: str, sink_name: str, *,
                  value: str, key: str = "event_type", ts_col: str = "ts_us",
@@ -538,15 +524,10 @@ class _SketchDriver(EpochDriverBase):
         self.sink = ExactlyOnceParquetSink(out_dir, sink_name)
         self.watermark_s = NEG
 
-    def _span(self) -> tuple:
-        """The window arguments of this driver's partitions and routers."""
-        if self.session_gap_s is not None:
-            return (self.session_gap_s,)
-        return (self.size_s, self.hop_s)
-
     def _partition(self) -> tuple:
-        return (KeyedPartition, self.kind, self._span()[0],
-                self.session_gap_s is not None, *self.kind_args)
+        session = self.session_gap_s is not None
+        return (KeyedPartition, self.kind, self.session_gap_s if session else self.size_s,
+                session, *self.kind_args)
 
     def _driver_state(self) -> dict:
         return {"watermark_s": self.watermark_s,
@@ -556,9 +537,12 @@ class _SketchDriver(EpochDriverBase):
         self.watermark_s = int(state["watermark_s"])
 
     def _router(self):
-        return globals()[self.routers[self.session_gap_s is not None]](
+        session = self.session_gap_s is not None
+        span = ({"gap_s": self.session_gap_s} if session
+                else {"window_size_s": self.size_s, "hop_s": self.hop_s})
+        return globals()[self.routers[session]](
             self.actors, self.n_partitions, self.key, self.value, self.ts_col,
-            *self._span(), self.watermark_s, *self.router_args,
+            **span, watermark_s=self.watermark_s, **self.router_kw,
         )
 
     def _advance(self, em: dict, book) -> None:
@@ -578,37 +562,18 @@ class HllRouter(_WindowRouter):
     """Per-batch per-(key, window) HLL register partials via ONE flat
     scatter-max across all groups (4 KiB per (key, window, batch))."""
 
-    def _groups(self, gid, vals, key_win) -> pa.Table:
+    def _groups(self, gid, vals, cols) -> pa.Table:
         ucomp, codes = np.unique(gid, return_inverse=True)
         regs = np.zeros(len(ucomp) * _M, dtype=np.uint8)
         idx, rho = _rho_and_idx(vals)
         np.maximum.at(regs, codes.astype(np.int64) * _M + idx, rho)
-        gk, gw = key_win(ucomp)
-        return pa.table(
-            {
-                "key": pa.array(gk.tolist(), pa.string()),
-                "window_start_s": pa.array(gw, pa.int64()),
-                "regs": pa.array(
-                    [regs[i * _M : (i + 1) * _M].tobytes() for i in range(len(ucomp))],
-                    pa.binary(),
-                ),
-            }
-        )
+        blobs = [regs[i * _M : (i + 1) * _M].tobytes() for i in range(len(ucomp))]
+        return pa.table({**cols(ucomp), "regs": pa.array(blobs, pa.binary())})
 
 
-# -- HLL session windows -------------------------------------------------------
-
-
-class HllSessionRouter(_SessionRouter):
-    """Session-window register partials: one flat scatter-max register
-    partial per within-batch session fragment."""
-
-    def _fragments(self, seg, starts, vals, frags) -> pa.Table:
-        regs = np.zeros(starts.size * _M, dtype=np.uint8)
-        ridx, rho = _rho_and_idx(vals)
-        np.maximum.at(regs, seg * _M + ridx, rho)
-        blobs = [regs[i * _M : (i + 1) * _M].tobytes() for i in range(starts.size)]
-        return pa.table({**_frag_columns(frags), "regs": pa.array(blobs, pa.binary())})
+class HllSessionRouter(_SessionRouter, HllRouter):
+    """Session-window register partials, one per within-batch session
+    fragment."""
 
 
 class HllStreamDriver(_SketchDriver):
@@ -657,52 +622,21 @@ def events_stream_fixture(
 class KllRouter(_WindowRouter):
     """Per-batch per-(key, window) KLL partial sketches (one blob per
     group — O(k log(rows/k)) bytes on the wire regardless of batch
-    size).  Group RENUMBERING only — each group still sees the same
-    values in the same stable order, so blobs are bit-identical."""
+    size), each adding its group's values in row order."""
 
-    def __init__(self, actors: list, n_partitions: int, key: str, value: str,
-                 ts_col: str, window_size_s: int, hop_s: int, watermark_s: int,
-                 k: int):
-        super().__init__(actors, n_partitions, key, value, ts_col, window_size_s,
-                         hop_s, watermark_s)
-        self.k = int(k)
-
-    def _groups(self, gid, vals, key_win) -> pa.Table:
+    def _groups(self, gid, vals, cols) -> pa.Table:
         ucomp, codes = np.unique(gid, return_inverse=True)
         order = np.argsort(codes, kind="stable")
         starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
         ends = np.append(starts[1:], order.size)
         sv = vals.astype(np.float64)[order]
-        gk, gw = key_win(ucomp)
-        return pa.table(
-            {
-                "key": pa.array(gk.tolist(), pa.string()),
-                "window_start_s": pa.array(gw, pa.int64()),
-                "sk": pa.array(
-                    [KLL(self.k).add(sv[s:e]).to_bytes() for s, e in zip(starts, ends)],
-                    pa.binary(),
-                ),
-            }
-        )
+        blobs = [KLL(self.k).add(sv[s:e]).to_bytes() for s, e in zip(starts, ends)]
+        return pa.table({**cols(ucomp), "sk": pa.array(blobs, pa.binary())})
 
 
-# -- KLL session windows --------------------------------------------------------
-
-
-class KllSessionRouter(_SessionRouter):
+class KllSessionRouter(_SessionRouter, KllRouter):
     """Session-window quantile partials: one KLL sketch per within-batch
     session fragment."""
-
-    def __init__(self, actors: list, n_partitions: int, key: str, value: str,
-                 ts_col: str, gap_s: int, watermark_s: int, k: int):
-        super().__init__(actors, n_partitions, key, value, ts_col, gap_s, watermark_s)
-        self.k = int(k)
-
-    def _fragments(self, seg, starts, vals, frags) -> pa.Table:
-        v = vals.astype(np.float64)
-        ends = np.append(starts[1:], v.size)
-        blobs = [KLL(self.k).add(v[s:e]).to_bytes() for s, e in zip(starts, ends)]
-        return pa.table({**_frag_columns(frags), "sk": pa.array(blobs, pa.binary())})
 
 
 class KllStreamDriver(_SketchDriver):
@@ -722,7 +656,7 @@ class KllStreamDriver(_SketchDriver):
                  k: int = 200, **kw):
         super().__init__(input_dir, out_dir, "quantiles", value=value, **kw)
         self.kind_args = (int(k), tuple(qs), tuple(names))
-        self.router_args = (int(k),)
+        self.router_kw = {"k": int(k)}
 
 
 # -- Misra-Gries heavy hitters -------------------------------------------------
@@ -734,39 +668,19 @@ class MgRouter(_WindowRouter):
     per batch, not rows); overflow-safe since the group id < keys x
     windows and the item code < batch rows."""
 
-    def _groups(self, gid, vals, key_win) -> pa.Table:
+    def _groups(self, gid, vals, cols) -> pa.Table:
         uit, icode = np.unique(vals, return_inverse=True)
         ucomp, codes = np.unique(gid * len(uit) + icode, return_inverse=True)
-        gk, gw = key_win(ucomp // len(uit))
-        return pa.table(
-            {
-                "key": pa.array(gk.tolist(), pa.string()),
-                "window_start_s": pa.array(gw, pa.int64()),
-                "item": pa.array(uit[ucomp % len(uit)].astype(np.int64), pa.int64()),
-                "n": pa.array(np.bincount(codes).astype(np.int64), pa.int64()),
-            }
-        )
+        return pa.table({
+            **cols(ucomp // len(uit)),
+            "item": pa.array(uit[ucomp % len(uit)].astype(np.int64), pa.int64()),
+            "n": pa.array(np.bincount(codes).astype(np.int64), pa.int64()),
+        })
 
 
-# -- Misra-Gries session windows -------------------------------------------
-
-
-class MgSessionRouter(_SessionRouter):
+class MgSessionRouter(_SessionRouter, MgRouter):
     """Session-window heavy-hitter partials: exact per-(fragment, item)
-    counts via one factorize + bincount."""
-
-    def _fragments(self, seg, starts, vals, frags) -> pa.Table:
-        fcodes, funiq = pd.factorize(pd.MultiIndex.from_arrays([seg, vals]))
-        fseg = funiq.get_level_values(0).to_numpy().astype(np.int64)
-        return pa.table(
-            {
-                **_frag_columns(frags, fseg),
-                "item": pa.array(
-                    funiq.get_level_values(1).to_numpy().astype(np.int64), pa.int64()
-                ),
-                "n": pa.array(np.bincount(fcodes).astype(np.int64), pa.int64()),
-            }
-        )
+    counts."""
 
 
 class MgStreamDriver(_SketchDriver):
@@ -799,14 +713,7 @@ class CmsRouter(_WindowRouter):
     100k-item domain routed 10.3M sparse rows through the actors; the
     dense wire ships ~2.5k blobs for the same stream)."""
 
-    def __init__(self, actors: list, n_partitions: int, key: str, item: str,
-                 ts_col: str, window_size_s: int, hop_s: int,
-                 watermark_s: int, probe_mod: int):
-        super().__init__(actors, n_partitions, key, item, ts_col, window_size_s,
-                         hop_s, watermark_s)
-        self.probe_mod = int(probe_mod)
-
-    def _groups(self, gid, vals, key_win) -> pa.Table:
+    def _groups(self, gid, vals, cols) -> pa.Table:
         ucomp, codes = np.unique(gid, return_inverse=True)
         G = len(ucomp)
         DW = CMS_DEPTH * CMS_WIDTH
@@ -817,11 +724,9 @@ class CmsRouter(_WindowRouter):
         idx = _cms_flat_idx(uit)[:, inv]  # (DEPTH, n)
         flat = (codes[None, :].astype(np.int64) * DW + idx).ravel()
         counts = np.bincount(flat, minlength=G * DW).astype(np.int64)
-        gk, gw = key_win(ucomp)
         tbl = pa.table(
             {
-                "key": pa.array(gk.tolist(), pa.string()),
-                "window_start_s": pa.array(gw, pa.int64()),
+                **cols(ucomp),
                 "item": pa.array(np.zeros(G, dtype=np.int64)),
                 "n": pa.array(np.bincount(codes, minlength=G).astype(np.int64)),
                 "cms": pa.array(
@@ -842,11 +747,9 @@ class CmsRouter(_WindowRouter):
         brk[1:] = (pc_[1:] != pc_[:-1]) | (pi_[1:] != pi_[:-1])
         starts = np.flatnonzero(brk)
         pn = np.diff(np.append(starts, pc_.size)).astype(np.int64)
-        pk, pw = key_win(ucomp[pc_[starts]])
         probe = pa.table(
             {
-                "key": pa.array(pk.tolist(), pa.string()),
-                "window_start_s": pa.array(pw, pa.int64()),
+                **cols(ucomp[pc_[starts]]),
                 "item": pa.array(pi_[starts]),
                 "n": pa.array(pn),
                 "cms": pa.array([None] * len(pn), pa.binary()),
@@ -875,19 +778,10 @@ class CmsStreamDriver(_SketchDriver):
         if kw.get("session_gap_s") is not None:
             raise ValueError("CmsStreamDriver has no session windows (use MG)")
         super().__init__(input_dir, out_dir, "cms", value=item, **kw)
-        self.router_args = (int(probe_mod),)
+        self.router_kw = {"probe_mod": int(probe_mod)}
 
 
 # -- Bottom-k windowed sample (coordination-free reservoir) ------------------
-
-
-def _bottom_k(g_of: np.ndarray, it_of: np.ndarray, k: int):
-    """Each group's k smallest (splitmix64(item), item) among distinct
-    (group, item) pairs: returns the kept indices, grouped by ascending
-    group id, and every pair's hash."""
-    hv = splitmix64(it_of.astype(np.uint64))
-    order = np.lexsort((it_of, hv, g_of))
-    return order[_rank(g_of[order]) < k], hv
 
 
 class BottomKRouter(_WindowRouter):
@@ -895,69 +789,45 @@ class BottomKRouter(_WindowRouter):
     grouping, hash each DISTINCT item once, then keep only each group's
     k smallest (hv, item) — the wire is at most k x groups per batch."""
 
-    def __init__(self, actors: list, n_partitions: int, key: str, item: str,
-                 ts_col: str, window_size_s: int, hop_s: int,
-                 watermark_s: int, k: int):
-        super().__init__(actors, n_partitions, key, item, ts_col, window_size_s,
-                         hop_s, watermark_s)
-        self.k = int(k)
-
-    def _groups(self, gid, vals, key_win) -> pa.Table:
+    def _sample(self, gid, vals):
+        """Each group's k smallest (splitmix64(item), item) among its
+        distinct items: (group, item, hash) arrays, by ascending group."""
         uit, icode = np.unique(vals, return_inverse=True)
         ucomp = np.unique(gid * len(uit) + icode)  # distinct (group, item)
         g_of = ucomp // len(uit)
         it_of = uit[ucomp % len(uit)].astype(np.int64)
-        keep, hv = _bottom_k(g_of, it_of, self.k)
-        gk, gw = key_win(g_of[keep])
-        return pa.table(
-            {
-                "key": pa.array(gk.tolist(), pa.string()),
-                "window_start_s": pa.array(gw, pa.int64()),
-                "item": pa.array(it_of[keep]),
-                "hv": pa.array(hv[keep], pa.uint64()),
-            }
-        )
+        hv = splitmix64(it_of.astype(np.uint64))
+        order = np.lexsort((it_of, hv, g_of))
+        keep = order[_rank(g_of[order]) < self.k]
+        return g_of[keep], it_of[keep], hv[keep]
 
-
-# -- Bottom-k session windows -------------------------------------------------
+    def _groups(self, gid, vals, cols) -> pa.Table:
+        g, item, hv = self._sample(gid, vals)
+        return pa.table({**cols(g), "item": pa.array(item), "hv": pa.array(hv, pa.uint64())})
 
 
 def _bk_unpack(col) -> tuple:
-    """Unpack a column of :func:`_bk_pack` blobs (m hashes, then the m
-    items): the pairs per blob, then every pair's hash and item."""
+    """Unpack a column of :class:`BottomKSessionRouter` blobs (m hashes,
+    then the m items): the pairs per blob, then every pair's hash and
+    item."""
     flat = _blob_values(col, np.uint64)
     m = pc.binary_length(col).to_numpy() // 16
     at = np.repeat(np.cumsum(2 * m) - 2 * m, m) + _rank(np.repeat(np.arange(m.size), m))
     return m, flat[at], flat[at + np.repeat(m, m)].view(np.int64)
 
 
-def _bk_pack(hv, items) -> bytes:
-    return np.concatenate(
-        [np.asarray(hv, dtype=np.uint64),
-         np.asarray(items, dtype=np.int64).view(np.uint64)]
-    ).tobytes()
-
-
-class BottomKSessionRouter(_SessionRouter):
+class BottomKSessionRouter(_SessionRouter, BottomKRouter):
     """Session-fragment partials: each within-batch fragment carries the
-    bottom-k of its DISTINCT items, packed as one blob."""
+    bottom-k of its DISTINCT items, packed as one ``bk`` blob (the
+    hashes, then the items)."""
 
-    def __init__(self, actors: list, n_partitions: int, key: str, item: str,
-                 ts_col: str, gap_s: int, watermark_s: int, k: int):
-        super().__init__(actors, n_partitions, key, item, ts_col, gap_s, watermark_s)
-        self.k = int(k)
-
-    def _fragments(self, seg, starts, vals, frags) -> pa.Table:
-        uit, icode = np.unique(vals.astype(np.int64), return_inverse=True)
-        ucomp = np.unique(seg * len(uit) + icode)  # distinct (fragment, item)
-        g_of = ucomp // len(uit)
-        it_of = uit[ucomp % len(uit)].astype(np.int64)
-        keep, hv = _bottom_k(g_of, it_of, self.k)
-        # every fragment keeps >= 1 pair, as one run of ``keep``
-        cuts = np.append(np.flatnonzero(np.diff(g_of[keep], prepend=-1)), keep.size)
-        hk, ik = hv[keep], it_of[keep]
-        blobs = [_bk_pack(hk[a:b], ik[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
-        return pa.table({**_frag_columns(frags), "bk": pa.array(blobs, pa.binary())})
+    def _groups(self, gid, vals, cols) -> pa.Table:
+        g, item, hv = self._sample(gid, vals.astype(np.int64))
+        # every fragment keeps >= 1 pair, as one run of ``g``
+        cuts = np.append(np.flatnonzero(np.diff(g, prepend=-1)), g.size)
+        blobs = [np.concatenate([hv[a:b], item[a:b].view(np.uint64)]).tobytes()
+                 for a, b in zip(cuts[:-1], cuts[1:])]
+        return pa.table({**cols(g[cuts[:-1]]), "bk": pa.array(blobs, pa.binary())})
 
 
 class BottomKStreamDriver(_SketchDriver):
@@ -974,4 +844,5 @@ class BottomKStreamDriver(_SketchDriver):
     def __init__(self, input_dir: str, out_dir: str, *, item: str = "user_id",
                  k: int = 5, **kw):
         super().__init__(input_dir, out_dir, "bottomk", value=item, **kw)
-        self.kind_args = self.router_args = (int(k),)
+        self.kind_args = (int(k),)
+        self.router_kw = {"k": int(k)}

@@ -25,6 +25,12 @@ tasks the stage is replayable, so Ray's task retries are safe.  Every
 other streaming kind's router returns its partial through the same
 :func:`partial_row` and is routed by the same :func:`route_partials`.
 
+The window frame of the moment stage, the sketch routers and the
+``StreamDriver`` passthrough is one set of helpers: :func:`late_rows`
+(which rows the watermark drops), :func:`covering_windows` (each row's
+open tumbling or hopping windows) and :func:`session_split` (a batch's
+session fragments, which :func:`gap_sweep` merges in the partitions).
+
 Skew: moment partials are pre-aggregated per ``(source, salt,
 window)`` with a per-batch ``salt``, so a hot source's state spreads
 over up to S partitions; the cross-salt merge happens once per window
@@ -56,8 +62,8 @@ from raystat.dataops.asof import _key_u64
 __all__ = [
     "KeyedPartition", "Kind", "PartitionHost", "Router", "route_partition",
     "key_partition", "source_watermarks", "partial_row", "route_partials",
-    "PendingIngest", "write_parquet_atomic", "gap_sweep", "cpu_slots",
-    "host_pids", "start_hosts",
+    "PendingIngest", "write_parquet_atomic", "late_rows", "covering_windows",
+    "session_split", "gap_sweep", "cpu_slots", "host_pids", "start_hosts",
 ]
 
 
@@ -243,6 +249,56 @@ class PartitionHost:
                 if k != "partition" and isinstance(v, Number):
                     out[k] = out.get(k, 0) + v
         return {**out, "partitions": per}
+
+
+def late_rows(ts_us: np.ndarray, wm, size_s: int | None = None, hop_s: int | None = None):
+    """The late rule of every stream router and of the passthrough, one
+    flag per row at event time ``ts_us`` under watermark ``wm`` (s; a
+    scalar or one per row).  A window row (``size_s`` windows every
+    ``hop_s``) is late when its latest covering window, the one starting
+    at ``(ts // hop) * hop``, has closed (``start + size <= wm``), so
+    every earlier one has too.  A session row (``size_s`` None) is late
+    when ``ts_us <= wm`` in microseconds: only then can it extend no
+    session that is still open (``end + gap <= wm`` closes one), the
+    watermark clamped as :meth:`KeyedPartition.close_windows` clamps
+    it."""
+    if size_s is None:
+        return ts_us <= np.clip(wm, NEG // 1_000_000, END // 1_000_000) * 1_000_000
+    return (ts_us // 1_000_000 // hop_s) * hop_s + size_s <= wm
+
+
+def covering_windows(ts_us: np.ndarray, wm, size_s: int, hop_s: int):
+    """Expand each row into its open covering windows: the
+    ``window_start`` multiples of ``hop_s`` with ``start <= ts < start +
+    size_s`` (any ``hop_s <= size_s``) whose window has not closed under
+    ``wm`` (a scalar or one per row).  Returns ``(row_of, window_start,
+    late)``: the pairs by row, each row's windows ascending, and the
+    :func:`late_rows` flags; a late row has no pairs."""
+    late = late_rows(ts_us, wm, size_s, hop_s)
+    ts_s = ts_us // 1_000_000
+    k_last = ts_s // hop_s
+    if hop_s == size_s:  # tumbling: one window a row
+        row_of = np.flatnonzero(~late)
+        return row_of, k_last[row_of] * size_s, late
+    k_min = (ts_s - size_s) // hop_s + 1
+    counts = k_last - k_min + 1
+    row_of = np.repeat(np.arange(ts_s.size), counts)
+    nth = np.arange(row_of.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    start = (np.repeat(k_min, counts) + nth) * hop_s
+    live = start + size_s > (wm[row_of] if np.ndim(wm) else wm)
+    return row_of[live], start[live], late
+
+
+def session_split(codes: np.ndarray, ts_us: np.ndarray, gap_us: int):
+    """Split rows into session fragments: sort by (key code, ts) and
+    break where the key changes or the ts gap exceeds ``gap_us``.
+    Returns the sort order, each sorted row's fragment id and the
+    sorted position where each fragment starts."""
+    order = np.lexsort((ts_us, codes))
+    c, t = codes[order], ts_us[order]
+    brk = np.ones(c.size, dtype=bool)
+    brk[1:] = (c[1:] != c[:-1]) | (t[1:] - t[:-1] > gap_us)
+    return order, np.cumsum(brk) - 1, np.flatnonzero(brk)
 
 
 def gap_sweep(codes: np.ndarray, start: np.ndarray, end: np.ndarray, gap_us: int):
@@ -434,16 +490,17 @@ class KeyedPartition(PendingIngest):
 
 class Router:
     """The epoch stage's router of ``StreamDriver``: computes one
-    batch's partial table (via ``partial_fn``) and returns it as data
-    through :func:`partial_row`, each row owned by partition
+    batch's partial table and bookkeeping (``partial_fn(batch) ->
+    (table or None, info)``) and returns them as data through
+    :func:`partial_row`, each partial row owned by partition
     ``route_partition(source, salt, P)`` (sessions carry no salt: they
-    hash on source alone), with the batch's bookkeeping (max event ts,
-    late-drop count, raw row count, per-source max ts, the kernel time
-    ``sec_fn``) and the smallest numeric doc id as batch key.  It makes
-    no actor calls, so Ray may retry the read task that runs it.
-    ``actors`` goes unused (the driver routes); it keeps the
-    constructor signature every streaming router shares and that
-    router wrappers rely on."""
+    hash on source alone).  ``info`` holds the batch key (the smallest
+    numeric doc id) and the bookkeeping columns (max event ts, raw,
+    late and null row counts, per-source max ts); the router adds the
+    kernel time ``sec_fn``.  It makes no actor calls, so Ray may retry
+    the read task that runs it.  ``actors`` goes unused (the driver
+    routes); it keeps the constructor signature every streaming router
+    shares and that router wrappers rely on."""
 
     def __init__(self, actors: list, n_partitions: int, partial_fn):
         self.P = n_partitions
@@ -453,14 +510,7 @@ class Router:
         t0 = time.monotonic()
         partial, info = self.partial_fn(batch)
         part = None
-        if partial.num_rows:
+        if partial is not None and partial.num_rows:
             salt = partial["salt"].to_numpy() if "salt" in partial.column_names else 0
             part = route_partition(partial["source"], salt, self.P)
-        return partial_row(
-            partial, part, info["batch_key"], max_ts_us=info["max_ts_us"],
-            late_dropped=info["late_dropped"], rows_in=info["rows_in"],
-            sec_fn=time.monotonic() - t0,
-            # per-source max event ts (JSON; "" under a global
-            # watermark) for per_source watermarking
-            src_max_json=info.get("src_max_json", ""),
-        )
+        return partial_row(partial, part, sec_fn=time.monotonic() - t0, **info)

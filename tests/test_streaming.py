@@ -1401,3 +1401,64 @@ def test_per_source_watermark_hopping(ray_session, tmp_path):
         got, batch[["source", "window_start", "wavg", "wstd"]],
         check_dtype=False, atol=1e-9, rtol=1e-9,
     )
+
+
+def _token_rows(ids, n_tok, **cols) -> pa.Table:
+    """Token-stream rows with numeric doc ids ``ids`` and values ``n_tok``."""
+    ids = np.asarray(ids, dtype=np.int64)
+    return pa.table({
+        "doc_id": pa.array([f"doc-{i:012d}" for i in ids]),
+        "tokens": pa.array([[1, 2]] * ids.size, pa.list_(pa.int32())),
+        "n_tok": pa.array(n_tok, pa.int32()),
+        "source": pa.array(["a"] * ids.size),
+        **cols,
+    })
+
+
+@pytest.mark.parametrize("scope", ["global", "per_source"])
+def test_session_row_in_the_watermarks_last_second_is_kept(ray_session, tmp_path, scope):
+    """A session row with ``ts_us`` in ``(wm, wm + 1)`` seconds can still
+    extend an open session (one closes at ``end + gap <= wm``), so the
+    moment stage keeps it, as the sketch session routers do, and the
+    passthrough keeps it too; one second later it is late on both."""
+    fix = tmp_path / "fix"
+    os.makedirs(fix / "arrival=0")
+    pq.write_table(_token_rows([6], [3]), fix / "arrival=0" / "part-0.parquet")
+    ts_s = int(event_time_us_from_numeric(np.array([6]))[0]) // 1_000_000
+    drv = StreamDriver(str(fix), str(tmp_path / "out"),
+                       make_cfg(session_gap_s=1800, n_salts=1, watermark_scope=scope))
+    for wm, late in ((ts_s, 0), (ts_s + 1, 1)):
+        drv.watermark_s, drv.src_watermark = wm, {"a": wm}
+        book, _ = drv._stage(0, drv._router())
+        assert book["late_dropped"].tolist() == [late]
+        assert book["partial_rows"].tolist() == [1 - late]
+        kept = drv._passthrough(drv._epoch_dataset(0), drv._watermark())
+        assert sum(t.num_rows for t in kept) == 1 - late
+
+
+@pytest.mark.parametrize("session_gap_s", [None, 3600], ids=["window", "session"])
+def test_null_value_or_weight_rows_leave_the_moment_sums(ray_session, tmp_path,
+                                                        session_gap_s):
+    """A row whose value or weight is null is dropped before windowing,
+    as the batch path drops it, and counted in ``null_dropped`` (not
+    late); the passthrough keeps it.  One batch of two such rows and one
+    of three rows summing to 5.0, all in one window and one session,
+    close as 3 rows with mean 5/3."""
+    fix = tmp_path / "fix"
+    os.makedirs(fix / "arrival=0")
+    one = lambda w: {"one": pa.array(w, pa.int32())}  # noqa: E731
+    pq.write_table(_token_rows([0, 1], [None, 7], **one([1, None])),
+                   fix / "arrival=0" / "part-0.parquet")
+    pq.write_table(_token_rows([228, 229, 456], [1, 2, 2], **one([1, 1, 1])),
+                   fix / "arrival=0" / "part-1.parquet")
+    out = tmp_path / "out"
+    cfg = make_cfg(specs={"mean": "weighted_average", "skew": "skewness"},
+                   weight_col="one", n_partitions=2, session_gap_s=session_gap_s)
+    drv = StreamDriver(str(fix), str(out), cfg)
+    m = drv.run()
+    res = drv.result_table().to_pandas()
+    assert res["n_rows"].tolist() == [3]
+    assert res["mean"].tolist() == [5 / 3]
+    assert (m["epochs"]["0"]["null_dropped"], m["epochs"]["0"]["late_dropped"]) == (2, 0)
+    got = pq.read_table(sorted(glob.glob(str(out / "passthrough" / "epoch=*" / "*.parquet"))))
+    assert got.num_rows == 5

@@ -1,6 +1,6 @@
 """Output-identity sweep over the streaming drivers.
 
-Runs 33 driver configurations on the pytest fixtures (sf0.001 and the
+Runs 40 driver configurations on the pytest fixtures (sf0.001 and the
 synthetic token stream, also as JSONL) and on a wider token stream
 whose epochs (about 7 MB, 8 files) plan 3 read tasks at 4 CPUs, and
 writes, per configuration, the sha256 of
@@ -104,6 +104,8 @@ def _configs():
         "stream_tumbling": stream(),
         "stream_tumbling_batch500": stream(batch_size=500),
         "stream_hopping": stream(hop_s=1800),
+        # a hop that does not divide the window: 1-2 covering windows a row
+        "stream_hopping_2400": stream(hop_s=2400),
         "stream_session": stream(session_gap_s=1800, n_salts=1),
         "stream_token_comoment": stream(token_stats=True, comoment_stats=True),
         "stream_passthrough_per_source_changes": stream(
@@ -112,6 +114,10 @@ def _configs():
         "stream_json": stream(tok_json, file_format="json"),
         "stream_multitask": stream(WIDE_FIXTURE),
         "stream_multitask_batch4096": stream(WIDE_FIXTURE, batch_size=4096),
+        "stream_session_passthrough_per_source": stream(
+            session_gap_s=1800, n_salts=1, passthrough=True, watermark_scope="per_source"),
+        "stream_unweighted": stream(weight_col=None,
+                                    specs={"skew": "skewness", "kurt": "kurtosis"}),
         "stream_session_per_source_changes_tokens": stream(
             session_gap_s=1800, n_salts=1, watermark_scope="per_source",
             emit_changes=True, token_stats=True),
@@ -125,13 +131,21 @@ def _configs():
         "hll_hopping": sketch(HllStreamDriver, window_size_s=2 * 86400, hop_s=86400),
         "hll_session": sketch(HllStreamDriver, session_gap_s=GAP),
         "mg_tumbling": sketch(MgStreamDriver, window_size_s=WEEK, top=5),
+        "mg_hopping": sketch(MgStreamDriver, window_size_s=2 * 86400, hop_s=86400, top=5),
         "mg_session": sketch(MgStreamDriver, session_gap_s=GAP, top=5),
         "kll_tumbling": sketch(KllStreamDriver, window_size_s=WEEK),
+        "kll_hopping": sketch(KllStreamDriver, window_size_s=2 * 86400, hop_s=86400),
         "kll_session": sketch(KllStreamDriver, session_gap_s=GAP),
         "bottomk_tumbling": sketch(BottomKStreamDriver, window_size_s=WEEK, k=5),
+        # 2 h windows every hour under the tight lateness: a row's
+        # earlier window may have closed while its later one is open
+        "bottomk_hopping": sketch(BottomKStreamDriver, window_size_s=7200, hop_s=3600,
+                                  k=5, allowed_lateness_s=TIGHT),
         "bottomk_session": sketch(BottomKStreamDriver, session_gap_s=GAP, k=5,
                                   batch_size=48),
         "cms_tumbling": sketch(CmsStreamDriver, window_size_s=WEEK, probe_mod=3),
+        "cms_hopping": sketch(CmsStreamDriver, window_size_s=7200, hop_s=3600, probe_mod=3,
+                              allowed_lateness_s=TIGHT),
         "cep": cep(LATE),
         "dedup": lambda out: DedupStreamDriver(docs(), out, n_partitions=4),
         "dedup_retention": lambda out: DedupStreamDriver(docs(), out, n_partitions=4,
