@@ -157,15 +157,24 @@ def encode_key(col, name: str) -> tuple[np.ndarray, pa.Array]:
     return d.indices.to_numpy(zero_copy_only=False).astype(np.int64), d.dictionary
 
 
-def _clean_xw(batch: pa.Table, value: str, weight: str | None):
-    """Extract float64 value/weight arrays, dropping null rows
-    (SQL-aggregate null semantics; ksqlDB likewise skips null events)."""
+def valid_xw_mask(batch: pa.Table, value: str, weight: str | None):
+    """The rows whose value and weight are both non-null, or None when
+    no row has a null: the null rule of the batch path (``_clean_xw``)
+    and of the streaming moment stage (SQL-aggregate null semantics;
+    ksqlDB likewise skips null events)."""
     mask = None
     if batch[value].null_count:
         mask = pc.is_valid(batch[value])
     if weight is not None and batch[weight].null_count:
         wv = pc.is_valid(batch[weight])
         mask = wv if mask is None else pc.and_(mask, wv)
+    return mask
+
+
+def _clean_xw(batch: pa.Table, value: str, weight: str | None):
+    """Extract float64 value/weight arrays, dropping null rows
+    (:func:`valid_xw_mask`)."""
+    mask = valid_xw_mask(batch, value, weight)
     if mask is not None:
         batch = batch.filter(mask)
     x = batch[value].cast(pa.float64()).to_numpy(zero_copy_only=False)

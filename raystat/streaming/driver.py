@@ -64,7 +64,7 @@ import pyarrow.json as pajson
 import ray
 
 from raystat.accumulators import canonical_sums_for, get_spec
-from raystat.aggregate import encode_key, partial_sums
+from raystat.aggregate import encode_key, partial_sums, valid_xw_mask
 from raystat.extract import event_time_us_from_numeric, numeric_doc_id
 from raystat.scratch import astype_f8, buf, tune_allocator
 from raystat.streaming.epochs import END, NEG, EpochDriverBase, EpochRead, with_partitions
@@ -244,17 +244,6 @@ def _src_max_json(src_vocab: pa.Array, ts_us: np.ndarray, src_code: np.ndarray) 
     return json.dumps({s: int(v) for s, v in zip(src_vocab.to_pylist(), m) if v >= 0})
 
 
-def _null_rows(batch: pa.Table, value_col: str, weight_col: str | None):
-    """Rows whose value or weight is null, or None when there are none
-    (the batch path's null rule, ``aggregate._clean_xw``)."""
-    null = None
-    for c in {value_col, weight_col} - {None}:
-        if batch[c].null_count:
-            m = pc.is_null(batch[c]).to_numpy(zero_copy_only=False)
-            null = m if null is None else null | m
-    return null
-
-
 def _power_sums(gidx, n_groups: int, take, x, w, tr, needed, u_order, w_order, alias_w):
     """Every partial sum of ``needed`` per group id ``gidx`` (one per
     pair, ``< n_groups``), each an ``np.bincount`` that adds a group's
@@ -354,9 +343,9 @@ def _moment_stage(cfg: StreamConfig, needed, u_order, w_order, watermark):
         # and the routing fan-out by n_salts while keeping the same
         # skew spreading across the stream.
         salt_b = int(ids[0]) % n_salts if rows_in else 0
-        null = _null_rows(batch, value_col, weight_col)
-        if null is not None:
-            ok = np.flatnonzero(~null)
+        valid = valid_xw_mask(batch, value_col, weight_col)
+        if valid is not None:
+            ok = np.flatnonzero(valid.to_numpy(zero_copy_only=False))
             info["null_dropped"] = rows_in - ok.size
             batch, ts_us, src_code = batch.take(ok), ts_us[ok], src_code[ok]
             wm = wm[ok] if np.ndim(wm) else wm

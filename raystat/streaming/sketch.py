@@ -399,16 +399,15 @@ class _KeyedRouter:
     calls: the driver routes the epoch's partials after the stage, so
     Ray may retry the stage's tasks.  ``actors`` stays the first
     constructor argument that every streaming router shares; a kind's
-    own arguments (``k``, ``probe_mod``) come last, by keyword, and are
-    kept as int attributes."""
+    own arguments come last, by keyword: ``k`` (KLL, bottom-k) and
+    ``probe_mod`` (CMS), each ignored by the other kinds."""
 
     def _setup(self, n_partitions: int, key: str, value: str, ts_col: str,
-               watermark_s: int, params: dict) -> None:
+               watermark_s: int, k: int, probe_mod: int) -> None:
         self.P = n_partitions
         self.key, self.value, self.ts_col = key, value, ts_col
         self.wm = int(watermark_s)
-        for name, v in params.items():
-            setattr(self, name, int(v))
+        self.k, self.probe_mod = int(k), int(probe_mod)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ts_us = batch[self.ts_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -434,8 +433,9 @@ class _WindowRouter(_KeyedRouter):
     window_start_s``."""
 
     def __init__(self, actors: list, n_partitions: int, key: str, value: str,
-                 ts_col: str, window_size_s: int, hop_s: int, watermark_s: int, **params):
-        self._setup(n_partitions, key, value, ts_col, watermark_s, params)
+                 ts_col: str, window_size_s: int, hop_s: int, watermark_s: int, *,
+                 k: int = 0, probe_mod: int = 1):
+        self._setup(n_partitions, key, value, ts_col, watermark_s, k, probe_mod)
         self.size_s, self.hop_s = int(window_size_s), int(hop_s)
 
     def _pairs(self, batch: pa.Table, ts_us: np.ndarray):
@@ -459,13 +459,16 @@ class _SessionRouter(_KeyedRouter):
     router is this frame over its window router's ``_groups``."""
 
     def __init__(self, actors: list, n_partitions: int, key: str, value: str,
-                 ts_col: str, gap_s: int, watermark_s: int, **params):
-        self._setup(n_partitions, key, value, ts_col, watermark_s, params)
+                 ts_col: str, gap_s: int, watermark_s: int, *,
+                 k: int = 0, probe_mod: int = 1):
+        self._setup(n_partitions, key, value, ts_col, watermark_s, k, probe_mod)
         self.gap_us = int(gap_s) * 1_000_000
 
     def _pairs(self, batch: pa.Table, ts_us: np.ndarray):
         late = late_rows(ts_us, self.wm)
         idx = np.flatnonzero(~late)
+        if not idx.size:
+            return idx, idx, None, late
         codes, kvocab = encode_key(batch[self.key].take(pa.array(idx)), self.key)
         order, seg, starts = session_split(codes, ts_us[idx], self.gap_us)
         row_of = idx[order]

@@ -264,7 +264,12 @@ def late_rows(ts_us: np.ndarray, wm, size_s: int | None = None, hop_s: int | Non
     it."""
     if size_s is None:
         return ts_us <= np.clip(wm, NEG // 1_000_000, END // 1_000_000) * 1_000_000
-    return (ts_us // 1_000_000 // hop_s) * hop_s + size_s <= wm
+    return _window_late(ts_us // 1_000_000 // hop_s, wm, size_s, hop_s)
+
+
+def _window_late(k_last: np.ndarray, wm, size_s: int, hop_s: int) -> np.ndarray:
+    # the window rule of late_rows on each row's latest window index
+    return k_last * hop_s + size_s <= wm
 
 
 def covering_windows(ts_us: np.ndarray, wm, size_s: int, hop_s: int):
@@ -273,16 +278,18 @@ def covering_windows(ts_us: np.ndarray, wm, size_s: int, hop_s: int):
     size_s`` (any ``hop_s <= size_s``) whose window has not closed under
     ``wm`` (a scalar or one per row).  Returns ``(row_of, window_start,
     late)``: the pairs by row, each row's windows ascending, and the
-    :func:`late_rows` flags; a late row has no pairs."""
-    late = late_rows(ts_us, wm, size_s, hop_s)
+    :func:`late_rows` flags; a late row has no pairs and is not
+    expanded."""
     ts_s = ts_us // 1_000_000
     k_last = ts_s // hop_s
+    late = _window_late(k_last, wm, size_s, hop_s)
+    kept = np.flatnonzero(~late)
     if hop_s == size_s:  # tumbling: one window a row
-        row_of = np.flatnonzero(~late)
-        return row_of, k_last[row_of] * size_s, late
-    k_min = (ts_s - size_s) // hop_s + 1
+        return kept, k_last[kept] * size_s, late
+    k_last = k_last[kept]
+    k_min = (ts_s[kept] - size_s) // hop_s + 1
     counts = k_last - k_min + 1
-    row_of = np.repeat(np.arange(ts_s.size), counts)
+    row_of = np.repeat(kept, counts)
     nth = np.arange(row_of.size) - np.repeat(np.cumsum(counts) - counts, counts)
     start = (np.repeat(k_min, counts) + nth) * hop_s
     live = start + size_s > (wm[row_of] if np.ndim(wm) else wm)

@@ -999,6 +999,49 @@ def test_bottomk_session_crash_resume_and_determinism(ray_session):
             shutil.rmtree(o, ignore_errors=True)
 
 
+_ROUTER_KW = {"KllRouter": {"k": 8}, "CmsRouter": {"probe_mod": 1},
+              "BottomKRouter": {"k": 4}, "KllSessionRouter": {"k": 8},
+              "BottomKSessionRouter": {"k": 4}}
+
+
+@pytest.mark.parametrize(
+    "router",
+    [
+        "HllRouter", "KllRouter", "MgRouter", "CmsRouter", "BottomKRouter",
+        "HllSessionRouter", "KllSessionRouter", "MgSessionRouter", "BottomKSessionRouter",
+    ],
+)
+def test_all_late_batch_is_counted_not_routed(router):
+    """A straggler batch whose every row is at or before the watermark
+    yields no partial and counts each row as late, in the window and
+    the session frame alike."""
+    from raystat.streaming import sketch
+
+    wm = 10**6  # s; every row sits at or before the watermark
+    batch = pa.table({
+        "k": pa.array(["a", "b", "a"], pa.string()),
+        "v": pa.array([1, 2, 3], pa.int64()),
+        "ts_us": pa.array([wm * 10**6 - 7200 * 10**6, wm * 10**6 - 5, wm * 10**6],
+                          pa.int64()),
+    })
+    if "Session" in router:
+        frame = dict(gap_s=60, watermark_s=wm)
+    else:
+        frame = dict(window_size_s=3600, hop_s=3600, watermark_s=wm + 3600)  # windows closed
+    r = getattr(sketch, router)([], 2, "k", "v", "ts_us", **frame, **_ROUTER_KW.get(router, {}))
+    book = r(batch).to_pylist()[0]
+    assert book["late_dropped"] == batch.num_rows == book["rows_in"]
+    assert book["partial_rows"] == 0 and book["partial"] == b""
+
+
+def test_sketch_router_rejects_an_unknown_keyword():
+    from raystat.streaming import sketch
+
+    with pytest.raises(TypeError):
+        sketch.KllRouter([], 1, "k", "v", "ts_us", window_size_s=3600, hop_s=3600,
+                         watermark_s=0, kk=8)
+
+
 @pytest.mark.parametrize(
     "router",
     [
