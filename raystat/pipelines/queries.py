@@ -4623,28 +4623,49 @@ QUERIES.extend(
 )
 
 
-def _q_props_stats(sf_dir):
-    """Semi-structured extraction over the ``props`` JSON column (the
-    ksqlDB JSON value-format story on the batch side): pull the ``k``
-    field with ONE vectorized Arrow RE2 kernel per batch (no per-row
-    json.loads in the hot path — the payload shape is fixed and RE2 is
-    the same C-vectorized route the PII/lang-id ops use), then a tiny
-    grouped integer aggregate.  Pure streaming: only (event_type, k)
-    survives into the O(groups) shuffle."""
+def props_k(props):
+    """The top-level ``k`` field of each JSON object in ``props`` (an
+    Arrow string column), as int64; null where the object has none or
+    ``props`` is null, as DuckDB's ``json_extract_string(props, '$.k')``
+    gives it.  One vectorized Arrow JSON read per call: the objects go
+    one a line (a raw newline in a JSON text can only be whitespace
+    between tokens, so it becomes a space), and the reader keeps only
+    the top-level ``k``, so a nested ``k`` or a ``"k":`` inside a
+    string value is never taken for it.  A ``k`` that is not a JSON
+    integer (a string, a fraction) raises, where DuckDB's cast would
+    coerce it: the events fixture writes integers only."""
     import pyarrow as pa
     import pyarrow.compute as pc
+    import pyarrow.json as pajson
+
+    if isinstance(props, pa.ChunkedArray):
+        props = props.combine_chunks()
+    if not len(props):
+        return pa.array([], pa.int64())
+    text = pc.replace_substring_regex(pc.fill_null(props, "{}"), r"[\r\n]", " ")
+    one = pa.ListArray.from_arrays(pa.array([0, len(text)], pa.int32()), text)
+    lines = pc.binary_join(one, "\n")[0].as_buffer()
+    parsed = pajson.read_json(
+        pa.BufferReader(lines),
+        read_options=pajson.ReadOptions(use_threads=False, block_size=max(lines.size, 1 << 20)),
+        parse_options=pajson.ParseOptions(explicit_schema=pa.schema([("k", pa.int64())]),
+                                          unexpected_field_behavior="ignore"),
+    )
+    return parsed["k"].combine_chunks()
+
+
+def _q_props_stats(sf_dir):
+    """Semi-structured extraction over the ``props`` JSON column (the
+    ksqlDB JSON value-format story on the batch side): pull the
+    top-level ``k`` field with ONE vectorized Arrow JSON read per batch
+    (:func:`props_k`; no per-row json.loads in the hot path), then a
+    tiny grouped integer aggregate.  Pure streaming: only (event_type,
+    k) survives into the O(groups) shuffle."""
+    import pyarrow as pa
     from ray.data.aggregate import Count, Max, Min, Sum
 
     def extract(batch: pa.Table) -> pa.Table:
-        m = pc.extract_regex(
-            batch["props"].combine_chunks(), r'"k":\s*(?P<k>-?\d+)'
-        )
-        return pa.table(
-            {
-                "event_type": batch["event_type"],
-                "k": pc.cast(pc.struct_field(m, "k"), pa.int64()),
-            }
-        )
+        return pa.table({"event_type": batch["event_type"], "k": props_k(batch["props"])})
 
     return (
         _read(sf_dir, "events", ["event_type", "props"])

@@ -18,11 +18,10 @@ the driver routes them to the logical state partitions, hosted in
 (`BottomKStreamDriver`), first-occurrence seen-hash dedup state with
 optional retention-bounded eviction (`DedupStreamDriver`), and
 temporal-join state with dominated-right pruning (`AsofStreamDriver`).
-The moment kind and the five sketch kinds (HLL, KLL, MG, CMS,
-bottom-k) share one partition class, ``state.KeyedPartition``, over an
-Arrow state table: a kind is its group and payload columns, a merge and
-a finish.  CEP, dedup and the two joins keep their own partition
-classes.
+All eleven kinds share one partition class, ``state.KeyedPartition``,
+over one Arrow state table: a kind (``state.Kind``) is its wire
+columns, a merge and a close that returns what it emits and what it
+retains.
 """
 
 from raystat.streaming.asof import AsofJoinConfig, AsofStreamDriver

@@ -20,10 +20,10 @@ rows), independent of stream length — the Flink temporal-table-state
 bound, not a full history.
 
 The router (shared with the interval join) late-drops both sides and
-the driver key-hash routes them in their one shuffle; the
-per-partition emit is a
-single vectorized ``asof_join_frames`` sweep over (ready lefts x
-buffered rights).
+the driver key-hash routes them in their one shuffle; the buffered
+rows of both sides are one Arrow table (an ``AsofJoin`` kind's state
+in ``state.KeyedPartition``), and its close is a single vectorized
+``asof_join_frames`` sweep over (ready lefts x buffered rights).
 """
 
 from __future__ import annotations
@@ -31,15 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
+from raystat.aggregate import encode_key
 from raystat.dataops.asof import asof_join_frames
-from raystat.streaming.interval import (
-    TaggedJoinDriver,
-    TaggedJoinPartition,
-    tagged_events_fixture,
-)
+from raystat.streaming.interval import TaggedJoin, TaggedJoinDriver, tagged_events_fixture
 
 __all__ = ["AsofJoinConfig", "AsofStreamDriver", "events_asof_fixture"]
 
@@ -54,38 +50,25 @@ class AsofJoinConfig:
     batch_size: int | None = None
 
 
-class AsofJoinPartition(TaggedJoinPartition):
-    """Temporal-join state for one key-hash partition.
-    ``emit_matches`` resolves every watermark-ready left in one
-    vectorized as-of sweep and prunes dominated rights."""
+class AsofJoin(TaggedJoin):
+    """Temporal-join state for one key-hash partition: ``close``
+    resolves every watermark-ready left in one vectorized as-of sweep
+    and prunes dominated rights."""
 
-    name, emitted = "asof", "matches_emitted"
+    emitted = "matches_emitted"
 
-    def emit_matches(self, watermark_us: int) -> pa.Table:
+    def close(self, state: pa.Table, watermark_us: int):
         """Matches for every left row with ``on < watermark`` (strict:
         surviving future rights have on >= watermark, so the latest-
         at-or-before right is final); retires emitted lefts and every
         per-key right row dominated by a newer one at-or-below the
         watermark."""
-        self._consolidate()
-        df = self.state
-        empty = pa.table({})
-        if df is None or not len(df):
-            return empty
-        side = df["_side"].to_numpy()
-        ts = df[self.on].to_numpy()
-        is_left = side == 1
+        if not state.num_rows:
+            return pa.table({}), state
+        is_left = state["_side"].to_numpy() == 1
+        ts = state[self.on].to_numpy()
         ready = is_left & (ts < watermark_us)
-
-        out = empty
-        if ready.any():
-            matches = asof_join_frames(
-                df[ready | ~is_left],
-                by=self.by, on=self.on, right_cols=self.right_cols,
-            )
-            self.metrics["matches_emitted"] += len(matches)
-            if len(matches):
-                out = pa.Table.from_pandas(matches, preserve_index=False)
+        out = self._join_ready(state, ready, is_left, asof_join_frames)
 
         # retire emitted lefts; prune dominated rights: per key keep
         # all rights ahead of the watermark + the latest at-or-below
@@ -98,9 +81,7 @@ class AsofJoinPartition(TaggedJoinPartition):
             keep_r = np.zeros(right_idx.size, dtype=bool)
             keep_r[ahead] = True
             if behind.size:
-                codes, _ = pd.factorize(
-                    df[self.by].to_numpy()[right_idx[behind]]
-                )
+                codes, _ = encode_key(state[self.by].take(pa.array(right_idx[behind])), self.by)
                 order = np.lexsort((rts[behind], codes))
                 cs = codes[order]
                 last = np.ones(cs.size, dtype=bool)
@@ -108,12 +89,9 @@ class AsofJoinPartition(TaggedJoinPartition):
                 keep_r[behind[order[last]]] = True
             self.metrics["right_retired"] += int(right_idx.size - keep_r.sum())
             keep[right_idx[keep_r]] = True
-        self.state = df[keep].reset_index(drop=True)
         self.metrics["left_buffered"] = int((is_left & ~ready).sum())
-        self.metrics["right_buffered"] = int(
-            keep[right_idx].sum() if right_idx.size else 0
-        )
-        return out
+        self.metrics["right_buffered"] = int(keep[right_idx].sum() if right_idx.size else 0)
+        return out, state.filter(pa.array(keep))
 
 
 class AsofStreamDriver(TaggedJoinDriver):
@@ -126,11 +104,11 @@ class AsofStreamDriver(TaggedJoinDriver):
 
     def _partition(self) -> tuple:
         c = self.cfg
-        return AsofJoinPartition, c.by, c.on, list(c.right_cols)
+        return AsofJoin, c.by, c.on, list(c.right_cols)
 
     def _emit(self, epoch: int, watermark_us: int):
         self._commit_closed(
-            epoch, "emit_matches", watermark_us, sort_by=[self.cfg.by, self.cfg.on]
+            epoch, "close", watermark_us, sort_by=[self.cfg.by, self.cfg.on]
         )
 
 

@@ -24,8 +24,9 @@ buffered events retire wholesale when its funnel emits (at watermark
 ``t0 + within``), and events of keys with no stage-0 match prune as
 soon as the watermark passes them (a future stage-0 has
 ``t0 > watermark >= ts``, and strict order needs ``ts > t0``).  The
-tombstone set grows O(emitted keys) — the same cardinality as the
-batch output itself.
+tombstones grow O(emitted keys) — the same cardinality as the batch
+output itself.  Events and tombstones are rows of one Arrow table, the
+``_Funnel`` kind's state in ``state.KeyedPartition``.
 
 Dataflow per epoch: the epoch stage's router filters stage events, drops
 late rows and returns the ``(key, ts_us, stage)`` rows, which the
@@ -40,146 +41,95 @@ commit exactly-once.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
+from raystat.aggregate import encode_key
 from raystat.dataops.cep import funnel_frame
 from raystat.streaming.epochs import END, NEG, EpochDriverBase
 from raystat.streaming.sink import ExactlyOnceParquetSink
-from raystat.streaming.state import (
-    PendingIngest,
-    key_partition,
-    partial_row,
-    write_parquet_atomic,
-)
+from raystat.streaming.state import Kind, key_partition, partial_row
 
 __all__ = ["CepStreamDriver"]
 
 _NO = np.int64(np.iinfo(np.int64).max)
 
 
-class CepStatePartition(PendingIngest):
-    """Funnel state for one key-hash partition: a buffer of
-    ``(key, ts_us, stage)`` events awaiting a verdict, plus the
-    tombstone set of keys whose funnel already emitted.  All imports
-    are at module scope (strict by-value-pickling driver context)."""
+class _Funnel(Kind):
+    """Funnel state for one key-hash partition, as
+    ``state.KeyedPartition`` runs it: one ``(key, ts_us, stage)`` table
+    holding the events awaiting a verdict, in ingest order, and a
+    tombstone row (``stage`` -1, ``ts_us`` its funnel's ``t0``) for each
+    key whose funnel already emitted.  ``merge`` drops the new events
+    of tombstoned keys; ``close(watermark_us)`` emits every key whose
+    verdict is final and prunes the events no future verdict can use.
+    The key column's type follows the input."""
 
-    def __init__(self, pid: int, n_stages: int, within_us: int):
-        self.pid = pid
+    wire = ["key", "ts_us", "stage"]
+
+    def __init__(self, n_stages: int, within_us: int):
+        super().__init__()
         self.n_stages = int(n_stages)
         self.within_us = int(within_us)
-        self.pending: list[pa.Table] = []
-        self.buf: pd.DataFrame | None = None  # key, ts_us, stage
-        self.done: set = set()
-        self.metrics = {
-            "partial_rows_in": 0, "ingests": 0, "funnels_emitted": 0,
-            "rows_pruned": 0,
-        }
+        self.metrics.update(funnels_emitted=0, rows_pruned=0)
 
-    def _consolidate(self) -> None:
-        if not self.pending:
-            return
-        new = pa.concat_tables(self.pending).to_pandas()
-        self.pending = []
-        if self.done:
-            new = new[~new["key"].isin(self.done)]
-        if self.buf is not None and len(self.buf):
-            new = pd.concat([self.buf, new], ignore_index=True)
-        self.buf = new.reset_index(drop=True)
+    def merge(self, state: pa.Table, new: pa.Table) -> pa.Table:
+        new = new.select(self.wire)
+        if state.num_rows:
+            done = state.filter(pc.less(state["stage"], 0))["key"].combine_chunks()
+            new = new.filter(pc.invert(pc.is_in(new["key"], value_set=done)))
+        return pa.concat_tables([state, new], promote_options="default")
 
-    def close_funnels(self, watermark_us: int) -> pa.Table | None:
+    def close(self, state: pa.Table, watermark_us: int):
         """Emit every key whose verdict is final at this watermark:
-        earliest stage-0 match ``t0`` with ``t0 + within <= wm``.
-        Prunes dead buffered rows; returns None when nothing emits."""
-        self._consolidate()
-        b = self.buf
-        if b is None or not len(b):
-            return None
+        earliest stage-0 match ``t0`` with ``t0 + within <= wm``; its
+        events leave and a tombstone takes their place.  Events of keys
+        without a live stage-0 prune once at or below the watermark."""
+        if not state.num_rows:
+            return pa.table({}), state
         wm = int(watermark_us)
-        s0 = b[b["stage"] == 0]
-        out = None
-        if len(s0):
-            t0 = s0.groupby("key", sort=False)["ts_us"].min()
-            ripe = t0.index[t0.to_numpy() + self.within_us <= wm]
-            if len(ripe):
-                m = b["key"].isin(ripe).to_numpy()
-                ff = funnel_frame(
-                    b[m], key="key", ts="ts_us", type_col="stage",
-                    stages=list(range(self.n_stages)),
-                    within_us=self.within_us,
-                )
-                tcols = np.stack(
-                    [ff[f"t_{i}"].to_numpy() for i in range(self.n_stages)]
-                )
-                out = pa.table(
-                    {
-                        "key": pa.array(ff["key"].to_numpy()),
-                        "stages_reached": pa.array(
-                            (tcols != _NO).sum(axis=0).astype(np.int64)
-                        ),
-                        "t0_us": pa.array(ff["t_0"].to_numpy(), pa.int64()),
-                    }
-                )
-                self.done.update(ff["key"].tolist())
-                self.metrics["funnels_emitted"] += len(ff)
-                b = b[~m]
-            # keys holding a live (un-ripe) stage-0 keep all their rows;
-            # everything else at-or-below the watermark is dead (a future
-            # stage-0 must have t0 > wm >= ts, and strict order needs
-            # ts > t0)
-            live = set(t0.index) - self.done
-        else:
-            live = set()
-        dead = (~b["key"].isin(live)).to_numpy() & (
-            b["ts_us"].to_numpy() <= wm
-        )
-        if dead.any():
-            self.metrics["rows_pruned"] += int(dead.sum())
-            b = b[~dead]
-        self.buf = b.reset_index(drop=True)
-        return out
+        stage = state["stage"].to_numpy()
+        done = stage < 0
+        ev, stage = state.filter(pa.array(~done)), stage[~done]
+        codes, _ = encode_key(ev["key"], "key")
+        ts = ev["ts_us"].to_numpy()
+        t0 = np.full(int(codes.max(initial=-1)) + 1, _NO)
+        np.minimum.at(t0, codes[stage == 0], ts[stage == 0])
+        has0 = t0 != _NO
+        ripe = has0 & (np.where(has0, t0, 0) + self.within_us <= wm)
+        m = ripe[codes]
+        out, tombs = pa.table({}), []
+        if m.any():
+            ff = funnel_frame(
+                ev.filter(pa.array(m)).to_pandas(), key="key", ts="ts_us",
+                type_col="stage", stages=list(range(self.n_stages)),
+                within_us=self.within_us,
+            )
+            tcols = np.stack([ff[f"t_{i}"].to_numpy() for i in range(self.n_stages)])
+            out = pa.table({
+                "key": pa.array(ff["key"].to_numpy()),
+                "stages_reached": pa.array((tcols != _NO).sum(axis=0).astype(np.int64)),
+                "t0_us": pa.array(ff["t_0"].to_numpy(), pa.int64()),
+            })
+            tombs = [pa.table({
+                "key": pa.array(ff["key"].to_numpy(), ev.schema.field("key").type),
+                "ts_us": pa.array(ff["t_0"].to_numpy(), pa.int64()),
+                "stage": pa.array(np.full(len(ff), -1), pa.int64()),
+            })]
+            self.metrics["funnels_emitted"] += len(ff)
+        # keys holding a live (un-ripe) stage-0 keep all their rows;
+        # everything else at-or-below the watermark is dead (a future
+        # stage-0 must have t0 > wm >= ts, and strict order needs
+        # ts > t0)
+        dead = ~m & ~(has0 & ~ripe)[codes] & (ts <= wm)
+        self.metrics["rows_pruned"] += int(dead.sum())
+        kept = ev.filter(pa.array(~m & ~dead))
+        return out, pa.concat_tables([kept, state.filter(pa.array(done)), *tombs])
 
-    def get_metrics(self) -> dict:
-        buffered = (self.buf.shape[0] if self.buf is not None else 0) + sum(
-            t.num_rows for t in self.pending
-        )
-        return {
-            "partition": self.pid, **self.metrics,
-            "buffered_rows": buffered, "tombstones": len(self.done),
-        }
-
-    def snapshot(self, ckpt_dir: str, epoch: int) -> str:
-        os.makedirs(ckpt_dir, exist_ok=True)
-        self._consolidate()
-        path = os.path.join(ckpt_dir, f"cep-p{self.pid:04d}.parquet")
-        df = self.buf if self.buf is not None else pd.DataFrame(
-            {"key": pd.Series(dtype=object),
-             "ts_us": pd.Series(dtype=np.int64),
-             "stage": pd.Series(dtype=np.int64)}
-        )
-        t = pa.Table.from_pandas(df, preserve_index=False)
-        dt = pa.table({"key": pa.array(sorted(self.done))}) if self.done else (
-            pa.table({"key": pa.array([], t.schema.field("key").type)})
-        )
-        for p, tbl in ((path, t), (path.replace(".parquet", ".done.parquet"), dt)):
-            write_parquet_atomic(tbl, p)
-        return path
-
-    def restore(self, ckpt_dir: str) -> int:
-        """Rebuild the buffer and the tombstones from the snapshot; a
-        checkpoint without either of this partition's files raises."""
-        path = os.path.join(ckpt_dir, f"cep-p{self.pid:04d}.parquet")
-        t = pq.read_table(path)
-        done = pq.read_table(path.replace(".parquet", ".done.parquet"))
-        self.pending = []
-        self.buf = t.to_pandas() if t.num_rows else None
-        self.done = set(done["key"].to_pylist())
-        return t.num_rows
+    def gauges(self, state: pa.Table) -> dict:
+        done = int((state["stage"].to_numpy() < 0).sum()) if state.num_rows else 0
+        return {"buffered_rows": state.num_rows - done, "tombstones": done}
 
 
 class CepRouter:
@@ -255,7 +205,7 @@ class CepStreamDriver(EpochDriverBase):
         self.watermark_s = NEG
 
     def _partition(self) -> tuple:
-        return CepStatePartition, len(self.stages), self.within_us
+        return _Funnel, len(self.stages), self.within_us
 
     def _driver_state(self) -> dict:
         return {"watermark_s": self.watermark_s,
@@ -283,5 +233,5 @@ class CepStreamDriver(EpochDriverBase):
 
     def _emit(self, epoch: int, watermark_s: int):
         self._commit_closed(
-            epoch, "close_funnels", self._wm_us(watermark_s), sort_by=["key"]
+            epoch, "close", self._wm_us(watermark_s), sort_by=["key"]
         )

@@ -20,65 +20,63 @@ Scale shape: rows never shuffle — the router computes md5-64 content
 hashes per batch, pre-groups to (hash, min doc_id) (a local combiner:
 per-batch duplicate copies collapse before any network hop), and the
 driver routes ONLY (hash, doc_id) pairs to the owning state partition by
-hash.  Actor state is O(distinct hashes / partitions) int64s (16 B per
-distinct doc; bounded further by retention), merged per epoch with one
-lexsort — no Python loops, no text in state or transit.
+hash.  The state (the ``_SeenSet`` kind in ``state.KeyedPartition``) is
+one Arrow table of (hash, last_seen) int64 rows, O(distinct
+hashes / partitions) of them (16 B per distinct doc; bounded further by
+retention); an epoch's pairs wait in it as rows with a null
+``last_seen`` until its close resolves them with one lexsort — no
+Python loops, no text in state or transit.
 """
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from raystat.dataops.dedup import _md5_64_col
 from raystat.streaming.epochs import EpochDriverBase, arrival_fixture
 from raystat.streaming.sink import ExactlyOnceParquetSink
-from raystat.streaming.state import PendingIngest, partial_row, write_parquet_atomic
+from raystat.streaming.state import Kind, partial_row
 
 __all__ = ["DedupStreamDriver", "docs_stream_fixture"]
 
 
-def _empty_pending() -> pa.Table:
-    return pa.table(
-        {"content_hash": pa.array([], pa.int64()),
-         "doc_id": pa.array([], pa.int64())}
-    )
+class _SeenSet(Kind):
+    """Seen-hash state for one hash partition, as
+    ``state.KeyedPartition`` runs it: one ``(hash, last_seen)`` row per
+    seen content hash, sorted by hash, ``last_seen`` the last epoch
+    that observed it.  ``merge`` appends the epoch's ``(content_hash,
+    doc_id)`` partials as ``(hash, doc_id)`` rows with a null
+    ``last_seen`` (the ``doc_id`` column exists only while such rows
+    do); ``close(epoch)`` resolves them in one lexsort + searchsorted
+    against the seen rows and evicts hashes idle past the retention."""
 
+    wire = ["content_hash", "doc_id"]
+    schema = pa.schema([("hash", pa.int64()), ("last_seen", pa.int64())])
 
-class DedupStatePartition(PendingIngest):
-    """Seen-hash state for one hash partition: sorted int64 hash array
-    + last-seen epoch per hash.  ``ingest`` appends (hash, doc_id)
-    partials; ``close_epoch`` resolves the epoch's winners in one
-    lexsort + searchsorted against the seen set."""
-
-    rows_metric = "rows_in"
-
-    def __init__(self, pid: int, retention_epochs: int | None):
-        self.pid = pid
+    def __init__(self, retention_epochs: int | None):
+        super().__init__()
         self.retention = retention_epochs
-        self.pending: list[pa.Table] = []
-        self.seen = np.zeros(0, dtype=np.int64)  # sorted
-        self.last_seen = np.zeros(0, dtype=np.int64)  # aligned epochs
-        self.metrics = {
-            "rows_in": 0, "ingests": 0, "winners": 0,
-            "dup_dropped": 0, "evicted": 0,
-        }
+        self.metrics.update(winners=0, dup_dropped=0, evicted=0)
 
-    def close_epoch(self, epoch: int) -> pa.Table:
+    def merge(self, state: pa.Table, new: pa.Table) -> pa.Table:
+        new = new.select(self.wire).rename_columns(["hash", "doc_id"])
+        return pa.concat_tables([state, new], promote_options="default")
+
+    def close(self, state: pa.Table, epoch: int):
         """Resolve this epoch: winners = min-doc_id row of each hash
         NOT in the seen set; refresh last_seen of every hash observed;
         evict hashes idle past the retention."""
-        if self.pending:
-            new = pa.concat_tables(self.pending)
-            self.pending = []
-        else:
-            new = _empty_pending()
-        h = new["content_hash"].to_numpy(zero_copy_only=False).astype(np.int64)
-        d = new["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        pending = pc.is_null(state["last_seen"])
+        new, old = state.filter(pending), state.filter(pc.invert(pending))
+        h = new["hash"].to_numpy().astype(np.int64)
+        d = new["doc_id"].to_numpy().astype(np.int64) if "doc_id" in new.column_names else h
+        seen = old["hash"].to_numpy().astype(np.int64)  # sorted
+        last_seen = old["last_seen"].to_numpy().astype(np.int64)
         if h.size:
             # min doc_id per hash: lexsort then first row of each run
             order = np.lexsort((d, h))
@@ -90,15 +88,15 @@ class DedupStatePartition(PendingIngest):
         else:
             uh = ud = np.zeros(0, dtype=np.int64)
 
-        if self.seen.size:
-            pos_c = np.minimum(np.searchsorted(self.seen, uh), self.seen.size - 1)
-            known = self.seen[pos_c] == uh
+        if seen.size:
+            pos_c = np.minimum(np.searchsorted(seen, uh), seen.size - 1)
+            known = seen[pos_c] == uh
         else:
             pos_c = np.zeros(uh.size, dtype=np.int64)
             known = np.zeros(uh.size, dtype=bool)
         # refresh last_seen of re-observed hashes (keeps hot dups alive)
-        if self.seen.size and known.any():
-            self.last_seen[pos_c[known]] = epoch
+        if seen.size and known.any():
+            last_seen[pos_c[known]] = epoch
             self.metrics["dup_dropped"] += int(known.sum())
         fresh = ~known
         win_h, win_d = uh[fresh], ud[fresh]
@@ -106,48 +104,24 @@ class DedupStatePartition(PendingIngest):
 
         # merge winners into the sorted seen set
         if win_h.size:
-            seen = np.concatenate([self.seen, win_h])
-            last = np.concatenate([self.last_seen, np.full(win_h.size, epoch)])
+            seen = np.concatenate([seen, win_h])
+            last = np.concatenate([last_seen, np.full(win_h.size, epoch)])
             order = np.argsort(seen, kind="stable")
-            self.seen, self.last_seen = seen[order], last[order]
+            seen, last_seen = seen[order], last[order]
 
-        if self.retention is not None and self.seen.size:
-            keep = self.last_seen > epoch - int(self.retention)
-            self.metrics["evicted"] += int(self.seen.size - int(keep.sum()))
-            self.seen, self.last_seen = self.seen[keep], self.last_seen[keep]
+        if self.retention is not None and seen.size:
+            keep = last_seen > epoch - int(self.retention)
+            self.metrics["evicted"] += int(seen.size - int(keep.sum()))
+            seen, last_seen = seen[keep], last_seen[keep]
 
-        return pa.table(
+        emitted = pa.table(
             {"doc_id": pa.array(win_d), "content_hash": pa.array(win_h),
              "epoch": pa.array(np.full(win_d.size, epoch, dtype=np.int64))}
         )
+        return emitted, pa.table({"hash": seen, "last_seen": last_seen})
 
-    def get_metrics(self) -> dict:
-        return {"partition": self.pid, "state_size": int(self.seen.size),
-                **self.metrics}
-
-    def snapshot(self, ckpt_dir: str, epoch: int) -> str:
-        os.makedirs(ckpt_dir, exist_ok=True)
-        path = os.path.join(ckpt_dir, f"dedup-p{self.pid:04d}.parquet")
-        t = pa.table(
-            {"seen": pa.array(self.seen), "last_seen": pa.array(self.last_seen)}
-        )
-        t = t.replace_schema_metadata({b"metrics": json.dumps(self.metrics).encode()})
-        write_parquet_atomic(t, path)
-        return path
-
-    def restore(self, ckpt_dir: str) -> int:
-        """Rebuild the seen set and the metrics from the snapshot; a
-        checkpoint without this partition's snapshot raises."""
-        t = pq.read_table(os.path.join(ckpt_dir, f"dedup-p{self.pid:04d}.parquet"))
-        self.pending = []
-        self.seen = t["seen"].to_numpy(zero_copy_only=False).astype(np.int64).copy()
-        self.last_seen = (
-            t["last_seen"].to_numpy(zero_copy_only=False).astype(np.int64).copy()
-        )
-        md = t.schema.metadata or {}
-        if b"metrics" in md:
-            self.metrics.update(json.loads(md[b"metrics"].decode()))
-        return int(self.seen.size)
+    def gauges(self, state: pa.Table) -> dict:
+        return {"state_size": state.num_rows - state["last_seen"].null_count}
 
 
 class DedupRouter:
@@ -203,7 +177,7 @@ class DedupStreamDriver(EpochDriverBase):
         self.sink = ExactlyOnceParquetSink(out_dir, "winners")
 
     def _partition(self) -> tuple:
-        return DedupStatePartition, self.retention
+        return _SeenSet, self.retention
 
     def _driver_state(self) -> dict:
         return {"committed": self.sink.committed_epochs()}
@@ -217,7 +191,7 @@ class DedupStreamDriver(EpochDriverBase):
         self.metrics[str(epoch)] = em
 
     def _emit(self, epoch: int):
-        self._commit_closed(epoch, "close_epoch", epoch, sort_by=["doc_id"])
+        self._commit_closed(epoch, "close", epoch, sort_by=["doc_id"])
 
     def _finalize_stream(self, final_epoch: int):
         # every epoch resolved its winners when it ran: nothing to close

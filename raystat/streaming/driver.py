@@ -71,7 +71,7 @@ from raystat.streaming.epochs import END, NEG, EpochDriverBase, EpochRead, with_
 from raystat.streaming.join import MetadataJoin
 from raystat.streaming.sink import ExactlyOnceParquetSink
 from raystat.streaming.state import (
-    KeyedPartition, Kind, Router, covering_windows, late_rows, session_split,
+    GroupKind, Router, covering_windows, late_rows, session_split,
     source_watermarks,
 )
 
@@ -399,7 +399,7 @@ def _moment_stage(cfg: StreamConfig, needed, u_order, w_order, watermark):
     return fn
 
 
-class _Sums(Kind):
+class _Sums(GroupKind):
     """Moment state, as ``state.KeyedPartition`` runs it: float64
     power-sum columns ``sum_cols`` per ``(source, salt, window_start)``
     window or per ``(source, session_start_us, session_end_us)``
@@ -423,17 +423,17 @@ class _Sums(Kind):
     window_groups = ("source", "salt", "window_start")
     session_groups = ("source", "session_start_us", "session_end_us")
 
-    def __init__(self, session: bool, sum_cols: list[str]):
+    def __init__(self, span_s: int, session: bool, sum_cols: list[str]):
         self.payload = {c: pa.float64() for c in sum_cols}
-        super().__init__(session)
+        super().__init__(span_s, session)
 
     def _values(self, t: pa.Table) -> np.ndarray:
         """The sum columns of ``t`` as one float64 (rows, columns) array."""
         return np.column_stack(
-            [np.asarray(t[c].to_numpy(), dtype=np.float64) for c in self.wire]
+            [np.asarray(t[c].to_numpy(), dtype=np.float64) for c in self.payload_wire]
         )
 
-    def merge(self, state: pa.Table, new: pa.Table, gid: np.ndarray):
+    def merge_groups(self, state: pa.Table, new: pa.Table, gid: np.ndarray):
         ns = state.num_rows
         if self.session:
             start = np.concatenate([t["session_start_us"].to_numpy() for t in (state, new)])
@@ -441,11 +441,11 @@ class _Sums(Kind):
             first = np.flatnonzero(np.diff(gid[order], prepend=-1))
             vals = np.concatenate([self._values(state), self._values(new)])[order]
             sums = np.add.reduceat(vals, first, axis=0)
-            return gid[order][first], dict(zip(self.wire, sums.T))
-        sums = pd.DataFrame(self._values(new), columns=self.wire)
+            return gid[order][first], dict(zip(self.payload_wire, sums.T))
+        sums = pd.DataFrame(self._values(new), columns=self.payload_wire)
         sums = sums.groupby(gid[ns:], sort=False).sum()
         if ns:
-            old = pd.DataFrame(self._values(state), columns=self.wire, index=gid[:ns])
+            old = pd.DataFrame(self._values(state), columns=self.payload_wire, index=gid[:ns])
             reorder = not old.index.equals(sums.index)
             sums = old.add(sums, fill_value=0.0)
             if reorder:
@@ -453,7 +453,7 @@ class _Sums(Kind):
                 first = np.unique(gid, return_index=True)[1]
                 keys = [(c, "ascending") for c in self.groups]
                 sums = sums.loc[pc.sort_indices(both.take(first), sort_keys=keys).to_numpy()]
-        return sums.index.to_numpy(), {c: sums[c].to_numpy() for c in self.wire}
+        return sums.index.to_numpy(), {c: sums[c].to_numpy() for c in self.payload_wire}
 
     def finish(self, closed: pa.Table, gid: np.ndarray) -> pa.Table:
         if self.session:
@@ -463,7 +463,7 @@ class _Sums(Kind):
         return pa.table({
             "source": pa.array(g.index.get_level_values(0), pa.string()),
             "window_start": pa.array(g.index.get_level_values(1), pa.int64()),
-            **{c: pa.array(g[c].to_numpy(), pa.float64()) for c in self.wire},
+            **{c: pa.array(g[c].to_numpy(), pa.float64()) for c in self.payload_wire},
         })
 
 
@@ -532,7 +532,7 @@ class StreamDriver(EpochDriverBase):
 
     def _partition(self) -> tuple:
         span = self.cfg.session_gap_s if self.session_mode else self.cfg.window_size_s
-        return KeyedPartition, _Sums, span, self.session_mode, list(self.needed)
+        return _Sums, span, self.session_mode, list(self.needed)
 
     def _driver_state(self) -> dict:
         return {
@@ -627,7 +627,7 @@ class StreamDriver(EpochDriverBase):
         """Pop closed state from every partition, merge partials
         (cross-salt field-wise add for keyed windows; sessions arrive
         pre-merged), and evaluate every spec vectorized."""
-        return self._finalize_tables(self._call("close_windows", watermark_s))
+        return self._finalize_tables(self._call("close", watermark_s))
 
     def _finalize_tables(self, tables: list) -> pd.DataFrame:
         tbl = pa.concat_tables(tables)

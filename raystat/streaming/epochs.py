@@ -44,17 +44,17 @@ one in flight before it returns or raises.
 ``run(resume=True)`` restores the latest checkpoint and replays from
 the next epoch; sinks skip epochs they already committed.
 
-Subclasses provide ``_partition()`` (the partition class and its
-arguments after the pid), ``_router()``, ``_advance(em, book)``,
-``_emit`` and the ``_driver_state()`` / ``_load_driver_state(state)``
-checkpoint payload, and set ``sink``; the partition classes expose
-``ingest / snapshot / restore / get_metrics`` and the close method
-``_emit`` calls.  The moment driver and every sketch driver run one
-partition class, ``state.KeyedPartition``, which takes the kind's
-merge and finish; the CEP, dedup and join drivers have their own.  A
-restore raises when a partition's snapshot is missing from the
-checkpoint: ``driver.json`` is written after every snapshot, so a
-missing file is a fault, and resuming on empty state would break
+Subclasses provide ``_partition()`` (the state kind, a ``state.Kind``,
+and its arguments), ``_router()``, ``_advance(em, book)``, ``_emit``
+and the ``_driver_state()`` / ``_load_driver_state(state)`` checkpoint
+payload, and set ``sink``.  Every driver's partitions are one class,
+``state.KeyedPartition``, running the driver's kind: ``ingest``,
+``close(arg)`` (what ``_emit`` calls), ``peek_state``,
+``get_metrics``, and ``snapshot`` / ``restore`` of one
+``state-pNNNN.parquet`` per partition that holds the state and its
+counters.  A restore raises when a partition's snapshot is missing
+from the checkpoint: ``driver.json`` is written after every snapshot,
+so a missing file is a fault, and resuming on empty state would break
 exactly-once.
 
 The sketch, join and dedup fixtures write the arrival layout through
@@ -291,7 +291,7 @@ class EpochDriverBase:
         commit the non-empty results as epoch ``epoch`` (an empty table
         when nothing closed).  ``sort_by`` may be a function of the
         table."""
-        tables = [t for t in self._call(close, *args) if t is not None and t.num_rows]
+        tables = [t for t in self._call(close, *args) if t.num_rows]
         if not tables:
             self.sink.commit(epoch, pa.table({}))
             return
@@ -391,8 +391,8 @@ class EpochDriverBase:
     # -- subclass hooks --------------------------------------------------------
 
     def _partition(self) -> tuple:  # pragma: no cover - abstract
-        """The partition class and its constructor arguments after the
-        partition id."""
+        """The state kind (a ``state.Kind`` subclass) and its
+        constructor arguments."""
         raise NotImplementedError
 
     def _router(self):  # pragma: no cover - abstract

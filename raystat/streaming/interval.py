@@ -23,28 +23,23 @@ sides; pair expansion happens inside the owning partition.
 
 Rows are pre-tagged (``_side``: 1 = left, 0 = right) on a unified
 schema, mirroring how the batch operator's tagged union ships both
-sides through one exchange.
+sides through one exchange.  Both sides' buffered rows are one Arrow
+table on that schema, the state of an ``IntervalJoin`` kind in
+``state.KeyedPartition``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
-import pyarrow.parquet as pq
+import pyarrow.compute as pc
 
 from raystat.dataops.interval_join import interval_join_frames
 from raystat.streaming.epochs import NEG, EpochDriverBase, events_fixture
 from raystat.streaming.sink import ExactlyOnceParquetSink
-from raystat.streaming.state import (
-    PendingIngest,
-    key_partition,
-    partial_row,
-    write_parquet_atomic,
-)
+from raystat.streaming.state import Kind, key_partition, partial_row
 
 __all__ = [
     "IntervalJoinConfig",
@@ -73,104 +68,66 @@ class IntervalJoinConfig:
         return int(self.after_s) * 1_000_000
 
 
-class TaggedJoinPartition(PendingIngest):
-    """Join state for one key-hash partition: buffered rows of BOTH
-    sides on the unified tagged schema (``_side`` 1 = left, 0 =
-    right).  ``ingest`` only appends (O(1) hot path); the join's emit
-    method sweeps once per epoch over the watermark-ready lefts and the
-    buffered rights.  A subclass names its snapshot file (``name``)
-    and its emitted-rows metric (``emitted``)."""
+class TaggedJoin(Kind):
+    """Join state for one key-hash partition, as ``state.KeyedPartition``
+    runs it: the buffered rows of BOTH sides on the unified tagged
+    schema (``_side`` 1 = left, 0 = right) as one table, whose columns
+    follow the input.  ``merge`` only appends; the join's ``close``
+    sweeps once per epoch over the watermark-ready lefts and the
+    buffered rights.  A subclass names its emitted-rows metric
+    (``emitted``)."""
 
-    rows_metric = "rows_in"
-    name = emitted = ""
+    emitted = ""
 
-    def __init__(self, pid: int, by: str, on: str, right_cols: list[str]):
-        self.pid = pid
+    def __init__(self, by: str, on: str, right_cols: list[str]):
+        super().__init__()
         self.by = by
         self.on = on
         self.right_cols = list(right_cols)
-        self.pending: list[pa.Table] = []
-        self.state: pd.DataFrame | None = None  # unified schema + _side
-        self.metrics = {
-            "rows_in": 0, "ingests": 0, self.emitted: 0,
-            "left_buffered": 0, "right_buffered": 0, "right_retired": 0,
-        }
+        self.wire = [by, on, "_side"]
+        self.metrics.update({self.emitted: 0, "left_buffered": 0, "right_buffered": 0,
+                             "right_retired": 0})
 
-    def _consolidate(self) -> None:
-        if self.pending:
-            new = pa.concat_tables(self.pending, promote_options="default").to_pandas()
-            self.pending = []
-            new[self.on] = new[self.on].astype(np.int64)
-            self.state = (
-                new if self.state is None or not len(self.state)
-                else pd.concat([self.state, new], ignore_index=True)
-            )
+    def merge(self, state: pa.Table, new: pa.Table) -> pa.Table:
+        new = new.set_column(new.schema.get_field_index(self.on), self.on,
+                             pc.cast(new[self.on], pa.int64()))
+        return pa.concat_tables([state, new], promote_options="default")
 
-    def get_metrics(self) -> dict:
-        return {"partition": self.pid, **self.metrics}
-
-    # -- checkpoint ---------------------------------------------------------
-
-    def _path(self, ckpt_dir: str) -> str:
-        return os.path.join(ckpt_dir, f"{self.name}-p{self.pid:04d}.parquet")
-
-    def snapshot(self, ckpt_dir: str, epoch: int) -> str:
-        os.makedirs(ckpt_dir, exist_ok=True)
-        self._consolidate()
-        path = self._path(ckpt_dir)
-        df = self.state if self.state is not None else pd.DataFrame()
-        write_parquet_atomic(pa.Table.from_pandas(df, preserve_index=False), path)
-        return path
-
-    def restore(self, ckpt_dir: str) -> int:
-        """Rebuild buffers from the snapshot (metrics start fresh); a
-        checkpoint without this partition's snapshot raises."""
-        t = pq.read_table(self._path(ckpt_dir))
-        self.pending = []
-        self.state = None
-        if t.num_rows:
-            df = t.to_pandas()
-            df[self.on] = df[self.on].astype(np.int64)
-            self.state = df
-        return t.num_rows
+    def _join_ready(self, state: pa.Table, ready: np.ndarray, is_left: np.ndarray, kernel,
+               **kw) -> pa.Table:
+        """``kernel`` (a batch join over one tagged frame) on the ready
+        lefts and every buffered right; its rows counted and returned."""
+        if not ready.any():
+            return pa.table({})
+        rows = kernel(state.filter(pa.array(ready | ~is_left)).to_pandas(), by=self.by,
+                      on=self.on, right_cols=self.right_cols, **kw)
+        self.metrics[self.emitted] += len(rows)
+        return pa.Table.from_pandas(rows, preserve_index=False) if len(rows) else pa.table({})
 
 
-class IntervalJoinPartition(TaggedJoinPartition):
-    """Interval-join state: ``emit_pairs`` is a single vectorized
+class IntervalJoin(TaggedJoin):
+    """Interval-join state: ``close`` is a single vectorized
     ``interval_join_frames`` call over (newly-emittable lefts x all
     buffered rights)."""
 
-    name, emitted = "ivj", "pairs_emitted"
+    emitted = "pairs_emitted"
 
-    def __init__(self, pid: int, by: str, on: str, right_cols: list[str],
-                 before_us: int, after_us: int):
-        super().__init__(pid, by, on, right_cols)
+    def __init__(self, by: str, on: str, right_cols: list[str], before_us: int,
+                 after_us: int):
+        super().__init__(by, on, right_cols)
         self.before_us = int(before_us)
         self.after_us = int(after_us)
 
-    def emit_pairs(self, watermark_us: int) -> pa.Table:
+    def close(self, state: pa.Table, watermark_us: int):
         """Pairs for every left row whose ``on + after`` is now below
         the watermark; retires those lefts and any unreachable rights."""
-        self._consolidate()
-        df = self.state
-        empty = pa.table({})
-        if df is None or not len(df):
-            return empty
-        side = df["_side"].to_numpy()
-        ts = df[self.on].to_numpy()
-        is_left = side == 1
+        if not state.num_rows:
+            return pa.table({}), state
+        is_left = state["_side"].to_numpy() == 1
+        ts = state[self.on].to_numpy()
         ready = is_left & (ts + self.after_us < watermark_us)
-
-        out = empty
-        if ready.any():
-            cand = df[ready | ~is_left]
-            pairs = interval_join_frames(
-                cand, by=self.by, on=self.on, right_cols=self.right_cols,
-                before=self.before_us, after=self.after_us,
-            )
-            self.metrics["pairs_emitted"] += len(pairs)
-            if len(pairs):
-                out = pa.Table.from_pandas(pairs, preserve_index=False)
+        out = self._join_ready(state, ready, is_left, interval_join_frames,
+                          before=self.before_us, after=self.after_us)
 
         # retire emitted lefts; retire rights no retained-or-future left reaches
         keep_left = is_left & ~ready
@@ -178,10 +135,9 @@ class IntervalJoinPartition(TaggedJoinPartition):
         reach = min(int(watermark_us), left_min)
         keep_right = (~is_left) & (ts + self.before_us >= reach)
         self.metrics["right_retired"] += int((~is_left).sum() - keep_right.sum())
-        self.state = df[keep_left | keep_right].reset_index(drop=True)
         self.metrics["left_buffered"] = int(keep_left.sum())
         self.metrics["right_buffered"] = int(keep_right.sum())
-        return out
+        return out, state.filter(pa.array(keep_left | keep_right))
 
 
 class IntervalRouter:
@@ -258,12 +214,11 @@ class IntervalStreamDriver(TaggedJoinDriver):
 
     def _partition(self) -> tuple:
         c = self.cfg
-        return (IntervalJoinPartition, c.by, c.on, list(c.right_cols),
-                c.before_us, c.after_us)
+        return IntervalJoin, c.by, c.on, list(c.right_cols), c.before_us, c.after_us
 
     def _emit(self, epoch: int, watermark_us: int):
         self._commit_closed(
-            epoch, "emit_pairs", watermark_us,
+            epoch, "close", watermark_us,
             sort_by=lambda t: [c for c in t.column_names if not c.startswith("_")],
         )
 

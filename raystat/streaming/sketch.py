@@ -21,19 +21,20 @@ expansion (``state.covering_windows``) and one session split
 (``state.session_split``).
 
 State: every kind runs in ``state.KeyedPartition``, the one keyed
-partition class (shared with the moment state), inside the shared
-``state.PartitionHost`` actors.  It keeps its partition's open groups
-as one Arrow table — the group columns (``key, window_start_s`` or
-``key, session_start_us, session_end_us``) plus the kind's payload
-columns — and owns the lifecycle of the reference's UDAF (initialize,
+partition class (shared with every other stream kind), inside the
+shared ``state.PartitionHost`` actors.  A sketch kind is a
+``state.GroupKind``: its partition's open groups are one Arrow table —
+the group columns (``key, window_start_s`` or ``key,
+session_start_us, session_end_us``) plus the kind's payload columns —
+run through the lifecycle of the reference's UDAF (initialize,
 aggregate, merge, map; PAPER.md §0): ingest buffers partials; the lazy
-consolidation gives each row its group id (for sessions, one gap-rule
-sweep over old and new fragments) and calls the kind's vectorized
-``merge``; ``close_windows`` retires the groups the watermark passed
+merge gives each row its group id (for sessions, one gap-rule sweep
+over old and new fragments) and calls the kind's vectorized
+``merge_groups``; ``close`` retires the groups the watermark passed
 and maps them to output rows with the kind's ``finish``;
 ``snapshot``/``restore`` write and read the table as one parquet file.
-So a sketch kind (a ``state.Kind``) is only its payload columns, a
-merge and a finish:
+So a sketch kind is only its payload columns, a group merge and a
+finish:
 
 - HLL: 4 KiB registers, element-wise max (idempotent: replayed or
   reordered partials can never over-count, and the streamed estimate
@@ -69,7 +70,7 @@ from raystat.dataops.sketches import (
 from raystat.streaming.epochs import NEG, EpochDriverBase, events_fixture
 from raystat.streaming.sink import ExactlyOnceParquetSink
 from raystat.streaming.state import (
-    KeyedPartition, Kind, covering_windows, key_partition, late_rows, partial_row,
+    GroupKind, covering_windows, key_partition, late_rows, partial_row,
     session_split,
 )
 
@@ -146,14 +147,14 @@ def _sum_by(g: np.ndarray, item: np.ndarray, n: np.ndarray):
 # -- sketch kinds ------------------------------------------------------------------
 
 
-class _Hll(Kind):
+class _Hll(GroupKind):
     """HyperLogLog registers (one M-byte row per group): merge is ONE
     stable sort + ``np.maximum.reduceat`` over the stacked register
     matrix; finish is the estimate."""
 
     payload = {"regs": pa.binary()}
 
-    def merge(self, state, new, gid):
+    def merge_groups(self, state, new, gid):
         regs = np.concatenate([_blob_values(t["regs"], np.uint8) for t in (state, new)])
         order, first = _runs(gid)
         merged = np.maximum.reduceat(regs.reshape(-1, _M)[order], first, axis=0)
@@ -166,7 +167,7 @@ class _Hll(Kind):
                          "approx_distinct": pa.array(est, pa.float64())})
 
 
-class _Kll(Kind):
+class _Kll(GroupKind):
     """KLL quantile sketches, one blob per group; finish emits ``n`` and
     the quantiles ``names`` at ``qs``.  KLL merge is mass-conserving
     but NOT order-commutative (the compaction schedule depends on merge
@@ -183,15 +184,14 @@ class _Kll(Kind):
       fragments are disjoint event subsets, so the gap-rule merge is
       sound."""
 
-    def __init__(self, session: bool, k: int, qs: tuple, names: tuple):
+    def __init__(self, span_s: int, session: bool, k: int, qs: tuple, names: tuple):
         self.payload = {"sk": pa.binary()}
         if not session:
             self.payload["parity"] = pa.int64()
-        super().__init__(session)
-        self.wire = ["sk"]
+        super().__init__(span_s, session, ["sk"])
         self.k, self.qs, self.names = int(k), tuple(qs), tuple(names)
 
-    def merge(self, state, new, gid):
+    def merge_groups(self, state, new, gid):
         ns = state.num_rows
         blobs = state["sk"].to_pylist() + new["sk"].to_pylist()
         if self.session:
@@ -225,7 +225,7 @@ class _Kll(Kind):
         })
 
 
-class _Mg(Kind):
+class _Mg(GroupKind):
     """Misra-Gries heavy-hitter summaries as (item, n) rows, bounded to
     ``capacity - 1`` items per group regardless of the item domain.  A
     row with a NULL item carries the group's deficit: the mass the MG
@@ -243,10 +243,10 @@ class _Mg(Kind):
 
     payload = {"item": pa.int64(), "n": pa.int64()}
 
-    def __init__(self, session: bool, capacity: int, top: int):
-        super().__init__(session)
+    def __init__(self, span_s: int, session: bool, capacity: int, top: int):
+        super().__init__(span_s, session)
         self.capacity, self.top = int(capacity), int(top)
-        self.metrics = {"prunes": 0}
+        self.metrics["prunes"] = 0
 
     @staticmethod
     def _split(t: pa.Table, gid: np.ndarray):
@@ -259,7 +259,7 @@ class _Mg(Kind):
         rows = np.flatnonzero(~is_def)
         return rows, gid[rows], t["item"].fill_null(0).to_numpy()[rows], n[rows], deficit
 
-    def merge(self, state, new, gid):
+    def merge_groups(self, state, new, gid):
         _, g, item, n, deficit = self._split(pa.concat_tables([state, new]), gid)
         g, item, n = _sum_by(g, item, n)
         size = np.bincount(g, minlength=deficit.size)
@@ -293,7 +293,7 @@ class _Mg(Kind):
         })
 
 
-class _Cms(Kind):
+class _Cms(GroupKind):
     """Count-Min frequency state: per group one dense DEPTH x WIDTH int64
     counter blob (``n``: the rows it absorbed; ``item`` 0) plus EXACT
     counts for the deterministic probe items ``item % probe_mod == 0``
@@ -308,7 +308,7 @@ class _Cms(Kind):
 
     payload = {"item": pa.int64(), "n": pa.int64(), "cms": pa.binary()}
 
-    def merge(self, state, new, gid):
+    def merge_groups(self, state, new, gid):
         t = pa.concat_tables([state, new])
         blob = pc.is_valid(t["cms"]).to_numpy(zero_copy_only=False)
         n, item = t["n"].to_numpy(), t["item"].to_numpy()
@@ -341,7 +341,7 @@ class _Cms(Kind):
         })
 
 
-class _BottomK(Kind):
+class _BottomK(GroupKind):
     """Deterministic bottom-k samples: per group the k DISTINCT items
     with the smallest ``splitmix64(item)`` (ties by item), as
     (item, hv) rows — the coordination-free reservoir.  Merge is a
@@ -355,13 +355,11 @@ class _BottomK(Kind):
 
     payload = {"item": pa.int64(), "hv": pa.uint64()}
 
-    def __init__(self, session: bool, k: int):
-        super().__init__(session)
+    def __init__(self, span_s: int, session: bool, k: int):
+        super().__init__(span_s, session, ["bk"] if session else None)
         self.k = int(k)
-        if session:
-            self.wire = ["bk"]
 
-    def merge(self, state, new, gid):
+    def merge_groups(self, state, new, gid):
         ns = state.num_rows
         if self.session:
             m, new_hv, new_it = _bk_unpack(new["bk"])
@@ -500,7 +498,7 @@ class _SketchDriver(EpochDriverBase):
     partitions (``kind_args``: state and close arguments) and routers
     (``router_kw``) take."""
 
-    kind: type  # the state.Kind subclass its partitions run
+    kind: type  # the state.GroupKind subclass its partitions run
     routers: tuple = ()  # (window router name, session router name)
     sort_extra: tuple = ()  # output sort columns after key and start
     kind_args: tuple = ()
@@ -529,8 +527,8 @@ class _SketchDriver(EpochDriverBase):
 
     def _partition(self) -> tuple:
         session = self.session_gap_s is not None
-        return (KeyedPartition, self.kind, self.session_gap_s if session else self.size_s,
-                session, *self.kind_args)
+        return (self.kind, self.session_gap_s if session else self.size_s, session,
+                *self.kind_args)
 
     def _driver_state(self) -> dict:
         return {"watermark_s": self.watermark_s,
@@ -557,7 +555,7 @@ class _SketchDriver(EpochDriverBase):
     def _emit(self, epoch: int, watermark_s: int):
         start = "window_start_s" if self.session_gap_s is None else "session_start_us"
         self._commit_closed(
-            epoch, "close_windows", watermark_s, sort_by=["key", start, *self.sort_extra],
+            epoch, "close", watermark_s, sort_by=["key", start, *self.sort_extra],
         )
 
 

@@ -8,12 +8,13 @@ range of the routing key, are hosted in ``H = min(P, Ray CPU slots)``
 :class:`PartitionHost` actors, each over a contiguous range of
 partition ids (:func:`host_pids`).  Kafka Streams runs its partition
 tasks, each with its own state store, on a few stream threads the same
-way: more state processes than CPU slots only time-share.  The moment
-kind and the five sketch kinds run one partition class,
-:class:`KeyedPartition`, over one Arrow state table; a kind
-(:class:`Kind`) is its group and payload columns, a merge and a
-finish.  The CEP, dedup and join partitions are their own classes and
-share :class:`PendingIngest`.
+way: more state processes than CPU slots only time-share.  Every kind runs
+one partition class, :class:`KeyedPartition`, over one Arrow state
+table; a kind (:class:`Kind`) is its wire columns, a merge and a close
+that returns what it emits and what it retains.  The moment kind and
+the five sketch kinds are group kinds (:class:`GroupKind`: windows or
+sessions, a group merge and a finish); CEP's tombstones, dedup's seen
+set and the join buffers are rows of their kinds' tables.
 
 The epoch's stage router (:class:`Router` for ``StreamDriver``) only
 computes *partial moment structs* (never raw rows) and returns them as
@@ -45,6 +46,7 @@ frontier; resume restores the snapshot and replays from the next epoch
 
 from __future__ import annotations
 
+import json
 import os
 import time
 import zlib
@@ -60,9 +62,9 @@ from raystat.aggregate import encode_key
 from raystat.dataops.asof import _key_u64
 
 __all__ = [
-    "KeyedPartition", "Kind", "PartitionHost", "Router", "route_partition",
+    "GroupKind", "KeyedPartition", "Kind", "PartitionHost", "Router", "route_partition",
     "key_partition", "source_watermarks", "partial_row", "route_partials",
-    "PendingIngest", "write_parquet_atomic", "late_rows", "covering_windows",
+    "write_parquet_atomic", "late_rows", "covering_windows",
     "session_split", "gap_sweep", "cpu_slots", "host_pids", "start_hosts",
 ]
 
@@ -134,12 +136,12 @@ def host_pids(n_partitions: int, n_hosts: int) -> list[list[int]]:
     return [p.tolist() for p in np.array_split(np.arange(n_partitions), n_hosts)]
 
 
-def start_hosts(n_partitions: int, cls, *args) -> list:
+def start_hosts(n_partitions: int, kind, *kind_args) -> list:
     """Start ``min(n_partitions, cpu_slots())`` :class:`PartitionHost`
-    actors hosting partitions ``cls(pid, *args)`` for pid in
-    ``range(n_partitions)`` (:func:`host_pids`)."""
+    actors hosting the partitions ``range(n_partitions)``
+    (:func:`host_pids`), each running ``kind(*kind_args)``."""
     n_hosts = min(n_partitions, cpu_slots())
-    return [PartitionHost.remote(pids, cls, *args)
+    return [PartitionHost.remote(pids, kind, *kind_args)
             for pids in host_pids(n_partitions, n_hosts)]
 
 
@@ -184,37 +186,19 @@ def write_parquet_atomic(table: pa.Table, path: str) -> None:
     os.replace(tmp, path)
 
 
-class PendingIngest:
-    """``ingest`` shared by the partition classes: buffer the partial
-    table for the next consolidation and count it.  A failure raises
-    to the driver's barrier, which waits on the hosts' ingest refs."""
-
-    rows_metric = "partial_rows_in"
-
-    def ingest(self, table: pa.Table) -> int:
-        n = table.num_rows
-        if n:
-            self.pending.append(table)
-        self.metrics[self.rows_metric] += n
-        self.metrics["ingests"] += 1
-        return n
-
-
 @ray.remote(num_cpus=0)
 class PartitionHost:
     # num_cpus=0: merge work is tiny (partial structs); reserving CPU
     # shares would starve the epoch stage's read tasks in small sessions.
     """One state-actor process hosting the logical partitions ``pids``
-    (a contiguous range), each a plain ``cls(pid, *args)`` object: a
-    :class:`KeyedPartition`, ``cep.CepStatePartition``,
-    ``dedup.DedupStatePartition``, ``interval.IntervalJoinPartition``
-    or ``asof.AsofJoinPartition``.  ``call`` runs a method on each
-    owned partition in pid order, so the driver sees per-partition
-    results in the order ``range(P)`` gives them whatever the host
-    count, and every partition still snapshots to its own file."""
+    (a contiguous range), each a :class:`KeyedPartition` running
+    ``kind(*kind_args)``.  ``call`` runs a method on each owned
+    partition in pid order, so the driver sees per-partition results in
+    the order ``range(P)`` gives them whatever the host count, and every
+    partition still snapshots to its own file."""
 
-    def __init__(self, pids: list[int], cls, *args):
-        self.parts = {p: cls(p, *args) for p in pids}
+    def __init__(self, pids: list[int], kind, *kind_args):
+        self.parts = {p: KeyedPartition(p, kind, *kind_args) for p in pids}
 
     def ready(self, table: pa.Table) -> bool:
         """A no-op taking an Arrow table, which the driver's
@@ -260,8 +244,7 @@ def late_rows(ts_us: np.ndarray, wm, size_s: int | None = None, hop_s: int | Non
     every earlier one has too.  A session row (``size_s`` None) is late
     when ``ts_us <= wm`` in microseconds: only then can it extend no
     session that is still open (``end + gap <= wm`` closes one), the
-    watermark clamped as :meth:`KeyedPartition.close_windows` clamps
-    it."""
+    watermark clamped as :meth:`GroupKind.close` clamps it."""
     if size_s is None:
         return ts_us <= np.clip(wm, NEG // 1_000_000, END // 1_000_000) * 1_000_000
     return _window_late(ts_us // 1_000_000 // hop_s, wm, size_s, hop_s)
@@ -347,79 +330,87 @@ def _group_ids(t: pa.Table, cols) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Kind:
-    """A state kind, as :class:`KeyedPartition` runs it.
+    """A state kind, as :class:`KeyedPartition` runs it: everything
+    kind-specific about one partition's state, which is one Arrow table.
+
+    - ``wire``: the columns every partial must carry (checked at ingest);
+    - ``schema``: the state table's schema; an empty schema lets the
+      state take its columns from the first partials merged in (a kind
+      whose columns follow the input);
+    - ``merge(state, new) -> state``: fold the ``new`` partials (the
+      pending ingests concatenated, in ingest order) into the state;
+    - ``close(state, arg) -> (emitted, retained)``: the rows ``arg`` (a
+      watermark, or dedup's epoch) makes final, and the state to keep;
+    - ``peek(state)``: the rows every open group would emit now (EMIT
+      CHANGES), for the kinds that have groups;
+    - ``gauges(state)``: metrics read off the state;
+    - ``metrics``: the counters, which a snapshot saves and a restore
+      reloads with the state.
+    """
+
+    wire: list = []
+    schema = pa.schema([])
+
+    def __init__(self):
+        self.metrics = {"partial_rows_in": 0, "ingests": 0}
+
+    def peek(self, state: pa.Table) -> pa.Table:
+        raise NotImplementedError(f"{type(self).__name__} has no open groups to peek at")
+
+    def gauges(self, state: pa.Table) -> dict:
+        return {"state_rows": state.num_rows}
+
+
+class GroupKind(Kind):
+    """A kind whose state is open groups: windows of ``span_s`` seconds,
+    or sessions with a gap of ``span_s`` seconds when ``session``.  The
+    moment kind and the five sketch kinds are group kinds.
 
     - ``window_groups`` / ``session_groups``: the group columns, a
       string key first (the one the watermark and the gap sweep go
       by), then int64 columns: a window's start in seconds last, a
       session's start and end in microseconds;
     - ``payload``: the state columns after the group columns;
-      ``wire``: the partial columns its routers send (the payload
-      unless set);
-    - ``merge(state, new, gid) -> (g, columns)``: merge the consolidated
-      ``state`` table and the ``new`` partials; ``gid`` is the group id
-      of every row of ``state`` then ``new``.  Returns each output row's
-      group id and the payload columns; the partition puts the group
-      columns in front;
+      ``payload_wire`` (the payload unless given): the partial columns
+      its routers send after the group columns;
+    - ``merge_groups(state, new, gid) -> (g, columns)``: merge the
+      consolidated ``state`` table and the ``new`` partials; ``gid`` is
+      the group id of every row of ``state`` then ``new``.  Returns
+      each output row's group id and the payload columns; ``merge`` puts
+      the group columns in front;
     - ``finish(closed, gid) -> pa.Table``: the emitted rows of the
       closed groups (``gid``: each closed row's group id), group columns
       first.
-    """
+
+    ``merge`` groups windows by their group columns; sessions run the
+    gap-rule sweep over the open sessions and the new fragments
+    (:func:`gap_sweep`): each cluster becomes one session whose bounds
+    span its members.  ksqlDB's SESSION contract is why merge exists:
+    overlapping partials must merge.  ``close`` retires a window when
+    ``window_start + size <= watermark`` and a session when ``end + gap
+    <= watermark`` (any admissible future event has ts > watermark, so
+    it cannot extend it).  The watermark may be a per-source dict
+    (:func:`source_watermarks`)."""
 
     window_groups = ("key", "window_start_s")
     session_groups = ("key", "session_start_us", "session_end_us")
     payload: dict = {}
 
-    def __init__(self, session: bool):
-        self.session = session
-        self.groups = list(self.session_groups if session else self.window_groups)
-        self.wire = list(self.payload)
-        self.metrics: dict = {}
+    def __init__(self, span_s: int, session: bool, payload_wire: list | None = None):
+        super().__init__()
+        self.session = bool(session)
+        self.groups = list(self.session_groups if self.session else self.window_groups)
+        # window size in s (window starts are in s), session gap in us
+        self.span = int(span_s) * (1_000_000 if self.session else 1)
+        self.payload_wire = list(self.payload if payload_wire is None else payload_wire)
+        self.wire = self.groups + self.payload_wire
+        group_types = [pa.string()] + [pa.int64()] * (len(self.groups) - 1)
+        self.schema = pa.schema(list(zip(self.groups, group_types)) + list(self.payload.items()))
+        self.closed_metric = "sessions_closed" if self.session else "windows_closed"
+        self.metrics[self.closed_metric] = 0
 
     def _group_columns(self, t: pa.Table) -> dict:
         return {c: t[c] for c in self.groups}
-
-
-class KeyedPartition(PendingIngest):
-    """Keyed state for one partition, for the moment kind and every
-    sketch kind: the open groups as ONE Arrow table (the kind's group
-    columns + its payload).  ``kind`` is the :class:`Kind` subclass,
-    built as ``kind(session, *kind_args)``; ``span_s`` is the window
-    size, or the session gap when ``session``.
-
-    ``ingest`` checks and buffers a partial table; the merge happens
-    lazily (close, peek, snapshot, metrics) as ONE consolidation over
-    everything pending.  Windows group rows by their group columns.
-    Sessions run the gap-rule sweep over the open sessions and the new
-    fragments (:func:`gap_sweep`): each cluster becomes one session
-    whose bounds span its members.  ksqlDB's SESSION contract is why
-    merge exists: overlapping partials must merge.  A window closes
-    when ``window_start + size <= watermark``; a session when ``end +
-    gap <= watermark`` (any admissible future event has ts >
-    watermark, so it cannot extend it).  The watermark may be a
-    per-source dict (:func:`source_watermarks`)."""
-
-    def __init__(self, pid: int, kind, span_s: int, session: bool, *kind_args):
-        self.pid = pid
-        self.session = bool(session)
-        self.kind = kind(self.session, *kind_args)
-        self.groups = self.kind.groups
-        # window size in s (window starts are in s), session gap in us
-        self.span = int(span_s) * (1_000_000 if self.session else 1)
-        self.wire = self.groups + self.kind.wire
-        group_types = [pa.string()] + [pa.int64()] * (len(self.groups) - 1)
-        self.schema = pa.schema(list(zip(self.groups, group_types))
-                                + list(self.kind.payload.items()))
-        self.state = self.schema.empty_table()
-        self.pending: list[pa.Table] = []
-        self.closed_metric = "sessions_closed" if self.session else "windows_closed"
-        self.metrics = {"partial_rows_in": 0, "ingests": 0, self.closed_metric: 0}
-
-    def ingest(self, table: pa.Table) -> int:
-        """Buffer one partial table; a missing column raises to the
-        driver's barrier."""
-        _require_columns(f"partition {self.pid}", table, self.wire)
-        return super().ingest(table.select(self.wire))
 
     def _session_groups(self, t: pa.Table):
         key = self.groups[0]
@@ -433,48 +424,82 @@ class KeyedPartition(PendingIngest):
                            "session_end_us": end.astype(np.int64)})
         return gid, bounds
 
-    def _consolidate(self) -> None:
-        if not self.pending:
-            return
-        new = pa.concat_tables(self.pending)
-        self.pending = []
-        both = pa.concat_tables([self.state.select(self.groups), new.select(self.groups)])
+    def merge(self, state: pa.Table, new: pa.Table) -> pa.Table:
+        new = new.select(self.wire)
+        both = pa.concat_tables([state.select(self.groups), new.select(self.groups)])
         if self.session:
             gid, bounds = self._session_groups(both)
         else:
             gid, first = _group_ids(both, self.groups)
             bounds = both.take(pa.array(first))
-        g, cols = self.kind.merge(self.state, new, gid)
+        g, cols = self.merge_groups(state, new, gid)
         keys = bounds.take(pa.array(g))
-        self.state = pa.table({**{c: keys[c] for c in self.groups}, **cols})
+        return pa.table({**{c: keys[c] for c in self.groups}, **cols})
 
-    def close_windows(self, watermark_s) -> pa.Table:
-        """Retire every group the watermark passed; returns the kind's
-        output rows for them."""
-        self._consolidate()
-        wm = source_watermarks(self.state[self.groups[0]], watermark_s)
+    def close(self, state: pa.Table, watermark_s) -> tuple[pa.Table, pa.Table]:
+        """Retire every group the watermark passed: the kind's output
+        rows for them, and the open groups."""
+        wm = source_watermarks(state[self.groups[0]], watermark_s)
         if self.session:
             wm = np.clip(wm, NEG // 1_000_000, END // 1_000_000) * 1_000_000
-            bound = self.state["session_end_us"].to_numpy() + self.span
+            bound = state["session_end_us"].to_numpy() + self.span
         else:
-            bound = self.state[self.groups[-1]].to_numpy() + self.span
+            bound = state[self.groups[-1]].to_numpy() + self.span
         done = bound <= wm
-        closed = self.state.filter(pa.array(done))
-        self.state = self.state.filter(pa.array(~done))
+        closed = state.filter(pa.array(done))
         gid, first = _group_ids(closed, self.groups)
         self.metrics[self.closed_metric] += int(first.size)
-        return self.kind.finish(closed, gid)
+        return self.finish(closed, gid), state.filter(pa.array(~done))
+
+    def peek(self, state: pa.Table) -> pa.Table:
+        return self.finish(state, _group_ids(state, self.groups)[0])
+
+
+class KeyedPartition:
+    """One logical partition's state, for every kind: the kind
+    ``kind(*kind_args)`` (a :class:`Kind`) and its state, ONE Arrow
+    table.  ``ingest`` checks a partial table's ``kind.wire`` columns
+    (a missing one raises to the driver's barrier) and buffers it; the
+    merge happens lazily (close, peek, snapshot, metrics) as ONE
+    ``kind.merge`` over everything pending, in ingest order.
+    ``close(arg)`` emits what ``arg`` made final and keeps what the
+    kind retains.  A snapshot is one file, ``state-pNNNN.parquet``,
+    whose schema metadata holds the counters; a restore reloads both."""
+
+    def __init__(self, pid: int, kind, *kind_args):
+        self.pid = pid
+        self.kind = kind(*kind_args)
+        self.metrics = self.kind.metrics
+        self.state = self.kind.schema.empty_table()
+        self.pending: list[pa.Table] = []
+
+    def ingest(self, table: pa.Table) -> int:
+        _require_columns(f"partition {self.pid}", table, self.kind.wire)
+        n = table.num_rows
+        if n:
+            self.pending.append(table)
+        self.metrics["partial_rows_in"] += n
+        self.metrics["ingests"] += 1
+        return n
+
+    def _consolidate(self) -> None:
+        if self.pending:
+            new = pa.concat_tables(self.pending, promote_options="default")
+            self.pending = []
+            self.state = self.kind.merge(self.state, new)
+
+    def close(self, arg) -> pa.Table:
+        self._consolidate()
+        emitted, self.state = self.kind.close(self.state, arg)
+        return emitted
 
     def peek_state(self) -> pa.Table:
-        """The kind's output rows for every open group, which stay open
-        (EMIT CHANGES)."""
         self._consolidate()
-        return self.kind.finish(self.state, _group_ids(self.state, self.groups)[0])
+        return self.kind.peek(self.state)
 
     def get_metrics(self) -> dict:
         self._consolidate()
-        return {"partition": self.pid, **self.metrics, **self.kind.metrics,
-                "state_rows": self.state.num_rows}
+        return {"partition": self.pid, **self.metrics, **self.kind.gauges(self.state)}
 
     def _path(self, ckpt_dir: str) -> str:
         return os.path.join(ckpt_dir, f"state-p{self.pid:04d}.parquet")
@@ -483,15 +508,18 @@ class KeyedPartition(PendingIngest):
         self._consolidate()
         os.makedirs(ckpt_dir, exist_ok=True)
         path = self._path(ckpt_dir)
-        write_parquet_atomic(self.state, path)
+        meta = {b"metrics": json.dumps(self.metrics, separators=(",", ":")).encode()}
+        write_parquet_atomic(self.state.replace_schema_metadata(meta), path)
         return path
 
     def restore(self, ckpt_dir: str) -> int:
-        """Rebuild the state from the snapshot (metrics start fresh).  A
+        """Rebuild the state and the counters from the snapshot.  A
         checkpoint without this partition's snapshot raises: resuming on
         empty state would silently lose it."""
+        t = pq.read_table(self._path(ckpt_dir))
         self.pending = []
-        self.state = pq.read_table(self._path(ckpt_dir)).cast(self.schema)
+        self.metrics.update(json.loads(t.schema.metadata[b"metrics"]))
+        self.state = t.replace_schema_metadata()
         return self.state.num_rows
 
 

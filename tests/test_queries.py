@@ -108,3 +108,35 @@ def test_bloom_filter_primitives():
     member = np.isin(probe, keys)
     fp = _bloom_test(words, probe[~member], n_bits).sum()
     assert fp == 0  # ~1e-9/probe at this sizing: zero expected
+
+
+def test_props_stats_reads_the_top_level_k_only(ray_session, tmp_path):
+    """``props_stats_events`` takes each object's top-level ``k`` as
+    DuckDB's ``json_extract_string(props, '$.k')`` does: a nested
+    ``{"x": {"k": 9}}`` and a string value holding ``"k":`` give no
+    ``k``, a ``k`` after them still counts, and a null ``props`` row is
+    counted with a null ``k``."""
+    import duckdb
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from raystat.pipelines.queries import QUERIES, props_k
+
+    props = ['{"k": 5}', '{"x": {"k": 9}}', '{"s": "\\"k\\": 7"}',
+             '{"x": {"k": 9}, "k": 3}', '{"s": "\\"k\\": 1", "k": -2}', None,
+             '{\n "k": 4\n}']
+    events = pa.table({"event_type": ["a", "a", "b", "b", "c", "c", "a"], "props": props})
+    pq.write_table(events, tmp_path / "events.parquet")
+    con = duckdb.connect()
+    con.sql(f"CREATE VIEW events AS SELECT * FROM read_parquet('{tmp_path}/events.parquet')")
+    exp_k = con.sql("SELECT cast(json_extract_string(props, '$.k') as bigint) AS k "
+                    "FROM events").df()["k"]
+    assert props_k(events["props"]).to_pylist() == [5, None, None, 3, -2, None, 4]
+    assert [None if pd.isna(k) else int(k) for k in exp_k] == [5, None, None, 3, -2, None, 4]
+
+    q = next(q for q in QUERIES if q.name == "props_stats_events")
+    got = to_pandas(q.fn(str(tmp_path))).sort_values("event_type", ignore_index=True)
+    exp = con.sql(q.sql).df().sort_values("event_type", ignore_index=True)
+    assert got["n"].tolist() == exp["n"].tolist() == [3, 2, 2]
+    for c in ("sum_k", "min_k", "max_k"):
+        assert got[c].astype(float).tolist() == exp[c].astype(float).tolist(), c

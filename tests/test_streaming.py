@@ -931,7 +931,7 @@ def test_moment_window_sums_equal_pandas_group_sums():
         df = pa.concat_tables(tables).to_pandas().astype({"u_n": np.float64})
         sums = df.groupby(keys, sort=False)[cols].sum()
         expected = sums if expected is None else expected.add(sums, fill_value=0.0)
-    got = state.close_windows(END).to_pandas().set_index(keys).sort_index()
+    got = state.close(END).to_pandas().set_index(keys).sort_index()
     expected = expected.sort_index()
     assert len(got) == 20
     for c in cols:

@@ -168,21 +168,22 @@ def test_state_is_hashes_only_and_bounded(ray_session):
 def test_restore_leaves_ingest_barrier_fresh(ray_session):
     """A restored partition keeps the checkpointed seen set and its
     cumulative metrics (winners/evictions stay cumulative)."""
-    from raystat.streaming.dedup import DedupStatePartition
+    from raystat.streaming.dedup import _SeenSet
+    from raystat.streaming.state import KeyedPartition
 
     ck = tempfile.mkdtemp(prefix="rs_sdedup_ck_")
     try:
-        a = DedupStatePartition(0, None)
+        a = KeyedPartition(0, _SeenSet, None)
         t = pa.table(
             {"content_hash": pa.array([11, 22], pa.int64()),
              "doc_id": pa.array([1, 2], pa.int64())}
         )
         a.ingest(t)
         a.ingest(t)
-        a.close_epoch(0)
+        a.close(0)
         a.snapshot(ck, 0)
 
-        b = DedupStatePartition(0, None)
+        b = KeyedPartition(0, _SeenSet, None)
         assert b.restore(ck) == 2  # 2 seen hashes
         m = b.get_metrics()
         assert m["winners"] == 2, "cumulative metrics must carry over"

@@ -566,11 +566,10 @@ def test_killed_host_fails_run_and_resume_is_exact(ray_session, sf_dir, tmp_path
 MISSING_SNAPSHOT = {
     "moments-window": "state-p0001.parquet",
     "moments-session": "state-p0001.parquet",
-    "cep": "cep-p0001.parquet",
-    "cep-tombstones": "cep-p0001.done.parquet",
-    "dedup": "dedup-p0001.parquet",
-    "interval": "ivj-p0001.parquet",
-    "asof": "asof-p0001.parquet",
+    "cep": "state-p0001.parquet",
+    "dedup": "state-p0001.parquet",
+    "interval": "state-p0001.parquet",
+    "asof": "state-p0001.parquet",
 }
 
 

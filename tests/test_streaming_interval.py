@@ -96,7 +96,7 @@ def test_right_state_retires(ray_session):
         m = drv.run()
         stats = m["epochs"]["final"]["state_metrics"]
         assert sum(s["right_retired"] for s in stats) > 0
-        total_right_in = sum(s["rows_in"] for s in stats)
+        total_right_in = sum(s["partial_rows_in"] for s in stats)
         peak_buffered = sum(s["right_buffered"] for s in stats)
         assert peak_buffered < total_right_in
     finally:

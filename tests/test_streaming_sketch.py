@@ -2,7 +2,8 @@
 registers over the same rows (max-merge order independence), ingest
 idempotence (replay safety), late-drop behaviour, crash/resume
 exactly-once, and the one ``KeyedPartition`` class's column checks and
-snapshot/restore for every (kind, span), moments included."""
+snapshot/restore for every kind and span: the sketches, the moments,
+CEP, dedup and the two joins."""
 
 from __future__ import annotations
 
@@ -20,8 +21,20 @@ import ray
 
 from raystat.dataops.sketches import _M, _rho_and_idx, hll_estimate
 from raystat.fixtures import epoch_len_us, write_stream_fixture
-from raystat.streaming import StreamConfig, StreamDriver
-from raystat.streaming.epochs import END, NEG
+from raystat.streaming import (
+    AsofJoinConfig,
+    AsofStreamDriver,
+    CepStreamDriver,
+    DedupStreamDriver,
+    IntervalJoinConfig,
+    IntervalStreamDriver,
+    StreamConfig,
+    StreamDriver,
+)
+from raystat.streaming.asof import events_asof_fixture
+from raystat.streaming.dedup import docs_stream_fixture
+from raystat.streaming.epochs import END
+from raystat.streaming.interval import events_interval_fixture
 from raystat.streaming.sketch import (
     BottomKStreamDriver,
     CmsStreamDriver,
@@ -143,7 +156,7 @@ def test_ingest_idempotence(ray_session, kind, session):
         state = KeyedPartition(0, kind_cls, 3600, session, *args)
         for _ in range(times):
             state.ingest(partial)
-        outs.append(state.close_windows(END).to_pandas())
+        outs.append(state.close(END).to_pandas())
     assert len(outs[0]) == (1 if session else 2) * (1 if kind == "hll" else 3)
     pd.testing.assert_frame_equal(outs[0], outs[1])
 
@@ -161,9 +174,14 @@ _KIND_SPANS = [
     if not (cls is CmsStreamDriver and span == "session")
 ]
 _KIND_IDS = [f"{c.kind.__name__[1:].lower()}-{s}" for c, s, _ in _KIND_SPANS]
-# the moment kind of StreamDriver runs in the same partition class
-_STATE_SPANS = _KIND_SPANS + [(StreamDriver, span, {}) for span in ("window", "session")]
-_STATE_IDS = _KIND_IDS + ["moments-window", "moments-session"]
+# the moment kind of StreamDriver runs in the same partition class, and
+# so do the retaining kinds: CEP, dedup and the two joins
+_RETAINING = [(CepStreamDriver, None, {}), (DedupStreamDriver, None, {}),
+              (IntervalStreamDriver, None, {}), (AsofStreamDriver, None, {})]
+_RETAINING_IDS = ["cep", "dedup", "interval", "asof"]
+_STATE_SPANS = (_KIND_SPANS + [(StreamDriver, span, {}) for span in ("window", "session")]
+                + _RETAINING)
+_STATE_IDS = _KIND_IDS + ["moments-window", "moments-session"] + _RETAINING_IDS
 
 
 def _kind_driver(cls, span: str, kw: dict, out: str, n_partitions: int = 2):
@@ -173,23 +191,49 @@ def _kind_driver(cls, span: str, kw: dict, out: str, n_partitions: int = 2):
                            session_gap_s=1800 if span == "session" else None,
                            n_partitions=n_partitions, passthrough=False)
         return StreamDriver(TOKENS, out, cfg)
+    if cls is CepStreamDriver:
+        return cls(events_stream_fixture(SF, n_epochs=4), out, key="user_id",
+                   type_col="event_type", stages=["view", "click", "purchase"],
+                   within_us=2 * 86400 * 1_000_000, allowed_lateness_s=LATENESS,
+                   n_partitions=n_partitions)
+    if cls is DedupStreamDriver:
+        return cls(docs_stream_fixture(SF, n_epochs=4), out, n_partitions=n_partitions)
+    if cls is IntervalStreamDriver:
+        return cls(events_interval_fixture(SF, n_epochs=4), out,
+                   IntervalJoinConfig(allowed_lateness_s=LATENESS, n_partitions=n_partitions))
+    if cls is AsofStreamDriver:
+        return cls(events_asof_fixture(SF, n_epochs=4), out,
+                   AsofJoinConfig(allowed_lateness_s=LATENESS, n_partitions=n_partitions))
     span_kw = {"session_gap_s": GAP_S} if span == "session" else {"window_size_s": WEEK}
     return cls(events_stream_fixture(SF, n_epochs=4), out, allowed_lateness_s=LATENESS,
                n_partitions=n_partitions, **span_kw, **kw)
 
 
-@pytest.mark.parametrize("cls, span, kw", _KIND_SPANS, ids=_KIND_IDS)
+# a retaining kind's partial with one of its wire columns missing
+_BAD_RETAINING = {
+    CepStreamDriver: {"key": pa.array([1]), "ts_us": pa.array([0])},
+    DedupStreamDriver: {"content_hash": pa.array([1])},
+    IntervalStreamDriver: {"user_id": pa.array([1]), "ts_us": pa.array([0])},
+    AsofStreamDriver: {"user_id": pa.array([1]), "_side": pa.array([0], pa.int8())},
+}
+
+
+@pytest.mark.parametrize("cls, span, kw", _KIND_SPANS + _RETAINING,
+                         ids=_KIND_IDS + _RETAINING_IDS)
 def test_malformed_partial_fails_at_barrier(ray_session, cls, span, kw):
-    """A sketch partial that lacks its kind's columns raises from the
-    driver's barrier (the actor checks them at ingest), not later at
-    close or snapshot."""
+    """A partial that lacks its kind's wire columns raises from the
+    driver's barrier (the partition checks them at ingest), not later
+    at close or snapshot."""
     out = tempfile.mkdtemp(prefix="rs_sk_bad_")
     try:
         drv = _kind_driver(cls, span, kw, out).prepare()
-        groups = (["key", "session_start_us", "session_end_us"] if span == "session"
-                  else ["key", "window_start_s"])
-        bad = pa.table({c: pa.array(["a"]) if c == "key" else pa.array([0], pa.int64())
-                        for c in groups})  # group columns, no payload
+        if cls in _BAD_RETAINING:
+            bad = pa.table(_BAD_RETAINING[cls])
+        else:
+            groups = (["key", "session_start_us", "session_end_us"] if span == "session"
+                      else ["key", "window_start_s"])
+            bad = pa.table({c: pa.array(["a"]) if c == "key" else pa.array([0], pa.int64())
+                            for c in groups})  # group columns, no payload
         book = partial_row(bad, [0], 0, max_ts_us=0, late_dropped=0, rows_in=1).to_pandas()
         with pytest.raises(Exception, match="lacks columns"):
             drv._ingest_barrier(book)
@@ -200,11 +244,13 @@ def test_malformed_partial_fails_at_barrier(ray_session, cls, span, kw):
 @pytest.mark.parametrize("cls, span, kw", _STATE_SPANS, ids=_STATE_IDS)
 def test_snapshot_restore_every_kind(ray_session, cls, span, kw):
     """Partials of two epochs, a snapshot, a restore into a fresh host:
-    closing everything on the restored partitions gives the same
-    tables as on the originals, from exactly one parquet file per
-    partition, restored under another host count (the driver's two
-    partitions on two hosts, restored into one host owning both); a
-    directory without a partition's snapshot fails the restore."""
+    the restored partitions report the originals' counters, and closing
+    everything on them gives the same tables as on the originals, from
+    exactly one parquet file per partition, restored under another host
+    count (the driver's two partitions on two hosts, restored into one
+    host owning both); a directory without a partition's snapshot fails
+    the restore.  Dedup's epochs stay unresolved until that close, so
+    its snapshot holds pending rows."""
     out = tempfile.mkdtemp(prefix="rs_sk_snap_")
     try:
         drv = _kind_driver(cls, span, kw, out).prepare()
@@ -212,7 +258,7 @@ def test_snapshot_restore_every_kind(ray_session, cls, span, kw):
         for e in (0, 1):
             book, _ = drv._stage(e, drv._router())
             drv._ingest_barrier(book)
-            drv._call("close_windows", NEG)  # consolidate
+            drv._call("get_metrics")  # consolidate
         ckpt = os.path.join(out, "ckpt")
         drv._call("snapshot", ckpt, 1)
         assert sorted(os.listdir(ckpt)) == ["state-p0000.parquet", "state-p0001.parquet"]
@@ -220,14 +266,16 @@ def test_snapshot_restore_every_kind(ray_session, cls, span, kw):
         with pytest.raises(Exception, match="state-p0000.parquet"):
             ray.get(fresh.call.remote("restore", out))  # no snapshot there
         ray.get(fresh.call.remote("restore", ckpt))
-        want = drv._call("close_windows", END)
-        got = ray.get(fresh.call.remote("close_windows", END))
+        metrics = drv._call("get_metrics")
+        assert sum(m["partial_rows_in"] for m in metrics) > 0
+        assert ray.get(fresh.call.remote("get_metrics")) == metrics
+        want = drv._call("close", END)
+        got = ray.get(fresh.call.remote("close", END))
         assert len(got) == 2 and sum(t.num_rows for t in want) > 0
         for w, g in zip(want, got):
             assert g.equals(w, check_metadata=True)
-        rows = pa.concat_tables(want).to_pandas()
         if cls is MgStreamDriver:
-            assert (rows["mg_deficit"] > 0).any()
+            assert (pa.concat_tables(want).to_pandas()["mg_deficit"] > 0).any()
         for a in [fresh, *drv.actors]:
             ray.kill(a)
     finally:

@@ -1,11 +1,16 @@
 """Output-identity sweep over the streaming drivers.
 
-Runs 40 driver configurations on the pytest fixtures (sf0.001 and the
+Runs 44 driver configurations on the pytest fixtures (sf0.001 and the
 synthetic token stream, also as JSONL) and on a wider token stream
 whose epochs (about 7 MB, 8 files) plan 3 read tasks at 4 CPUs, and
 writes, per configuration, the sha256 of
 every committed sink epoch (from its manifest) and the per-epoch
-``late_dropped`` counts.  For a passthrough (``kind: "dataset"``)
+``late_dropped`` counts.  Four of them (``RESUMED``) rerun another
+configuration as a crash and a resume: ``run(stop_after_epoch=1)``,
+then a fresh driver's ``run(resume=True)`` on the same output, so their
+entries equal their twin's when the snapshots restore the state
+exactly.  Each configuration's wall time goes to stdout, not the
+JSON.  For a passthrough (``kind: "dataset"``)
 sink it records each epoch's row count and hashes the sink's rows in
 ``doc_id`` order: its part files depend on the number of read tasks,
 and older checkouts record no digest for them.
@@ -36,6 +41,7 @@ import os
 import shutil
 import sys
 import tempfile
+import time
 
 SF = os.path.expanduser("~/testdata/sf0.001")  # the pytest suite's sf0.001 tables
 STREAM_FIXTURE = "/tmp/raystat_fixtures/stream_pytest"
@@ -45,6 +51,9 @@ WIDE_ROWS = 120_000  # 8 files of ~0.9 MB per epoch
 WEEK, GAP = 7 * 86400, 7200
 LATE = 200 * 3600  # the sketch/join tests' lateness: nothing drops
 TIGHT = 3600  # rows one arrival epoch late drop at the routers
+# configurations run as a stop after epoch 1 and a resume: name -> twin
+RESUMED = {"cep_resumed": "cep", "dedup_retention_resumed": "dedup_retention",
+           "interval_resumed": "interval", "asof_resumed": "asof"}
 
 
 def _configs():
@@ -213,11 +222,22 @@ def main(argv: list[str]) -> int:
     DataContext.get_current().enable_progress_bars = False
     logging.getLogger("ray.data").setLevel(logging.WARNING)
     result = {}
-    for name, make in _configs().items():
+    configs = _configs()
+    for name in [*configs, *RESUMED]:
+        make = configs[RESUMED.get(name, name)]
         out = tempfile.mkdtemp(prefix=f"rs_sweep_{name}_")
+        t0 = time.monotonic()
         try:
-            drv = make(out)
-            m = drv.run()
+            if name in RESUMED:
+                first = make(out)
+                first.run(stop_after_epoch=1)
+                for a in first.actors or ():
+                    ray.kill(a)
+                drv = make(out)
+                m = drv.run(resume=True)
+            else:
+                drv = make(out)
+                m = drv.run()
             late = {e: v["late_dropped"] for e, v in m["epochs"].items()
                     if e != "final" and "late_dropped" in v}
             result[name] = {"late_dropped": late, "sinks": _digests(out)}
@@ -225,7 +245,7 @@ def main(argv: list[str]) -> int:
                 ray.kill(a)
         finally:
             shutil.rmtree(out, ignore_errors=True)
-        print(name, "ok", flush=True)
+        print(name, "ok", f"{time.monotonic() - t0:.2f}s", flush=True)
     with open(args.out, "w") as f:
         json.dump(result, f, indent=1, sort_keys=True)
     return 0
