@@ -184,16 +184,24 @@ class AggregatorSpec:
 
     ``fields`` are the reference's Connect-Struct field names (the wire
     format for partial aggregates); ``canonical`` are the engine's
-    power-sum column names feeding ``finalize_fn`` in order.
+    power-sum column names feeding ``finalize_fn`` in order;
+    ``description`` is the one line ``show_functions`` prints (the
+    reference's ``@UdafDescription``).
     """
 
     name: str
     weighted: bool
     fields: tuple[str, ...]
     canonical: tuple[str, ...]
+    description: str
     finalize_fn: Callable[..., np.ndarray] = field(repr=False)
     order: int = 4  # highest power of x needed
     is_sample: bool = False
+
+    @property
+    def params(self) -> tuple[str, ...]:
+        """The call's arguments, as ``show_functions`` lists them."""
+        return ("value", "weight") if self.weighted else ("value",)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -288,15 +296,18 @@ REFERENCE_FUNCTION_NAMES = frozenset(
 
 def show_functions() -> list[dict]:
     """``SHOW FUNCTIONS`` parity (AllUdafIT.java:116-153): one metadata
-    row per registered aggregate — name, weighted?, accumulator state
-    fields (the reference's aggregateSchema struct fields), and whether
-    the name extends the reference surface."""
+    row per registered aggregate — name, a one-line description, the
+    call's parameters, weighted?, accumulator state fields (the
+    reference's aggregateSchema struct fields), and whether the name
+    extends the reference surface."""
     from raystat.comoments import CO_REGISTRY
 
     specs = list(REGISTRY.values()) + list(CO_REGISTRY.values())
     return [
         {
             "name": s.name,
+            "description": s.description,
+            "params": list(s.params),
             "weighted": s.weighted,
             "state_fields": list(s.fields),
             "reference": s.name in REFERENCE_FUNCTION_NAMES,
@@ -311,6 +322,7 @@ register(
         weighted=True,
         fields=("SUM_VALUES", "SUM_WEIGHTS"),
         canonical=("w_sv", "w_sw"),
+        description="Weighted mean of value: SUM(weight*value) / SUM(weight).",
         finalize_fn=_fin_weighted_average,
         order=1,
     )
@@ -321,6 +333,7 @@ register(
         weighted=True,
         fields=("SUM_VALUES", "SUM_WEIGHTS", "SUM_WEIGHT_SQUARES"),
         canonical=("w_sv", "w_sw", "w_s2"),
+        description="Weighted population standard deviation of value.",
         finalize_fn=_fin_stddev_weighted,
         order=2,
     )
@@ -331,6 +344,7 @@ register(
         weighted=False,
         fields=("COUNT", "SUM", "SUM_SQUARES", "SUM_CUBES"),
         canonical=("u_n", "u_s1", "u_s2", "u_s3"),
+        description="Population skewness of value.",
         finalize_fn=_make_fin_skewness(False),
         order=3,
     )
@@ -341,6 +355,7 @@ register(
         weighted=False,
         fields=("COUNT", "SUM", "SUM_SQUARES", "SUM_CUBES"),
         canonical=("u_n", "u_s1", "u_s2", "u_s3"),
+        description="Sample skewness of value (bias-corrected); NaN below 3 rows.",
         finalize_fn=_make_fin_skewness(True),
         order=3,
         is_sample=True,
@@ -352,6 +367,7 @@ register(
         weighted=True,
         fields=("SUM_VALUES", "SUM_WEIGHTS", "SUM_WEIGHT_SQUARES", "SUM_WEIGHT_CUBES"),
         canonical=("w_sv", "w_sw", "w_s2", "w_s3"),
+        description="Weighted population skewness of value.",
         finalize_fn=_fin_skewness_weighted,
         order=3,
     )
@@ -362,6 +378,7 @@ register(
         weighted=False,
         fields=("COUNT", "SUM", "SUM_SQUARES", "SUM_CUBES", "SUM_QUARTIC"),
         canonical=("u_n", "u_s1", "u_s2", "u_s3", "u_s4"),
+        description="Population kurtosis of value (not excess kurtosis).",
         finalize_fn=_make_fin_kurtosis(False),
         order=4,
     )
@@ -372,6 +389,7 @@ register(
         weighted=False,
         fields=("COUNT", "SUM", "SUM_SQUARES", "SUM_CUBES", "SUM_QUARTIC"),
         canonical=("u_n", "u_s1", "u_s2", "u_s3", "u_s4"),
+        description="Sample excess kurtosis of value (bias-corrected); NaN below 4 rows.",
         finalize_fn=_make_fin_kurtosis(True),
         order=4,
         is_sample=True,
@@ -389,6 +407,7 @@ register(
             "SUM_WEIGHT_QUARTIC",
         ),
         canonical=("w_sv", "w_sw", "w_s2", "w_s3", "w_s4"),
+        description="Weighted population kurtosis of value (not excess kurtosis).",
         finalize_fn=_fin_kurtosis_weighted,
         order=4,
     )

@@ -16,11 +16,12 @@ State fields:
 - weighted:   ``SUM_WEIGHTS SUM_WX SUM_WY SUM_WXX SUM_WYY SUM_WXY``
   (canonical ``cw_sw cw_sx cw_sy cw_sxx cw_syy cw_sxy``)
 
-``grouped_comoments`` is the batch engine: per-batch Arrow hash-agg
-partials (the exchange moves O(groups) rows of 6 float64 sums, never
-raw rows) -> :func:`raystat.aggregate.keyed_merge` (sort exchange,
-then Arrow sums per block) -> vectorized finalize — the exact shape
-of :func:`raystat.aggregate.grouped_moments`.
+``grouped_comoments`` is the batch engine: per-batch grouped-bincount
+partials over the batch moments' dense group key (the exchange moves
+O(groups) rows of 6 float64 sums, never raw rows) ->
+:func:`raystat.aggregate.keyed_merge` (sort exchange, then Arrow sums
+per block) -> vectorized finalize — the exact shape of
+:func:`raystat.aggregate.grouped_moments`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from typing import Callable, Mapping
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 __all__ = [
     "CoMomentSpec",
@@ -119,7 +119,13 @@ class CoMomentSpec:
     weighted: bool
     fields: tuple[str, ...]
     canonical: tuple[str, ...]
+    description: str
     finalize_fn: Callable[..., np.ndarray] = field(repr=False)
+
+    @property
+    def params(self) -> tuple[str, ...]:
+        """The call's arguments, as ``show_functions`` lists them."""
+        return ("x", "y", "weight") if self.weighted else ("x", "y")
 
     def initialize(self) -> dict[str, float]:
         return {f: (0 if f == "COUNT" else 0.0) for f in self.fields}
@@ -187,51 +193,22 @@ def get_comoment(name: str) -> CoMomentSpec:
 _UNW_FIELDS = ("COUNT", "SUM_X", "SUM_Y", "SUM_XX", "SUM_YY", "SUM_XY")
 _W_FIELDS = ("SUM_WEIGHTS", "SUM_WX", "SUM_WY", "SUM_WXX", "SUM_WYY", "SUM_WXY")
 
-register_comoment(
-    CoMomentSpec(
-        name="covariance",
-        weighted=False,
-        fields=_UNW_FIELDS,
-        canonical=UNWEIGHTED_CO_SUMS,
-        finalize_fn=_fin_covariance,
-    )
-)
-register_comoment(
-    CoMomentSpec(
-        name="covariance_sample",
-        weighted=False,
-        fields=_UNW_FIELDS,
-        canonical=UNWEIGHTED_CO_SUMS,
-        finalize_fn=_fin_covariance_sample,
-    )
-)
-register_comoment(
-    CoMomentSpec(
-        name="correlation",
-        weighted=False,
-        fields=_UNW_FIELDS,
-        canonical=UNWEIGHTED_CO_SUMS,
-        finalize_fn=_fin_correlation,
-    )
-)
-register_comoment(
-    CoMomentSpec(
-        name="covariance_weighted",
-        weighted=True,
-        fields=_W_FIELDS,
-        canonical=WEIGHTED_CO_SUMS,
-        finalize_fn=_fin_covariance_weighted,
-    )
-)
-register_comoment(
-    CoMomentSpec(
-        name="correlation_weighted",
-        weighted=True,
-        fields=_W_FIELDS,
-        canonical=WEIGHTED_CO_SUMS,
-        finalize_fn=_fin_correlation_weighted,
-    )
-)
+for _name, _weighted, _fin, _description in (
+    ("covariance", False, _fin_covariance, "Population covariance of x and y."),
+    ("covariance_sample", False, _fin_covariance_sample,
+     "Sample covariance of x and y; 0.0 below 2 rows."),
+    ("correlation", False, _fin_correlation,
+     "Pearson correlation of x and y; 0.0 when either has zero variance."),
+    ("covariance_weighted", True, _fin_covariance_weighted,
+     "Weighted population covariance of x and y."),
+    ("correlation_weighted", True, _fin_correlation_weighted,
+     "Weighted Pearson correlation of x and y; 0.0 when either has zero variance."),
+):
+    register_comoment(CoMomentSpec(
+        name=_name, weighted=_weighted, fields=_W_FIELDS if _weighted else _UNW_FIELDS,
+        canonical=WEIGHTED_CO_SUMS if _weighted else UNWEIGHTED_CO_SUMS,
+        description=_description, finalize_fn=_fin,
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +237,10 @@ def grouped_comoments(
     """Grouped (optionally tumbling/hopping-windowed) bivariate
     statistics over a Dataset; same three-stage shape as
     :func:`raystat.aggregate.grouped_moments`."""
-    from raystat.aggregate import check_keys, finalize_kernel, keyed_merge, sum_kernel
-    from raystat.scratch import tune_allocator
-    from raystat.windows import Hopping, Tumbling, assign_windows
+    from raystat.aggregate import (
+        f8_column, finalize_kernel, group_sums, keyed_merge, partial_rows, sum_kernel,
+        sum_table, table_groups,
+    )
 
     resolved = _resolve(specs)
     if not resolved:
@@ -284,45 +262,21 @@ def grouped_comoments(
         needed += list(WEIGHTED_CO_SUMS)
 
     def partial(batch: pa.Table) -> pa.Table:
-        tune_allocator()
-        check_keys(batch, keys)
-        if window is not None:
-            batch, ws = assign_windows(batch, ts, window)
-            batch = batch.append_column(
-                "window_start", pa.array(ws, type=pa.int64())
-            )
         # SQL bivariate-aggregate null semantics: drop rows where any input is null
-        mask = None
-        for col in ([x, y] + ([weight] if weight else [])):
-            if batch[col].null_count:
-                v = pc.is_valid(batch[col])
-                mask = v if mask is None else pc.and_(mask, v)
-        if mask is not None:
-            batch = batch.filter(mask)
-        xv = batch[x].cast(pa.float64()).to_numpy(zero_copy_only=False)
-        yv = batch[y].cast(pa.float64()).to_numpy(zero_copy_only=False)
-        arrays: dict[str, np.ndarray] = {}
+        batch = partial_rows(batch, keys, window, ts, (x, y, weight))
+        xv, yv = f8_column(batch, x), f8_column(batch, y)
+        gidx, n_groups, values = table_groups(batch, group_cols)
+        counts, present, gsum = group_sums(gidx, n_groups)
+        prods = {"sx": xv, "sy": yv, "sxx": xv * xv, "syy": yv * yv, "sxy": xv * yv}
+        sums: dict[str, np.ndarray] = {}
         if want_u:
-            arrays["c_n"] = np.ones(xv.size, dtype=np.int64)
-            arrays["c_sx"] = xv
-            arrays["c_sy"] = yv
-            arrays["c_sxx"] = xv * xv
-            arrays["c_syy"] = yv * yv
-            arrays["c_sxy"] = xv * yv
+            sums["c_n"] = counts[present]
+            sums.update({f"c_{c}": gsum(v) for c, v in prods.items()})
         if want_w:
-            w = batch[weight].cast(pa.float64()).to_numpy(zero_copy_only=False)
-            arrays["cw_sw"] = w
-            arrays["cw_sx"] = w * xv
-            arrays["cw_sy"] = w * yv
-            arrays["cw_sxx"] = w * xv * xv
-            arrays["cw_syy"] = w * yv * yv
-            arrays["cw_sxy"] = w * xv * yv
-        if group_cols:
-            data = {k: batch[k] for k in group_cols}
-        else:
-            data = {"_all": np.zeros(xv.size, dtype=np.int8)}
-        data.update(arrays)
-        return sum_kernel(out_group_cols, list(arrays))(pa.table(data))
+            w = f8_column(batch, weight)
+            sums["cw_sw"] = gsum(w)
+            sums.update({f"cw_{c}": gsum(w * v) for c, v in prods.items()})
+        return sum_table(values(present), sums)
 
     partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
     agg = keyed_merge(partials, out_group_cols, sum_kernel(out_group_cols, needed))

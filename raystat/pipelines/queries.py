@@ -4179,29 +4179,28 @@ def _q_rollup_token_stats(sf_dir):
     from raystat.accumulators import get_spec
     from raystat.extract import add_event_time
     from raystat.pipelines.tokens import tokenize_documents
-    from raystat.aggregate import partial_sums
+    from raystat.aggregate import power_sums, sum_table, table_groups
     from raystat.windows import Tumbling, assign_windows
 
     win = Tumbling(21600)
+    sums = ["u_n", "u_s1", "u_s2", "w_sw", "w_sv", "w_s2"]
 
     def partial(batch: pa.Table) -> pa.Table:
         batch, ws = assign_windows(batch, "ts", win)
+        batch = batch.append_column("window_start", pa.array(ws, pa.int64()))
+        gidx, n_groups, values = table_groups(batch, ["source", "window_start"])
         x = batch["n_tok"].cast(pa.float64()).to_numpy(zero_copy_only=False)
-        return partial_sums(
-            {"source": batch["source"], "window_start": pa.array(ws, pa.int64())},
-            x, x, u_order=2, w_order=2,
-        )
+        present, s = power_sums(gidx, n_groups, None, x, x, None, sums, 2, 2, False)
+        return sum_table(values(present), s)
 
     fine = (
         tokenize_documents(sf_dir)
         .map_batches(add_event_time, batch_format="pyarrow")
         .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby(["source", "window_start"])
-        .aggregate(*[Sum(c, alias_name=c) for c in
-                     ("u_n", "u_s1", "u_s2", "w_sw", "w_sv", "w_s2")])
+        .aggregate(*[Sum(c, alias_name=c) for c in sums])
         .to_pandas()  # O(sources x windows) — metadata-sized
     )
-    sums = ["u_n", "u_s1", "u_s2", "w_sw", "w_sv", "w_s2"]
     per_source = fine.groupby("source", as_index=False)[sums].sum()
     per_source["window_start"] = np.int64(-1)
     glob = fine[sums].sum().to_frame().T

@@ -43,7 +43,9 @@ def buf(name: str, n: int, dtype=np.float64) -> np.ndarray:
     """A length-n view of a reusable buffer (contents undefined)."""
     key = (name, np.dtype(dtype).str)
     b = _POOL.get(key)
-    if b is None or b.size < n:
+    # a pool that reached this process by value (cloudpickle ships this
+    # module's globals with a function) holds read-only arrays
+    if b is None or b.size < n or not b.flags.writeable:
         b = np.empty(int(n * 1.25) + 16, dtype=dtype)
         _POOL[key] = b
     return b[:n]

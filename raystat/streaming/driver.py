@@ -22,10 +22,11 @@ loop, with this driver's stages):
    (``state.covering_windows``) or split them into session fragments
    (``state.session_split``) — the window frame the sketch routers and
    the passthrough share — pre-aggregate power sums per ``(source,
-   salt, window_start)`` or per fragment and tag each partial row with
-   its owning partition; each batch returns one row — bookkeeping (max
-   event ts, late and null counts), its partial table as Arrow IPC and
-   a batch key
+   salt, window_start)`` or per fragment (``aggregate.power_sums`` over
+   ``aggregate.dense_key``, the moment routines the batch partials
+   run) and tag each partial row with its owning partition; each batch
+   returns one row — bookkeeping (max event ts, late and null counts),
+   its partial table as Arrow IPC and a batch key
 3. advance watermark to ``max_event_ts - allowed_lateness`` (per
    source under ``watermark_scope="per_source"``), which is all the
    next epoch's Router needs, so epoch ``e+1``'s steps 1-2 start here
@@ -64,7 +65,7 @@ import pyarrow.json as pajson
 import ray
 
 from raystat.accumulators import canonical_sums_for, get_spec
-from raystat.aggregate import encode_key, partial_sums, valid_xw_mask
+from raystat.aggregate import dense_key, encode_key, power_sums, split_key, valid_xw_mask
 from raystat.extract import event_time_us_from_numeric, numeric_doc_id
 from raystat.scratch import astype_f8, buf, tune_allocator
 from raystat.streaming.epochs import END, NEG, EpochDriverBase, EpochRead, with_partitions
@@ -244,80 +245,21 @@ def _src_max_json(src_vocab: pa.Array, ts_us: np.ndarray, src_code: np.ndarray) 
     return json.dumps({s: int(v) for s, v in zip(src_vocab.to_pylist(), m) if v >= 0})
 
 
-def _power_sums(gidx, n_groups: int, take, x, w, tr, needed, u_order, w_order, alias_w):
-    """Every partial sum of ``needed`` per group id ``gidx`` (one per
-    pair, ``< n_groups``), each an ``np.bincount`` that adds a group's
-    pairs in pair order.  Pair ``i`` is row ``take[i]`` of the per-row
-    arrays ``x``, ``w`` and ``tr`` (``take`` None: pair ``i`` is row
-    ``i``).  Returns the group ids that have pairs, ascending, and
-    their sums."""
-    def at(v):
-        return v if take is None else np.take(v, take)
-
-    counts = np.bincount(gidx, minlength=n_groups)
-    present = np.flatnonzero(counts)
-    sel = None if present.size == n_groups else present
-
-    def gsum(v):
-        s = np.bincount(gidx, weights=v, minlength=n_groups)
-        return s if sel is None else s[sel]
-
-    g_x = at(x)
-    m = g_x.size
-    sums: dict[str, np.ndarray] = {}
-    if u_order:
-        sums["u_n"] = counts[present].astype(np.int64)
-        sums["u_s1"] = gsum(g_x)
-        pb = buf("pow", m)
-        np.copyto(pb, g_x)
-        for i in range(2, u_order + 1):
-            np.multiply(pb, g_x, out=pb)
-            sums[f"u_s{i}"] = gsum(pb)
-    if w_order and alias_w:
-        # weight == value: sum w·x^i is the power sum one order up
-        sums["w_sw"] = sums["u_s1"]
-        sums["w_sv"] = sums["u_s2"]
-        for i in range(2, w_order + 1):
-            sums[f"w_s{i}"] = sums[f"u_s{i + 1}"]
-    elif w_order:
-        g_w = at(w)
-        wp = buf("wpow", m)
-        sums["w_sw"] = gsum(g_w)
-        np.multiply(g_w, g_x, out=wp)
-        sums["w_sv"] = gsum(wp)
-        pb = buf("pow", m)
-        np.copyto(pb, g_x)
-        for i in range(2, w_order + 1):
-            np.multiply(pb, g_x, out=pb)
-            np.multiply(g_w, pb, out=wp)
-            sums[f"w_s{i}"] = gsum(wp)
-    if tr is not None:
-        for c, v in tr.items():
-            sums[c] = gsum(at(v))
-    if "c_sxy" in needed:
-        # bivariate sums: y = the row's token sum
-        y = at(tr["t_s1"])
-        sums["c_syy"] = gsum(y * y)
-        sums["c_sxy"] = gsum(g_x * y)
-    return present, sums
-
-
 def _moment_stage(cfg: StreamConfig, needed, u_order, w_order, watermark):
     """``StreamDriver``'s per-batch kernel, for every window mode: one
-    row extraction, the mode's grouping, then :func:`_power_sums`.
+    row extraction, the mode's grouping, then ``aggregate.power_sums``.
     ``watermark`` is the global scalar or the per-source frontier dict.
 
     Rows with a null value or weight are dropped first (``null_dropped``);
     then ``state.late_rows`` flags the late ones (``late_dropped``).
     Windows expand the rows into their open (row, window) pairs
     (``state.covering_windows``, any ``hop_s <= window_size_s``) and
-    group them by (source code, window start) through a dense composite
-    key ``src * W + win``: when the key domain is small (sources x open
-    windows) the sums are a direct ``np.bincount`` with no sort at all, a
-    1-D ``np.unique`` covering high-cardinality domains; every partial
-    row carries the batch's salt.  Sessions split the kept rows into
-    fragments (``state.session_split``) bounded by their first and last
-    event ts.  Source codes encode the whole batch, late rows too."""
+    group them by (source code, window start) through the dense
+    composite key ``src * W + win`` (``aggregate.dense_key``, the batch
+    partials' key); every partial row carries the batch's salt.
+    Sessions split the kept rows into fragments
+    (``state.session_split``) bounded by their first and last event ts.
+    Source codes encode the whole batch, late rows too."""
     session = cfg.session_gap_s is not None
     size_s = cfg.window_size_s
     step = cfg.hop_s or size_s
@@ -343,7 +285,7 @@ def _moment_stage(cfg: StreamConfig, needed, u_order, w_order, watermark):
         # and the routing fan-out by n_salts while keeping the same
         # skew spreading across the stream.
         salt_b = int(ids[0]) % n_salts if rows_in else 0
-        valid = valid_xw_mask(batch, value_col, weight_col)
+        valid = valid_xw_mask(batch, (value_col, weight_col))
         if valid is not None:
             ok = np.flatnonzero(valid.to_numpy(zero_copy_only=False))
             info["null_dropped"] = rows_in - ok.size
@@ -374,23 +316,17 @@ def _moment_stage(cfg: StreamConfig, needed, u_order, w_order, watermark):
             # batch-constant, so not part of the group key
             ws_min = int(ws.min())
             n_win = int(ws.max() - ws_min) // step + 1
-            n_groups = len(src_vocab) * n_win
-            gidx = buf("dense", ws.size, np.int64)
-            np.multiply(src_code if take is None else src_code[take], n_win, out=gidx)
-            np.add(gidx, (ws - ws_min) // step, out=gidx)
-            key = None
-            if n_groups > max(4 * ws.size, 1 << 16):  # high cardinality: sort
-                key, gidx = np.unique(gidx, return_inverse=True)
-                n_groups = key.size
-        present, sums = _power_sums(gidx, n_groups, take, x, w, tr, needed,
-                                    u_order, w_order, alias_w)
+            gidx, n_groups, key = dense_key(src_code if take is None else src_code[take],
+                                            len(src_vocab), (ws - ws_min) // step, n_win)
+        present, sums = power_sums(gidx, n_groups, take, x, w, tr, needed,
+                                   u_order, w_order, alias_w)
         if session:
             ts_k = ts_us[take]
             ends = np.append(starts[1:], take.size) - 1  # ts-sorted: last = max ts
             keys = {"source": src_vocab.take(pa.array(src_code[take][starts])),
                     "session_start_us": ts_k[starts], "session_end_us": ts_k[ends]}
         else:
-            u_src, u_win = np.divmod(present if key is None else key[present], n_win)
+            u_src, u_win = split_key(present, n_win, key)
             keys = {"source": src_vocab.take(pa.array(u_src, pa.int64())),
                     "salt": np.full(u_src.size, salt_b, dtype=np.int64),
                     "window_start": ws_min + u_win * step}

@@ -30,7 +30,10 @@ The window frame of the moment stage, the sketch routers and the
 ``StreamDriver`` passthrough is one set of helpers: :func:`late_rows`
 (which rows the watermark drops), :func:`covering_windows` (each row's
 open tumbling or hopping windows) and :func:`session_split` (a batch's
-session fragments, which :func:`gap_sweep` merges in the partitions).
+session fragments, which ``aggregate.gap_sweep`` merges in the
+partitions).  The moment routines (``aggregate.power_sums``,
+``aggregate.dense_key``, ``aggregate.gap_sweep``) live with the batch
+path, which runs them too.
 
 Skew: moment partials are pre-aggregated per ``(source, salt,
 window)`` with a per-batch ``salt``, so a hot source's state spreads
@@ -58,14 +61,14 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
-from raystat.aggregate import encode_key
+from raystat.aggregate import encode_key, gap_sweep
 from raystat.dataops.asof import _key_u64
 
 __all__ = [
     "GroupKind", "KeyedPartition", "Kind", "PartitionHost", "Router", "route_partition",
     "key_partition", "source_watermarks", "partial_row", "route_partials",
     "write_parquet_atomic", "late_rows", "covering_windows",
-    "session_split", "gap_sweep", "cpu_slots", "host_pids", "start_hosts",
+    "session_split", "cpu_slots", "host_pids", "start_hosts",
 ]
 
 
@@ -291,25 +294,6 @@ def session_split(codes: np.ndarray, ts_us: np.ndarray, gap_us: int):
     return order, np.cumsum(brk) - 1, np.flatnonzero(brk)
 
 
-def gap_sweep(codes: np.ndarray, start: np.ndarray, end: np.ndarray, gap_us: int):
-    """The gap-rule session sweep of the session state actors: sort by
-    (key code, start), take each key's running max of the ends, and
-    open a new session where the key changes or ``start - running max
-    > gap``.  Returns the sort order, the sorted position of each
-    session's first row and each session's end.  (The grouped running
-    max suffices: a row starting beyond it is provably a new session,
-    and every row of a new session has ``end >= start > previous
-    max``, so earlier sessions never leak into a later session's
-    end.)  One C-loop pass at any key cardinality."""
-    order = np.lexsort((start, codes))
-    c, s = codes[order], start[order]
-    cm = pd.Series(end[order]).groupby(c).cummax().to_numpy()
-    brk = np.ones(c.size, dtype=bool)
-    brk[1:] = (c[1:] != c[:-1]) | (s[1:] - cm[:-1] > gap_us)
-    first = np.flatnonzero(brk)
-    return order, first, cm[np.append(first[1:], c.size) - 1]
-
-
 def _require_columns(owner: str, table: pa.Table, cols: list[str]) -> None:
     missing = [c for c in cols if c not in table.column_names]
     if missing:
@@ -384,7 +368,7 @@ class GroupKind(Kind):
 
     ``merge`` groups windows by their group columns; sessions run the
     gap-rule sweep over the open sessions and the new fragments
-    (:func:`gap_sweep`): each cluster becomes one session whose bounds
+    (``aggregate.gap_sweep``): each cluster becomes one session whose bounds
     span its members.  ksqlDB's SESSION contract is why merge exists:
     overlapping partials must merge.  ``close`` retires a window when
     ``window_start + size <= watermark`` and a session when ``end + gap

@@ -300,3 +300,20 @@ def test_show_functions_reference_parity():
     assert rows["kurtosis"]["state_fields"] == [
         "COUNT", "SUM", "SUM_SQUARES", "SUM_CUBES", "SUM_QUARTIC"
     ]
+
+
+def test_show_functions_describe_every_spec():
+    """Every registered spec, comoments included, describes itself in
+    one line and lists its parameters (the reference's
+    @UdafDescription): a weighted one takes a weight, the bivariate
+    ones take x and y."""
+    from raystat.accumulators import REGISTRY, show_functions
+    from raystat.comoments import CO_REGISTRY
+
+    rows = show_functions()
+    assert {r["name"] for r in rows} == set(REGISTRY) | set(CO_REGISTRY)
+    for r in rows:
+        d = r["description"]
+        assert isinstance(d, str) and d.strip() and "\n" not in d, r["name"]
+        first = ["x", "y"] if r["name"] in CO_REGISTRY else ["value"]
+        assert r["params"] == first + (["weight"] if r["weighted"] else []), r["name"]

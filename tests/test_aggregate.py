@@ -9,7 +9,9 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from raystat.aggregate import _merge_runs, grouped_moments, keyed_merge, session_moments, sum_kernel
+from raystat.aggregate import (
+    grouped_moments, keyed_merge, session_kernel, session_moments, sum_kernel,
+)
 from raystat.comoments import grouped_comoments
 from raystat.pipelines.queries import sql_corr, sql_cov, sql_wavg, sql_wcov, sql_wstd
 from raystat.windows import Hopping, Tumbling
@@ -332,8 +334,9 @@ def test_session_merge_interleaved_keys(ray_session):
 
 
 def test_merge_runs_never_bridges_keys():
-    """A's running end (5000 s) passes B's next start: B's sessions
-    must still split on B's own gaps."""
+    """The batch session merge (the shared gap sweep): A's running end
+    (5000 s) passes B's next start, and B's sessions must still split
+    on B's own gaps."""
     s = 1_000_000
     t = pa.table({
         "k": ["B", "A", "B", "A", "B"],
@@ -341,11 +344,143 @@ def test_merge_runs_never_bridges_keys():
         "session_start_us": [1200 * s, 0, 1000 * s, 4000 * s, 3000 * s],
         "session_end_us": [1210 * s, 5000 * s, 1030 * s, 4100 * s, 3000 * s],
     })
-    out = _merge_runs(t, ["k"], ["u_n"], 60 * s).to_pydict()
+    out = session_kernel(["k"], ["u_n"], 60 * s)(t).to_pydict()
     assert out["k"] == ["A", "B", "B", "B"]
     assert out["session_start_us"] == [0, 1000 * s, 1200 * s, 3000 * s]
     assert out["session_end_us"] == [5000 * s, 1030 * s, 1210 * s, 3000 * s]
     assert out["u_n"] == [2, 1, 1, 1]
+
+
+def test_session_merge_bridges_earlier_sessions(ray_session):
+    """A later batch's fragment [50 s, 60 s] falls within the gap of two
+    sessions an earlier batch closed apart ([0, 10] and [100, 110]), so
+    the merge joins all three into one; key B's sessions stay apart."""
+    import ray.data as rd
+
+    s = 1_000_000
+    t = pa.table({
+        "k": ["A", "A", "B", "B", "A"],
+        "u_n": [2, 2, 1, 1, 2],
+        "session_start_us": [0, 100 * s, 0, 100 * s, 50 * s],
+        "session_end_us": [10 * s, 110 * s, 0, 100 * s, 60 * s],
+    })
+    out = session_kernel(["k"], ["u_n"], 60 * s)(t).to_pydict()
+    assert out == {"k": ["A", "B", "B"], "session_start_us": [0, 0, 100 * s],
+                   "session_end_us": [110 * s, 0, 100 * s], "u_n": [6, 1, 1]}
+    # the same through session_moments: the first block's sessions are
+    # built apart, the second block's fragment bridges them
+    sec = [[0, 10, 100, 110], [50, 60]]
+    blocks = [pa.table({"k": ["A"] * len(b),
+                        "ts": pa.array([x * s for x in b], pa.timestamp("us")),
+                        "v": [float(x + 1) for x in b]}) for b in sec]
+    got = session_moments(rd.from_arrow(blocks), {"wavg": "weighted_average"}, ["k"],
+                          value="v", weight="v", gap_s=60).to_pandas()
+    assert got["session_start_us"].tolist() == [0]
+    assert got["session_end_us"].tolist() == [110 * s]
+    v = np.array([1.0, 11.0, 101.0, 111.0, 51.0, 61.0])
+    assert got["wavg"].tolist() == pytest.approx([(v * v).sum() / v.sum()], rel=1e-12)
+
+
+def _null_table() -> pa.Table:
+    """Five keys over two days; the value, the weight and y each have
+    nulls on their own rows (y: every 6th row)."""
+    n = 3000
+    rng = np.random.default_rng(13)
+    i = np.arange(n)
+    v = rng.uniform(1.0, 9.0, n)
+    return pa.table({
+        "k": pa.array([f"k{j}" for j in i % 5]),
+        "ts": pa.array(np.sort(rng.integers(0, 2 * 86_400_000_000, n)), pa.timestamp("us")),
+        "v": pa.array(v, mask=(i % 7 == 2)),
+        "w": pa.array(rng.uniform(1.0, 3.0, n), mask=(i % 11 == 4)),
+        "y": pa.array(0.5 * v + rng.normal(0.0, 1.0, n), mask=(i % 6 == 1)),
+    })
+
+
+_NULL_CASES = {
+    # all of a batch's rows have a null value; the other blocks do not
+    "all_null_batch": lambda t: [t.slice(0, 1000),
+                                 t.slice(1000, 500).set_column(
+                                     2, "v", pa.nulls(500, pa.float64())),
+                                 t.slice(1500)],
+    "null_value": lambda t: [t.slice(i, 600) for i in range(0, t.num_rows, 600)],
+    # the weight's nulls only: no null value
+    "null_weight": lambda t: [t.set_column(2, "v", t["v"].fill_null(5.0))],
+}
+
+
+@pytest.mark.parametrize("case", [*_NULL_CASES, "zero_row_file"])
+@pytest.mark.parametrize("op", ["tumbling", "session", "comoments"])
+def test_batch_nulls_and_empty_input(ray_session, tmp_path, op, case):
+    """Rows with a null value or weight (or y) are dropped before the
+    sums, as DuckDB drops them on the same rows; a batch whose rows are
+    all null and a zero-row file add nothing."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    t = _null_table()
+    if case == "zero_row_file":
+        files = [str(tmp_path / "a.parquet"), str(tmp_path / "empty.parquet")]
+        pq.write_table(t, files[0])
+        pq.write_table(t.slice(0, 0), files[1])
+        ds = rd.read_parquet(files)
+    else:
+        blocks = _NULL_CASES[case](t)
+        t = pa.concat_tables(blocks)
+        ds = rd.from_arrow(blocks)
+    where = "v IS NOT NULL AND w IS NOT NULL"
+    if op == "tumbling":
+        got = grouped_moments(ds, {"wavg": "weighted_average", "wstd": "stddev_weighted"},
+                              ["k"], value="v", weight="w", window=Tumbling(3600))
+        on = ["k", "window_start"]
+        sql = f"""SELECT k, cast(floor(epoch(ts)/3600) as bigint)*3600 AS window_start,
+                         {sql_wavg('v', 'w')} AS wavg, {sql_wstd('v', 'w')} AS wstd
+                  FROM t WHERE {where} GROUP BY ALL"""
+    elif op == "session":
+        got = session_moments(ds, {"wavg": "weighted_average"}, ["k"],
+                              value="v", weight="w", gap_s=600)
+        on = ["k", "session_start_us"]
+        sql = f"""WITH r AS (
+                    SELECT k, v, w, epoch_us(ts) AS tu,
+                           lag(epoch_us(ts)) OVER (PARTITION BY k ORDER BY epoch_us(ts)) AS prev
+                    FROM t WHERE {where}
+                  ), s AS (
+                    SELECT *, sum(CASE WHEN prev IS NULL OR tu - prev > 600000000
+                                       THEN 1 ELSE 0 END)
+                           OVER (PARTITION BY k ORDER BY tu ROWS UNBOUNDED PRECEDING) AS sess
+                    FROM r
+                  )
+                  SELECT k, min(tu) AS session_start_us, max(tu) AS session_end_us,
+                         {sql_wavg('v', 'w')} AS wavg
+                  FROM s GROUP BY k, sess"""
+    else:
+        got = grouped_comoments(ds, {"cov": "covariance", "wcov": "covariance_weighted"},
+                                ["k"], x="v", y="y", weight="w")
+        on = ["k"]
+        sql = f"""SELECT k, {sql_cov('v', 'y')} AS cov, {sql_wcov('v', 'y', 'w')} AS wcov
+                  FROM t WHERE {where} AND y IS NOT NULL GROUP BY k"""
+    expected = _duck_table(t, sql)
+    assert len(expected) >= 5
+    assert_frames_close(got, expected, on, rel=1e-9)
+
+
+def test_batch_zero_row_input(ray_session, tmp_path):
+    """A dataset of one zero-row file: every batch operator returns no
+    groups, as DuckDB does."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    f = str(tmp_path / "empty.parquet")
+    pq.write_table(_null_table().slice(0, 0), f)
+    runs = [
+        grouped_moments(rd.read_parquet(f), {"wavg": "weighted_average"}, ["k"],
+                        value="v", weight="w", window=Tumbling(3600)),
+        session_moments(rd.read_parquet(f), {"wavg": "weighted_average"}, ["k"],
+                        value="v", weight="w"),
+        grouped_comoments(rd.read_parquet(f), {"cov": "covariance"}, ["k"], x="v", y="y"),
+    ]
+    for ds in runs:
+        assert len(ds.to_pandas()) == 0
 
 
 @pytest.mark.parametrize("op", ["grouped_moments", "session_moments", "grouped_comoments"])

@@ -1,11 +1,11 @@
 """Output-identity sweep over the streaming drivers.
 
-Runs 44 driver configurations on the pytest fixtures (sf0.001 and the
+Runs 46 driver configurations on the pytest fixtures (sf0.001 and the
 synthetic token stream, also as JSONL) and on a wider token stream
 whose epochs (about 7 MB, 8 files) plan 3 read tasks at 4 CPUs, and
 writes, per configuration, the sha256 of
 every committed sink epoch (from its manifest) and the per-epoch
-``late_dropped`` counts.  Four of them (``RESUMED``) rerun another
+``late_dropped`` counts.  Six of them (``RESUMED``) rerun another
 configuration as a crash and a resume: ``run(stop_after_epoch=1)``,
 then a fresh driver's ``run(resume=True)`` on the same output, so their
 entries equal their twin's when the snapshots restore the state
@@ -53,7 +53,9 @@ LATE = 200 * 3600  # the sketch/join tests' lateness: nothing drops
 TIGHT = 3600  # rows one arrival epoch late drop at the routers
 # configurations run as a stop after epoch 1 and a resume: name -> twin
 RESUMED = {"cep_resumed": "cep", "dedup_retention_resumed": "dedup_retention",
-           "interval_resumed": "interval", "asof_resumed": "asof"}
+           "interval_resumed": "interval", "asof_resumed": "asof",
+           "stream_tumbling_resumed": "stream_tumbling",
+           "stream_session_resumed": "stream_session"}
 
 
 def _configs():
