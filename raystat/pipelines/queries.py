@@ -11,6 +11,9 @@ by sorted column name)."""
 from __future__ import annotations
 
 import os
+import shutil
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -195,6 +198,23 @@ class QueryDef:
     sql: str | None  # None => non-SQL-expressible (rows-only check)
 
 
+@contextmanager
+def _stream_run(driver, input_dir: str, *args, **kw):
+    """Run a streaming query: ``driver(input_dir, out, *args, **kw)``
+    over a scratch output dir ``out``; yields the driver and its
+    ``run()`` result, and always tears the driver down (its state
+    hosts, checkpoints and output) when the block ends."""
+    out = tempfile.mkdtemp(prefix="raystat_stream_q_")
+    drv = None
+    try:
+        drv = driver(input_dir, out, *args, **kw)
+        yield drv, drv.run()
+    finally:
+        if drv is not None:
+            drv.cleanup(delete_output=True)
+        shutil.rmtree(out, ignore_errors=True)
+
+
 def _read(sf_dir: str, table: str, columns=None):
     import ray.data as rd
 
@@ -321,29 +341,17 @@ def _streaming_tokens(sf_dir):
     epoch is SQL-expressible (window_end = window_start + size;
     n_rows = count)."""
     from raystat.fixtures import epoch_len_us
-    from raystat.pipelines.tokens import documents_stream_fixture
-    from raystat.streaming import StreamConfig, StreamDriver
+    from raystat.streaming import StreamConfig
 
-    n_epochs = 4
-    fix = documents_stream_fixture(sf_dir, n_epochs=n_epochs)
-    import shutil
-    import tempfile
-
-    out = tempfile.mkdtemp(prefix="raystat_stream_q_")
-    try:
-        cfg = StreamConfig(
-            window_size_s=21600,
-            allowed_lateness_s=epoch_len_us(n_epochs) // 1_000_000,
-            n_partitions=8,
-            n_salts=4,
-            token_stats=True,
-            comoment_stats=True,
-        )
-        drv = StreamDriver(fix, out, cfg)
-        drv.run()
-        return drv.result_table().to_pandas().drop(columns=["quality", "epoch"])
-    finally:
-        shutil.rmtree(out, ignore_errors=True)
+    cfg = StreamConfig(
+        window_size_s=21600,
+        allowed_lateness_s=epoch_len_us(4) // 1_000_000,
+        n_partitions=8,
+        n_salts=4,
+        token_stats=True,
+        comoment_stats=True,
+    )
+    return _run_stream_docs(sf_dir, cfg).drop(columns=["quality", "epoch"])
 
 
 def _passthrough_checksums(sf_dir):
@@ -389,47 +397,27 @@ def _streaming_lengths(sf_dir):
     with a DuckDB twin over the same documents table (n_tok and the
     derived event time are both SQL-reproducible)."""
     from raystat.fixtures import epoch_len_us
-    from raystat.pipelines.tokens import documents_stream_fixture
-    from raystat.streaming import StreamConfig, StreamDriver
+    from raystat.streaming import StreamConfig
 
-    n_epochs = 4
-    fix = documents_stream_fixture(sf_dir, n_epochs=n_epochs)
-    import shutil
-    import tempfile
-
-    out = tempfile.mkdtemp(prefix="raystat_stream_len_")
-    try:
-        cfg = StreamConfig(
-            window_size_s=21600,
-            allowed_lateness_s=epoch_len_us(n_epochs) // 1_000_000,
-            n_partitions=8,
-            n_salts=4,
-        )
-        drv = StreamDriver(fix, out, cfg)
-        drv.run()
-        res = drv.result_table().to_pandas()
-        return res[["source", "window_start", "wavg", "wstd", "skew", "kurt"]]
-    finally:
-        shutil.rmtree(out, ignore_errors=True)
+    cfg = StreamConfig(
+        window_size_s=21600,
+        allowed_lateness_s=epoch_len_us(4) // 1_000_000,
+        n_partitions=8,
+        n_salts=4,
+    )
+    cols = ["source", "window_start", "wavg", "wstd", "skew", "kurt"]
+    return _run_stream_docs(sf_dir, cfg)[cols]
 
 
-def _run_stream_docs(sf_dir, cfg, cols):
-    """Run the StreamDriver over the derived token stream and return
-    the committed aggregate restricted to SQL-expressible columns."""
+def _run_stream_docs(sf_dir, cfg):
+    """Run the StreamDriver over the derived token stream (4 arrival
+    epochs); returns the committed aggregate as pandas."""
     from raystat.pipelines.tokens import documents_stream_fixture
     from raystat.streaming import StreamDriver
 
     fix = documents_stream_fixture(sf_dir, n_epochs=4)
-    import shutil
-    import tempfile
-
-    out = tempfile.mkdtemp(prefix="raystat_stream_q_")
-    try:
-        drv = StreamDriver(fix, out, cfg)
-        drv.run()
-        return drv.result_table().to_pandas()[cols]
-    finally:
-        shutil.rmtree(out, ignore_errors=True)
+    with _stream_run(StreamDriver, fix, cfg) as (drv, _):
+        return drv.result_table().to_pandas()
 
 
 def _streaming_token_values(sf_dir):
@@ -447,10 +435,8 @@ def _streaming_token_values(sf_dir):
         n_salts=4,
         token_stats=True,
     )
-    return _run_stream_docs(
-        sf_dir, cfg,
-        ["source", "window_start", "tok_mean", "tok_std", "tok_skew", "tok_kurt"],
-    )
+    cols = ["source", "window_start", "tok_mean", "tok_std", "tok_skew", "tok_kurt"]
+    return _run_stream_docs(sf_dir, cfg)[cols]
 
 
 def _streaming_len_value_corr(sf_dir):
@@ -471,9 +457,8 @@ def _streaming_len_value_corr(sf_dir):
         token_stats=True,
         comoment_stats=True,
     )
-    return _run_stream_docs(
-        sf_dir, cfg, ["source", "window_start", "len_tok_corr", "len_tok_cov"]
-    )
+    cols = ["source", "window_start", "len_tok_corr", "len_tok_cov"]
+    return _run_stream_docs(sf_dir, cfg)[cols]
 
 
 def _streaming_hopping_lengths(sf_dir):
@@ -490,7 +475,7 @@ def _streaming_hopping_lengths(sf_dir):
         n_partitions=8,
         n_salts=4,
     )
-    return _run_stream_docs(sf_dir, cfg, ["source", "window_start", "wavg", "wstd"])
+    return _run_stream_docs(sf_dir, cfg)[["source", "window_start", "wavg", "wstd"]]
 
 
 def _streaming_session_lengths(sf_dir):
@@ -505,10 +490,7 @@ def _streaming_session_lengths(sf_dir):
         allowed_lateness_s=epoch_len_us(4) // 1_000_000,
         n_partitions=8,
     )
-    out = _run_stream_docs(
-        sf_dir, cfg, ["source", "window_start", "window_end", "wavg"]
-    )
-    return out
+    return _run_stream_docs(sf_dir, cfg)[["source", "window_start", "window_end", "wavg"]]
 
 
 def _streaming_joined_quality(sf_dir):
@@ -519,9 +501,6 @@ def _streaming_joined_quality(sf_dir):
     before their source's metadata arrives are buffered by the join
     (grace) and emitted WITH quality once it lands.  Late-metadata
     expiry/null semantics are pytest-verified (test_streaming.py)."""
-    import shutil
-    import tempfile
-
     import numpy as np
     import pyarrow as pa
     import pyarrow.parquet as pq
@@ -556,15 +535,10 @@ def _streaming_joined_quality(sf_dir):
         n_salts=4,
         join_grace_epochs=n_epochs + 2,  # all metadata lands by epoch 1
     )
-    out = tempfile.mkdtemp(prefix="raystat_stream_join_")
-    try:
-        drv = StreamDriver(fix, out, cfg, metadata=meta)
-        drv.run()
+    with _stream_run(StreamDriver, fix, cfg, metadata=meta) as (drv, _):
         return drv.result_table().to_pandas()[
             ["source", "window_start", "wavg", "quality"]
         ]
-    finally:
-        shutil.rmtree(out, ignore_errors=True)
 
 
 def _streaming_changes_final(sf_dir):
@@ -572,9 +546,6 @@ def _streaming_changes_final(sf_dir):
     stream horizon no window ever closes during the run, so the LAST
     epoch's changelog (non-destructive finalize of every live window)
     is the complete aggregate — equal to the batch SQL twin."""
-    import shutil
-    import tempfile
-
     from raystat.fixtures import epoch_len_us
     from raystat.pipelines.tokens import documents_stream_fixture
     from raystat.streaming import StreamConfig, StreamDriver
@@ -589,17 +560,12 @@ def _streaming_changes_final(sf_dir):
         n_salts=4,
         emit_changes=True,
     )
-    out = tempfile.mkdtemp(prefix="raystat_stream_chg_")
-    try:
-        drv = StreamDriver(fix, out, cfg)
-        drv.run()
+    with _stream_run(StreamDriver, fix, cfg) as (drv, _):
         ch = drv.changes_sink.read_all().to_pandas()
         last = ch[ch["epoch"] == ch["epoch"].max()]
         return last[["source", "window_start", "wavg", "wstd"]].reset_index(
             drop=True
         )
-    finally:
-        shutil.rmtree(out, ignore_errors=True)
 
 
 def _streaming_per_source_tokens(sf_dir):
@@ -610,9 +576,6 @@ def _streaming_per_source_tokens(sf_dir):
     hopping window of that source, so matching the full-input batch
     twin proves both the per-source row-keep and the per-source
     window-open expansion filter."""
-    import shutil
-    import tempfile
-
     from raystat.pipelines.tokens import documents_stream_fixture
     from raystat.streaming import StreamConfig, StreamDriver
 
@@ -626,10 +589,7 @@ def _streaming_per_source_tokens(sf_dir):
         n_salts=4,
         watermark_scope="per_source",
     )
-    out = tempfile.mkdtemp(prefix="raystat_stream_psrc_")
-    try:
-        drv = StreamDriver(fix, out, cfg)
-        m = drv.run()
+    with _stream_run(StreamDriver, fix, cfg) as (drv, m):
         dropped = sum(e["late_dropped"] for e in m["epochs"].values())
         if dropped:
             raise AssertionError(
@@ -639,8 +599,6 @@ def _streaming_per_source_tokens(sf_dir):
         return drv.result_table().to_pandas()[
             ["source", "window_start", "wavg", "wstd"]
         ]
-    finally:
-        shutil.rmtree(out, ignore_errors=True)
 
 
 def _streaming_changes_session(sf_dir):
@@ -649,9 +607,6 @@ def _streaming_changes_session(sf_dir):
     the run, so the LAST epoch's changelog (non-destructive
     peek_state of every live session) is the complete session
     aggregate — equal to the batch session SQL twin."""
-    import shutil
-    import tempfile
-
     from raystat.fixtures import epoch_len_us
     from raystat.pipelines.tokens import documents_stream_fixture
     from raystat.streaming import StreamConfig, StreamDriver
@@ -665,17 +620,12 @@ def _streaming_changes_session(sf_dir):
         n_partitions=8,
         emit_changes=True,
     )
-    out = tempfile.mkdtemp(prefix="raystat_stream_schg_")
-    try:
-        drv = StreamDriver(fix, out, cfg)
-        drv.run()
+    with _stream_run(StreamDriver, fix, cfg) as (drv, _):
         ch = drv.changes_sink.read_all().to_pandas()
         last = ch[ch["epoch"] == ch["epoch"].max()]
         return last[["source", "window_start", "window_end", "wavg"]].reset_index(
             drop=True
         )
-    finally:
-        shutil.rmtree(out, ignore_errors=True)
 
 
 V, W = "l_extendedprice", "l_quantity"
@@ -4982,9 +4932,6 @@ def _q_streaming_interval_join(sf_dir):
     stream head, not stream length.  Fixture lateness (200h > the ~176h
     one-epoch arrival lag of the deterministic late subset) keeps every
     row live, so the streamed result equals the batch SQL twin."""
-    import shutil
-    import tempfile
-
     import pyarrow as pa
 
     from raystat.streaming.interval import (
@@ -4994,19 +4941,16 @@ def _q_streaming_interval_join(sf_dir):
     )
 
     fix = events_interval_fixture(sf_dir, n_epochs=4)
-    out = tempfile.mkdtemp(prefix="raystat_ivj_q_")
-    try:
-        cfg = IntervalJoinConfig(
-            by="user_id",
-            on="ts_us",
-            right_cols=("touch_id", "touch_ts_us"),
-            before_s=7200,
-            after_s=0,
-            allowed_lateness_s=200 * 3600,
-            n_partitions=8,
-        )
-        drv = IntervalStreamDriver(fix, out, cfg)
-        drv.run()
+    cfg = IntervalJoinConfig(
+        by="user_id",
+        on="ts_us",
+        right_cols=("touch_id", "touch_ts_us"),
+        before_s=7200,
+        after_s=0,
+        allowed_lateness_s=200 * 3600,
+        n_partitions=8,
+    )
+    with _stream_run(IntervalStreamDriver, fix, cfg) as (drv, _):
         t = drv.result_table()
         gap = pa.compute.subtract(t["ts_us"], t["touch_ts_us"])
         return pa.table(
@@ -5017,8 +4961,6 @@ def _q_streaming_interval_join(sf_dir):
                 "gap_us": gap,
             }
         )
-    finally:
-        shutil.rmtree(out, ignore_errors=True)
 
 
 QUERIES.append(
@@ -5048,28 +4990,19 @@ def _q_streaming_distinct_users(sf_dir):
     windowed distinct (same pattern as hll_distinct_accuracy: the
     sketch hash is deterministic, so the 5% boolean is stable per sf
     and the driver's equality compare verifies it)."""
-    import shutil
-    import tempfile
-
     import pandas as pd
 
     from raystat.dataops.sketches import grouped_exact_distinct
     from raystat.streaming.sketch import HllStreamDriver, events_stream_fixture
 
     fix = events_stream_fixture(sf_dir, n_epochs=4)
-    out = tempfile.mkdtemp(prefix="raystat_hll_q_")
-    try:
-        drv = HllStreamDriver(
-            fix, out, key="event_type", value="user_id", ts_col="ts_us",
-            window_size_s=7 * DAY, allowed_lateness_s=200 * 3600,
-            n_partitions=8,
-        )
-        drv.run()
+    with _stream_run(
+        HllStreamDriver, fix, key="event_type", value="user_id", ts_col="ts_us",
+        window_size_s=7 * DAY, allowed_lateness_s=200 * 3600, n_partitions=8,
+    ) as (drv, _):
         approx = drv.result_table().to_pandas().rename(
             columns={"key": "event_type", "window_start_s": "window_start"}
         )
-    finally:
-        shutil.rmtree(out, ignore_errors=True)
     exact = grouped_exact_distinct(
         _read(sf_dir, "events", ["event_type", "ts", "user_id"]),
         "event_type", "user_id", window=Tumbling(7 * DAY),
@@ -5115,9 +5048,6 @@ def _q_streaming_distinct_sessions(sf_dir):
     timestamp set), then one per-key sessionize ``map_groups`` —
     the ksqlDB partitioning assumption (one key's sessions live in
     one partition)."""
-    import shutil
-    import tempfile
-
     import numpy as np
     import pandas as pd
     import pyarrow as pa
@@ -5127,19 +5057,13 @@ def _q_streaming_distinct_sessions(sf_dir):
 
     gap_us = _SESS_GAP_S * 1_000_000
     fix = events_stream_fixture(sf_dir, n_epochs=4)
-    out = tempfile.mkdtemp(prefix="raystat_hllsess_q_")
-    try:
-        drv = HllStreamDriver(
-            fix, out, key="event_type", value="user_id", ts_col="ts_us",
-            session_gap_s=_SESS_GAP_S, allowed_lateness_s=200 * 3600,
-            n_partitions=8,
-        )
-        drv.run()
+    with _stream_run(
+        HllStreamDriver, fix, key="event_type", value="user_id", ts_col="ts_us",
+        session_gap_s=_SESS_GAP_S, allowed_lateness_s=200 * 3600, n_partitions=8,
+    ) as (drv, _):
         approx = drv.result_table().to_pandas().rename(
             columns={"key": "event_type"}
         )
-    finally:
-        shutil.rmtree(out, ignore_errors=True)
 
     def local_dedup(batch: pa.Table) -> pa.Table:
         t = pa.table(
@@ -5221,23 +5145,15 @@ def _q_streaming_top_users(sf_dir):
     (residual MG deficit == 0) pins that in the oracle compare; in the
     lossy regime the deficit column makes under-count error observable,
     never silent (same honesty contract as dedup_overflow_metrics)."""
-    import shutil
-    import tempfile
-
     from raystat.streaming.sketch import MgStreamDriver, events_stream_fixture
 
     fix = events_stream_fixture(sf_dir, n_epochs=4)
-    out = tempfile.mkdtemp(prefix="raystat_mg_q_")
-    try:
-        drv = MgStreamDriver(
-            fix, out, key="event_type", item="user_id", ts_col="ts_us",
-            window_size_s=7 * DAY, allowed_lateness_s=200 * 3600,
-            capacity=8192, top=5, n_partitions=8,
-        )
-        drv.run()
+    with _stream_run(
+        MgStreamDriver, fix, key="event_type", item="user_id", ts_col="ts_us",
+        window_size_s=7 * DAY, allowed_lateness_s=200 * 3600, capacity=8192, top=5,
+        n_partitions=8,
+    ) as (drv, _):
         t = drv.result_table().to_pandas()
-    finally:
-        shutil.rmtree(out, ignore_errors=True)
     t["lossless"] = t["mg_deficit"] == 0
     t = t.rename(
         columns={"key": "event_type", "window_start_s": "window_start",
@@ -5279,23 +5195,15 @@ def _q_streaming_session_top_users(sf_dir):
     EXACT and the per-row ``lossless`` gate pins that in the oracle
     compare; session BOUNDARIES must equal batch sessionization exactly
     (inner oracle row-count match)."""
-    import shutil
-    import tempfile
-
     from raystat.streaming.sketch import MgStreamDriver, events_stream_fixture
 
     fix = events_stream_fixture(sf_dir, n_epochs=4)
-    out = tempfile.mkdtemp(prefix="raystat_mgsess_q_")
-    try:
-        drv = MgStreamDriver(
-            fix, out, key="event_type", item="user_id", ts_col="ts_us",
-            session_gap_s=_SESS_GAP_S, allowed_lateness_s=200 * 3600,
-            capacity=8192, top=5, n_partitions=8,
-        )
-        drv.run()
+    with _stream_run(
+        MgStreamDriver, fix, key="event_type", item="user_id", ts_col="ts_us",
+        session_gap_s=_SESS_GAP_S, allowed_lateness_s=200 * 3600, capacity=8192, top=5,
+        n_partitions=8,
+    ) as (drv, _):
         t = drv.result_table().to_pandas()
-    finally:
-        shutil.rmtree(out, ignore_errors=True)
     t["lossless"] = t["mg_deficit"] == 0
     t = t.rename(columns={"key": "event_type", "item": "user_id"})
     return t[
@@ -5350,23 +5258,14 @@ def _q_streaming_cms_user_counts(sf_dir):
     sketch, the CMS point estimate, and the (e/width)*N over-count
     gate — CMS never under-counts, so the oracle pins exact counts +
     an always-true gate (the hll/kll accuracy contract)."""
-    import shutil
-    import tempfile
-
     from raystat.streaming.sketch import CmsStreamDriver, events_stream_fixture
 
     fix = events_stream_fixture(sf_dir, n_epochs=4)
-    out = tempfile.mkdtemp(prefix="raystat_cms_q_")
-    try:
-        drv = CmsStreamDriver(
-            fix, out, key="event_type", item="user_id", ts_col="ts_us",
-            window_size_s=7 * DAY, allowed_lateness_s=200 * 3600,
-            probe_mod=3, n_partitions=8,
-        )
-        drv.run()
+    with _stream_run(
+        CmsStreamDriver, fix, key="event_type", item="user_id", ts_col="ts_us",
+        window_size_s=7 * DAY, allowed_lateness_s=200 * 3600, probe_mod=3, n_partitions=8,
+    ) as (drv, _):
         t = drv.result_table().to_pandas()
-    finally:
-        shutil.rmtree(out, ignore_errors=True)
     t = t.rename(
         columns={"key": "event_type", "window_start_s": "window_start",
                  "item": "user_id"}
@@ -5398,26 +5297,17 @@ def _q_streaming_sample_users(sf_dir):
     open window, and the sample is a pure function of the item set —
     so unlike every gated sketch row, the oracle here is EXACT: the
     SQL twin recomputes the same splitmix bottom-5 row for row."""
-    import shutil
-    import tempfile
-
     from raystat.streaming.sketch import (
         BottomKStreamDriver,
         events_stream_fixture,
     )
 
     fix = events_stream_fixture(sf_dir, n_epochs=4)
-    out = tempfile.mkdtemp(prefix="raystat_bk_q_")
-    try:
-        drv = BottomKStreamDriver(
-            fix, out, key="event_type", item="user_id", ts_col="ts_us",
-            window_size_s=7 * DAY, allowed_lateness_s=200 * 3600,
-            k=5, n_partitions=8,
-        )
-        drv.run()
+    with _stream_run(
+        BottomKStreamDriver, fix, key="event_type", item="user_id", ts_col="ts_us",
+        window_size_s=7 * DAY, allowed_lateness_s=200 * 3600, k=5, n_partitions=8,
+    ) as (drv, _):
         t = drv.result_table().to_pandas()
-    finally:
-        shutil.rmtree(out, ignore_errors=True)
     t = t.rename(
         columns={"key": "event_type", "window_start_s": "window_start",
                  "item": "user_id"}
@@ -5477,26 +5367,17 @@ def _q_streaming_session_samples(sf_dir):
     gap-merge by concatenate+dedup+re-truncate, so the sample per
     session equals batch sessionization exactly.  Exact oracle
     (boundaries AND rows), not a gate."""
-    import shutil
-    import tempfile
-
     from raystat.streaming.sketch import (
         BottomKStreamDriver,
         events_stream_fixture,
     )
 
     fix = events_stream_fixture(sf_dir, n_epochs=4)
-    out = tempfile.mkdtemp(prefix="raystat_bksess_q_")
-    try:
-        drv = BottomKStreamDriver(
-            fix, out, key="event_type", item="user_id", ts_col="ts_us",
-            session_gap_s=_SESS_GAP_S, allowed_lateness_s=200 * 3600,
-            k=5, n_partitions=8,
-        )
-        drv.run()
+    with _stream_run(
+        BottomKStreamDriver, fix, key="event_type", item="user_id", ts_col="ts_us",
+        session_gap_s=_SESS_GAP_S, allowed_lateness_s=200 * 3600, k=5, n_partitions=8,
+    ) as (drv, _):
         t = drv.result_table().to_pandas()
-    finally:
-        shutil.rmtree(out, ignore_errors=True)
     t = t.rename(columns={"key": "event_type", "item": "user_id"})
     return t[
         ["event_type", "session_start_us", "session_end_us", "user_id", "rank"]
@@ -5541,28 +5422,19 @@ def _q_streaming_distinct_hopping(sf_dir):
     as the aggregate driver's hopping mode), and each window closes
     independently when the watermark passes its end.  Gated against the
     exact hopping-window distinct, deterministic at 5%."""
-    import shutil
-    import tempfile
-
     import pandas as pd
 
     from raystat.dataops.sketches import grouped_exact_distinct
     from raystat.streaming.sketch import HllStreamDriver, events_stream_fixture
 
     fix = events_stream_fixture(sf_dir, n_epochs=4)
-    out = tempfile.mkdtemp(prefix="raystat_hllh_q_")
-    try:
-        drv = HllStreamDriver(
-            fix, out, key="event_type", value="user_id", ts_col="ts_us",
-            window_size_s=2 * DAY, hop_s=DAY,
-            allowed_lateness_s=200 * 3600, n_partitions=8,
-        )
-        drv.run()
+    with _stream_run(
+        HllStreamDriver, fix, key="event_type", value="user_id", ts_col="ts_us",
+        window_size_s=2 * DAY, hop_s=DAY, allowed_lateness_s=200 * 3600, n_partitions=8,
+    ) as (drv, _):
         approx = drv.result_table().to_pandas().rename(
             columns={"key": "event_type", "window_start_s": "window_start"}
         )
-    finally:
-        shutil.rmtree(out, ignore_errors=True)
     exact = grouped_exact_distinct(
         _read(sf_dir, "events", ["event_type", "ts", "user_id"]),
         "event_type", "user_id", window=Hopping(2 * DAY, DAY),
@@ -5590,25 +5462,16 @@ def _q_streaming_funnel_users(sf_dir):
     state is bounded by the deadline horizon and emitted keys are
     tombstoned.  Exact (no sketch): the oracle is the full per-user
     SQL funnel."""
-    import shutil
-    import tempfile
-
     from raystat.streaming.cep import CepStreamDriver
     from raystat.streaming.sketch import events_stream_fixture
 
     fix = events_stream_fixture(sf_dir, n_epochs=4)
-    out = tempfile.mkdtemp(prefix="raystat_cep_q_")
-    try:
-        drv = CepStreamDriver(
-            fix, out, key="user_id", type_col="event_type", ts_col="ts_us",
-            stages=["view", "click", "purchase"],
-            within_us=2 * DAY * 1_000_000,
-            allowed_lateness_s=200 * 3600, n_partitions=8,
-        )
-        drv.run()
+    with _stream_run(
+        CepStreamDriver, fix, key="user_id", type_col="event_type", ts_col="ts_us",
+        stages=["view", "click", "purchase"], within_us=2 * DAY * 1_000_000,
+        allowed_lateness_s=200 * 3600, n_partitions=8,
+    ) as (drv, _):
         t = drv.result_table().to_pandas()
-    finally:
-        shutil.rmtree(out, ignore_errors=True)
     t = t.rename(columns={"key": "user_id"})
     return t[["user_id", "stages_reached", "t0_us"]]
 
@@ -5650,9 +5513,6 @@ def _q_streaming_value_quantiles(sf_dir):
     where the exact per-window quantiles come from the distributed
     histogram path and are themselves verified against quantile_disc
     in the oracle."""
-    import shutil
-    import tempfile
-
     import numpy as np
     import pandas as pd
     import pyarrow as pa
@@ -5661,20 +5521,14 @@ def _q_streaming_value_quantiles(sf_dir):
     from raystat.streaming.sketch import KllStreamDriver, events_stream_fixture
 
     fix = events_stream_fixture(sf_dir, n_epochs=4)
-    out = tempfile.mkdtemp(prefix="raystat_kll_q_")
-    try:
-        drv = KllStreamDriver(
-            fix, out, key="event_type", value="value", ts_col="ts_us",
-            window_size_s=7 * DAY, allowed_lateness_s=200 * 3600,
-            n_partitions=8,
-        )
-        drv.run()
+    with _stream_run(
+        KllStreamDriver, fix, key="event_type", value="value", ts_col="ts_us",
+        window_size_s=7 * DAY, allowed_lateness_s=200 * 3600, n_partitions=8,
+    ) as (drv, _):
         est = drv.result_table().to_pandas().rename(
             columns={"key": "event_type", "window_start_s": "window_start",
                      "p50": "e50", "p90": "e90"}
         )
-    finally:
-        shutil.rmtree(out, ignore_errors=True)
 
     def cents(batch: pa.Table) -> pa.Table:
         ts = batch["ts"].to_numpy(zero_copy_only=False)
@@ -5739,9 +5593,6 @@ def _q_streaming_session_quantiles(sf_dir):
     Exact side is distributed: one per-key sessionize+quantile
     ``map_groups`` over cent-quantized values (the ksqlDB partitioning
     assumption — one key's sessions live in one partition)."""
-    import shutil
-    import tempfile
-
     import numpy as np
     import pandas as pd
     import pyarrow as pa
@@ -5751,19 +5602,13 @@ def _q_streaming_session_quantiles(sf_dir):
 
     gap_us = _SESS_GAP_S * 1_000_000
     fix = events_stream_fixture(sf_dir, n_epochs=4)
-    out = tempfile.mkdtemp(prefix="raystat_kllsess_q_")
-    try:
-        drv = KllStreamDriver(
-            fix, out, key="event_type", value="value", ts_col="ts_us",
-            session_gap_s=_SESS_GAP_S, allowed_lateness_s=200 * 3600,
-            n_partitions=8,
-        )
-        drv.run()
+    with _stream_run(
+        KllStreamDriver, fix, key="event_type", value="value", ts_col="ts_us",
+        session_gap_s=_SESS_GAP_S, allowed_lateness_s=200 * 3600, n_partitions=8,
+    ) as (drv, _):
         est = drv.result_table().to_pandas().rename(
             columns={"key": "event_type", "p50": "e50", "p90": "e90"}
         )
-    finally:
-        shutil.rmtree(out, ignore_errors=True)
 
     def project(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -5926,9 +5771,6 @@ def _q_streaming_asof(sf_dir):
     temporal-table state bound.  The fixture's 5% late arrivals sit
     inside the allowed lateness, so the streamed match set equals the
     batch ASOF LEFT JOIN oracle."""
-    import shutil
-    import tempfile
-
     from raystat.streaming.asof import (
         AsofJoinConfig,
         AsofStreamDriver,
@@ -5936,14 +5778,9 @@ def _q_streaming_asof(sf_dir):
     )
 
     fix = events_asof_fixture(sf_dir, n_epochs=4)
-    out = tempfile.mkdtemp(prefix="raystat_sasof_q_")
-    try:
-        cfg = AsofJoinConfig(allowed_lateness_s=200 * 3600, n_partitions=8)
-        drv = AsofStreamDriver(fix, out, cfg).prepare()
-        drv.run()
+    cfg = AsofJoinConfig(allowed_lateness_s=200 * 3600, n_partitions=8)
+    with _stream_run(AsofStreamDriver, fix, cfg) as (drv, _):
         res = drv.result_table().to_pandas()
-    finally:
-        shutil.rmtree(out, ignore_errors=True)
     res["purchase_value"] = res["pv"].fillna(-1.0)
     return (
         res[["event_id", "user_id", "value", "purchase_value"]]
@@ -5977,19 +5814,11 @@ def _q_streaming_dedup(sf_dir):
     is exact, so the SQL twin is the pure arrival rule: winner per
     text = first (arrival epoch, doc_id) — arrival epoch being the
     SQL-reproducible doc_id % 4 of the fixture."""
-    import shutil
-    import tempfile
-
     from raystat.streaming.dedup import DedupStreamDriver, docs_stream_fixture
 
     fix = docs_stream_fixture(sf_dir, n_epochs=4)
-    out = tempfile.mkdtemp(prefix="raystat_sdedup_q_")
-    try:
-        drv = DedupStreamDriver(fix, out, n_partitions=8).prepare()
-        drv.run()
+    with _stream_run(DedupStreamDriver, fix, n_partitions=8) as (drv, _):
         res = drv.result_table().to_pandas()
-    finally:
-        shutil.rmtree(out, ignore_errors=True)
     return (
         res[["doc_id", "epoch"]]
         .sort_values("doc_id")

@@ -3,11 +3,15 @@ hash-partitioned stateful actor state stores, a stateful join against a
 late-arriving metadata stream, exactly-once Parquet commits, and
 per-partition checkpointing (SURVEY.md §3.2, §4.2).
 
-Ten drivers run one epoch loop (``epochs.EpochDriverBase``): each
-epoch's side-effect-free router stage returns its partials as data and
-the driver routes them to the logical state partitions, hosted in
-``min(partitions, CPU slots)`` ``state.PartitionHost`` actors, with one
-``ingest`` per host.  Their state kinds: sum-mergeable moment state
+Ten drivers run on one driver contract (``epochs.EpochDriverBase``),
+which owns the epoch loop, the event-time clock, the sink, the
+close-and-commit, the checkpoint and the teardown: each epoch's
+side-effect-free router stage (kernels under the one ``state.Router``
+frame) returns its partials as data and the driver routes them to the
+logical state partitions, hosted in ``min(partitions, CPU slots)``
+``state.PartitionHost`` actors, with one ``ingest`` per host.  A driver
+is its state kind, its router, its sink name and its sort order.
+Their state kinds: sum-mergeable moment state
 (`StreamDriver`), stream-stream interval-join row buffers
 (`IntervalStreamDriver`), idempotent max-merge HLL register state
 (`HllStreamDriver`), bounded Misra-Gries heavy-hitter summaries

@@ -98,18 +98,16 @@ class AsofStreamDriver(TaggedJoinDriver):
     """The streaming temporal join: emits each left row's
     watermark-final match once the watermark passes its event time."""
 
+    sink_name = "matches"
+
     def __init__(self, input_dir: str, out_dir: str,
                  cfg: AsofJoinConfig | None = None):
-        super().__init__(input_dir, out_dir, cfg or AsofJoinConfig(), "matches")
+        super().__init__(input_dir, out_dir, cfg or AsofJoinConfig())
+        self.sort_by = [self.cfg.by, self.cfg.on]
 
     def _partition(self) -> tuple:
         c = self.cfg
         return AsofJoin, c.by, c.on, list(c.right_cols)
-
-    def _emit(self, epoch: int, watermark_us: int):
-        self._commit_closed(
-            epoch, "close", watermark_us, sort_by=[self.cfg.by, self.cfg.on]
-        )
 
 
 # -- fixture ------------------------------------------------------------------

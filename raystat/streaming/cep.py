@@ -47,9 +47,8 @@ import pyarrow.compute as pc
 
 from raystat.aggregate import encode_key
 from raystat.dataops.cep import funnel_frame
-from raystat.streaming.epochs import END, NEG, EpochDriverBase
-from raystat.streaming.sink import ExactlyOnceParquetSink
-from raystat.streaming.state import Kind, key_partition, partial_row
+from raystat.streaming.epochs import NEG, EpochDriverBase
+from raystat.streaming.state import Kind, Router, event_book, key_partition
 
 __all__ = ["CepStreamDriver"]
 
@@ -132,16 +131,16 @@ class _Funnel(Kind):
         return {"buffered_rows": state.num_rows - done, "tombstones": done}
 
 
-class CepRouter:
-    """Filter stage: stage-event extraction (``index_in`` on the stage
-    list) and late-row drop against the epoch-start watermark; returns
-    the surviving ``(key, ts_us, stage)`` rows as data
-    (:func:`partial_row`), owned by their key's hash partition, with
-    the smallest event ts as batch key."""
+class CepRouter(Router):
+    """Filter kernel, in the ``state.Router`` frame: stage-event
+    extraction (``index_in`` on the stage list) and late-row drop
+    against the epoch-start watermark; the surviving ``(key, ts_us,
+    stage)`` rows are owned by their key's hash partition, with the
+    smallest event ts as batch key."""
 
     def __init__(self, actors: list, n_partitions: int, key: str, type_col: str,
                  ts_col: str, stages: list, watermark_us: int):
-        self.P = n_partitions
+        super().__init__(actors, n_partitions)
         self.key = key
         self.type_col = type_col
         self.ts_col = ts_col
@@ -152,8 +151,7 @@ class CepRouter:
         # second-granularity comparison would drop it.
         self.wm = int(watermark_us)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows_in = batch.num_rows
+    def partial_fn(self, batch: pa.Table):
         ts_us = batch[self.ts_col].to_numpy(zero_copy_only=False).astype(np.int64)
         # index_in yields null for non-stage events; fold to -1
         stage = pc.fill_null(
@@ -163,30 +161,26 @@ class CepRouter:
         is_stage = stage >= 0
         keep = is_stage & (ts_us > self.wm)
         idx = np.flatnonzero(keep)
-        tbl = part = None
-        if idx.size:
-            keys = batch[self.key].take(pa.array(idx))
-            part = key_partition(keys, self.P, self.key)
-            tbl = pa.table(
-                {
-                    "key": keys,
-                    "ts_us": pa.array(ts_us[idx], pa.int64()),
-                    "stage": pa.array(stage[idx], pa.int64()),
-                }
-            )
-        return partial_row(
-            tbl, part, int(ts_us.min()) if rows_in else -1,
-            max_ts_us=int(ts_us.max()) if rows_in else -1,
-            late_dropped=int((is_stage & ~keep).sum()), rows_in=rows_in,
-        )
+        tbl = pa.table({
+            "key": batch[self.key].take(pa.array(idx)),
+            "ts_us": pa.array(ts_us[idx], pa.int64()),
+            "stage": pa.array(stage[idx], pa.int64()),
+        })
+        return tbl, event_book(ts_us, late_dropped=int((is_stage & ~keep).sum()))
+
+    def partition(self, partial: pa.Table) -> np.ndarray:
+        return key_partition(partial["key"], self.P, self.key)
 
 
 class CepStreamDriver(EpochDriverBase):
-    """Epoch loop for streaming deadline-bounded funnels: read
-    arrival=N -> stage filter + route -> barrier -> advance watermark
-    -> emit final verdicts -> exactly-once commit -> checkpoint.
-    Output: one row per key that matched stage 0, with the number of
-    stages its earliest deadline-bounded chain reached."""
+    """Streaming deadline-bounded funnels, on the ``EpochDriverBase``
+    contract: read arrival=N -> stage filter + route -> barrier ->
+    advance watermark -> emit final verdicts -> exactly-once commit ->
+    checkpoint.  Output: one row per key that matched stage 0, with the
+    number of stages its earliest deadline-bounded chain reached."""
+
+    sink_name = "funnel"
+    sort_by = ["key"]
 
     def __init__(self, input_dir: str, out_dir: str, *, key: str,
                  type_col: str, stages: list, within_us: int,
@@ -200,38 +194,19 @@ class CepStreamDriver(EpochDriverBase):
         self.ts_col = ts_col
         self.stages = list(stages)
         self.within_us = int(within_us)
-        self.lateness_s = int(allowed_lateness_s)
-        self.sink = ExactlyOnceParquetSink(out_dir, "funnel")
-        self.watermark_s = NEG
+        self.lateness_us = int(allowed_lateness_s) * 1_000_000
 
     def _partition(self) -> tuple:
         return _Funnel, len(self.stages), self.within_us
 
-    def _driver_state(self) -> dict:
-        return {"watermark_s": self.watermark_s,
-                "committed": self.sink.committed_epochs()}
-
-    def _load_driver_state(self, state: dict) -> None:
-        self.watermark_s = int(state["watermark_s"])
+    def _watermark(self) -> int:
+        # whole seconds in microseconds, the router's and the close's
+        # unit; an admitted event has ts_us > watermark, so one with
+        # ts_us in (wm_s * 1e6, (wm_s + 1) * 1e6) is kept
+        return max(super()._watermark() * 1_000_000, NEG)
 
     def _router(self):
         return CepRouter(
             self.actors, self.n_partitions, self.key, self.type_col,
-            self.ts_col, self.stages, self._wm_us(self.watermark_s),
-        )
-
-    def _advance(self, em: dict, book) -> None:
-        if em["max_ts_us"] >= 0:
-            self.watermark_s = max(
-                self.watermark_s, em["max_ts_us"] // 1_000_000 - self.lateness_s
-            )
-
-    @staticmethod
-    def _wm_us(watermark_s: int) -> int:
-        # clamp before scaling so int64 actor-side compares never overflow
-        return int(max(min(watermark_s * 1_000_000, END), NEG))
-
-    def _emit(self, epoch: int, watermark_s: int):
-        self._commit_closed(
-            epoch, "close", self._wm_us(watermark_s), sort_by=["key"]
+            self.ts_col, self.stages, self._watermark(),
         )

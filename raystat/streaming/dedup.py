@@ -39,8 +39,7 @@ import pyarrow.parquet as pq
 
 from raystat.dataops.dedup import _md5_64_col
 from raystat.streaming.epochs import EpochDriverBase, arrival_fixture
-from raystat.streaming.sink import ExactlyOnceParquetSink
-from raystat.streaming.state import Kind, partial_row
+from raystat.streaming.state import Kind, Router
 
 __all__ = ["DedupStreamDriver", "docs_stream_fixture"]
 
@@ -124,47 +123,49 @@ class _SeenSet(Kind):
         return {"state_size": state.num_rows - state["last_seen"].null_count}
 
 
-class DedupRouter:
-    """Hash + combine stage: md5-64 content hash per batch and a local
-    min-doc_id combiner per hash; only the (hash, doc_id) pairs leave
-    the read stage, as data (:func:`partial_row`) owned by partition
-    ``hash mod P``, with the smallest doc id as batch key."""
+class DedupRouter(Router):
+    """Hash + combine kernel, in the ``state.Router`` frame: md5-64
+    content hash per batch and a local min-doc_id combiner per hash;
+    only the (hash, doc_id) pairs leave the read stage, owned by
+    partition ``hash mod P``, with the smallest doc id as batch key.
+    Documents carry no event time: the bookkeeping has none."""
 
     def __init__(self, actors: list, n_partitions: int, text_col: str,
                  id_col: str):
-        self.P = n_partitions
+        super().__init__(actors, n_partitions)
         self.text_col = text_col
         self.id_col = id_col
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def partial_fn(self, batch: pa.Table):
         rows_in = batch.num_rows
-        tbl = part = None
-        local_dropped = 0
         d = batch[self.id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        if rows_in:
-            h = _md5_64_col(batch[self.text_col])
-            # local combiner: min doc_id per hash inside the batch
-            order = np.lexsort((d, h))
-            hs, ds = h[order], d[order]
-            first = np.ones(hs.size, dtype=bool)
-            first[1:] = hs[1:] != hs[:-1]
-            hs, ds = hs[first], ds[first]
-            local_dropped = int(rows_in - hs.size)
-            part = (hs.astype(np.uint64) % np.uint64(self.P)).astype(np.int64)
-            tbl = pa.table({"content_hash": pa.array(hs), "doc_id": pa.array(ds)})
-        return partial_row(
-            tbl, part, int(d.min()) if rows_in else -1,
-            rows_in=rows_in, local_dropped=local_dropped,
-        )
+        h = _md5_64_col(batch[self.text_col])
+        # local combiner: min doc_id per hash inside the batch
+        order = np.lexsort((d, h))
+        hs, ds = h[order], d[order]
+        first = np.ones(hs.size, dtype=bool)
+        first[1:] = hs[1:] != hs[:-1]
+        hs, ds = hs[first], ds[first]
+        tbl = pa.table({"content_hash": pa.array(hs), "doc_id": pa.array(ds)})
+        return tbl, {"rows_in": rows_in, "batch_key": int(d.min()) if rows_in else -1,
+                     "local_dropped": int(rows_in - hs.size)}
+
+    def partition(self, partial: pa.Table) -> np.ndarray:
+        h = partial["content_hash"].to_numpy()
+        return (h.astype(np.uint64) % np.uint64(self.P)).astype(np.int64)
 
 
 class DedupStreamDriver(EpochDriverBase):
-    """Epoch loop for streaming exact dedup: read arrival=N → hash +
-    local combine → route + barrier → resolve winners per partition →
-    exactly-once commit → checkpoint.  ``retention_epochs=None`` keeps
-    the survivor set exact; a finite retention bounds state."""
+    """Streaming exact dedup, on the ``EpochDriverBase`` contract: read
+    arrival=N → hash + local combine → route + barrier → resolve
+    winners per partition → exactly-once commit → checkpoint.  Its
+    clock never moves (documents carry no event time): each epoch
+    closes on itself.  ``retention_epochs=None`` keeps the survivor set
+    exact; a finite retention bounds state."""
 
     book_sums = ("rows_in", "local_dropped", "partial_rows")
+    sink_name = "winners"
+    sort_by = ["doc_id"]
 
     def __init__(self, input_dir: str, out_dir: str, *,
                  text_col: str = "text", id_col: str = "doc_id",
@@ -174,24 +175,15 @@ class DedupStreamDriver(EpochDriverBase):
         self.text_col = text_col
         self.id_col = id_col
         self.retention = retention_epochs
-        self.sink = ExactlyOnceParquetSink(out_dir, "winners")
 
     def _partition(self) -> tuple:
         return _SeenSet, self.retention
 
-    def _driver_state(self) -> dict:
-        return {"committed": self.sink.committed_epochs()}
-
     def _router(self):
         return DedupRouter(self.actors, self.n_partitions, self.text_col, self.id_col)
 
-    def _run_epoch(self, epoch: int):
-        em, _ = self._route_epoch(epoch)
-        self._emit(epoch)
-        self.metrics[str(epoch)] = em
-
-    def _emit(self, epoch: int):
-        self._commit_closed(epoch, "close", epoch, sort_by=["doc_id"])
+    def _emit(self, epoch: int, wm) -> None:
+        super()._emit(epoch, epoch)  # no event time: an epoch closes on itself
 
     def _finalize_stream(self, final_epoch: int):
         # every epoch resolved its winners when it ran: nothing to close

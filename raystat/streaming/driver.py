@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,17 +61,16 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.json as pajson
-import ray
 
 from raystat.accumulators import canonical_sums_for, get_spec
 from raystat.aggregate import dense_key, encode_key, power_sums, split_key, valid_xw_mask
 from raystat.extract import event_time_us_from_numeric, numeric_doc_id
 from raystat.scratch import astype_f8, buf, tune_allocator
-from raystat.streaming.epochs import END, NEG, EpochDriverBase, EpochRead, with_partitions
+from raystat.streaming.epochs import END, EpochDriverBase, EpochRead, with_partitions
 from raystat.streaming.join import MetadataJoin
 from raystat.streaming.sink import ExactlyOnceParquetSink
 from raystat.streaming.state import (
-    GroupKind, Router, covering_windows, late_rows, session_split,
+    GroupKind, Router, covering_windows, event_book, late_rows, session_split,
     source_watermarks,
 )
 
@@ -274,8 +272,7 @@ def _moment_stage(cfg: StreamConfig, needed, u_order, w_order, watermark):
         ts_us = event_time_us_from_numeric(ids)
         src_code, src_vocab = encode_key(batch["source"], "source")
         wm = source_watermarks(batch["source"], watermark)
-        info = {"max_ts_us": int(ts_us.max()) if rows_in else -1, "rows_in": rows_in,
-                "batch_key": int(ids.min()) if rows_in else -1, "null_dropped": 0}
+        info = event_book(ts_us, ids, null_dropped=0)
         if isinstance(watermark, dict):
             info["src_max_json"] = _src_max_json(src_vocab, ts_us, src_code)
         # BATCH-level salt: spreading a hot source's load over actors
@@ -405,6 +402,8 @@ class _Sums(GroupKind):
 
 class StreamDriver(EpochDriverBase):
     book_sums = EpochDriverBase.book_sums + ("null_dropped",)
+    sink_name = "agg"
+    checkpointed = ("join",)  # the metadata join's buffer and metrics
 
     def __init__(
         self,
@@ -450,7 +449,7 @@ class StreamDriver(EpochDriverBase):
             co_cols = ("u_n", "u_s1", "t_s1", "u_s2", "c_syy", "c_sxy")
             self.token_outputs["len_tok_corr"] = (get_comoment("correlation"), co_cols)
             self.token_outputs["len_tok_cov"] = (get_comoment("covariance"), co_cols)
-        self.sink = ExactlyOnceParquetSink(out_dir, "agg")
+        self.lateness_us = int(self.cfg.allowed_lateness_s) * 1_000_000
         self.pass_sink = (
             ExactlyOnceParquetSink(out_dir, "passthrough")
             if self.cfg.passthrough
@@ -461,28 +460,12 @@ class StreamDriver(EpochDriverBase):
             if self.cfg.emit_changes
             else None
         )
-        self.watermark_s = NEG
         self.per_source_wm = self.cfg.watermark_scope == "per_source"
-        self.src_watermark: dict[str, int] = {}
         self.join = MetadataJoin(self.cfg.join_grace_epochs)
 
     def _partition(self) -> tuple:
         span = self.cfg.session_gap_s if self.session_mode else self.cfg.window_size_s
         return _Sums, span, self.session_mode, list(self.needed)
-
-    def _driver_state(self) -> dict:
-        return {
-            "watermark_s": self.watermark_s,
-            "src_watermark": self.src_watermark,
-            "join": self.join.to_state(),
-        }
-
-    def _load_driver_state(self, state: dict) -> None:
-        self.watermark_s = state["watermark_s"]
-        self.src_watermark = {
-            k: int(v) for k, v in state.get("src_watermark", {}).items()
-        }
-        self.join = MetadataJoin.from_state(state["join"])
 
     def _epoch_dataset(self, epoch: int) -> EpochRead | None:
         if self.cfg.file_format == "parquet":
@@ -493,42 +476,26 @@ class StreamDriver(EpochDriverBase):
         return EpochRead(files, _json_batches, self._read_tasks(files, 8 * 1024 * 1024))
 
     def _watermark(self):
-        """The watermark in force: the global scalar, or a frozen copy
-        of the per-source frontier map."""
-        return dict(self.src_watermark) if self.per_source_wm else self.watermark_s
+        """The watermark in force, in seconds: the global scalar, or a
+        copy of the per-source frontier map."""
+        if self.per_source_wm:
+            return {src: wm // 1_000_000 for src, wm in self.src_watermark.items()}
+        return super()._watermark()
 
     def _router(self):
         fn = _moment_stage(self.cfg, self.needed, self.u_order, self.w_order, self._watermark())
         return Router(self.actors, self.cfg.n_partitions, fn)
 
-    def _advance(self, em: dict, book: pd.DataFrame | None) -> None:
-        if em["max_ts_us"] >= 0:
-            self.watermark_s = max(
-                self.watermark_s,
-                em["max_ts_us"] // 1_000_000 - self.cfg.allowed_lateness_s,
-            )
-        # an epoch of zero-row files has no router rows, so no frontiers
-        if self.per_source_wm and book is not None and len(book):
-            for js in book["src_max_json"]:
-                for src, m in json.loads(js or "{}").items():
-                    wm = int(m) // 1_000_000 - self.cfg.allowed_lateness_s
-                    if wm > self.src_watermark.get(src, NEG):
-                        self.src_watermark[src] = wm
-
     def _run_epoch(self, epoch: int):
         # the passthrough drops what this epoch's router dropped: the
         # watermark before _advance
         wm_at_ingest = self._watermark()
-        em, book = self._route_epoch(epoch)
-        t0 = time.monotonic()
-        self._emit(epoch, self._watermark())
-        em["sec_emit"] = round(time.monotonic() - t0, 3)
+        book = super()._run_epoch(epoch)
         if self.pass_sink is not None and book is not None:
             self.pass_sink.commit_dataset(
                 epoch, self._passthrough(self._epoch_dataset(epoch), wm_at_ingest)
             )
-        em["watermark_s"] = self.watermark_s
-        self.metrics[str(epoch)] = em
+        return book
 
     def _passthrough(self, read: EpochRead, wm):
         """Exact per-row passthrough of an epoch's files (``read``): the
@@ -632,35 +599,4 @@ class StreamDriver(EpochDriverBase):
         if len(tail):
             emitted = pd.concat([emitted, tail], ignore_index=True)
         self._commit_emitted(final_epoch, emitted)
-        self.final_metrics = {
-            "epoch": final_epoch,
-            "state_metrics": self._call("get_metrics"),
-            "join_metrics": self.join.metrics,
-        }
-
-    def cleanup(self, delete_output: bool = False) -> None:
-        """Engine-level teardown (the reference's
-        ``DROP TABLE/STREAM ... DELETE TOPIC`` lifecycle,
-        AllUdafIT.java:461-498): kill the state hosts, drop
-        checkpoints, and — with ``delete_output=True`` (ksqlDB's
-        DELETE TOPIC flag) — remove the committed sink output too."""
-        import shutil
-
-        if self.actors is not None:
-            for a in self.actors:
-                try:
-                    ray.kill(a)
-                except Exception:
-                    pass
-            self.actors = None
-        shutil.rmtree(self.ckpt_root, ignore_errors=True)
-        if delete_output:
-            shutil.rmtree(self.out_dir, ignore_errors=True)
-
-    def _final_metrics(self) -> dict:
-        return {
-            "epochs": self.metrics,
-            "final": getattr(self, "final_metrics", None),
-            "watermark_s": self.watermark_s,
-            "committed": self.sink.committed_epochs(),
-        }
+        self._record_final(final_epoch, join_metrics=self.join.metrics)

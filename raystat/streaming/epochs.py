@@ -10,21 +10,21 @@ Per arrival epoch ``e`` (``input_dir/arrival=e/*.parquet``):
    slice of the files with pyarrow and calling the router on each
    batch (the batches a one-task Ray Data read gives, or
    ``batch_size``-row slices).  The router comes from ``_router()``,
-   built from the driver state as it stands.  Each batch returns one
-   row (``state.partial_row``): its bookkeeping plus its partial table
-   as Arrow IPC;
+   built from the watermark in force.  Each batch returns one row
+   (``state.Router``): its bookkeeping, its kernel time and its
+   partial table as Arrow IPC;
 2. ``_route_epoch``: the driver sums the bookkeeping and ``_advance``
-   moves its watermark, which is all the next epoch's router depends
+   moves the watermark, which is all the next epoch's router depends
    on; it then starts epoch ``e+1``'s stage on a second thread, and
    ``_ingest_barrier`` routes epoch ``e``'s partials with at most one
    ``ingest`` per state host (``state.route_partials``), each carrying
    its owned partitions' slices, and waits on those calls: an error
    in any partition's ingest raises there;
-3. ``_run_epoch``: ``_emit`` closes what the watermark passed, on
-   every partition in pid order, and commits it through the
+3. ``_run_epoch``: ``_emit`` closes every partition, in pid order, at
+   the watermark in force and commits what closed through the
    exactly-once sink;
 4. ``_checkpoint(e)``: one snapshot file per logical partition plus
-   ``_driver_state()``.
+   ``driver.json`` (the clock, the committed epochs, the metrics).
 
 The ``n_partitions`` logical partitions live in ``min(n_partitions,
 CPU slots)`` ``state.PartitionHost`` actors (``self.actors``), each
@@ -44,12 +44,30 @@ one in flight before it returns or raises.
 ``run(resume=True)`` restores the latest checkpoint and replays from
 the next epoch; sinks skip epochs they already committed.
 
-Subclasses provide ``_partition()`` (the state kind, a ``state.Kind``,
-and its arguments), ``_router()``, ``_advance(em, book)``, ``_emit``
-and the ``_driver_state()`` / ``_load_driver_state(state)`` checkpoint
-payload, and set ``sink``.  Every driver's partitions are one class,
-``state.KeyedPartition``, running the driver's kind: ``ingest``,
-``close(arg)`` (what ``_emit`` calls), ``peek_state``,
+The driver contract: :class:`EpochDriverBase` owns the event-time
+clock, the sink, the close-and-commit, the checkpoint and the
+teardown, as the reference's engine owns stream time, grace and the
+commit around a UDAF (PAPER.md §0).  The clock is one watermark in
+microseconds, ``max(watermark, max event ts - lateness_us)`` after
+each epoch, plus a frontier per source when the routers report
+per-source maxima; ``_watermark()`` gives it in the unit the routers
+and the kind take (whole seconds unless a driver says otherwise).  A
+driver is only:
+
+- ``_partition()``: its state kind (a ``state.Kind`` subclass) and
+  the kind's arguments;
+- ``_router()``: its per-batch kernel, a ``state.Router`` (the one
+  router frame: it times the kernel, assigns each partial row its
+  partition and returns the row ``state.partial_row`` builds);
+- ``sink_name`` and ``sort_by`` (columns, or a function of the
+  closed table);
+- ``lateness_us``, set by its constructor.
+
+``StreamDriver`` adds its metadata join and EMIT CHANGES (its own
+``_emit``) and the passthrough (its own ``_run_epoch``); dedup closes
+on the epoch rather than a watermark.  Every driver's partitions are
+one class, ``state.KeyedPartition``, running the driver's kind:
+``ingest``, ``close(arg)`` (what ``_emit`` calls), ``peek_state``,
 ``get_metrics``, and ``snapshot`` / ``restore`` of one
 ``state-pNNNN.parquet`` per partition that holds the state and its
 counters.  A restore raises when a partition's snapshot is missing
@@ -79,6 +97,7 @@ import pyarrow.fs as pafs
 import pyarrow.parquet as pq
 import ray
 
+from raystat.streaming.sink import ExactlyOnceParquetSink
 from raystat.streaming.state import END, NEG, cpu_slots, route_partials, start_hosts
 
 # rows per Parquet read batch: the batch Ray Data's Parquet reader
@@ -163,9 +182,13 @@ class EpochRead:
 
 
 class EpochDriverBase:
+    """The driver contract (see the module docstring)."""
+
     # bookkeeping columns summed into each epoch's metrics
     book_sums = ("rows_in", "late_dropped", "partial_rows")
-    wm_attr = "watermark_s"  # the watermark ``_run_epoch`` closes with
+    sink_name = ""  # the sink's directory under out_dir
+    sort_by = None  # the committed rows' sort columns, or a function of the table
+    checkpointed = ()  # driver-side objects saved in driver.json (to_state / from_state)
 
     def __init__(self, input_dir: str, out_dir: str, n_partitions: int = 8,
                  batch_size: int | None = None):
@@ -175,7 +198,14 @@ class EpochDriverBase:
         self.batch_size = batch_size
         self.ckpt_root = os.path.join(out_dir, "_checkpoints")
         os.makedirs(self.ckpt_root, exist_ok=True)
+        self.sink = ExactlyOnceParquetSink(out_dir, self.sink_name)
+        # the clock: the watermark and each source's frontier (sources a
+        # router reports per-source maxima for), in us
+        self.lateness_us = 0
+        self.watermark_us = NEG
+        self.src_watermark: dict[str, int] = {}
         self.metrics: dict[str, dict] = {}
+        self.final: dict | None = None
         self.actors: list | None = None  # the PartitionHost handles
         # set by run(): the stage thread, the epoch whose stage to start
         # next (None: none) and (epoch, future) of the stage in flight
@@ -264,9 +294,9 @@ class EpochDriverBase:
             if "max_ts_us" in book:
                 em["max_ts_us"] = int(book["max_ts_us"].max())
             em["n_batches"] = int(len(book))
-            em["sec_route_sum"] = round(float(book["sec_route"].sum()), 3)
-            if "sec_fn" in book:
-                em["sec_fn_sum"] = round(float(book["sec_fn"].sum()), 3)
+            # in us: a light kernel (the joins' filter) sums below 1 ms an epoch
+            em["sec_route_sum"] = round(float(book["sec_route"].sum()), 6)
+            em["sec_fn_sum"] = round(float(book["sec_fn"].sum()), 6)
         self._advance(em, book)
         if self._next_epoch is not None:
             nxt = self._next_epoch
@@ -286,19 +316,64 @@ class EpochDriverBase:
         ray.get(refs)
         return len(refs)
 
-    def _commit_closed(self, epoch: int, close: str, *args, sort_by=None) -> None:
-        """Call partition method ``close(*args)`` on every partition and
-        commit the non-empty results as epoch ``epoch`` (an empty table
-        when nothing closed).  ``sort_by`` may be a function of the
-        table."""
-        tables = [t for t in self._call(close, *args) if t.num_rows]
+    # -- the clock ------------------------------------------------------------
+
+    def _advance(self, em: dict, book: pd.DataFrame | None) -> None:
+        """Move the watermark past an epoch, from its summed bookkeeping
+        ``em``: ``max(watermark, max event ts - lateness)``, and each
+        source's frontier the same way from the routers' per-source
+        maxima (``src_max_json``, a per-source watermark's books)."""
+        if em["max_ts_us"] >= 0:
+            self.watermark_us = max(self.watermark_us, em["max_ts_us"] - self.lateness_us)
+        # an epoch of zero-row files has no router rows, so no frontiers
+        if book is not None and "src_max_json" in book:
+            for js in book["src_max_json"]:
+                for src, m in json.loads(js or "{}").items():
+                    wm = int(m) - self.lateness_us
+                    self.src_watermark[src] = max(self.src_watermark.get(src, NEG), wm)
+
+    def _watermark(self):
+        """The watermark in force, as the routers and the close take it:
+        whole seconds here (``(t - L) // 10**6 == t // 10**6 - L`` for
+        a lateness L of whole seconds)."""
+        return self.watermark_us // 1_000_000
+
+    # -- close and commit ---------------------------------------------------
+
+    def _run_epoch(self, epoch: int):
+        """Route epoch ``epoch``, then close and commit what its
+        watermark made final; returns its router rows."""
+        em, book = self._route_epoch(epoch)
+        t0 = time.monotonic()
+        self._emit(epoch, self._watermark())
+        em.update(sec_emit=round(time.monotonic() - t0, 3), watermark_us=self.watermark_us)
+        self.metrics[str(epoch)] = em
+        return book
+
+    def _emit(self, epoch: int, wm) -> None:
+        """Close every partition at ``wm`` and commit the rows they
+        emit as epoch ``epoch`` (an empty table when nothing closed),
+        sorted by ``sort_by``."""
+        tables = [t for t in self._call("close", wm) if t.num_rows]
         if not tables:
             self.sink.commit(epoch, pa.table({}))
             return
         out = pa.concat_tables(tables, promote_options="default")
-        self.sink.commit(epoch, out, sort_by=sort_by(out) if callable(sort_by) else sort_by)
+        sort_by = self.sort_by(out) if callable(self.sort_by) else self.sort_by
+        self.sink.commit(epoch, out, sort_by=sort_by)
 
     # -- checkpoint / resume -------------------------------------------------
+
+    def _driver_state(self) -> dict:
+        return {"watermark_us": self.watermark_us, "src_watermark_us": self.src_watermark,
+                "committed": self.sink.committed_epochs(),
+                **{k: getattr(self, k).to_state() for k in self.checkpointed}}
+
+    def _load_driver_state(self, state: dict) -> None:
+        self.watermark_us = int(state["watermark_us"])
+        self.src_watermark = {k: int(v) for k, v in state["src_watermark_us"].items()}
+        for k in self.checkpointed:
+            setattr(self, k, type(getattr(self, k)).from_state(state[k]))
 
     def _ckpt_dir(self, epoch: int) -> str:
         return os.path.join(self.ckpt_root, f"epoch-{epoch:06d}")
@@ -337,7 +412,9 @@ class EpochDriverBase:
 
     def run(self, stop_after_epoch: int | None = None, resume: bool = False) -> dict:
         """Process all arrival epochs (optionally stopping early to
-        simulate a crash); returns the final metrics dict."""
+        simulate a crash).  Returns ``{"epochs": per-epoch metrics,
+        "final": the end-of-stream metrics (None after an early stop),
+        **driver state}``."""
         epochs = self.arrival_epochs()
         if not epochs:
             raise FileNotFoundError(f"no arrival=* dirs under {self.input_dir}")
@@ -376,19 +453,31 @@ class EpochDriverBase:
         self._emit(final_epoch, END)
         self._record_final(final_epoch)
 
-    def _record_final(self, final_epoch: int):
-        self.metrics["final"] = {
-            "epoch": final_epoch,
-            "state_metrics": self._call("get_metrics"),
-        }
+    def _record_final(self, final_epoch: int, **extra):
+        self.final = {"epoch": final_epoch, "state_metrics": self._call("get_metrics"),
+                      **extra}
 
     def _final_metrics(self) -> dict:
-        return {"epochs": self.metrics, **self._driver_state()}
+        return {"epochs": self.metrics, "final": self.final, **self._driver_state()}
 
     def result_table(self) -> pa.Table:
         return self.sink.read_all()
 
-    # -- subclass hooks --------------------------------------------------------
+    def cleanup(self, delete_output: bool = False) -> None:
+        """Teardown (ksqlDB's ``DROP ... DELETE TOPIC``,
+        AllUdafIT.java:461-498): kill the state hosts, drop the
+        checkpoints and, with ``delete_output``, the sink output."""
+        for a in self.actors or ():
+            try:
+                ray.kill(a)
+            except Exception:
+                pass
+        self.actors = None
+        shutil.rmtree(self.ckpt_root, ignore_errors=True)
+        if delete_output:
+            shutil.rmtree(self.out_dir, ignore_errors=True)
+
+    # -- the driver's own parts --------------------------------------------------
 
     def _partition(self) -> tuple:  # pragma: no cover - abstract
         """The state kind (a ``state.Kind`` subclass) and its
@@ -396,29 +485,10 @@ class EpochDriverBase:
         raise NotImplementedError
 
     def _router(self):  # pragma: no cover - abstract
-        """The epoch's ``map_batches`` callable, built from the driver
-        state as it stands (it must copy what ``_advance`` mutates)."""
+        """The epoch's ``map_batches`` callable (a ``state.Router``),
+        built from the watermark in force (``_watermark()``, which it
+        must copy: ``_advance`` moves it while the router runs)."""
         raise NotImplementedError
-
-    def _advance(self, em: dict, book: pd.DataFrame | None) -> None:
-        """Move the watermark past an epoch, from its summed
-        bookkeeping ``em`` and its router rows ``book``."""
-
-    def _run_epoch(self, epoch: int):
-        em, _ = self._route_epoch(epoch)
-        wm = getattr(self, self.wm_attr)
-        self._emit(epoch, wm)
-        em[self.wm_attr] = wm
-        self.metrics[str(epoch)] = em
-
-    def _emit(self, epoch: int, watermark: int):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _driver_state(self) -> dict:
-        return {}
-
-    def _load_driver_state(self, state: dict) -> None:
-        pass
 
 
 # -- fixtures -----------------------------------------------------------------

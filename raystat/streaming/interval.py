@@ -37,9 +37,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from raystat.dataops.interval_join import interval_join_frames
-from raystat.streaming.epochs import NEG, EpochDriverBase, events_fixture
-from raystat.streaming.sink import ExactlyOnceParquetSink
-from raystat.streaming.state import Kind, key_partition, partial_row
+from raystat.streaming.epochs import EpochDriverBase, events_fixture
+from raystat.streaming.state import Kind, Router, event_book, key_partition
 
 __all__ = [
     "IntervalJoinConfig",
@@ -140,87 +139,69 @@ class IntervalJoin(TaggedJoin):
         return out, state.filter(pa.array(keep_left | keep_right))
 
 
-class IntervalRouter:
-    """Late-drop stage shared by the interval and as-of joins: drops
-    rows older than the watermark in force at ingest and returns the
-    rest as data (:func:`partial_row`), each row owned by its ``by``
-    key's hash partition, with the smallest event ts as batch key; the
-    driver routes them to the partitions' hosts."""
+class IntervalRouter(Router):
+    """Late-drop kernel shared by the interval and as-of joins, in the
+    ``state.Router`` frame: keeps the rows at or after the watermark in
+    force at ingest (``ts >= watermark``), each owned by its ``by``
+    key's hash partition, with the smallest event ts as batch key."""
 
     def __init__(self, actors: list, n_partitions: int, by: str, on: str,
                  watermark_us: int):
-        self.P = n_partitions
+        super().__init__(actors, n_partitions)
         self.by = by
         self.on = on
         self.wm = int(watermark_us)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows_in = batch.num_rows
+    def partial_fn(self, batch: pa.Table):
         ts = batch[self.on].to_numpy(zero_copy_only=False).astype(np.int64)
         live = ts >= self.wm
-        late = int(rows_in - live.sum())
-        tbl = part = None
-        if live.any():
-            tbl = batch.filter(pa.array(live)) if late else batch
-            part = key_partition(tbl[self.by], self.P, self.by)
-        return partial_row(
-            tbl, part, int(ts.min()) if rows_in else -1,
-            max_ts_us=int(ts.max()) if rows_in else -1, late_dropped=late,
-            rows_in=rows_in,
-        )
+        late = int(ts.size - live.sum())
+        tbl = batch.filter(pa.array(live)) if late else batch
+        return tbl, event_book(ts, late_dropped=late)
+
+    def partition(self, partial: pa.Table) -> np.ndarray:
+        return key_partition(partial[self.by], self.P, self.by)
 
 
 class TaggedJoinDriver(EpochDriverBase):
-    """Epoch loop shared by the stream-stream joins over the unified
-    tagged schema: read arrival=N → late-drop (``IntervalRouter``) →
-    route + barrier → advance the microsecond watermark → ``_emit``
-    what became final → exactly-once commit → checkpoint.  Crash/resume
-    replays the failed epoch from the last checkpoint; committed epochs
-    re-commit as no-ops."""
+    """The stream-stream joins over the unified tagged schema, on the
+    ``EpochDriverBase`` contract: read arrival=N → late-drop
+    (``IntervalRouter``) → route + barrier → advance the watermark →
+    close what became final → exactly-once commit → checkpoint.  Their
+    routers and kinds take the watermark in microseconds.
+    Crash/resume replays the failed epoch from the last checkpoint;
+    committed epochs re-commit as no-ops."""
 
-    wm_attr = "watermark_us"
-
-    def __init__(self, input_dir: str, out_dir: str, cfg, sink_name: str):
+    def __init__(self, input_dir: str, out_dir: str, cfg):
         super().__init__(input_dir, out_dir, cfg.n_partitions, cfg.batch_size)
         self.cfg = cfg
-        self.sink = ExactlyOnceParquetSink(out_dir, sink_name)
-        self.watermark_us = NEG
+        self.lateness_us = int(cfg.allowed_lateness_s) * 1_000_000
 
-    def _driver_state(self) -> dict:
-        return {"watermark_us": self.watermark_us,
-                "committed": self.sink.committed_epochs()}
-
-    def _load_driver_state(self, state: dict) -> None:
-        self.watermark_us = int(state["watermark_us"])
+    def _watermark(self) -> int:
+        return self.watermark_us
 
     def _router(self):
         c = self.cfg
-        return IntervalRouter(self.actors, c.n_partitions, c.by, c.on, self.watermark_us)
-
-    def _advance(self, em: dict, book) -> None:
-        if em["max_ts_us"] >= 0:
-            self.watermark_us = max(
-                self.watermark_us,
-                em["max_ts_us"] - int(self.cfg.allowed_lateness_s) * 1_000_000,
-            )
+        return IntervalRouter(self.actors, c.n_partitions, c.by, c.on, self._watermark())
 
 
 class IntervalStreamDriver(TaggedJoinDriver):
     """The streaming interval join: emits every (left, right) pair once
     the watermark passes ``left.on + after``."""
 
+    sink_name = "pairs"
+
     def __init__(self, input_dir: str, out_dir: str, cfg: IntervalJoinConfig | None = None):
-        super().__init__(input_dir, out_dir, cfg or IntervalJoinConfig(), "pairs")
+        super().__init__(input_dir, out_dir, cfg or IntervalJoinConfig())
 
     def _partition(self) -> tuple:
         c = self.cfg
         return IntervalJoin, c.by, c.on, list(c.right_cols), c.before_us, c.after_us
 
-    def _emit(self, epoch: int, watermark_us: int):
-        self._commit_closed(
-            epoch, "close", watermark_us,
-            sort_by=lambda t: [c for c in t.column_names if not c.startswith("_")],
-        )
+    @staticmethod
+    def sort_by(t: pa.Table) -> list[str]:
+        """Every output column but the side tag."""
+        return [c for c in t.column_names if not c.startswith("_")]
 
 
 # -- fixture ------------------------------------------------------------------

@@ -14,11 +14,14 @@ per state host (rows never shuffle).  Every driver is a
 Routers: a kind writes one ``_groups(gid, vals, cols)``, the sketch of
 each group's values, and runs it in two window frames,
 ``_WindowRouter`` (tumbling and hopping) and ``_SessionRouter`` (a
-session router is the session frame over the kind's window router).
-The frames are the moment stage's (``driver._moment_stage``) and the
+session router is the session frame over the kind's window router),
+both kernels under the one router frame, ``state.Router``.  The window
+frames are the moment stage's (``driver._moment_stage``) and the
 passthrough's: one late rule (``state.late_rows``), one covering-window
 expansion (``state.covering_windows``) and one session split
-(``state.session_split``).
+(``state.session_split``).  The epoch loop, the watermark, the close
+and the commit are ``EpochDriverBase``'s: a sketch driver names its
+kind, its routers and its sink.
 
 State: every kind runs in ``state.KeyedPartition``, the one keyed
 partition class (shared with every other stream kind), inside the
@@ -67,10 +70,9 @@ from raystat.dataops.sketches import (
     CMS_WIDTH,
     hll_estimate,
 )
-from raystat.streaming.epochs import NEG, EpochDriverBase, events_fixture
-from raystat.streaming.sink import ExactlyOnceParquetSink
+from raystat.streaming.epochs import EpochDriverBase, events_fixture
 from raystat.streaming.state import (
-    GroupKind, covering_windows, key_partition, late_rows, partial_row,
+    GroupKind, Router, covering_windows, event_book, key_partition, late_rows,
     session_split,
 )
 
@@ -384,42 +386,37 @@ class _BottomK(GroupKind):
                          "item": item[order], "rank": _rank(gid[order]) + 1})
 
 
-class _KeyedRouter:
-    """The window frame of every sketch router: reads event time from
-    ``ts_col``, pairs the batch's rows with their groups (``_pairs``:
-    :class:`_WindowRouter` or :class:`_SessionRouter`, late rows
-    dropped and counted by ``state.late_rows``), and hands the kind's
-    ``_groups`` each pair's group id, the pairs' values (row order
-    within a group) and ``cols``, which maps group ids to the group
-    columns.  The partial table it builds goes out as data
-    (:func:`partial_row`), each row owned by its key's hash partition,
-    with the smallest event ts as batch key.  Routers make no actor
-    calls: the driver routes the epoch's partials after the stage, so
-    Ray may retry the stage's tasks.  ``actors`` stays the first
-    constructor argument that every streaming router shares; a kind's
-    own arguments come last, by keyword: ``k`` (KLL, bottom-k) and
-    ``probe_mod`` (CMS), each ignored by the other kinds."""
+class _KeyedRouter(Router):
+    """The kernel of every sketch router, in the ``state.Router``
+    frame: reads event time from ``ts_col``, pairs the batch's rows
+    with their groups (``_pairs``: :class:`_WindowRouter` or
+    :class:`_SessionRouter`, late rows dropped and counted by
+    ``state.late_rows``), and hands the kind's ``_groups`` each pair's
+    group id, the pairs' values (row order within a group) and
+    ``cols``, which maps group ids to the group columns.  Each partial
+    row is owned by its key's hash partition; the batch key is the
+    smallest event ts.  A kind's own arguments come last, by keyword:
+    ``k`` (KLL, bottom-k) and ``probe_mod`` (CMS), each ignored by the
+    other kinds."""
 
-    def _setup(self, n_partitions: int, key: str, value: str, ts_col: str,
+    def _setup(self, actors: list, n_partitions: int, key: str, value: str, ts_col: str,
                watermark_s: int, k: int, probe_mod: int) -> None:
-        self.P = n_partitions
+        super().__init__(actors, n_partitions)
         self.key, self.value, self.ts_col = key, value, ts_col
         self.wm = int(watermark_s)
         self.k, self.probe_mod = int(k), int(probe_mod)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def partial_fn(self, batch: pa.Table):
         ts_us = batch[self.ts_col].to_numpy(zero_copy_only=False).astype(np.int64)
         row_of, gid, cols, late = self._pairs(batch, ts_us)
-        tbl = part = None
+        tbl = None
         if row_of.size:
             vals = batch[self.value].to_numpy(zero_copy_only=False)[row_of]
             tbl = self._groups(gid, vals, cols)
-            part = key_partition(tbl["key"], self.P)
-        n = batch.num_rows
-        return partial_row(
-            tbl, part, int(ts_us.min()) if n else -1,
-            max_ts_us=int(ts_us.max()) if n else -1, late_dropped=int(late.sum()), rows_in=n,
-        )
+        return tbl, event_book(ts_us, late_dropped=int(late.sum()))
+
+    def partition(self, partial: pa.Table) -> np.ndarray:
+        return key_partition(partial["key"], self.P)
 
 
 class _WindowRouter(_KeyedRouter):
@@ -433,7 +430,7 @@ class _WindowRouter(_KeyedRouter):
     def __init__(self, actors: list, n_partitions: int, key: str, value: str,
                  ts_col: str, window_size_s: int, hop_s: int, watermark_s: int, *,
                  k: int = 0, probe_mod: int = 1):
-        self._setup(n_partitions, key, value, ts_col, watermark_s, k, probe_mod)
+        self._setup(actors, n_partitions, key, value, ts_col, watermark_s, k, probe_mod)
         self.size_s, self.hop_s = int(window_size_s), int(hop_s)
 
     def _pairs(self, batch: pa.Table, ts_us: np.ndarray):
@@ -459,7 +456,7 @@ class _SessionRouter(_KeyedRouter):
     def __init__(self, actors: list, n_partitions: int, key: str, value: str,
                  ts_col: str, gap_s: int, watermark_s: int, *,
                  k: int = 0, probe_mod: int = 1):
-        self._setup(n_partitions, key, value, ts_col, watermark_s, k, probe_mod)
+        self._setup(actors, n_partitions, key, value, ts_col, watermark_s, k, probe_mod)
         self.gap_us = int(gap_s) * 1_000_000
 
     def _pairs(self, batch: pa.Table, ts_us: np.ndarray):
@@ -483,10 +480,11 @@ class _SessionRouter(_KeyedRouter):
 
 
 class _SketchDriver(EpochDriverBase):
-    """Constructor and epoch shared by the keyed sketch drivers: read
-    arrival=N → per-batch partials (the kind's router) → route +
-    barrier → advance the watermark → close ripe windows →
-    exactly-once commit → checkpoint.  Common keyword arguments:
+    """Constructor shared by the keyed sketch drivers, on the
+    ``EpochDriverBase`` contract: read arrival=N → per-batch partials
+    (the kind's router) → route + barrier → advance the watermark →
+    close ripe windows → exactly-once commit (sorted by key, group
+    start, then ``sort_extra``) → checkpoint.  Common keyword arguments:
     ``key="event_type"``, ``ts_col="ts_us"``, ``window_size_s=86400``,
     ``hop_s`` (None: tumbling), ``session_gap_s`` (SESSION windows;
     exclusive with ``hop_s``), ``allowed_lateness_s=3600``,
@@ -504,8 +502,8 @@ class _SketchDriver(EpochDriverBase):
     kind_args: tuple = ()
     router_kw: dict = {}
 
-    def __init__(self, input_dir: str, out_dir: str, sink_name: str, *,
-                 value: str, key: str = "event_type", ts_col: str = "ts_us",
+    def __init__(self, input_dir: str, out_dir: str, *, value: str,
+                 key: str = "event_type", ts_col: str = "ts_us",
                  window_size_s: int = 86400, hop_s: int | None = None,
                  session_gap_s: int | None = None,
                  allowed_lateness_s: int = 3600, n_partitions: int = 8,
@@ -521,21 +519,14 @@ class _SketchDriver(EpochDriverBase):
         self.hop_s = int(hop_s) if hop_s is not None else self.size_s
         if self.size_s % self.hop_s:
             raise ValueError("window_size_s must be a multiple of hop_s")
-        self.lateness_s = int(allowed_lateness_s)
-        self.sink = ExactlyOnceParquetSink(out_dir, sink_name)
-        self.watermark_s = NEG
+        self.lateness_us = int(allowed_lateness_s) * 1_000_000
+        start = "window_start_s" if self.session_gap_s is None else "session_start_us"
+        self.sort_by = ["key", start, *self.sort_extra]
 
     def _partition(self) -> tuple:
         session = self.session_gap_s is not None
         return (self.kind, self.session_gap_s if session else self.size_s, session,
                 *self.kind_args)
-
-    def _driver_state(self) -> dict:
-        return {"watermark_s": self.watermark_s,
-                "committed": self.sink.committed_epochs()}
-
-    def _load_driver_state(self, state: dict) -> None:
-        self.watermark_s = int(state["watermark_s"])
 
     def _router(self):
         session = self.session_gap_s is not None
@@ -543,19 +534,7 @@ class _SketchDriver(EpochDriverBase):
                 else {"window_size_s": self.size_s, "hop_s": self.hop_s})
         return globals()[self.routers[session]](
             self.actors, self.n_partitions, self.key, self.value, self.ts_col,
-            **span, watermark_s=self.watermark_s, **self.router_kw,
-        )
-
-    def _advance(self, em: dict, book) -> None:
-        if em["max_ts_us"] >= 0:
-            self.watermark_s = max(
-                self.watermark_s, em["max_ts_us"] // 1_000_000 - self.lateness_s
-            )
-
-    def _emit(self, epoch: int, watermark_s: int):
-        start = "window_start_s" if self.session_gap_s is None else "session_start_us"
-        self._commit_closed(
-            epoch, "close", watermark_s, sort_by=["key", start, *self.sort_extra],
+            **span, watermark_s=self._watermark(), **self.router_kw,
         )
 
 
@@ -583,11 +562,12 @@ class HllStreamDriver(_SketchDriver):
     estimates when the watermark closes a window (tumbling, hopping or
     session)."""
 
+    sink_name = "distinct"
     kind = _Hll
     routers = ("HllRouter", "HllSessionRouter")
 
     def __init__(self, input_dir: str, out_dir: str, *, value: str = "user_id", **kw):
-        super().__init__(input_dir, out_dir, "distinct", value=value, **kw)
+        super().__init__(input_dir, out_dir, value=value, **kw)
 
 
 # -- fixture ------------------------------------------------------------------
@@ -649,13 +629,14 @@ class KllStreamDriver(_SketchDriver):
     and their quantile estimates ``names`` (at ``qs``) commit
     exactly-once."""
 
+    sink_name = "quantiles"
     kind = _Kll
     routers = ("KllRouter", "KllSessionRouter")
 
     def __init__(self, input_dir: str, out_dir: str, *, value: str = "value",
                  qs: tuple = (0.5, 0.9), names: tuple = ("p50", "p90"),
                  k: int = 200, **kw):
-        super().__init__(input_dir, out_dir, "quantiles", value=value, **kw)
+        super().__init__(input_dir, out_dir, value=value, **kw)
         self.kind_args = (int(k), tuple(qs), tuple(names))
         self.router_kw = {"k": int(k)}
 
@@ -690,13 +671,14 @@ class MgStreamDriver(_SketchDriver):
     -> top-``top`` emission when the watermark closes a window,
     exactly-once per epoch."""
 
+    sink_name = "topk"
     kind = _Mg
     routers = ("MgRouter", "MgSessionRouter")
     sort_extra = ("rank",)
 
     def __init__(self, input_dir: str, out_dir: str, *, item: str = "user_id",
                  capacity: int = 4096, top: int = 10, **kw):
-        super().__init__(input_dir, out_dir, "topk", value=item, **kw)
+        super().__init__(input_dir, out_dir, value=item, **kw)
         self.kind_args = (int(capacity), int(top))
 
 
@@ -770,6 +752,7 @@ class CmsStreamDriver(_SketchDriver):
     Misra-Gries (which has session support) is the bounded counter
     whose state merges by sparse integer sum."""
 
+    sink_name = "cms"
     kind = _Cms
     routers = ("CmsRouter",)
     sort_extra = ("item",)
@@ -778,7 +761,7 @@ class CmsStreamDriver(_SketchDriver):
                  probe_mod: int = 3, **kw):
         if kw.get("session_gap_s") is not None:
             raise ValueError("CmsStreamDriver has no session windows (use MG)")
-        super().__init__(input_dir, out_dir, "cms", value=item, **kw)
+        super().__init__(input_dir, out_dir, value=item, **kw)
         self.router_kw = {"probe_mod": int(probe_mod)}
 
 
@@ -838,12 +821,13 @@ class BottomKStreamDriver(_SketchDriver):
     watermark closes a window, exactly-once per epoch.  Tumbling,
     hopping and session windows."""
 
+    sink_name = "bottomk"
     kind = _BottomK
     routers = ("BottomKRouter", "BottomKSessionRouter")
     sort_extra = ("rank",)
 
     def __init__(self, input_dir: str, out_dir: str, *, item: str = "user_id",
                  k: int = 5, **kw):
-        super().__init__(input_dir, out_dir, "bottomk", value=item, **kw)
+        super().__init__(input_dir, out_dir, value=item, **kw)
         self.kind_args = (int(k),)
         self.router_kw = {"k": int(k)}

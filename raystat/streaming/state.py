@@ -16,15 +16,14 @@ the five sketch kinds are group kinds (:class:`GroupKind`: windows or
 sessions, a group merge and a finish); CEP's tombstones, dedup's seen
 set and the join buffers are rows of their kinds' tables.
 
-The epoch's stage router (:class:`Router` for ``StreamDriver``) only
-computes *partial moment structs* (never raw rows) and returns them as
-data; the driver then routes the whole epoch's partials with
-:func:`route_partials` — one ``ingest`` per host, carrying each owned
-partition's slice — the explicit, tiny shuffle mandated by
-BASELINE.json:north_star.  With no actor calls inside the stage's read
-tasks the stage is replayable, so Ray's task retries are safe.  Every
-other streaming kind's router returns its partial through the same
-:func:`partial_row` and is routed by the same :func:`route_partials`.
+Every stream router runs in one frame, :class:`Router`: a per-batch
+kernel (``StreamDriver``'s computes *partial moment structs*, never raw
+rows) and a partitioner.  It returns the partial as data; the driver
+then routes the whole epoch's partials with :func:`route_partials` —
+one ``ingest`` per host, carrying each owned partition's slice — the
+explicit, tiny shuffle mandated by BASELINE.json:north_star.  With no
+actor calls inside the stage's read tasks the stage is replayable, so
+Ray's task retries are safe.
 
 The window frame of the moment stage, the sketch routers and the
 ``StreamDriver`` passthrough is one set of helpers: :func:`late_rows`
@@ -68,7 +67,7 @@ __all__ = [
     "GroupKind", "KeyedPartition", "Kind", "PartitionHost", "Router", "route_partition",
     "key_partition", "source_watermarks", "partial_row", "route_partials",
     "write_parquet_atomic", "late_rows", "covering_windows",
-    "session_split", "cpu_slots", "host_pids", "start_hosts",
+    "session_split", "cpu_slots", "host_pids", "start_hosts", "event_book",
 ]
 
 
@@ -507,29 +506,48 @@ class KeyedPartition:
         return self.state.num_rows
 
 
-class Router:
-    """The epoch stage's router of ``StreamDriver``: computes one
-    batch's partial table and bookkeeping (``partial_fn(batch) ->
-    (table or None, info)``) and returns them as data through
-    :func:`partial_row`, each partial row owned by partition
-    ``route_partition(source, salt, P)`` (sessions carry no salt: they
-    hash on source alone).  ``info`` holds the batch key (the smallest
-    numeric doc id) and the bookkeeping columns (max event ts, raw,
-    late and null row counts, per-source max ts); the router adds the
-    kernel time ``sec_fn``.  It makes no actor calls, so Ray may retry
-    the read task that runs it.  ``actors`` goes unused (the driver
-    routes); it keeps the constructor signature every streaming router
-    shares and that router wrappers rely on."""
+def event_book(ts_us: np.ndarray, key: np.ndarray | None = None, **book) -> dict:
+    """A router's bookkeeping for a batch at event times ``ts_us``:
+    ``rows_in``, ``max_ts_us`` (what moves the watermark) and
+    ``batch_key``, the smallest ``key`` (the event times unless given),
+    which orders the epoch's payloads (:func:`route_partials`); -1 for
+    an empty batch.  ``book`` adds the router's own counters."""
+    n = len(ts_us)
+    key = ts_us if key is None else key
+    return {"max_ts_us": int(ts_us.max()) if n else -1, "rows_in": n,
+            "batch_key": int(key.min()) if n else -1, **book}
 
-    def __init__(self, actors: list, n_partitions: int, partial_fn):
+
+class Router:
+    """The one frame of every stream router: runs the per-batch kernel
+    ``partial_fn(batch) -> (partial table or None, info)``, gives each
+    partial row its owning partition (``partition(partial)``) and
+    returns both as data through :func:`partial_row`, with the kernel
+    time (partition included) as ``sec_fn``.  ``info`` is the batch's
+    bookkeeping (:func:`event_book`, plus the router's counters).
+
+    ``StreamDriver`` passes its moment kernel as ``partial_fn``, and its
+    partials are owned by ``route_partition(source, salt, P)`` (sessions
+    carry no salt: they hash on source alone).  The sketch, CEP, join
+    and dedup routers subclass it and write ``partial_fn`` and
+    ``partition`` as methods.  A router makes no actor calls, so Ray
+    may retry the read task that runs it; ``actors`` goes unused (the
+    driver routes) and stays the first constructor argument of every
+    router, which router wrappers rely on."""
+
+    def __init__(self, actors: list, n_partitions: int, partial_fn=None):
         self.P = n_partitions
-        self.partial_fn = partial_fn
+        if partial_fn is not None:
+            self.partial_fn = partial_fn
+
+    def partition(self, partial: pa.Table) -> np.ndarray:
+        salt = partial["salt"].to_numpy() if "salt" in partial.column_names else 0
+        return route_partition(partial["source"], salt, self.P)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         t0 = time.monotonic()
         partial, info = self.partial_fn(batch)
         part = None
         if partial is not None and partial.num_rows:
-            salt = partial["salt"].to_numpy() if "salt" in partial.column_names else 0
-            part = route_partition(partial["source"], salt, self.P)
+            part = self.partition(partial)
         return partial_row(partial, part, sec_fn=time.monotonic() - t0, **info)

@@ -92,7 +92,7 @@ def test_streamed_matches_equal_batch_asof(ray_session):
     got_pv = res["pv"].fillna(-1.0).to_numpy()
     np.testing.assert_allclose(got_pv, want["purchase_value"].to_numpy())
     # dominated-right pruning actually fired (bounded state, not history)
-    sm = m["epochs"]["final"]["state_metrics"]
+    sm = m["final"]["state_metrics"]
     assert sum(p["right_retired"] for p in sm) > 0
 
 
@@ -173,7 +173,7 @@ def test_state_bound_latest_per_key_only(ray_session):
         res, m = _run(fix, lateness_s=1_000_000)
         got = dict(zip(res["event_id"], res["pv"]))
         assert got[700] == 9.0 and got[701] == 9.0  # latest purchase wins
-        sm = m["epochs"]["final"]["state_metrics"]
+        sm = m["final"]["state_metrics"]
         assert sum(p["right_retired"] for p in sm) == 9  # all but the latest
     finally:
         shutil.rmtree(fix, ignore_errors=True)

@@ -76,9 +76,7 @@ def test_streamed_equals_batch_funnel(ray_session):
         got = _norm(drv.result_table())
         exp = _batch_expected(fix, 2 * DAY * 1_000_000)
         pd.testing.assert_frame_equal(got, exp)
-        assert sum(
-            e["late_dropped"] for k, e in m["epochs"].items() if k != "final"
-        ) == 0
+        assert sum(e["late_dropped"] for e in m["epochs"].values()) == 0
     finally:
         shutil.rmtree(out, ignore_errors=True)
 
@@ -204,7 +202,7 @@ def test_dead_state_prunes(ray_session):
             allowed_lateness_s=0, n_partitions=2,
         )
         m = drv.run()
-        state = m["epochs"]["final"]["state_metrics"]
+        state = m["final"]["state_metrics"]
         assert sum(p["rows_pruned"] for p in state) == 2
         assert sum(p["buffered_rows"] for p in state) == 0
     finally:

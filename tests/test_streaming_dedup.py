@@ -76,13 +76,11 @@ def test_survivors_match_first_arrival_rule(ray_session):
     try:
         res, m = _run(fix, n_partitions=4)
         assert res["doc_id"].tolist() == _brute_first_arrival(rows)
-        sm = m["epochs"]["final"]["state_metrics"]
+        sm = m["final"]["state_metrics"]
         assert sum(p["winners"] for p in sm) == 5
         # 5 dropped copies total (12, 21, 31, 5, 40), split between the
         # router's local combiner and the actors' seen-set
-        local = sum(
-            v["local_dropped"] for k, v in m["epochs"].items() if k != "final"
-        )
+        local = sum(v["local_dropped"] for v in m["epochs"].values())
         assert local + sum(p["dup_dropped"] for p in sm) == 5
         assert all(p["evicted"] == 0 for p in sm)
     finally:
@@ -144,9 +142,9 @@ def test_retention_evicts_and_reemits_observably(ray_session):
 
         lossy, ml = _run(fix, n_partitions=2, retention_epochs=1)
         assert lossy["doc_id"].tolist() == [1, 2, 10, 20, 30]  # re-emission
-        sm = ml["epochs"]["final"]["state_metrics"]
+        sm = ml["final"]["state_metrics"]
         assert sum(p["evicted"] for p in sm) > 0
-        assert all(p["evicted"] == 0 for p in me["epochs"]["final"]["state_metrics"])
+        assert all(p["evicted"] == 0 for p in me["final"]["state_metrics"])
     finally:
         shutil.rmtree(fix, ignore_errors=True)
 
@@ -158,9 +156,9 @@ def test_state_is_hashes_only_and_bounded(ray_session):
     fix = _stream_fixture(rows)
     try:
         _, me = _run(fix, n_partitions=4)
-        assert sum(p["state_size"] for p in me["epochs"]["final"]["state_metrics"]) == 200
+        assert sum(p["state_size"] for p in me["final"]["state_metrics"]) == 200
         _, ml = _run(fix, n_partitions=4, retention_epochs=1)
-        assert sum(p["state_size"] for p in ml["epochs"]["final"]["state_metrics"]) == 50
+        assert sum(p["state_size"] for p in ml["final"]["state_metrics"]) == 50
     finally:
         shutil.rmtree(fix, ignore_errors=True)
 

@@ -36,12 +36,15 @@ def _driver(kind: str, sf: str, out: str):
         BottomKStreamDriver,
         CmsStreamDriver,
         HllStreamDriver,
+        KllStreamDriver,
         MgStreamDriver,
         events_stream_fixture,
     )
 
     sketch = dict(window_size_s=WEEK, allowed_lateness_s=LATENESS, n_partitions=4,
                   batch_size=BATCH)
+    if kind == "stream":
+        return _equivalence_driver("stream_batch500", sf, out)
     if kind == "dedup":
         return DedupStreamDriver(docs_stream_fixture(sf, n_epochs=4), out,
                                  n_partitions=4, batch_size=BATCH)
@@ -64,8 +67,8 @@ def _driver(kind: str, sf: str, out: str):
             stages=["view", "click", "purchase"], within_us=2 * 86400 * 1_000_000,
             allowed_lateness_s=LATENESS, n_partitions=4, batch_size=BATCH,
         )
-    cls = {"hll": HllStreamDriver, "mg": MgStreamDriver, "cms": CmsStreamDriver,
-           "bottomk": BottomKStreamDriver}[kind]
+    cls = {"hll": HllStreamDriver, "mg": MgStreamDriver, "kll": KllStreamDriver,
+           "cms": CmsStreamDriver, "bottomk": BottomKStreamDriver}[kind]
     return cls(fix, out, **sketch)
 
 
@@ -82,7 +85,7 @@ def test_output_deterministic_across_runs(ray_session, sf_dir, kind):
             drv = _driver(kind, sf_dir, out)
             m = drv.run()
             digests.append(manifest_digests(drv.sink.root))
-            batches += [em["n_batches"] for e, em in m["epochs"].items() if e != "final"]
+            batches += [em["n_batches"] for em in m["epochs"].values()]
             for a in drv.actors:
                 ray.kill(a)
         finally:
@@ -90,6 +93,57 @@ def test_output_deterministic_across_runs(ray_session, sf_dir, kind):
     assert min(batches) >= 2, "each epoch should split into several batches"
     assert digests[0], "nothing committed"
     assert digests[0] == digests[1]
+
+
+DRIVERS = ["stream", "hll", "mg", "kll", "cms", "bottomk", "cep", "dedup", "interval", "asof"]
+
+
+@pytest.mark.parametrize("kind", DRIVERS)
+def test_every_driver_times_its_kernel(ray_session, sf_dir, tmp_path, kind):
+    """Every driver's router runs in the one router frame, which times
+    its kernel: each epoch with rows reports ``sec_fn_sum > 0``.  Every
+    driver's ``run()`` has one shape: per-epoch entries only under
+    ``epochs``, the end-of-stream metrics under ``final``."""
+    drv = _driver(kind, sf_dir, str(tmp_path / "out"))
+    try:
+        m = drv.run()
+    finally:
+        drv.cleanup()
+    assert sorted(m["epochs"], key=int) == [str(e) for e in drv.arrival_epochs()]
+    live = [em for em in m["epochs"].values() if em["rows_in"]]
+    assert live and all(em["sec_fn_sum"] > 0 for em in live)
+    assert m["final"]["epoch"] == drv.arrival_epochs()[-1] + 1
+    assert len(m["final"]["state_metrics"]) == drv.n_partitions
+    assert m["committed"] == drv.sink.committed_epochs()
+
+
+@pytest.mark.parametrize("kind", ["mg", "cep", "dedup"])
+def test_cleanup_kills_hosts_and_drops_checkpoints(ray_session, sf_dir, tmp_path, kind):
+    """``cleanup()`` is the base driver's: the state hosts die and
+    ``_checkpoints/`` goes; the committed output stays unless
+    ``delete_output``."""
+    import os
+    import time
+
+    import ray
+
+    out = str(tmp_path / "out")
+    drv = _driver(kind, sf_dir, out)
+    drv.run(stop_after_epoch=0)
+    hosts = list(drv.actors)
+    assert os.path.isdir(os.path.join(out, "_checkpoints", "epoch-000000"))
+    drv.cleanup()
+    assert drv.actors is None
+    assert not os.path.exists(os.path.join(out, "_checkpoints"))
+    assert drv.sink.committed_epochs() == [0]
+    for h in hosts:  # ray.kill is asynchronous: a call may still land before it
+        deadline = time.monotonic() + 30
+        with pytest.raises(ray.exceptions.RayActorError):
+            while time.monotonic() < deadline:
+                ray.get(h.get_metrics.remote(), timeout=30)
+                time.sleep(0.1)
+    drv.cleanup(delete_output=True)
+    assert not os.path.exists(out)
 
 
 def test_empty_epoch_file(ray_session, tmp_path):
@@ -221,7 +275,7 @@ def test_stop_after_epoch_stages_no_further_and_resumes(ray_session, sf_dir, tmp
     seen_full = _record_epochs(full)
     m = full.run()
     assert sorted(seen_full) == [0, 1, 2, 3]
-    assert sum(em["late_dropped"] for e, em in m["epochs"].items() if e != "final") > 0
+    assert sum(em["late_dropped"] for em in m["epochs"].values()) > 0
     out = str(tmp_path / "crash")
     d1 = _pipelined_driver(kind, src, out)
     seen = _record_epochs(d1)
@@ -499,10 +553,9 @@ def test_partitions_share_hosts_per_cpu_slot(ray_session, sf_dir, tmp_path, kind
     full = _pipelined_driver(kind, src, str(tmp_path / "full"), n_partitions=8)
     m = full.run()
     assert len(full.actors) == 4
-    calls = [em["ingest_calls"] for e, em in m["epochs"].items() if e != "final"]
+    calls = [em["ingest_calls"] for em in m["epochs"].values()]
     assert max(calls) <= 4 and sum(calls) > 0
-    final = m["final"] if "final" in m else m["epochs"]["final"]
-    assert [p["partition"] for p in final["state_metrics"]] == list(range(8))
+    assert [p["partition"] for p in m["final"]["state_metrics"]] == list(range(8))
     for e in full.arrival_epochs():
         snaps = glob.glob(os.path.join(full._ckpt_dir(e), "*-p*.parquet"))
         assert sorted(os.path.basename(f)[-13:] for f in snaps) == [

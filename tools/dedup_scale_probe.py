@@ -201,9 +201,8 @@ def main():
     t0 = time.time()
     drv = DedupStreamDriver(fx["stream_dir"], out, text_col="text",
                             id_col="doc_id", n_partitions=16).prepare()
-    drv.run()
+    sm = drv.run()["final"]["state_metrics"]
     surv = drv.result_table().num_rows
-    sm = drv.metrics.get("final", {}).get("state_metrics", [])
     res["streaming_dedup_documents"] = {
         "sec": round(time.time() - t0, 1),
         "survivors": int(surv),

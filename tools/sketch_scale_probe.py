@@ -106,13 +106,10 @@ def main() -> int:
         shutil.rmtree(out, ignore_errors=True)
         drv = cls(fix, out, **common, **kw)
         t0 = time.time()
-        drv.run()
+        final = drv.run()["final"]
         wall = time.time() - t0
         emitted = drv.result_table().num_rows
-        wire = sum(
-            m["partial_rows_in"]
-            for m in drv.metrics["final"]["state_metrics"]
-        )
+        wire = sum(m["partial_rows_in"] for m in final["state_metrics"])
         rec = {"wall_s": round(wall, 2),
                "rows_per_sec": round(n_rows / wall),
                "emitted_rows": int(emitted),
