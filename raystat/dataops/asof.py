@@ -9,13 +9,15 @@ requested right columns (null when no such row exists).
 Shape for scale (the lesson of the LSH bucket sweep, BASELINE.md):
 
 1. Both sides are tagged and hash-partitioned **once** on the join key
-   into ``n_parts`` partitions (the only shuffle; both sides move).
-2. One ``map_groups`` call per PARTITION (not per key!) runs a single
-   vectorized pass over all keys in that partition: lexsort by
+   into ``n_parts`` partitions (``joins.co_partition``, the only
+   shuffle; both sides move).
+2. One Arrow ``map_groups`` call per PARTITION (not per key!) runs a
+   single vectorized pass over all keys in that partition: lexsort by
    (key, ts, side) with right rows ordered before left rows at equal
    timestamps, then a ``np.maximum.accumulate`` carry of the last-seen
-   right-row index, invalidated across key-run boundaries.  O(n log n)
-   per partition, zero per-key Python.
+   right-row index, invalidated across key-run boundaries, and one
+   ``take`` per output column.  O(n log n) per partition, zero per-key
+   Python.  The streaming as-of join closes with the same kernel.
 
 Partitioning assumption: all rows of one key land in one partition
 (hash on key); a single pathologically hot key bounds one task's input
@@ -26,44 +28,34 @@ not a pairwise product.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
-from raystat.dataops.pairs import splitmix64
+from raystat.dataops.joins import co_partition, key_codes
 
 __all__ = ["asof_join", "asof_join_frames"]
 
 
-def _key_u64(arr: np.ndarray) -> np.ndarray:
-    """Stable 64-bit hash of an int or string key array."""
-    if arr.dtype.kind in ("i", "u"):
-        return splitmix64(arr.astype(np.uint64, copy=False))
-    # hash the VALUES (stable across partitions), not factorize codes
-    vals = pd.util.hash_array(np.asarray(arr, dtype=object), categorize=True)
-    return splitmix64(vals.astype(np.uint64, copy=False))
-
-
 def asof_join_frames(
-    df: pd.DataFrame,
+    t: pa.Table,
     *,
     by: str,
     on: str,
     right_cols: list[str],
     side_col: str = "_side",
     tolerance=None,
-) -> pd.DataFrame:
-    """Vectorized multi-key as-of over one co-partitioned frame.
+) -> pa.Table:
+    """Vectorized multi-key as-of over one co-partitioned table.
 
-    ``df`` holds BOTH sides: ``side_col`` is 0 for right rows, 1 for
+    ``t`` holds BOTH sides: ``side_col`` is 0 for right rows, 1 for
     left rows; right rows carry ``right_cols``, left rows carry the
-    remaining columns.  Returns the left rows with ``right_cols``
-    attached (NaN/None when no right row is at-or-before).
+    remaining columns.  Returns the left rows (without ``side_col``)
+    with ``right_cols`` attached last (null when no right row is
+    at-or-before).
     """
-    n = len(df)
-    key = df[by].to_numpy()
-    codes, _ = pd.factorize(key)  # local codes fine: only equality is used
-    ts = df[on].to_numpy()
-    side = df[side_col].to_numpy()
+    n = t.num_rows
+    codes, _ = key_codes(t[by])  # local codes fine: only equality is used
+    ts = t[on].to_numpy()
+    side = t[side_col].to_numpy()
     # right (0) before left (1) at equal (key, ts): inclusive join
     order = np.lexsort((side, ts, codes))
     codes_s = codes[order]
@@ -82,18 +74,13 @@ def asof_join_frames(
         valid &= lag <= tolerance
     left_pos = side_s == 1
     matched_sorted = np.where(valid[left_pos], mark[left_pos], -1)
-    # map sorted positions back to original row indices
+    # map sorted positions back to original row indices; an unmatched
+    # left row takes a null index, so null right_cols
     left_orig = order[left_pos]
-    right_orig = np.where(matched_sorted >= 0, order[np.maximum(matched_sorted, 0)], -1)
-    out = df.iloc[left_orig].drop(columns=[side_col] + right_cols).reset_index(
-        drop=True
-    )
-    has = right_orig >= 0
+    right_orig = pa.array(order[np.maximum(matched_sorted, 0)], mask=matched_sorted < 0)
+    out = t.drop_columns([side_col, *right_cols]).take(left_orig)
     for c in right_cols:
-        vals = df[c].to_numpy()
-        col = pd.Series(vals[np.maximum(right_orig, 0)])
-        col[~has] = None
-        out[c] = col
+        out = out.append_column(c, t[c].take(right_orig))
     return out
 
 
@@ -111,46 +98,11 @@ def asof_join(
     with equal ``by`` and ``right[on] <= left[on]`` (optionally within
     ``tolerance`` of the left timestamp).  Returns a Dataset of left
     rows + ``right_cols``."""
-    left_schema = left_ds.schema()
-    left_names = list(left_schema.names)
-    ltypes = dict(zip(left_schema.names, left_schema.types))
-    overlap = set(right_cols) & set(left_names)
-    if overlap:
-        raise ValueError(f"right_cols collide with left columns: {sorted(overlap)}")
+    both = co_partition(left_ds, right_ds, shared=[by, on], key=by, n_parts=n_parts,
+                        right_cols=right_cols)
 
-    # unify right_cols types from the right schema (not assumed float64)
-    right_schema = right_ds.schema()
-    rtypes = dict(zip(right_schema.names, right_schema.types))
+    def per_partition(t: pa.Table) -> pa.Table:
+        out = asof_join_frames(t, by=by, on=on, right_cols=right_cols, tolerance=tolerance)
+        return out.drop_columns(["_part"])
 
-    def tag(side: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            k = batch[by].to_numpy(zero_copy_only=False)
-            part = (_key_u64(k) % np.uint64(n_parts)).astype(np.int32)
-            nulls = pa.nulls(batch.num_rows)
-            cols: dict[str, object] = {
-                by: batch[by],
-                on: batch[on],
-                "_side": pa.array(np.full(batch.num_rows, side, dtype=np.int8)),
-                "_part": pa.array(part),
-            }
-            for c in left_names:
-                if c in (by, on):
-                    continue
-                cols[c] = batch[c] if side == 1 else nulls.cast(ltypes[c])
-            for c in right_cols:
-                cols[c] = batch[c] if side == 0 else nulls.cast(rtypes[c])
-            return pa.table(cols)
-
-        return fn
-
-    lt = left_ds.map_batches(tag(1), batch_format="pyarrow")
-    rt = right_ds.map_batches(tag(0), batch_format="pyarrow")
-    both = lt.union(rt)
-
-    def per_partition(g: pd.DataFrame) -> pd.DataFrame:
-        out = asof_join_frames(
-            g, by=by, on=on, right_cols=right_cols, tolerance=tolerance
-        )
-        return out.drop(columns=["_part"])
-
-    return both.groupby("_part").map_groups(per_partition, batch_format="pandas")
+    return both.groupby("_part").map_groups(per_partition, batch_format="pyarrow")

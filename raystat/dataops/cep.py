@@ -7,10 +7,12 @@ is the MINIMUM occurrence after the previous stage's match, the
 standard funnel semantics), and reports how many keys reach each
 stage.
 
-Shape: one hash shuffle on the key (same co-partitioning as the
-as-of join), then per PARTITION a fully vectorized pass: lexsort by
-(key, ts) once, then one segmented minimum per stage with a per-row
-lookup of the previous stage's match time — no per-key Python.
+Shape: one hash shuffle on the key (``joins.co_partition``, one-sided:
+the as-of join's co-partitioning), then per PARTITION one Arrow
+``map_groups`` call runs a fully vectorized pass: dictionary-encode the
+keys once, then one segmented minimum per stage with a per-row lookup
+of the previous stage's match time — no per-key Python.  The streaming
+funnel closes with the same kernel.
 """
 
 from __future__ import annotations
@@ -19,23 +21,24 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from raystat.dataops.asof import _key_u64
+from raystat.dataops.joins import co_partition, key_codes
 
 __all__ = ["funnel_counts", "funnel_frame"]
 
 
 def funnel_frame(
-    df: pd.DataFrame, *, key: str, ts: str, type_col: str, stages: list[str],
+    t: pa.Table, *, key: str, ts: str, type_col: str, stages: list,
     within_us: int | None = None,
-) -> pd.DataFrame:
+) -> pa.Table:
     """Per-key earliest strict-order stage times over one partition.
     ``within_us`` additionally requires every later stage to land
     within that many microseconds of the stage-0 match (time-bounded
-    funnel).  Returns one row per key with ``t_<i>`` int64 epoch
-    columns (int64 max when the stage is never reached)."""
-    codes, uniq = pd.factorize(df[key].to_numpy())
-    tsv = df[ts].to_numpy().astype("datetime64[us]").astype(np.int64)
-    typ = df[type_col].to_numpy()
+    funnel).  Returns one row per key, in first-appearance order, with
+    ``t_<i>`` int64 epoch-microsecond columns (int64 max when the stage
+    is never reached)."""
+    codes, uniq = key_codes(t[key])
+    tsv = t[ts].to_numpy().astype("datetime64[us]").astype(np.int64)
+    typ = t[type_col].to_numpy(zero_copy_only=False)
     n_keys = len(uniq)
     NO = np.int64(np.iinfo(np.int64).max)
     prev = np.full(n_keys, -(2**62), dtype=np.int64)  # stage-0 gate: -inf
@@ -43,7 +46,7 @@ def funnel_frame(
     out = {key: uniq}
     for i, stage in enumerate(stages):
         m = typ == stage
-        t = np.full(n_keys, NO, dtype=np.int64)
+        tm = np.full(n_keys, NO, dtype=np.int64)
         if m.any():
             c = codes[m]
             v = tsv[m]
@@ -54,12 +57,12 @@ def funnel_frame(
                 with np.errstate(over="ignore"):
                     ok &= v <= t0[c] + np.int64(within_us)
             if ok.any():
-                np.minimum.at(t, c[ok], v[ok])
-        out[f"t_{i}"] = t
-        prev = t
+                np.minimum.at(tm, c[ok], v[ok])
+        out[f"t_{i}"] = tm
+        prev = tm
         if i == 0:
-            t0 = t
-    return pd.DataFrame(out)
+            t0 = tm
+    return pa.table(out)
 
 
 def funnel_counts(ds, *, key: str, ts: str, type_col: str, stages: list[str],
@@ -69,28 +72,14 @@ def funnel_counts(ds, *, key: str, ts: str, type_col: str, stages: list[str],
     per stage: (stage, n_keys_reached)."""
     NO = np.int64(np.iinfo(np.int64).max)
 
-    def tag(batch: pa.Table) -> pa.Table:
-        k = batch[key].to_numpy(zero_copy_only=False)
-        part = (_key_u64(k) % np.uint64(n_parts)).astype(np.int32)
-        return pa.table(
-            {
-                key: batch[key],
-                ts: batch[ts],
-                type_col: batch[type_col],
-                "_part": pa.array(part),
-            }
-        )
-
-    def per_partition(g: pd.DataFrame) -> pd.DataFrame:
-        return funnel_frame(
-            g, key=key, ts=ts, type_col=type_col, stages=stages,
-            within_us=within_us,
-        )
+    def per_partition(t: pa.Table) -> pa.Table:
+        return funnel_frame(t, key=key, ts=ts, type_col=type_col, stages=stages,
+                            within_us=within_us)
 
     per_key = (
-        ds.map_batches(tag, batch_format="pyarrow")
+        co_partition(ds, shared=[key, ts, type_col], key=key, n_parts=n_parts)
         .groupby("_part")
-        .map_groups(per_partition, batch_format="pandas")
+        .map_groups(per_partition, batch_format="pyarrow")
     )
     cols = [f"t_{i}" for i in range(len(stages))]
     from ray.data.aggregate import Sum

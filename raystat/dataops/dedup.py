@@ -111,6 +111,27 @@ def add_content_hash(batch: pa.Table, text_col: str = "text") -> pa.Table:
     return batch.append_column("content_hash", pa.array(_md5_64_col(batch[text_col])))
 
 
+def _drop_ids(ds, losers: np.ndarray, id_col: str):
+    """``ds`` without the rows whose ``id_col`` is in the sorted int64
+    ``losers``: the ids broadcast through one ``ray.put`` and a
+    streaming anti-join filters each batch (the corpus never
+    shuffles)."""
+    import ray
+
+    ref = ray.put(losers)
+
+    def anti_join(batch: pa.Table) -> pa.Table:
+        lose = ray.get(ref)
+        if not lose.size:
+            return batch
+        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        pos = np.searchsorted(lose, ids)
+        pos[pos == lose.size] = 0
+        return batch.filter(pa.array(lose[pos] != ids))
+
+    return ds.map_batches(anti_join, batch_format="pyarrow")
+
+
 def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id", n_parts: int = 64):
     """Keep the min-id row per identical text.
 
@@ -122,7 +143,6 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id", n_parts: int
     broadcasts via one ``ray.put``; pass 2 streams the input again and
     anti-joins it.  Hash = 64-bit md5 prefix (uniform, no skew);
     size ``n_parts`` per pairs.bucket_partition's rule."""
-    import ray
 
     def hash_id(batch: pa.Table) -> pa.Table:
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -153,18 +173,7 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id", n_parts: int
         if len(loser_df) and "_id" in loser_df.columns
         else np.zeros(0, dtype=np.int64)
     )
-    ref = ray.put(losers)
-
-    def anti_join(batch: pa.Table) -> pa.Table:
-        lose = ray.get(ref)
-        if not lose.size:
-            return batch
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        pos = np.searchsorted(lose, ids)
-        pos[pos == lose.size] = 0
-        return batch.filter(pa.array(lose[pos] != ids))
-
-    return ds.map_batches(anti_join, batch_format="pyarrow")
+    return _drop_ids(ds, losers, id_col)
 
 
 def near_dedup(ds, pairs: pd.DataFrame, id_col: str = "doc_id"):
@@ -178,8 +187,6 @@ def near_dedup(ds, pairs: pd.DataFrame, id_col: str = "doc_id"):
     one ``ray.put`` and a streaming anti-join filters the corpus —
     the corpus itself never shuffles (same pass-2 shape as
     :func:`exact_dedup`)."""
-    import ray
-
     parent: dict[int, int] = {}
 
     def find(x: int) -> int:
@@ -200,18 +207,7 @@ def near_dedup(ds, pairs: pd.DataFrame, id_col: str = "doc_id"):
     losers = np.array(
         sorted(x for x in parent if find(x) != x), dtype=np.int64
     )
-    ref = ray.put(losers)
-
-    def anti_join(batch: pa.Table) -> pa.Table:
-        lose = ray.get(ref)
-        if not lose.size:
-            return batch
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        pos = np.searchsorted(lose, ids)
-        pos[pos == lose.size] = 0
-        return batch.filter(pa.array(lose[pos] != ids))
-
-    return ds.map_batches(anti_join, batch_format="pyarrow")
+    return _drop_ids(ds, losers, id_col)
 
 
 def near_dedup_lp(ds, pairs, id_col: str = "doc_id"):
@@ -220,7 +216,6 @@ def near_dedup_lp(ds, pairs, id_col: str = "doc_id"):
     union-find, so the pair list never has to fit one machine — the
     driver only sees the loser-id array (O(#dupes)), which broadcasts
     into the same streaming anti-join."""
-    import ray
     import ray.data as rd
 
     edges = pd.DataFrame(
@@ -233,18 +228,7 @@ def near_dedup_lp(ds, pairs, id_col: str = "doc_id"):
     losers = np.sort(
         comp.loc[comp["node"] != comp["component"], "node"].to_numpy(np.int64)
     )
-    ref = ray.put(losers)
-
-    def anti_join(batch: pa.Table) -> pa.Table:
-        lose = ray.get(ref)
-        if not lose.size:
-            return batch
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        pos = np.searchsorted(lose, ids)
-        pos[pos == lose.size] = 0
-        return batch.filter(pa.array(lose[pos] != ids))
-
-    return ds.map_batches(anti_join, batch_format="pyarrow")
+    return _drop_ids(ds, losers, id_col)
 
 
 # -- shingles / jaccard -----------------------------------------------------

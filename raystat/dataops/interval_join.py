@@ -15,14 +15,16 @@ Shape for scale (same lesson as the as-of join and the LSH bucket
 sweep):
 
 1. Both sides are tagged and hash-partitioned ONCE on the join key
-   into ``n_parts`` partitions (the only shuffle; both sides move).
-2. One ``map_groups`` call per PARTITION runs a single vectorized
-   pass over all keys in that partition: factorize keys, sort the
-   right side by (key, ts), encode (key, ts) into one monotone int64
-   composite, then TWO ``np.searchsorted`` calls give every left
-   row's matching right-row range, expanded with a repeat/cumsum
-   scan.  O(n log n + output) per partition, zero per-key and
-   zero per-pair Python.
+   into ``n_parts`` partitions (``joins.co_partition``, the only
+   shuffle; both sides move).
+2. One Arrow ``map_groups`` call per PARTITION runs a single
+   vectorized pass over all keys in that partition: dictionary-encode
+   the keys, sort the right side by (key, ts), encode (key, ts) into
+   one monotone int64 composite, then TWO ``np.searchsorted`` calls
+   give every left row's matching right-row range, expanded with a
+   repeat/cumsum scan into one ``take`` per side.  O(n log n + output)
+   per partition, zero per-key and zero per-pair Python.  The
+   streaming interval join closes with the same kernel.
 
 Partitioning assumption: all rows of one key land in one partition
 (hash on key).  A hot key bounds one task's INPUT, but — unlike the
@@ -41,10 +43,9 @@ with microsecond timestamps spanning 3 years (~1e14 us) this allows
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
-from raystat.dataops.asof import _key_u64
+from raystat.dataops.joins import co_partition, key_codes
 
 __all__ = ["interval_join", "interval_join_frames"]
 
@@ -67,7 +68,7 @@ def _bound_int64(v) -> int:
 
 
 def interval_join_frames(
-    df: pd.DataFrame,
+    t: pa.Table,
     *,
     by: str,
     on: str,
@@ -75,73 +76,59 @@ def interval_join_frames(
     before,
     after,
     side_col: str = "_side",
-) -> pd.DataFrame:
-    """Vectorized multi-key interval join over one co-partitioned frame.
+) -> pa.Table:
+    """Vectorized multi-key interval join over one co-partitioned table.
 
-    ``df`` holds BOTH sides: ``side_col`` is 0 for right rows, 1 for
+    ``t`` holds BOTH sides: ``side_col`` is 0 for right rows, 1 for
     left rows; right rows carry ``right_cols``, left rows the remaining
     columns.  Returns one row per matching (left, right) pair: the left
-    columns plus ``right_cols`` (left rows with no match emit nothing —
-    inner-join semantics, like ksqlDB's stream-stream inner join).
+    columns (without ``side_col``) plus ``right_cols`` last (left rows
+    with no match emit nothing — inner-join semantics, like ksqlDB's
+    stream-stream inner join).
     """
     before_i = _bound_int64(before)
     after_i = _bound_int64(after)
     if before_i < 0 or after_i < 0:
         raise ValueError("before/after must be non-negative")
 
-    side = df[side_col].to_numpy()
-    codes, _ = pd.factorize(df[by].to_numpy())  # local: only equality used
-    ts = _ts_int64(df[on].to_numpy())
-
-    is_left = side == 1
+    is_left = t[side_col].to_numpy() == 1
     l_idx = np.flatnonzero(is_left)
     r_idx = np.flatnonzero(~is_left)
-    empty = df.iloc[:0]
-    if len(l_idx) == 0 or len(r_idx) == 0:
-        return empty.drop(columns=[side_col]).reset_index(drop=True)
+    left_rows = right_rows = np.zeros(0, dtype=np.int64)
+    if len(l_idx) and len(r_idx):
+        codes, _ = key_codes(t[by])  # local: only equality used
+        ts = _ts_int64(t[on].to_numpy())
+        ts_min = int(ts.min())
+        span = int(ts.max()) - ts_min + before_i + after_i + 1
+        n_codes = int(codes.max()) + 1
+        if n_codes * span >= 2**62:
+            raise ValueError(
+                f"interval_join composite overflow: {n_codes} keys x time span "
+                f"{span} does not fit int64 — raise n_parts (fewer keys per "
+                f"partition) or coarsen the timestamp unit"
+            )
 
-    ts_min = int(ts.min())
-    span = int(ts.max()) - ts_min + before_i + after_i + 1
-    n_codes = int(codes.max()) + 1
-    if n_codes * span >= 2**62:
-        raise ValueError(
-            f"interval_join composite overflow: {n_codes} keys x time span "
-            f"{span} does not fit int64 — raise n_parts (fewer keys per "
-            f"partition) or coarsen the timestamp unit"
-        )
+        # rel is shifted so every probe value stays non-negative
+        comp = codes * span + (ts - ts_min + before_i)
+        r_comp = comp[r_idx]
+        r_order = np.argsort(r_comp, kind="stable")
+        r_sorted = r_comp[r_order]
+        r_rows = r_idx[r_order]  # original row index per sorted right slot
 
-    # rel is shifted so every probe value stays non-negative
-    rel = ts - ts_min + before_i
-    comp = codes.astype(np.int64) * span + rel
+        l_comp = comp[l_idx]
+        lo = np.searchsorted(r_sorted, l_comp - before_i, side="left")
+        hi = np.searchsorted(r_sorted, l_comp + after_i, side="right")
+        counts = hi - lo
+        total = int(counts.sum())
+        # expand: pair p = (left i repeated counts[i] times, right slot lo[i]..hi[i])
+        starts = np.cumsum(counts) - counts
+        slot = np.arange(total) - np.repeat(starts, counts) + np.repeat(lo, counts)
+        left_rows = np.repeat(l_idx, counts)
+        right_rows = r_rows[slot]
 
-    r_comp = comp[r_idx]
-    r_order = np.argsort(r_comp, kind="stable")
-    r_sorted = r_comp[r_order]
-    r_rows = r_idx[r_order]  # original row index per sorted right slot
-
-    l_comp = comp[l_idx]
-    lo = np.searchsorted(r_sorted, l_comp - before_i, side="left")
-    hi = np.searchsorted(r_sorted, l_comp + after_i, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        return empty.drop(columns=[side_col]).reset_index(drop=True)
-
-    # expand: pair p = (left i repeated counts[i] times, right slot lo[i]..hi[i])
-    left_rep = np.repeat(np.arange(len(l_idx)), counts)
-    starts = np.cumsum(counts) - counts
-    slot = np.arange(total) - np.repeat(starts, counts) + np.repeat(lo, counts)
-
-    left_rows = l_idx[left_rep]
-    right_rows = r_rows[slot]
-
-    out = (
-        df.iloc[left_rows]
-        .drop(columns=[side_col] + right_cols)
-        .reset_index(drop=True)
-    )
+    out = t.drop_columns([side_col, *right_cols]).take(left_rows)
     for c in right_cols:
-        out[c] = df[c].to_numpy()[right_rows]
+        out = out.append_column(c, t[c].take(right_rows))
     return out
 
 
@@ -162,44 +149,12 @@ def interval_join(
     each pair (the right ``on`` value itself must be duplicated into a
     differently-named column by the caller if wanted in the output).
     Returns a Dataset of left columns + ``right_cols``."""
-    left_schema = left_ds.schema()
-    left_names = list(left_schema.names)
-    ltypes = dict(zip(left_schema.names, left_schema.types))
-    overlap = set(right_cols) & set(left_names)
-    if overlap:
-        raise ValueError(f"right_cols collide with left columns: {sorted(overlap)}")
-    right_schema = right_ds.schema()
-    rtypes = dict(zip(right_schema.names, right_schema.types))
+    both = co_partition(left_ds, right_ds, shared=[by, on], key=by, n_parts=n_parts,
+                        right_cols=right_cols)
 
-    def tag(side: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            k = batch[by].to_numpy(zero_copy_only=False)
-            part = (_key_u64(k) % np.uint64(n_parts)).astype(np.int32)
-            nulls = pa.nulls(batch.num_rows)
-            cols: dict[str, object] = {
-                by: batch[by],
-                on: batch[on],
-                "_side": pa.array(np.full(batch.num_rows, side, dtype=np.int8)),
-                "_part": pa.array(part),
-            }
-            for c in left_names:
-                if c in (by, on):
-                    continue
-                cols[c] = batch[c] if side == 1 else nulls.cast(ltypes[c])
-            for c in right_cols:
-                cols[c] = batch[c] if side == 0 else nulls.cast(rtypes[c])
-            return pa.table(cols)
+    def per_partition(t: pa.Table) -> pa.Table:
+        out = interval_join_frames(t, by=by, on=on, right_cols=right_cols, before=before,
+                                   after=after)
+        return out.drop_columns(["_part"])
 
-        return fn
-
-    lt = left_ds.map_batches(tag(1), batch_format="pyarrow")
-    rt = right_ds.map_batches(tag(0), batch_format="pyarrow")
-    both = lt.union(rt)
-
-    def per_partition(g: pd.DataFrame) -> pd.DataFrame:
-        out = interval_join_frames(
-            g, by=by, on=on, right_cols=right_cols, before=before, after=after
-        )
-        return out.drop(columns=["_part"])
-
-    return both.groupby("_part").map_groups(per_partition, batch_format="pandas")
+    return both.groupby("_part").map_groups(per_partition, batch_format="pyarrow")

@@ -4893,11 +4893,9 @@ def _q_interval_join_events(sf_dir):
         )
         return pa.table(
             {
-                # ids ride the tagged union as nullable (other side's rows),
-                # so pandas floats them — cast back to the source int64
-                "purchase_id": b["purchase_id"].cast(pa.int64()),
+                "purchase_id": b["purchase_id"],
                 "user_id": b["user_id"],
-                "touch_id": b["touch_id"].cast(pa.int64()),
+                "touch_id": b["touch_id"],
                 "gap_us": gap,
             }
         )

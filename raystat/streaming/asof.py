@@ -23,7 +23,8 @@ The router (shared with the interval join) late-drops both sides and
 the driver key-hash routes them in their one shuffle; the buffered
 rows of both sides are one Arrow table (an ``AsofJoin`` kind's state
 in ``state.KeyedPartition``), and its close is a single vectorized
-``asof_join_frames`` sweep over (ready lefts x buffered rights).
+``asof_join_frames`` sweep over (ready lefts x buffered rights): the
+batch operator's Arrow kernel, fed the state's Arrow rows directly.
 """
 
 from __future__ import annotations

@@ -33,10 +33,11 @@ late rows and returns the ``(key, ts_us, stage)`` rows, which the
 driver key-hash-routes to the owning state actor (wire =
 stage-matching rows only — CEP is irreducibly row-wise, there is no
 sum-mergeable partial for "earliest chain"); actors evaluate ripe
-keys at epoch end with the SAME vectorized ``funnel_frame`` kernel the
-batch path uses (one factorize + segmented minimum per stage across
-all ripe keys at once — no per-key Python), and completed funnels
-commit exactly-once.
+keys at epoch end with the SAME vectorized Arrow ``funnel_frame``
+kernel the batch path uses (one dictionary encode + segmented minimum
+per stage across all ripe keys at once — no per-key Python, no pandas
+round trip), and completed funnels commit exactly-once, built from the
+kernel's Arrow columns.
 """
 
 from __future__ import annotations
@@ -100,23 +101,20 @@ class _Funnel(Kind):
         m = ripe[codes]
         out, tombs = pa.table({}), []
         if m.any():
-            ff = funnel_frame(
-                ev.filter(pa.array(m)).to_pandas(), key="key", ts="ts_us",
-                type_col="stage", stages=list(range(self.n_stages)),
-                within_us=self.within_us,
-            )
+            ff = funnel_frame(ev.filter(pa.array(m)), key="key", ts="ts_us", type_col="stage",
+                              stages=list(range(self.n_stages)), within_us=self.within_us)
             tcols = np.stack([ff[f"t_{i}"].to_numpy() for i in range(self.n_stages)])
             out = pa.table({
-                "key": pa.array(ff["key"].to_numpy()),
+                "key": ff["key"],
                 "stages_reached": pa.array((tcols != _NO).sum(axis=0).astype(np.int64)),
-                "t0_us": pa.array(ff["t_0"].to_numpy(), pa.int64()),
+                "t0_us": ff["t_0"],
             })
             tombs = [pa.table({
-                "key": pa.array(ff["key"].to_numpy(), ev.schema.field("key").type),
-                "ts_us": pa.array(ff["t_0"].to_numpy(), pa.int64()),
-                "stage": pa.array(np.full(len(ff), -1), pa.int64()),
+                "key": ff["key"],
+                "ts_us": ff["t_0"],
+                "stage": pa.array(np.full(ff.num_rows, -1), pa.int64()),
             })]
-            self.metrics["funnels_emitted"] += len(ff)
+            self.metrics["funnels_emitted"] += ff.num_rows
         # keys holding a live (un-ripe) stage-0 keep all their rows;
         # everything else at-or-below the watermark is dead (a future
         # stage-0 must have t0 > wm >= ts, and strict order needs

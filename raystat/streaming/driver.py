@@ -66,7 +66,7 @@ from raystat.accumulators import canonical_sums_for, get_spec
 from raystat.aggregate import dense_key, encode_key, power_sums, split_key, valid_xw_mask
 from raystat.extract import event_time_us_from_numeric, numeric_doc_id
 from raystat.scratch import astype_f8, buf, tune_allocator
-from raystat.streaming.epochs import END, EpochDriverBase, EpochRead, with_partitions
+from raystat.streaming.epochs import END, EpochDriverBase, EpochRead
 from raystat.streaming.join import MetadataJoin
 from raystat.streaming.sink import ExactlyOnceParquetSink
 from raystat.streaming.state import (
@@ -167,7 +167,7 @@ def _json_batches(files: list[str]):
     are merged into one block per task)."""
     opts = pajson.ReadOptions(use_threads=False)
     tables = [
-        _canonicalize_json_batch(with_partitions(pajson.read_json(f, read_options=opts), f))
+        _canonicalize_json_batch(pajson.read_json(f, read_options=opts))
         for f in files if os.path.getsize(f)
     ]
     if tables:

@@ -8,11 +8,11 @@ Per arrival epoch ``e`` (``input_dir/arrival=e/*.parquet``):
    epoch's files, runs the side-effect-free router as plain Ray
    tasks, at most one per Ray CPU slot, each reading a contiguous
    slice of the files with pyarrow and calling the router on each
-   batch (the batches a one-task Ray Data read gives, or
-   ``batch_size``-row slices).  The router comes from ``_router()``,
-   built from the watermark in force.  Each batch returns one row
-   (``state.Router``): its bookkeeping, its kernel time and its
-   partial table as Arrow IPC;
+   batch (the batches a one-task Ray Data read gives, without its
+   hive partition column ``arrival``, or ``batch_size``-row slices).
+   The router comes from ``_router()``, built from the watermark in
+   force.  Each batch returns one row (``state.Router``): its
+   bookkeeping, its kernel time and its partial table as Arrow IPC;
 2. ``_route_epoch``: the driver sums the bookkeeping and ``_advance``
    moves the watermark, which is all the next epoch's router depends
    on; it then starts epoch ``e+1``'s stage on a second thread, and
@@ -105,27 +105,17 @@ from raystat.streaming.state import END, NEG, cpu_slots, route_partials, start_h
 READ_BATCH_ROWS = 10_000
 
 
-def with_partitions(table: pa.Table, path: str) -> pa.Table:
-    """``table`` read from ``path`` plus a string column for each
-    ``key=value`` directory of the path it lacks (hive partitioning, as
-    Ray Data's readers add it: ``arrival`` for ``arrival=N/*``)."""
-    for d in os.path.dirname(path).split("/"):
-        if d.count("=") == 1:
-            key, value = d.split("=")
-            if key not in table.column_names:
-                table = table.append_column(key, pa.repeat(value, table.num_rows))
-    return table
-
-
 def parquet_batches(files: list[str]):
     """The batches of Parquet ``files`` in order, as one Ray Data read
     task gives them: at most ``READ_BATCH_ROWS`` rows each, never
-    spanning a row group, with the path's partition columns."""
+    spanning a row group.  Unlike Ray Data's reader, it adds no hive
+    partition column (``arrival`` for ``arrival=N/*``): the epoch is
+    the driver's, not a row's."""
     fmt, fs = pads.ParquetFileFormat(), pafs.LocalFileSystem()
     for path in files:
         frag = fmt.make_fragment(path, fs)
         for rb in frag.to_batches(batch_size=READ_BATCH_ROWS, use_threads=False):
-            yield with_partitions(pa.Table.from_batches([rb]), path)
+            yield pa.Table.from_batches([rb])
 
 
 @ray.remote

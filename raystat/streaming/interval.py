@@ -25,7 +25,10 @@ Rows are pre-tagged (``_side``: 1 = left, 0 = right) on a unified
 schema, mirroring how the batch operator's tagged union ships both
 sides through one exchange.  Both sides' buffered rows are one Arrow
 table on that schema, the state of an ``IntervalJoin`` kind in
-``state.KeyedPartition``.
+``state.KeyedPartition``.  Its close hands the ready rows, as Arrow, to
+the batch operator's kernel (``interval_join_frames``): the streamed
+pairs are the batch join over the same kept rows, with no pandas
+round trip.
 """
 
 from __future__ import annotations
@@ -93,15 +96,16 @@ class TaggedJoin(Kind):
         return pa.concat_tables([state, new], promote_options="default")
 
     def _join_ready(self, state: pa.Table, ready: np.ndarray, is_left: np.ndarray, kernel,
-               **kw) -> pa.Table:
-        """``kernel`` (a batch join over one tagged frame) on the ready
-        lefts and every buffered right; its rows counted and returned."""
+                    **kw) -> pa.Table:
+        """``kernel`` (the batch join's Arrow kernel over one tagged
+        table) on the ready lefts and every buffered right; its rows
+        counted and returned."""
         if not ready.any():
             return pa.table({})
-        rows = kernel(state.filter(pa.array(ready | ~is_left)).to_pandas(), by=self.by,
-                      on=self.on, right_cols=self.right_cols, **kw)
-        self.metrics[self.emitted] += len(rows)
-        return pa.Table.from_pandas(rows, preserve_index=False) if len(rows) else pa.table({})
+        rows = kernel(state.filter(pa.array(ready | ~is_left)), by=self.by, on=self.on,
+                      right_cols=self.right_cols, **kw)
+        self.metrics[self.emitted] += rows.num_rows
+        return rows if rows.num_rows else pa.table({})
 
 
 class IntervalJoin(TaggedJoin):
@@ -126,7 +130,7 @@ class IntervalJoin(TaggedJoin):
         ts = state[self.on].to_numpy()
         ready = is_left & (ts + self.after_us < watermark_us)
         out = self._join_ready(state, ready, is_left, interval_join_frames,
-                          before=self.before_us, after=self.after_us)
+                               before=self.before_us, after=self.after_us)
 
         # retire emitted lefts; retire rights no retained-or-future left reaches
         keep_left = is_left & ~ready

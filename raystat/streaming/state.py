@@ -61,7 +61,7 @@ import pyarrow.parquet as pq
 import ray
 
 from raystat.aggregate import encode_key, gap_sweep
-from raystat.dataops.asof import _key_u64
+from raystat.dataops.joins import _key_u64
 
 __all__ = [
     "GroupKind", "KeyedPartition", "Kind", "PartitionHost", "Router", "route_partition",

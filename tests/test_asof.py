@@ -6,11 +6,17 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from raystat.dataops.asof import asof_join, asof_join_frames
 from tests.util import to_pandas
+
+
+def _asof_join_frames(df: pd.DataFrame, **kw) -> pd.DataFrame:
+    """The Arrow kernel over a pandas frame, back as pandas."""
+    return asof_join_frames(pa.Table.from_pandas(df, preserve_index=False), **kw).to_pandas()
 
 
 def _frames(seed: int, nl: int, nr: int, n_keys: int):
@@ -63,7 +69,7 @@ def _norm(df):
 def test_kernel_matches_merge_asof(seed, tol):
     left, right = _frames(seed, nl=200, nr=80, n_keys=12)
     df = pd.concat([left, right], ignore_index=True)
-    got = asof_join_frames(df, by="k", on="ts", right_cols=["rv"], tolerance=tol)
+    got = _asof_join_frames(df, by="k", on="ts", right_cols=["rv"], tolerance=tol)
     exp = _pandas_oracle(left, right, tolerance=tol)
     pd.testing.assert_frame_equal(
         _norm(got), _norm(exp)[_norm(got).columns], check_dtype=False
@@ -74,7 +80,7 @@ def test_kernel_edge_cases():
     # no right rows at all -> every left row unmatched
     left, right = _frames(0, nl=50, nr=20, n_keys=5)
     df = pd.concat([left, right.iloc[:0]], ignore_index=True)
-    got = asof_join_frames(df, by="k", on="ts", right_cols=["rv"])
+    got = _asof_join_frames(df, by="k", on="ts", right_cols=["rv"])
     assert len(got) == 50 and got["rv"].isna().all()
     # equal timestamps are INCLUSIVE (right row at ts == left ts matches)
     df = pd.DataFrame(
@@ -86,7 +92,7 @@ def test_kernel_edge_cases():
             "rv": [np.nan, 9.0],
         }
     )
-    got = asof_join_frames(df, by="k", on="ts", right_cols=["rv"])
+    got = _asof_join_frames(df, by="k", on="ts", right_cols=["rv"])
     assert got["rv"].tolist() == [9.0]
 
 

@@ -1263,8 +1263,9 @@ def test_funnel_frame_and_distributed(ray_session):
             (5, 7, "a"), (5, 7, "b"),
         ]
     )
-    out = funnel_frame(df, key="u", ts="ts", type_col="t", stages=["a", "b", "c"])
-    out = out.set_index("u")
+    out = funnel_frame(pa.Table.from_pandas(df), key="u", ts="ts", type_col="t",
+                       stages=["a", "b", "c"])
+    out = out.to_pandas().set_index("u")
     NO = np.iinfo(np.int64).max
     assert out.loc[1, "t_2"] != NO
     assert out.loc[2, "t_0"] != NO and out.loc[2, "t_1"] == NO
@@ -1313,11 +1314,32 @@ def test_funnel_within_deadline():
     )
     # 100s budget: u1 completes; u2's c at t=500 misses the deadline
     out = funnel_frame(
-        df, key="u", ts="ts", type_col="t", stages=["a", "b", "c"],
+        pa.Table.from_pandas(df), key="u", ts="ts", type_col="t", stages=["a", "b", "c"],
         within_us=100 * 1_000_000,
-    ).set_index("u")
+    ).to_pandas().set_index("u")
     assert out.loc[1, "t_2"] != NO
     assert out.loc[2, "t_1"] != NO and out.loc[2, "t_2"] == NO
+
+
+def test_funnel_null_key_is_its_own_key():
+    """A null key's events stay with the null key: none of them reaches
+    another key's funnel, whatever the keys' order."""
+    from raystat.dataops.cep import funnel_frame
+
+    NO = np.iinfo(np.int64).max
+    t = pa.table(
+        {
+            "u": ["x", None, "y"],
+            "ts": pa.array([1_000_000, 2_000_000, 3_000_000], pa.timestamp("us")),
+            "t": ["a", "a", "b"],
+        }
+    )
+    out = funnel_frame(t, key="u", ts="ts", type_col="t", stages=["a", "b"]).to_pylist()
+    assert out == [
+        {"u": "x", "t_0": 1_000_000, "t_1": NO},
+        {"u": None, "t_0": 2_000_000, "t_1": NO},
+        {"u": "y", "t_0": NO, "t_1": NO},
+    ]
 
 
 def test_connected_components_vs_unionfind(ray_session):

@@ -7,11 +7,17 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from raystat.dataops.interval_join import interval_join, interval_join_frames
 from tests.util import to_pandas
+
+
+def _interval_join_frames(df: pd.DataFrame, **kw) -> pd.DataFrame:
+    """The Arrow kernel over a pandas frame, back as pandas."""
+    return interval_join_frames(pa.Table.from_pandas(df, preserve_index=False), **kw).to_pandas()
 
 
 def _frames(seed: int, nl: int, nr: int, n_keys: int, span: int = 10_000):
@@ -63,7 +69,7 @@ def _norm(df):
 def test_frames_vs_bruteforce(seed, before, after):
     left, right = _frames(seed, nl=80, nr=120, n_keys=7)
     both = pd.concat([left, right], ignore_index=True)
-    got = interval_join_frames(
+    got = _interval_join_frames(
         both, by="k", on="ts", right_cols=["rid"], before=before, after=after
     )
     exp = _brute(left, right, before, after)
@@ -82,7 +88,7 @@ def test_inclusive_bounds_exact_edges():
             "rid": [np.nan, 0.0, 1.0, 2.0, 3.0],
         }
     )
-    got = interval_join_frames(
+    got = _interval_join_frames(
         both, by="k", on="ts", right_cols=["rid"], before=10, after=10
     )
     assert sorted(got["rid"].tolist()) == [0.0, 1.0]
@@ -98,7 +104,7 @@ def test_no_cross_key_matches():
             "rid": [np.nan, 0.0],
         }
     )
-    got = interval_join_frames(
+    got = _interval_join_frames(
         both, by="k", on="ts", right_cols=["rid"], before=10, after=10
     )
     assert len(got) == 0
@@ -115,7 +121,7 @@ def test_timestamp_dtype_and_timedelta_bounds():
             "rid": [np.nan, 0.0, 1.0],
         }
     )
-    got = interval_join_frames(
+    got = _interval_join_frames(
         both,
         by="k",
         on="ts",
@@ -139,7 +145,7 @@ def test_overflow_guard_raises():
     )
     both.loc[0, "_side"] = 0
     with pytest.raises(ValueError, match="overflow"):
-        interval_join_frames(
+        _interval_join_frames(
             both, by="k", on="ts", right_cols=["rid"], before=1, after=1
         )
 

@@ -10,6 +10,7 @@ import glob
 import json
 import os
 import shutil
+import time
 
 import numpy as np
 import pandas as pd
@@ -698,9 +699,12 @@ def test_cleanup_lifecycle(ray_session, fixture_dir):
     assert os.path.exists(os.path.join(out, "agg"))  # output kept
     import ray
 
-    for a in actors:
-        with pytest.raises(Exception):
-            ray.get(a.get_metrics.remote(), timeout=10)
+    for a in actors:  # ray.kill is asynchronous: a call may still land before it
+        deadline = time.monotonic() + 30
+        with pytest.raises(ray.exceptions.RayActorError):
+            while time.monotonic() < deadline:
+                ray.get(a.get_metrics.remote(), timeout=30)
+                time.sleep(0.1)
     drv2 = StreamDriver(fixture_dir, out, make_cfg(passthrough=False))
     drv2.run()  # fresh run over the same out dir works after teardown
     drv2.cleanup(delete_output=True)

@@ -34,9 +34,9 @@ def _batch_expected(fix: str, within_us: int) -> pd.DataFrame:
     df = df[df["event_type"].isin(STAGES)]
     df["stage"] = df["event_type"].map({s: i for i, s in enumerate(STAGES)})
     ff = funnel_frame(
-        df, key="user_id", ts="ts_us", type_col="stage",
-        stages=[0, 1, 2], within_us=within_us,
-    )
+        pa.Table.from_pandas(df, preserve_index=False), key="user_id", ts="ts_us",
+        type_col="stage", stages=[0, 1, 2], within_us=within_us,
+    ).to_pandas()
     ff = ff[ff["t_0"] != NO]
     out = pd.DataFrame(
         {

@@ -374,11 +374,13 @@ def _ray_data_rows(drv, epoch: int, router):
     from raystat.streaming.driver import _canonicalize_json_batch
 
     kw = {"batch_format": "pyarrow", "zero_copy_batch": True}
+    # no hive partition column: the stage's reads add none
+    read = {"override_num_blocks": 1, "partitioning": None}
     if getattr(getattr(drv, "cfg", None), "file_format", "parquet") == "json":
-        ds = rd.read_json(drv._epoch_files(epoch, "jsonl"), override_num_blocks=1)
+        ds = rd.read_json(drv._epoch_files(epoch, "jsonl"), **read)
         ds = ds.map_batches(_canonicalize_json_batch, **kw)
     else:
-        ds = rd.read_parquet(drv._epoch_files(epoch, "parquet"), override_num_blocks=1)
+        ds = rd.read_parquet(drv._epoch_files(epoch, "parquet"), **read)
     if drv.batch_size:
         kw["batch_size"] = drv.batch_size
     return ds.map_batches(router, **kw).to_pandas()
@@ -403,9 +405,9 @@ def _canon(book):
 def test_stage_rows_equal_ray_data_read(ray_session, sf_dir, tmp_path, kind):
     """Every epoch's router rows from the stage's plain read tasks equal
     those of the same router over a one-task Ray Data read of the same
-    files (JSON: read, then the canonical cast), timings aside: same
-    batches, same partials (the interval join's carry the hive
-    partition column ``arrival`` Ray Data adds), same bookkeeping."""
+    files (JSON: read, then the canonical cast; no hive partition
+    column), timings aside: same batches, same partials, same
+    bookkeeping."""
     import pandas as pd
 
     drv = _equivalence_driver(kind, sf_dir, str(tmp_path / "out"))
@@ -612,6 +614,43 @@ def test_killed_host_fails_run_and_resume_is_exact(ray_session, sf_dir, tmp_path
     fresh.run(resume=True)
     assert manifest_digests(fresh.sink.root) == manifest_digests(full.sink.root)
     assert len(manifest_digests(full.sink.root)) == 5
+    _kill_all(full, drv, fresh)
+
+
+@pytest.mark.parametrize("kind", ["interval", "asof"])
+def test_crash_between_commit_and_checkpoint_is_exact(ray_session, sf_dir, tmp_path, kind):
+    """A crash after epoch 1's sink commit and before its checkpoint
+    (``_checkpoint(1)`` raises): a fresh driver resumes from checkpoint
+    0, replays epoch 1 (the sink skips the committed epoch) and commits
+    the manifests an uninterrupted run commits; epoch 1's manifest is
+    not rewritten."""
+    import os
+
+    full = _driver(kind, sf_dir, str(tmp_path / "full"))
+    full.run()
+
+    drv = _driver(kind, sf_dir, str(tmp_path / "crashed"))
+    checkpoint = drv._checkpoint
+
+    def crashing_checkpoint(epoch):
+        if epoch == 1:
+            raise RuntimeError("crash before checkpoint 1")
+        checkpoint(epoch)
+
+    drv._checkpoint = crashing_checkpoint
+    with pytest.raises(RuntimeError, match="crash before checkpoint 1"):
+        drv.run()
+    assert drv.sink.committed_epochs() == [0, 1]
+    assert drv.latest_checkpoint() == 0
+    m1 = drv.sink._manifest_path(1)
+    with open(m1, "rb") as f:
+        before = (f.read(), os.stat(m1).st_mtime_ns)
+
+    fresh = _driver(kind, sf_dir, str(tmp_path / "crashed"))
+    fresh.run(resume=True)
+    assert manifest_digests(fresh.sink.root) == manifest_digests(full.sink.root)
+    with open(m1, "rb") as f:
+        assert (f.read(), os.stat(m1).st_mtime_ns) == before
     _kill_all(full, drv, fresh)
 
 

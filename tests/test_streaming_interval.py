@@ -47,11 +47,10 @@ def _batch_expected(fix: str, cfg: IntervalJoinConfig) -> pd.DataFrame:
         if d.startswith("arrival="):
             p = os.path.join(fix, d)
             files += [os.path.join(p, f) for f in sorted(os.listdir(p))]
-    df = pa.concat_tables([pq.read_table(f) for f in files]).to_pandas()
     return interval_join_frames(
-        df, by=cfg.by, on=cfg.on, right_cols=list(cfg.right_cols),
-        before=cfg.before_us, after=cfg.after_us,
-    )
+        pa.concat_tables([pq.read_table(f) for f in files]), by=cfg.by, on=cfg.on,
+        right_cols=list(cfg.right_cols), before=cfg.before_us, after=cfg.after_us,
+    ).to_pandas()
 
 
 def _norm(df: pd.DataFrame) -> pd.DataFrame:

@@ -13,7 +13,11 @@ exactly.  Each configuration's wall time goes to stdout, not the
 JSON.  For a passthrough (``kind: "dataset"``)
 sink it records each epoch's row count and hashes the sink's rows in
 ``doc_id`` order: its part files depend on the number of read tasks,
-and older checkouts record no digest for them.
+and older checkouts record no digest for them.  For a table sink it
+also hashes each committed epoch's rows (``epoch_rows_sha256``), so a
+change of the file's schema metadata alone shows in the manifest
+digest but not in the row digest.  Row digests are the sha256 of the
+rows' Arrow IPC stream with the schema metadata stripped.
 
 It imports only the public drivers and fixtures, so it runs against any
 checkout given on ``PYTHONPATH``; a refactor keeps outputs when two
@@ -175,16 +179,18 @@ def _configs():
     }
 
 
-def _row_digest(sink_root: str) -> str:
-    """sha256 of a sink's committed rows in doc_id order (Arrow IPC)."""
+def _ipc_sha256(files: list[str], sort_by: str | None = None) -> str:
+    """sha256 of the rows of Parquet ``files`` (concatenated, optionally
+    sorted) as an Arrow IPC stream, schema metadata stripped."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    files = sorted(glob.glob(os.path.join(sink_root, "epoch=*", "*.parquet")))
     if not files:
         return ""
     t = pa.concat_tables([pq.read_table(f) for f in files], promote_options="default")
-    t = t.sort_by([("doc_id", "ascending")])
+    if sort_by:
+        t = t.sort_by([(sort_by, "ascending")])
+    t = t.replace_schema_metadata(None)
     sink = pa.BufferOutputStream()
     with pa.ipc.new_stream(sink, t.schema) as w:
         w.write_table(t)
@@ -196,14 +202,21 @@ def _digests(out: str) -> dict:
     for mdir in sorted(glob.glob(os.path.join(out, "**", "_manifest"), recursive=True)):
         root = os.path.dirname(mdir)
         name = os.path.relpath(root, out)
-        per = {}
+        per, rows = {}, {}
         for f in sorted(glob.glob(os.path.join(mdir, "epoch-*.json"))):
             with open(f) as fh:
                 m = json.load(fh)
             dataset = m.get("kind") == "dataset"
             per[os.path.basename(f)] = m["rows"] if dataset else m["sha256"]
+            if not dataset:
+                epoch = os.path.basename(f)[len("epoch-"):-len(".json")]
+                rows[os.path.basename(f)] = _ipc_sha256(
+                    glob.glob(os.path.join(root, f"epoch={epoch}", "part-0.parquet")))
         if any(isinstance(v, int) for v in per.values()):  # dataset sink
-            per["rows_sha256"] = _row_digest(root)
+            per["rows_sha256"] = _ipc_sha256(
+                sorted(glob.glob(os.path.join(root, "epoch=*", "*.parquet"))), "doc_id")
+        if rows:
+            per["epoch_rows_sha256"] = rows
         res[name] = per
     return res
 
