@@ -72,13 +72,17 @@ def sum_kernel(group_cols: list[str], cols: list[str]):
 
 def finalize_kernel(resolved: Mapping, needed, pass_cols: list[str]):
     """Kernel evaluating every spec's ``finalize_arrays`` over merged
-    sums for all groups of a batch; ``pass_cols`` are carried through."""
+    sums for all groups of a batch; ``pass_cols`` are carried through.
+    A statistic the finalizer leaves NaN (undefined: a sample skewness
+    under 3 rows, say) is null, as SQL aggregates give it.  The batch
+    and the streaming moment closes both finalize here."""
 
     def finalize(batch: pa.Table) -> pa.Table:
         cols = {c: batch[c].to_numpy(zero_copy_only=False) for c in needed}
         out: dict[str, object] = {k: batch[k] for k in pass_cols}
         for name, spec in resolved.items():
-            out[name] = pa.array(np.atleast_1d(spec.finalize_arrays(cols)), type=pa.float64())
+            out[name] = pa.array(np.atleast_1d(spec.finalize_arrays(cols)), type=pa.float64(),
+                                 from_pandas=True)
         return pa.table(out)
 
     return finalize

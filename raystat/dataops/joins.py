@@ -113,11 +113,12 @@ def hash_join(
                         right_cols=rcols)
 
     def per_partition(t: pa.Table) -> pd.DataFrame:
-        # pandas' merge, not Table.join: Arrow's join rejects list-typed
-        # payload columns
-        g = t.to_pandas()
-        lf = g[g["_side"] == 1][[on] + lcols]
-        rf = g[g["_side"] == 0][[on] + rcols]
+        # the sides split in Arrow, where the other side's columns are
+        # null, so pandas keeps each side's int columns int; pandas'
+        # merge, not Table.join: Arrow's join rejects list-typed payload
+        # columns
+        lf = t.filter(pc.equal(t["_side"], 1)).select([on] + lcols).to_pandas()
+        rf = t.filter(pc.equal(t["_side"], 0)).select([on] + rcols).to_pandas()
         return lf.merge(rf, on=on, how=how).reset_index(drop=True)
 
     return both.groupby("_part").map_groups(per_partition, batch_format="pyarrow")

@@ -39,9 +39,14 @@ loop, with this driver's stages):
    runs steps 4-7
 4. partitions (``state.KeyedPartition`` running the :class:`_Sums`
    kind) pop state of windows with ``window_end <= watermark`` and of
-   sessions with ``end + gap <= watermark``; cross-salt merge
-   (field-wise add) + vectorized finalize
-5. join against the metadata stream state (grace-buffered left join)
+   sessions with ``end + gap <= watermark``, each salt's row as it is;
+   the driver merges a window's salts once, across the partitions
+   (field-wise add), then evaluates every statistic with the batch
+   path's ``aggregate.finalize_kernel``, all in Arrow but for that
+   merge's groupby-sum
+5. join against the metadata stream state (grace-buffered left join,
+   :class:`~raystat.streaming.join.MetadataJoin`, on Arrow tables); the
+   end-of-stream close flushes its buffer with null ``quality``
 6. commit via the exactly-once sink; optional exact per-row passthrough
    (the same ``state.late_rows``; null-value rows kept; token arrays
    untouched)
@@ -54,7 +59,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pandas as pd
@@ -63,7 +68,9 @@ import pyarrow.compute as pc
 import pyarrow.json as pajson
 
 from raystat.accumulators import canonical_sums_for, get_spec
-from raystat.aggregate import dense_key, encode_key, power_sums, split_key, valid_xw_mask
+from raystat.aggregate import (
+    dense_key, encode_key, finalize_kernel, power_sums, split_key, valid_xw_mask,
+)
 from raystat.extract import event_time_us_from_numeric, numeric_doc_id
 from raystat.scratch import astype_f8, buf, tune_allocator
 from raystat.streaming.epochs import END, EpochDriverBase, EpochRead
@@ -87,8 +94,8 @@ class StreamConfig:
             "kurt": "kurtosis",
         }
     )
-    value_col: str = "n_tok"  # token-length statistics by default
     weight_col: str | None = "n_tok"  # weight for the weighted variants
+    #   (the value is the row's token count, ``n_tok``)
     window_size_s: int = 3600
     hop_s: int | None = None  # None => tumbling; else hopping
     allowed_lateness_s: int = 1800
@@ -109,7 +116,6 @@ class StreamConfig:
     #   stats corr/cov(n_tok, row token sum) via the comoment registry;
     #   requires token_stats (reuses the per-row t_s1 sums); the extra
     #   state is two more sum columns — same wire/merge path
-    tokens_col: str = "tokens"
     file_format: str = "parquet"  # or "json": newline-delimited JSON
     #   parts (the reference's Kafka topics are value_format='json';
     #   README.md:143, AllUdafIT.java:564) re-encoded per arrival dir
@@ -261,8 +267,8 @@ def _moment_stage(cfg: StreamConfig, needed, u_order, w_order, watermark):
     session = cfg.session_gap_s is not None
     size_s = cfg.window_size_s
     step = cfg.hop_s or size_s
-    value_col, weight_col, n_salts = cfg.value_col, cfg.weight_col, cfg.n_salts
-    alias_w = weight_col is not None and weight_col == value_col and u_order >= w_order + 1
+    weight_col, n_salts = cfg.weight_col, cfg.n_salts
+    alias_w = weight_col == "n_tok" and u_order >= w_order + 1
     gap_us = int(cfg.session_gap_s or 0) * 1_000_000
 
     def fn(batch: pa.Table) -> tuple[pa.Table | None, dict]:
@@ -282,19 +288,19 @@ def _moment_stage(cfg: StreamConfig, needed, u_order, w_order, watermark):
         # and the routing fan-out by n_salts while keeping the same
         # skew spreading across the stream.
         salt_b = int(ids[0]) % n_salts if rows_in else 0
-        valid = valid_xw_mask(batch, (value_col, weight_col))
+        valid = valid_xw_mask(batch, ("n_tok", weight_col))
         if valid is not None:
             ok = np.flatnonzero(valid.to_numpy(zero_copy_only=False))
             info["null_dropped"] = rows_in - ok.size
             batch, ts_us, src_code = batch.take(ok), ts_us[ok], src_code[ok]
             wm = wm[ok] if np.ndim(wm) else wm
-        x = astype_f8("x", batch[value_col].to_numpy(zero_copy_only=False))
+        x = astype_f8("x", batch["n_tok"].to_numpy(zero_copy_only=False))
         w = (
             astype_f8("w", batch[weight_col].to_numpy(zero_copy_only=False))
             if weight_col is not None and not alias_w
             else None
         )
-        tr = _row_token_sums(batch, cfg.tokens_col, x.size) if cfg.token_stats else None
+        tr = _row_token_sums(batch, "tokens", x.size) if cfg.token_stats else None
 
         if session:
             late = late_rows(ts_us, wm)
@@ -345,13 +351,13 @@ class _Sums(GroupKind):
       when the new groups are its groups in its order, and is
       otherwise ordered by group (pandas aligns two unequal indexes on
       their sorted union); that row order is the order of the
-      cross-salt sum in ``finish``;
+      cross-salt sum in ``StreamDriver._finalize_tables``;
     - sessions: each session's rows, old and new, in ``lexsort((start,
       gid))`` order (the state's rows before the new ones on a tie),
       through ``np.add.reduceat``.
 
-    ``finish`` emits windows merged across the partition's salts
-    (``source, window_start``, sums) and sessions as they are."""
+    A close emits its groups' rows as they are: a window's salts, which
+    may sit in several partitions, merge once, in the driver."""
 
     window_groups = ("source", "salt", "window_start")
     session_groups = ("source", "session_start_us", "session_end_us")
@@ -388,46 +394,28 @@ class _Sums(GroupKind):
                 sums = sums.loc[pc.sort_indices(both.take(first), sort_keys=keys).to_numpy()]
         return sums.index.to_numpy(), {c: sums[c].to_numpy() for c in self.payload_wire}
 
-    def finish(self, closed: pa.Table, gid: np.ndarray) -> pa.Table:
-        if self.session:
-            return closed
-        df = closed.drop_columns(["salt"]).to_pandas()
-        g = df.groupby(["source", "window_start"], sort=False).sum()
-        return pa.table({
-            "source": pa.array(g.index.get_level_values(0), pa.string()),
-            "window_start": pa.array(g.index.get_level_values(1), pa.int64()),
-            **{c: pa.array(g[c].to_numpy(), pa.float64()) for c in self.payload_wire},
-        })
-
 
 class StreamDriver(EpochDriverBase):
     book_sums = EpochDriverBase.book_sums + ("null_dropped",)
     sink_name = "agg"
     checkpointed = ("join",)  # the metadata join's buffer and metrics
 
-    def __init__(
-        self,
-        input_dir: str,
-        out_dir: str,
-        cfg: StreamConfig | None = None,
-        metadata: pa.Table | None = None,
-    ):
+    def __init__(self, input_dir: str, out_dir: str, cfg: StreamConfig | None = None,
+                 metadata: pa.Table | None = None):
         """``metadata``: optional (source, quality, arrival_epoch) table —
         the late-arriving side stream."""
-        self.cfg = cfg or StreamConfig()
+        cfg = self.cfg = cfg or StreamConfig()
         super().__init__(input_dir, out_dir, self.cfg.n_partitions, self.cfg.batch_size)
         self.metadata = metadata
-        self.resolved = {k: get_spec(v) for k, v in self.cfg.specs.items()}
+        resolved = {k: get_spec(v) for k, v in self.cfg.specs.items()}
         self.session_mode = self.cfg.session_gap_s is not None
-        self.needed, self.u_order, self.w_order = canonical_sums_for(
-            self.resolved.values()
-        )
-        self.token_outputs: dict[str, tuple] = {}
+        self.needed, self.u_order, self.w_order = canonical_sums_for(resolved.values())
+        extra: dict[str, tuple] = {}
         if self.cfg.token_stats:
             # token-value statistics finalize from t_* sums through the
-            # same registered finalizers (canonical columns remapped)
+            # same registered finalizers, fed the t_* columns
             self.needed = tuple(self.needed) + ("t_n", "t_s1", "t_s2", "t_s3", "t_s4")
-            self.token_outputs = {
+            extra = {
                 "tok_mean": (get_spec("weighted_average"), ("t_s1", "t_n")),
                 "tok_std": (get_spec("stddev_weighted"), ("t_s1", "t_n", "t_s2")),
                 "tok_skew": (get_spec("skewness"), ("t_n", "t_s1", "t_s2", "t_s3")),
@@ -436,9 +424,7 @@ class StreamDriver(EpochDriverBase):
         if self.cfg.comoment_stats:
             # bivariate corr/cov(x=n_tok, y=row token sum): needs the
             # unweighted x sums to order 2, y (== group-summed t_s1,
-            # already in needed via token_stats), plus two new sum
-            # columns — the comoment finalizers run through the same
-            # remap path as the token outputs
+            # already in needed via token_stats) and two more sums
             from raystat.comoments import get_comoment
 
             self.u_order = max(self.u_order, 2)
@@ -447,19 +433,17 @@ class StreamDriver(EpochDriverBase):
                     self.needed = tuple(self.needed) + (c,)
             self.needed = tuple(self.needed) + ("c_syy", "c_sxy")
             co_cols = ("u_n", "u_s1", "t_s1", "u_s2", "c_syy", "c_sxy")
-            self.token_outputs["len_tok_corr"] = (get_comoment("correlation"), co_cols)
-            self.token_outputs["len_tok_cov"] = (get_comoment("covariance"), co_cols)
+            extra["len_tok_corr"] = (get_comoment("correlation"), co_cols)
+            extra["len_tok_cov"] = (get_comoment("covariance"), co_cols)
+        # every output statistic, each spec reading its own sum columns
+        outputs = {**resolved, **{k: replace(spec, canonical=cols)
+                                  for k, (spec, cols) in extra.items()}}
+        self.finalize = finalize_kernel(outputs, self.needed,
+                                        ["source", "window_start", "window_end"])
         self.lateness_us = int(self.cfg.allowed_lateness_s) * 1_000_000
-        self.pass_sink = (
-            ExactlyOnceParquetSink(out_dir, "passthrough")
-            if self.cfg.passthrough
-            else None
-        )
-        self.changes_sink = (
-            ExactlyOnceParquetSink(out_dir, "changes")
-            if self.cfg.emit_changes
-            else None
-        )
+        self.pass_sink, self.changes_sink = (
+            ExactlyOnceParquetSink(out_dir, name) if on else None
+            for name, on in (("passthrough", cfg.passthrough), ("changes", cfg.emit_changes)))
         self.per_source_wm = self.cfg.watermark_scope == "per_source"
         self.join = MetadataJoin(self.cfg.join_grace_epochs)
 
@@ -516,87 +500,46 @@ class StreamDriver(EpochDriverBase):
 
         return read.map_batches(keep).tables()
 
-    def _ingest_metadata(self, epoch: int):
-        if self.metadata is None:
-            return
-        mask = pa.compute.equal(self.metadata["arrival_epoch"], epoch)
-        sub = self.metadata.filter(mask)
-        if sub.num_rows:
-            self.join.update(
-                sub["source"].to_pylist(), sub["quality"].to_pylist()
-            )
-
-    def _close_and_finalize(self, watermark_s: int) -> pd.DataFrame:
-        """Pop closed state from every partition, merge partials
-        (cross-salt field-wise add for keyed windows; sessions arrive
-        pre-merged), and evaluate every spec vectorized."""
+    def _close_and_finalize(self, watermark_s) -> pa.Table:
+        """Close every partition at ``watermark_s`` and finalize what
+        closed (:meth:`_finalize_tables`)."""
         return self._finalize_tables(self._call("close", watermark_s))
 
-    def _finalize_tables(self, tables: list) -> pd.DataFrame:
-        tbl = pa.concat_tables(tables)
-        if not tbl.num_rows:
-            return pd.DataFrame(
-                columns=["source", "window_start", "window_end", *self.resolved,
-                         *self.token_outputs, "n_rows"]
-            )
-        df = tbl.to_pandas()
+    def _finalize_tables(self, tables: list) -> pa.Table:
+        """The output rows of the groups in ``tables`` (one table per
+        partition, in pid order): ``source``, ``window_start``,
+        ``window_end``, one column per statistic and ``n_rows``.  A
+        window's salts merge here, once: a pandas groupby-sum
+        (Kahan-compensated, in pid order, then each partition's row
+        order); sessions carry no salt.  Then ``aggregate.finalize_kernel``
+        evaluates every statistic."""
+        t = pa.concat_tables(tables)
         if self.session_mode:
-            merged = df.rename(
-                columns={"session_start_us": "window_start", "session_end_us": "window_end"}
-            )
+            start, end = t["session_start_us"], t["session_end_us"]
         else:
-            merged = df.groupby(["source", "window_start"], as_index=False)[
-                list(self.needed)
-            ].sum()
-            merged["window_end"] = merged["window_start"] + self.cfg.window_size_s
-        cols = {c: merged[c].to_numpy() for c in self.needed}
-        out = merged[["source", "window_start", "window_end"]].copy()
-        for name, spec in self.resolved.items():
-            out[name] = np.atleast_1d(spec.finalize_arrays(cols))
-        for name, (spec, src_cols) in self.token_outputs.items():
-            remap = dict(zip(spec.canonical, src_cols))
-            out[name] = np.atleast_1d(
-                spec.finalize_arrays({k: cols[v] for k, v in remap.items()})
-            )
-        out["n_rows"] = cols["u_n"].astype(np.int64) if "u_n" in cols else 0
-        if self.session_mode:
-            out["window_start"] = out["window_start"].astype(np.int64)
-            out["window_end"] = out["window_end"].astype(np.int64)
-        return out
+            g = t.drop_columns(["salt"]).to_pandas().groupby(["source", "window_start"]).sum()
+            t = pa.table({"source": pa.array(g.index.get_level_values(0), pa.string()),
+                          **{c: g[c].to_numpy() for c in self.needed}})
+            start = pa.array(g.index.get_level_values(1), pa.int64())
+            end = pc.add(start, self.cfg.window_size_s)
+        t = t.append_column("window_start", start).append_column("window_end", end)
+        n_rows = t["u_n"].to_numpy().astype(np.int64) if "u_n" in self.needed else 0
+        out = self.finalize(t)
+        return out.append_column("n_rows", pa.array(np.broadcast_to(n_rows, t.num_rows)))
 
-    def _commit_emitted(self, epoch: int, emitted: pd.DataFrame):
-        if len(emitted) == 0:
-            emitted = pd.DataFrame(
-                columns=[
-                    "source", "window_start", "window_end", *self.resolved,
-                    *self.token_outputs, "n_rows", "quality",
-                ]
-            )
-        emitted["epoch"] = epoch
-        self.sink.commit(
-            epoch,
-            pa.Table.from_pandas(emitted, preserve_index=False),
-            sort_by=["source", "window_start"],
-        )
-
-    def _emit(self, epoch: int, watermark_s: int):
-        self._ingest_metadata(epoch)
-        out = self._close_and_finalize(watermark_s)
-        self._commit_emitted(epoch, self.join.process(out, epoch))
-        if self.changes_sink is not None:
-            live = self._finalize_tables(self._call("peek_state"))
-            live["epoch"] = epoch
-            self.changes_sink.commit(
-                epoch,
-                pa.Table.from_pandas(live, preserve_index=False),
-                sort_by=["source", "window_start"],
-            )
-
-    def _finalize_stream(self, final_epoch: int):
-        out = self._close_and_finalize(END)
-        emitted = self.join.process(out, final_epoch)
-        tail = self.join.flush_all()
-        if len(tail):
-            emitted = pd.concat([emitted, tail], ignore_index=True)
-        self._commit_emitted(final_epoch, emitted)
-        self._record_final(final_epoch, join_metrics=self.join.metrics)
+    def _emit(self, epoch: int, watermark_s):
+        """Close and finalize at ``watermark_s``, join the metadata
+        (arrived by ``epoch``) and commit; with ``emit_changes``, also
+        commit every open group's current value.  The end-of-stream
+        close (``END``) flushes the join's buffered rows."""
+        end = watermark_s == END
+        if self.metadata is not None:
+            sub = self.metadata.filter(pc.equal(self.metadata["arrival_epoch"], epoch))
+            self.join.update(sub["source"].to_pylist(), sub["quality"].to_pylist())
+        out = [(self.sink, self.join.process(self._close_and_finalize(watermark_s), epoch,
+                                             flush=end))]
+        if self.changes_sink is not None and not end:
+            out.append((self.changes_sink, self._finalize_tables(self._call("peek_state"))))
+        for sink, t in out:
+            stamp = pa.array(np.full(t.num_rows, epoch, dtype=np.int64))
+            sink.commit(epoch, t.append_column("epoch", stamp), sort_by=["source", "window_start"])

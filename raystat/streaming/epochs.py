@@ -443,9 +443,8 @@ class EpochDriverBase:
         self._emit(final_epoch, END)
         self._record_final(final_epoch)
 
-    def _record_final(self, final_epoch: int, **extra):
-        self.final = {"epoch": final_epoch, "state_metrics": self._call("get_metrics"),
-                      **extra}
+    def _record_final(self, final_epoch: int):
+        self.final = {"epoch": final_epoch, "state_metrics": self._call("get_metrics")}
 
     def _final_metrics(self) -> dict:
         return {"epochs": self.metrics, "final": self.final, **self._driver_state()}

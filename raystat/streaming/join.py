@@ -6,7 +6,12 @@ Semantics (ksqlDB-style left join with grace): a closed window's
 aggregate row joins ``source -> quality`` metadata if already known;
 otherwise it is buffered until the metadata arrives (emitted in that
 epoch) or until ``grace_epochs`` epochs pass, after which it is emitted
-with null ``quality`` (left-outer after grace).
+with null ``quality`` (left-outer after grace).  The end-of-stream
+close flushes every buffered row the same way.
+
+The buffered rows are one Arrow table with a ``_deadline`` column (the
+last epoch that may still join them); the checkpoint keeps it as an
+Arrow IPC stream, so a resume restores the rows with their types.
 
 Scaling note: metadata is per-source (small side) so this state is
 O(sources) and lives beside the driver; at larger key cardinality the
@@ -17,8 +22,11 @@ so no second shuffle would be needed.
 
 from __future__ import annotations
 
+import base64
+
 import numpy as np
-import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
 __all__ = ["MetadataJoin"]
 
@@ -27,67 +35,49 @@ class MetadataJoin:
     def __init__(self, grace_epochs: int = 2):
         self.grace = grace_epochs
         self.meta: dict[str, float] = {}
-        # buffered aggregate rows + _deadline column (vectorized state;
-        # per-row Python only at checkpoint serialization)
-        self.pending: pd.DataFrame = pd.DataFrame()
+        self.pending: pa.Table | None = None  # buffered rows + _deadline
         self.metrics = {"joined": 0, "buffered": 0, "expired_null": 0}
 
     def update(self, sources: list[str], qualities: list[float]) -> None:
         for s, q in zip(sources, qualities):
             self.meta[s] = float(q)
 
-    def process(self, df: pd.DataFrame, epoch: int) -> pd.DataFrame:
-        """Join this epoch's closed-window rows + re-check the pending
-        buffer; returns all rows emittable this epoch.  Fully
-        vectorized: map + boolean masks, no row loop."""
-        if len(df):
-            df = df.copy()
-            df["_deadline"] = epoch + self.grace
-            cand = (
-                pd.concat([self.pending, df], ignore_index=True)
-                if len(self.pending)
-                else df
-            )
-        else:
-            cand = self.pending
-        if not len(cand):
-            self.metrics["buffered"] = 0
-            return pd.DataFrame()
-        q = cand["source"].map(self.meta)
-        have = q.notna().to_numpy()
-        expired = (~have) & (cand["_deadline"].to_numpy() <= epoch)
-        emit = have | expired
-        out = cand[emit].copy()
-        out["quality"] = q[emit]
+    def process(self, t: pa.Table, epoch: int, flush: bool = False) -> pa.Table:
+        """Join this epoch's closed-window rows ``t`` and the buffered
+        rows against the metadata known so far.  Returns the rows
+        emitted this epoch, the buffered ones first, with ``quality``
+        appended: the rows with metadata, and with null ``quality`` the
+        rows whose grace ran out, or every other row with ``flush`` (the
+        end of the stream)."""
+        deadline = np.full(t.num_rows, epoch + self.grace, dtype=np.int64)
+        t = t.append_column("_deadline", pa.array(deadline))
+        if self.pending is not None:
+            t = pa.concat_tables([self.pending, t])
+        known = pa.array(list(self.meta), pa.string())
+        q = pc.take(pa.array(list(self.meta.values()), pa.float64()),
+                    pc.index_in(t["source"], value_set=known))
+        have = q.is_valid().to_numpy(zero_copy_only=False)
+        expired = ~have & (flush | (t["_deadline"].to_numpy() <= epoch))
+        emit = pa.array(have | expired)
         self.metrics["joined"] += int(have.sum())
         self.metrics["expired_null"] += int(expired.sum())
-        self.pending = cand[~emit].reset_index(drop=True)
-        self.metrics["buffered"] = len(self.pending)
-        return out.drop(columns=["_deadline"]).reset_index(drop=True)
-
-    def flush_all(self) -> pd.DataFrame:
-        """End of stream: emit everything left, null quality where
-        metadata never arrived."""
-        if not len(self.pending):
-            return pd.DataFrame()
-        out = self.pending.copy()
-        out["quality"] = out["source"].map(self.meta).astype(float)
-        self.pending = pd.DataFrame()
-        return out.drop(columns=["_deadline"]).reset_index(drop=True)
+        self.pending = t.filter(pc.invert(emit))
+        self.metrics["buffered"] = self.pending.num_rows
+        return t.filter(emit).drop_columns(["_deadline"]).append_column("quality", q.filter(emit))
 
     # -- checkpoint --------------------------------------------------------
 
     def to_state(self) -> dict:
-        def py(v):  # numpy scalars -> exact native types for JSON
-            return v.item() if hasattr(v, "item") else v
-
+        pending = None
+        if self.pending is not None:
+            sink = pa.BufferOutputStream()
+            with pa.ipc.new_stream(sink, self.pending.schema) as w:
+                w.write_table(self.pending)
+            pending = base64.b64encode(sink.getvalue().to_pybytes()).decode("ascii")
         return {
             "grace": self.grace,
             "meta": {k: float(v) for k, v in self.meta.items()},
-            "pending": [
-                {k: py(v) for k, v in r.items()}
-                for r in self.pending.to_dict("records")
-            ],
+            "pending": pending,  # Arrow IPC stream, base64
             "metrics": self.metrics,
         }
 
@@ -95,6 +85,7 @@ class MetadataJoin:
     def from_state(cls, st: dict) -> "MetadataJoin":
         j = cls(st["grace"])
         j.meta = dict(st["meta"])
-        j.pending = pd.DataFrame(list(st["pending"]))
+        if st["pending"] is not None:
+            j.pending = pa.ipc.open_stream(base64.b64decode(st["pending"])).read_all()
         j.metrics = dict(st["metrics"])
         return j

@@ -36,8 +36,9 @@ path, which runs them too.
 
 Skew: moment partials are pre-aggregated per ``(source, salt,
 window)`` with a per-batch ``salt``, so a hot source's state spreads
-over up to S partitions; the cross-salt merge happens once per window
-close on O(closed windows) rows.
+over up to S partitions.  A partition closes each salt's row as it is;
+the driver merges a window's salts once, across the partitions, on
+O(closed windows x salts) rows (``StreamDriver._finalize_tables``).
 
 Fault tolerance: Ray does not recover actor state — each partition
 checkpoints its state per epoch as its own file, so a checkpoint
@@ -363,7 +364,7 @@ class GroupKind(Kind):
       the group columns in front;
     - ``finish(closed, gid) -> pa.Table``: the emitted rows of the
       closed groups (``gid``: each closed row's group id), group columns
-      first.
+      first; by default the closed rows as they are.
 
     ``merge`` groups windows by their group columns; sessions run the
     gap-rule sweep over the open sessions and the new fragments
@@ -433,6 +434,9 @@ class GroupKind(Kind):
         gid, first = _group_ids(closed, self.groups)
         self.metrics[self.closed_metric] += int(first.size)
         return self.finish(closed, gid), state.filter(pa.array(~done))
+
+    def finish(self, closed: pa.Table, gid: np.ndarray) -> pa.Table:
+        return closed
 
     def peek(self, state: pa.Table) -> pa.Table:
         return self.finish(state, _group_ids(state, self.groups)[0])

@@ -252,3 +252,19 @@ def test_hash_join_empty_side(ray_session):
         rd.from_pandas(left), rd.from_pandas(empty), on="k", how="left"
     ).to_pandas()
     assert len(lefty) == 3 and lefty["b"].isna().all()
+
+
+def test_hash_join_inner_keeps_int_columns(ray_session):
+    """An inner join's int payload columns stay int64: each side's
+    columns are null on the other side's rows of the tagged union, so
+    splitting the sides after a pandas conversion would float them."""
+    import ray.data as rd
+
+    from raystat.dataops.joins import hash_join
+
+    left = pd.DataFrame({"k": [1, 2, 3], "a": [10, 20, 30]})
+    right = pd.DataFrame({"k": [1, 2, 4], "b": [7, 8, 9]})
+    got = hash_join(rd.from_pandas(left), rd.from_pandas(right), on="k").to_pandas()
+    got = got.sort_values("k", ignore_index=True)
+    exp = pd.DataFrame({"k": [1, 2], "a": [10, 20], "b": [7, 8]})
+    pd.testing.assert_frame_equal(got[exp.columns], exp)

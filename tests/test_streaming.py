@@ -1466,3 +1466,118 @@ def test_null_value_or_weight_rows_leave_the_moment_sums(ray_session, tmp_path,
     assert (m["epochs"]["0"]["null_dropped"], m["epochs"]["0"]["late_dropped"]) == (2, 0)
     got = pq.read_table(sorted(glob.glob(str(out / "passthrough" / "epoch=*" / "*.parquet"))))
     assert got.num_rows == 5
+
+
+def _two_source_stream(root) -> str:
+    """Arrival epoch 0: one zero-row file; epoch 1: source ``a`` with 2
+    rows and ``b`` with 3, every row in one window and one session."""
+    fix = root / "fix"
+    for e in range(2):
+        os.makedirs(fix / f"arrival={e}")
+    rows = _token_rows([0, 1, 228, 229, 456], [3, 5, 1, 2, 4],
+                       source=pa.array(["a", "a", "b", "b", "b"]))
+    pq.write_table(rows.slice(0, 0), fix / "arrival=0" / "part-0.parquet")
+    pq.write_table(rows, fix / "arrival=1" / "part-0.parquet")
+    return str(fix)
+
+
+@pytest.mark.parametrize("session_gap_s", [None, 3600], ids=["window", "session"])
+def test_every_sink_epoch_has_one_schema(ray_session, tmp_path, session_gap_s):
+    """Every committed ``agg`` and ``changes`` epoch has the same Arrow
+    schema, the epochs that close nothing (or have no open group) too:
+    epoch 0 has no rows, epoch 1 closes nothing, the end-of-stream
+    close commits both sources."""
+    drv = StreamDriver(_two_source_stream(tmp_path), str(tmp_path / "out"),
+                       make_cfg(passthrough=False, emit_changes=True, n_partitions=2,
+                                session_gap_s=session_gap_s),
+                       metadata=metadata_rows(N_EPOCHS))
+    drv.run()
+    for sink, rows in ((drv.sink, [0, 0, 2]), (drv.changes_sink, [0, 2])):
+        tables = [pq.read_table(p) for p in sink.committed_paths()]
+        assert [t.num_rows for t in tables] == rows
+        schemas = {t.schema.remove_metadata() for t in tables}
+        assert len(schemas) == 1, schemas
+        (schema,) = schemas
+        assert schema.field("window_start").type == pa.int64()
+        assert schema.field("wavg").type == pa.float64()
+        assert schema.field("n_rows").type == pa.int64()
+        assert schema.field("epoch").type == pa.int64()
+    assert drv.result_table().schema.field("quality").type == pa.float64()
+
+
+def test_undefined_sample_skewness_is_null(ray_session, tmp_path):
+    """A sample skewness over 2 rows is undefined: the batch path
+    (``grouped_moments``) and a ``StreamDriver`` window both give null,
+    not NaN; over 3 rows both give the same value."""
+    import ray
+    import ray.data as rd
+
+    from raystat.aggregate import grouped_moments
+
+    fix = _two_source_stream(tmp_path)
+    drv = StreamDriver(fix, str(tmp_path / "out"),
+                       make_cfg(passthrough=False, n_partitions=2, weight_col=None,
+                                specs={"skew": "skewness_sample"}))
+    drv.run()
+    stream = drv.result_table().sort_by("source")
+    rows = pq.read_table(glob.glob(os.path.join(fix, "arrival=1", "*.parquet")))
+    batch = grouped_moments(rd.from_arrow(rows), {"skew": "skewness_sample"}, ["source"],
+                            value="n_tok")
+    batch = pa.concat_tables(ray.get(batch.to_arrow_refs())).sort_by("source")
+    for got in (stream, batch):
+        assert got["source"].to_pylist() == ["a", "b"]
+        assert got["skew"].is_null().to_pylist() == [True, False]
+    assert stream["skew"][1].as_py() == pytest.approx(batch["skew"][1].as_py(), rel=1e-12)
+
+
+def _closed_rows(sources, starts) -> pa.Table:
+    """Closed-window rows as the moment close hands them to the join."""
+    return pa.table({"source": pa.array(sources, pa.string()),
+                     "window_start": pa.array(starts, pa.int64()),
+                     "skew": pa.array([0.5, None, 1.5][:len(sources)], pa.float64()),
+                     "n_rows": pa.array(np.arange(len(sources)) + 3, pa.int64())})
+
+
+def test_metadata_join_grace_expiry_and_end_flush():
+    """``MetadataJoin`` on its own, grace 1: a row joins when its
+    metadata arrives within grace, a row whose deadline passes is
+    emitted with null ``quality``, and the end-of-stream close
+    (``flush``) emits every pending row; the counters add up and
+    ``buffered`` ends at 0."""
+    from raystat.streaming.join import MetadataJoin
+
+    j = MetadataJoin(grace_epochs=1)
+    j.update(["a"], [0.25])
+    out = j.process(_closed_rows(["a", "b", "c"], [0, 0, 0]), 0)
+    assert out["source"].to_pylist() == ["a"] and out["quality"].to_pylist() == [0.25]
+    assert j.metrics == {"joined": 1, "buffered": 2, "expired_null": 0}
+    j.update(["b"], [0.75])  # within grace for b; c's deadline passes
+    out = j.process(_closed_rows(["d"], [3600]), 1)
+    assert out.column_names == ["source", "window_start", "skew", "n_rows", "quality"]
+    assert out.to_pydict() == {"source": ["b", "c"], "window_start": [0, 0],
+                               "skew": [None, 1.5], "n_rows": [4, 5],
+                               "quality": [0.75, None]}
+    assert j.metrics == {"joined": 2, "buffered": 1, "expired_null": 1}
+    out = j.process(_closed_rows([], []), 2, flush=True)
+    assert out["source"].to_pylist() == ["d"] and out["quality"].is_null().to_pylist() == [True]
+    assert j.metrics == {"joined": 2, "buffered": 0, "expired_null": 2}
+    assert j.process(_closed_rows([], []), 3, flush=True).num_rows == 0
+
+
+def test_metadata_join_state_keeps_pending_types():
+    """Pending rows survive ``to_state`` / ``from_state`` (through JSON,
+    as ``driver.json`` holds them) with their types and nulls, and the
+    restored join emits what the original does."""
+    from raystat.streaming.join import MetadataJoin
+
+    j = MetadataJoin(grace_epochs=2)
+    j.update(["z"], [0.5])
+    j.process(_closed_rows(["a", "b"], [0, 3600]), 0)
+    restored = MetadataJoin.from_state(json.loads(json.dumps(j.to_state())))
+    assert restored.pending.equals(j.pending)
+    assert restored.pending.schema == j.pending.schema
+    assert restored.metrics == j.metrics and restored.meta == j.meta
+    for k in (j, restored):
+        k.update(["b"], [0.125])
+    assert restored.process(_closed_rows([], []), 1).equals(j.process(_closed_rows([], []), 1))
+    assert MetadataJoin.from_state(json.loads(json.dumps(MetadataJoin(3).to_state()))).pending is None

@@ -45,6 +45,15 @@ def _driver(kind: str, sf: str, out: str):
                   batch_size=BATCH)
     if kind == "stream":
         return _equivalence_driver("stream_batch500", sf, out)
+    if kind == "stream-join":  # grace 1: checkpoints hold pending join rows
+        from raystat.fixtures import epoch_len_us, metadata_rows, write_stream_fixture
+        from raystat.streaming import StreamConfig, StreamDriver
+
+        write_stream_fixture(TOKENS, n_rows=8000, n_epochs=4)
+        return StreamDriver(TOKENS, out, StreamConfig(
+            window_size_s=3600, allowed_lateness_s=epoch_len_us(4) // 4_000_000,
+            n_partitions=3, passthrough=False, batch_size=500, join_grace_epochs=1,
+        ), metadata=metadata_rows(4))
     if kind == "dedup":
         return DedupStreamDriver(docs_stream_fixture(sf, n_epochs=4), out,
                                  n_partitions=4, batch_size=BATCH)
@@ -617,13 +626,17 @@ def test_killed_host_fails_run_and_resume_is_exact(ray_session, sf_dir, tmp_path
     _kill_all(full, drv, fresh)
 
 
-@pytest.mark.parametrize("kind", ["interval", "asof"])
+@pytest.mark.parametrize("kind", ["interval", "asof", "stream-join", "mg"])
 def test_crash_between_commit_and_checkpoint_is_exact(ray_session, sf_dir, tmp_path, kind):
     """A crash after epoch 1's sink commit and before its checkpoint
     (``_checkpoint(1)`` raises): a fresh driver resumes from checkpoint
     0, replays epoch 1 (the sink skips the committed epoch) and commits
     the manifests an uninterrupted run commits; epoch 1's manifest is
-    not rewritten."""
+    not rewritten.  Torn snapshot writes (garbage ``.tmp`` files beside
+    checkpoint 0's files, and a checkpoint 1 holding nothing else) do
+    not disturb the resume.  StreamDriver's checkpoint 0 holds pending
+    metadata-join rows."""
+    import json
     import os
 
     full = _driver(kind, sf_dir, str(tmp_path / "full"))
@@ -642,6 +655,16 @@ def test_crash_between_commit_and_checkpoint_is_exact(ray_session, sf_dir, tmp_p
         drv.run()
     assert drv.sink.committed_epochs() == [0, 1]
     assert drv.latest_checkpoint() == 0
+    if kind == "stream-join":
+        from raystat.streaming.join import MetadataJoin
+
+        with open(os.path.join(drv._ckpt_dir(0), "driver.json")) as f:
+            assert MetadataJoin.from_state(json.load(f)["join"]).pending.num_rows
+    for d in (drv._ckpt_dir(0), drv._ckpt_dir(1)):
+        os.makedirs(d, exist_ok=True)
+        for name in ("state-p0000.parquet.tmp", "driver.json.tmp"):
+            with open(os.path.join(d, name), "wb") as f:
+                f.write(b"\x00torn")
     m1 = drv.sink._manifest_path(1)
     with open(m1, "rb") as f:
         before = (f.read(), os.stat(m1).st_mtime_ns)

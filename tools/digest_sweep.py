@@ -1,6 +1,6 @@
 """Output-identity sweep over the streaming drivers.
 
-Runs 46 driver configurations on the pytest fixtures (sf0.001 and the
+Runs 47 driver configurations on the pytest fixtures (sf0.001 and the
 synthetic token stream, also as JSONL) and on a wider token stream
 whose epochs (about 7 MB, 8 files) plan 3 read tasks at 4 CPUs, and
 writes, per configuration, the sha256 of
@@ -142,6 +142,12 @@ def _configs():
         "stream_one_partition_4salts": stream(
             n_partitions=1, n_salts=4, batch_size=500, token_stats=True,
             emit_changes=True),
+        # 1 < P < n_salts: salts 0 and 3 share a partition, so the
+        # cross-salt sum of a window holding both adds three or four
+        # rows in one pass; 500-row batches give some windows both
+        # (whole-file batches give none)
+        "stream_three_partitions_4salts": stream(
+            n_partitions=3, n_salts=4, batch_size=500, token_stats=True),
         "hll_tumbling": sketch(HllStreamDriver, window_size_s=WEEK),
         "hll_hopping": sketch(HllStreamDriver, window_size_s=2 * 86400, hop_s=86400),
         "hll_session": sketch(HllStreamDriver, session_gap_s=GAP),
